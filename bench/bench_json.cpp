@@ -3,7 +3,8 @@
 // algorithms), plus each substrate end to end on a fixed micro workload,
 // and emits BENCH_micro.json. CI runs `bench_json --check bench/baseline.json`
 // and fails when any kernel regresses more than 2x against the checked-in
-// baseline.
+// baseline, when a baseline row is missing from the output, or when a gated
+// row has no baseline entry.
 //
 // Timing discipline: every kernel sample is the MINIMUM of several runs —
 // on a shared core the minimum estimates the uncontended cost, where mean
@@ -33,7 +34,9 @@
 #include "cloudq/queue_service.h"
 #include "azuremr/runtime.h"
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/shuffle_job.h"
 #include "minihdfs/mini_hdfs.h"
@@ -249,6 +252,37 @@ KernelResult bench_blast() {
   });
   (void)sink;
   return {"blast_build_search_60x20", fast * 1e9, naive * 1e9, naive / fast};
+}
+
+/// 1 MiB of run-time random bytes for the checksum rows.
+std::string checksum_buffer() {
+  Rng rng(4);
+  std::string buf(1024 * 1024, '\0');
+  for (auto& c : buf) c = static_cast<char>(rng.next_u64() & 0xFF);
+  return buf;
+}
+
+/// fnv1a64 over 1 MiB: the identity hash every real put still pays (etag,
+/// block-cache address). It has no faster variant here, so it is its own
+/// reference (speedup 1.00); the row tracks its cost.
+KernelResult bench_checksum_fnv1a64() {
+  const std::string buf = checksum_buffer();
+  volatile std::uint64_t sink = 0;
+  const double secs = min_seconds(9, [&] { sink = sink + ppc::fnv1a64(buf); });
+  (void)sink;
+  return {"checksum_fnv1a64_1mb", secs * 1e9, secs * 1e9, 1.0};
+}
+
+/// crc32c over 1 MiB — the content checksum every verification site uses —
+/// against its portable slice-by-8 path, so the speedup is what the
+/// hardware instruction buys.
+KernelResult bench_checksum_crc32c() {
+  const std::string buf = checksum_buffer();
+  volatile std::uint32_t sink = 0;
+  const double fast = min_seconds(9, [&] { sink = sink + ppc::crc32c(buf); });
+  const double naive = min_seconds(9, [&] { sink = sink + ppc::detail::crc32c_portable(buf); });
+  (void)sink;
+  return {"checksum_crc32c_1mb", fast * 1e9, naive * 1e9, naive / fast};
 }
 
 // --------------------------------------------------------------------------
@@ -734,11 +768,13 @@ ElasticComparison bench_elastic_fleet() {
 // JSON emit / baseline check
 // --------------------------------------------------------------------------
 
-/// `git rev-parse --short HEAD` of the enclosing checkout, "unknown"
-/// elsewhere — stamped into the meta block so a BENCH_micro.json can be
-/// traced back to the commit that produced it.
+/// Short SHA of the enclosing checkout's HEAD, suffixed "-dirty" when
+/// tracked files differ from it (the numbers then describe HEAD plus
+/// uncommitted changes); "unknown" outside a checkout. Stamped into the
+/// meta block so a BENCH_micro.json can be traced back to its code.
 std::string git_sha() {
-  std::FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
+  std::FILE* pipe =
+      ::popen("git describe --always --dirty --abbrev=7 --exclude='*' 2>/dev/null", "r");
   if (pipe == nullptr) return "unknown";
   char buf[64] = {0};
   const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, pipe);
@@ -867,14 +903,14 @@ int main(int argc, char** argv) {
 
   std::vector<KernelResult> kernels;
   kernels.push_back(bench_matrix_multiply());
-  std::fprintf(stderr, "%-30s %12.0f ns/op  (naive %12.0f, %.2fx)\n", kernels.back().name.c_str(),
-               kernels.back().ns_per_op, kernels.back().naive_ns_per_op, kernels.back().speedup);
   kernels.push_back(bench_cholesky());
-  std::fprintf(stderr, "%-30s %12.0f ns/op  (naive %12.0f, %.2fx)\n", kernels.back().name.c_str(),
-               kernels.back().ns_per_op, kernels.back().naive_ns_per_op, kernels.back().speedup);
   kernels.push_back(bench_blast());
-  std::fprintf(stderr, "%-30s %12.0f ns/op  (naive %12.0f, %.2fx)\n", kernels.back().name.c_str(),
-               kernels.back().ns_per_op, kernels.back().naive_ns_per_op, kernels.back().speedup);
+  kernels.push_back(bench_checksum_fnv1a64());
+  kernels.push_back(bench_checksum_crc32c());
+  for (const auto& k : kernels) {
+    std::fprintf(stderr, "%-30s %12.0f ns/op  (naive %12.0f, %.2fx)\n", k.name.c_str(),
+                 k.ns_per_op, k.naive_ns_per_op, k.speedup);
+  }
 
   std::vector<SubstrateResult> substrates;
   substrates.push_back(bench_classiccloud());
@@ -932,11 +968,30 @@ int main(int argc, char** argv) {
     std::stringstream buf;
     buf << in.rdbuf();
     const auto baseline = parse_baseline_entries(buf.str(), "ns_per_op");
+    const auto baseline_secs = parse_baseline_entries(buf.str(), "seconds");
     bool ok = true;
+    // Every tracked row must still be produced: a row that silently drops
+    // out of the output would otherwise pass the gate forever.
+    for (const auto* tracked : {&baseline, &baseline_secs}) {
+      for (const auto& [name, _] : *tracked) {
+        const bool produced =
+            std::any_of(kernels.begin(), kernels.end(),
+                        [&](const KernelResult& k) { return k.name == name; }) ||
+            std::any_of(substrates.begin(), substrates.end(),
+                        [&](const SubstrateResult& r) { return r.name == name; });
+        if (!produced) {
+          std::fprintf(stderr, "FAIL: baseline row %s is missing from the output\n",
+                       name.c_str());
+          ok = false;
+        }
+      }
+    }
     for (const auto& k : kernels) {
       const auto it = baseline.find(k.name);
       if (it == baseline.end()) {
-        std::fprintf(stderr, "NOTE: %s has no baseline entry (new kernel?)\n", k.name.c_str());
+        std::fprintf(stderr, "FAIL: %s has no baseline entry (add it to the baseline)\n",
+                     k.name.c_str());
+        ok = false;
         continue;
       }
       const double ratio = k.ns_per_op / it->second;
@@ -953,7 +1008,6 @@ int main(int argc, char** argv) {
     // baseline. The pre-refactor rows (classiccloud/azuremr/data_plane) stay
     // informational — they were recorded before any gate existed and on
     // different hardware, so holding new runs to them would be meaningless.
-    const auto baseline_secs = parse_baseline_entries(buf.str(), "seconds");
     for (const auto& s : substrates) {
       if (s.name.rfind("storage_", 0) != 0 && s.name.rfind("block_cache_", 0) != 0 &&
           s.name.rfind("shuffle_", 0) != 0) {
@@ -961,8 +1015,9 @@ int main(int argc, char** argv) {
       }
       const auto it = baseline_secs.find(s.name);
       if (it == baseline_secs.end()) {
-        std::fprintf(stderr, "NOTE: %s has no baseline entry (new data-plane row?)\n",
+        std::fprintf(stderr, "FAIL: %s has no baseline entry (add it to the baseline)\n",
                      s.name.c_str());
+        ok = false;
         continue;
       }
       if (it->second < 1e-9) {

@@ -1,5 +1,6 @@
 #include "blobstore/blob_store.h"
 
+#include "common/crc32c.h"
 #include "common/error.h"
 #include "common/string_util.h"
 
@@ -70,8 +71,10 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
   // Logical objects have no bytes to hash, so their etag is derived from the
   // stable identity (bucket, key, declared size). That keeps the tag
   // deterministic across runs and processes, which content-addressed caching
-  // depends on; real payloads keep the content hash.
+  // depends on; real payloads keep the content hash plus a CRC32C that
+  // readers verify downloads against.
   std::uint64_t etag = 0;
+  std::optional<std::uint32_t> checksum;
   if (is_logical) {
     std::string identity = "logical:";
     identity += bucket;
@@ -82,6 +85,7 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     etag = ppc::fnv1a64(identity);
   } else {
     etag = ppc::fnv1a64(data);
+    checksum = ppc::crc32c(data);
   }
   auto payload = std::make_shared<const std::string>(std::move(data));
   auto b = get_or_create_bucket(bucket);
@@ -101,6 +105,7 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     obj.data = std::move(payload);
     obj.logical_size = logical_size;
     obj.etag = etag;
+    obj.checksum = checksum;
     obj.visible_at = clock_->now() + lag;
     obj.is_new = true;
     b->objects.emplace(key, std::move(obj));
@@ -112,6 +117,7 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     it->second.data = std::move(payload);
     it->second.logical_size = logical_size;
     it->second.etag = etag;
+    it->second.checksum = checksum;
     it->second.is_new = false;
     it->second.visible_at = clock_->now();
   }
@@ -159,7 +165,7 @@ std::shared_ptr<const std::string> BlobStore::get_impl(const std::string& bucket
     if (d.fail) return nullptr;  // response lost in flight
     if (d.corrupted) {
       // The stored object is intact; only this delivery carries flipped
-      // bytes. Readers detect it by checking against etag().
+      // bytes. Readers detect it by checking against checksum().
       return std::make_shared<const std::string>(delivered.take());
     }
   }
@@ -174,6 +180,16 @@ std::optional<std::uint64_t> BlobStore::etag(const std::string& bucket,
   auto it = b->objects.find(key);
   if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
   return it->second.etag;
+}
+
+std::optional<std::uint32_t> BlobStore::checksum(const std::string& bucket,
+                                                 const std::string& key) const {
+  auto b = find_bucket(bucket);
+  if (b == nullptr) return std::nullopt;
+  std::lock_guard lock(b->mu);
+  auto it = b->objects.find(key);
+  if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
+  return it->second.checksum;
 }
 
 std::optional<Bytes> BlobStore::head(const std::string& bucket, const std::string& key) {

@@ -9,6 +9,8 @@
 //  * transfer and request metering — S3 bills by stored bytes, transferred
 //    bytes and request count; these feed Table 4's storage and data-transfer
 //    line items;
+//  * per-object ETag (identity) and CRC32C checksum (integrity) stamped at
+//    put, so readers can detect a download corrupted in flight;
 //  * a latency/bandwidth *timing model* the discrete-event workers sample
 //    when deciding how long a download/upload takes. In real-thread mode
 //    operations complete immediately (the data is in memory) and the model
@@ -76,7 +78,7 @@ class BlobStore : public storage::StorageBackend {
   /// "blobstore.<bucket>.put" / ".get" / ".list"). A failing get reports
   /// not-found, a failing list reports an empty (lost) response, a failing
   /// or corrupted put is rejected like an S3 Content-MD5 mismatch, and a
-  /// corrupted get delivers flipped bytes — detectable against etag().
+  /// corrupted get delivers flipped bytes — detectable against checksum().
   /// Non-owning; pass nullptr to clear. The hook must outlive its use.
   void set_fault_hook(ppc::FaultHook* hook) override { hook_.store(hook); }
 
@@ -116,12 +118,19 @@ class BlobStore : public storage::StorageBackend {
   /// True when the object exists and is visible. Metered as a HEAD.
   bool exists(const std::string& bucket, const std::string& key) override;
 
-  /// Content hash (fnv1a64 — our stand-in for the S3 ETag) of the stored
+  /// Identity hash (fnv1a64 — our stand-in for the S3 ETag) of the stored
   /// object, or nullopt when absent / not yet visible. Unmetered and immune
-  /// to injected faults: it models the checksum the service returned with
-  /// the original upload, which readers keep to validate downloads.
+  /// to injected faults: it models the ETag the service returned with the
+  /// original upload. Content caches key on it.
   std::optional<std::uint64_t> etag(const std::string& bucket,
                                     const std::string& key) const override;
+
+  /// CRC32C of the stored bytes, stamped at put (S3's CRC32C checksum
+  /// header); nullopt when absent / not yet visible and for logical
+  /// objects. Unmetered and fault-immune like etag(): readers check each
+  /// download against it, and a get corrupted in flight fails the check.
+  std::optional<std::uint32_t> checksum(const std::string& bucket,
+                                        const std::string& key) const override;
 
   /// Removes the object; returns false when absent.
   bool remove(const std::string& bucket, const std::string& key) override;
@@ -161,7 +170,8 @@ class BlobStore : public storage::StorageBackend {
   struct Object {
     std::shared_ptr<const std::string> data;  // immutable payload, shared with readers
     Bytes logical_size = 0.0;                 // == data->size() for real objects
-    std::uint64_t etag = 0;                   // fnv1a64 of data at put time
+    std::uint64_t etag = 0;                   // fnv1a64 of data (or identity) at put time
+    std::optional<std::uint32_t> checksum;    // crc32c of data; nullopt for logical objects
     Seconds visible_at = 0.0;
     bool is_new = true;  // false once overwritten (overwrite => visible)
   };

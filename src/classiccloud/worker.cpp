@@ -69,8 +69,9 @@ std::shared_ptr<const std::string> Worker::fetch_shared(runtime::TaskContext& ct
   if (cache_ == nullptr) return ctx.fetch(store_, config_.bucket, key);
   // Fetch-through the block cache with the lifecycle's retry policy: a
   // cache hit never touches the store; a miss downloads, validates against
-  // the etag and caches. `found == false` (not visible yet / corrupted in
-  // flight) counts as a miss and is retried like any other fetch.
+  // the store's CRC32C and caches. `found == false` (not visible yet /
+  // corrupted in flight) counts as a miss and is retried like any other
+  // fetch.
   return ctx.retry([&]() -> std::shared_ptr<const std::string> {
     const storage::BlockCache::FetchResult r = cache_->fetch(store_, config_.bucket, key);
     if (!r.found) return nullptr;

@@ -108,7 +108,7 @@ std::string MessageQueue::enqueue_locked(Shard& s, std::string body) {
   }
   Entry& e = s.entries[slot];
   e.id_num = next_msg_.fetch_add(1, std::memory_order_relaxed);
-  e.body_hash = ppc::fnv1a64(body);
+  e.body_checksum = ppc::crc32c(body);
   e.body = std::make_shared<const std::string>(std::move(body));
   e.current_receipt_serial = 0;
   e.receive_count = 0;
@@ -338,7 +338,7 @@ std::size_t MessageQueue::receive_core(std::size_t max, Seconds visibility_timeo
       m.receipt_handle =
           make_receipt(static_cast<std::uint32_t>(shard_idx), slot, e.current_receipt_serial);
       m.receive_count = e.receive_count;
-      m.body_hash = e.body_hash;
+      m.body_checksum = e.body_checksum;
     }
     if (attempted >= max) break;
   }
@@ -376,8 +376,8 @@ std::size_t MessageQueue::receive_core(std::size_t max, Seconds visibility_timeo
         continue;
       }
       if (d.corrupted) {
-        // Only this delivery is tainted; body_hash still describes the stored
-        // bytes, so Message::intact() flags the mismatch.
+        // Only this delivery is tainted; body_checksum still describes the
+        // stored bytes, so Message::intact() flags the mismatch.
         m.payload = std::make_shared<const std::string>(in_flight.take());
       }
       if (delivered != i) out[delivered] = std::move(m);

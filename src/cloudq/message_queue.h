@@ -21,7 +21,7 @@
 //    max_receive_count times without a delete is moved to a companion queue
 //    on the next receive sweep (the SQS redrive policy), which is how poison
 //    tasks stop livelocking a worker pool;
-//  * body checksums — deliveries carry the fnv1a64 of the stored body (our
+//  * body checksums — deliveries carry the CRC32C of the stored body (our
 //    MD5OfBody), so receivers can detect payloads corrupted in flight;
 //  * batch APIs — send_batch / receive_batch / delete_batch move up to
 //    kBatchLimit messages per API request (SQS SendMessageBatch /
@@ -57,10 +57,10 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/fault_hook.h"
 #include "common/rng.h"
 #include "common/trace_hook.h"
-#include "common/string_util.h"
 #include "common/units.h"
 
 namespace ppc::cloudq {
@@ -103,16 +103,17 @@ struct Message {
   std::shared_ptr<const std::string> payload;
   std::string receipt_handle;
   int receive_count = 0;  // how many times this message has been delivered
-  /// fnv1a64 of the *stored* body, stamped at send time (our MD5OfBody).
-  /// 0 = unknown (hand-built messages in tests), treated as intact.
-  std::uint64_t body_hash = 0;
+  /// CRC32C of the *stored* body, stamped at send time (our MD5OfBody).
+  /// Every delivery carries one; nullopt only on hand-built messages in
+  /// tests, which intact() treats as unchecked.
+  std::optional<std::uint32_t> body_checksum;
 
   const std::string& body() const { return *payload; }
 
   /// True when the delivered bytes match the send-time checksum. A false
   /// return means this delivery was corrupted in flight; the stored message
   /// is intact and a redelivery will carry clean bytes.
-  bool intact() const { return body_hash == 0 || ppc::fnv1a64(*payload) == body_hash; }
+  bool intact() const { return !body_checksum || ppc::crc32c(*payload) == *body_checksum; }
 };
 
 /// Per-queue API request accounting. Requests are what SQS bills; the
@@ -261,7 +262,7 @@ class MessageQueue {
   struct Entry {
     std::uint64_t id_num = 0;  // delivered as "m-<id_num>"
     std::shared_ptr<const std::string> body;  // immutable, shared with deliveries
-    std::uint64_t body_hash = 0;              // fnv1a64 of *body at send time
+    std::optional<std::uint32_t> body_checksum;  // crc32c of *body, set at send time
     Seconds visible_at = 0.0;  // message is deliverable when now >= visible_at
     std::uint64_t current_receipt_serial = 0;  // 0 = never delivered
     int receive_count = 0;

@@ -11,10 +11,12 @@
 
 namespace ppc {
 
-/// FNV-1a 64-bit content hash. Stands in for the MD5 checksums the real
-/// services attach to payloads (SQS's MD5OfBody, S3's ETag): queues and the
-/// blob store stamp stored bodies with it, and consumers verify deliveries
-/// against the stamp to detect corrupted-in-flight copies.
+/// FNV-1a 64-bit hash, used where its exact values are part of the output:
+/// object identity (the blob store's ETag, which is also the block cache's
+/// content address, and logical-object etags), shuffle partitioning
+/// (partition_of), and per-site RNG streams (seed ^ fnv1a64(site)). It is
+/// byte-serial and slow, and it does not check delivered bytes; that is
+/// ppc::crc32c's job (common/crc32c.h).
 std::uint64_t fnv1a64(std::string_view s);
 
 /// Splits `s` on `sep`; keeps empty fields.

@@ -4,6 +4,7 @@
 #include <queue>
 #include <sstream>
 
+#include "common/crc32c.h"
 #include "common/string_util.h"
 
 namespace ppc::mapreduce {
@@ -183,7 +184,7 @@ void MapOutputWriter::spill_buffers() {
     info.store_key = key_prefix_ + "/p" + std::to_string(p) + "/s" +
                      std::to_string(partition_spills_[p]++);
     info.bytes = static_cast<Bytes>(payload.size());
-    info.checksum = fnv1a64(payload);
+    info.checksum = crc32c(payload);
     info.records = static_cast<std::uint32_t>(buf.size());
     if (hooks_.faults != nullptr &&
         hooks_.faults->fire(sites::kSpill,
@@ -257,7 +258,7 @@ std::vector<ShuffleRecord> fetch_partition(storage::StorageBackend& store,
     bool ok = false;
     for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
       data = store.get(bucket, spill.store_key);
-      if (data != nullptr && fnv1a64(*data) == spill.checksum) {
+      if (data != nullptr && crc32c(*data) == spill.checksum) {
         ok = true;
         break;
       }

@@ -13,7 +13,7 @@
 //    existed as far as reducers are concerned (its orphan spills are
 //    garbage-collected);
 //  * reducers fetch their partition from every registered map output
-//    (`fetch_partition`), verifying each spill against its recorded FNV-1a
+//    (`fetch_partition`), verifying each spill against its recorded CRC32C
 //    checksum — a corrupted or lost fetch is retried and, when the retry
 //    budget is exhausted, surfaces as MapOutputLost so the engine can
 //    redrive the map task instead of hanging;
@@ -93,7 +93,7 @@ inline Bytes record_footprint(const ShuffleRecord& r) {
 struct SpillInfo {
   std::string store_key;       // object key inside the shuffle bucket
   Bytes bytes = 0.0;           // encoded payload size
-  std::uint64_t checksum = 0;  // fnv1a64 of the encoded payload
+  std::uint32_t checksum = 0;  // crc32c of the encoded payload, always set at spill
   std::uint32_t records = 0;
 };
 

@@ -3,8 +3,8 @@
 #include <functional>
 
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/log.h"
-#include "common/string_util.h"
 
 namespace ppc::runtime {
 
@@ -21,14 +21,11 @@ std::shared_ptr<const std::string> TaskContext::fetch(storage::StorageBackend& s
   return retry([&]() -> std::shared_ptr<const std::string> {
     auto data = store.get(bucket, key);
     if (data == nullptr) return nullptr;
-    // Validate the download against the upload-time checksum (ETag): a
-    // delivery corrupted in flight counts as a miss and is re-fetched.
-    // Logical objects (empty payload, identity-derived etag) have no bytes
-    // to validate.
-    const auto expected = store.etag(bucket, key);
-    if (expected.has_value() && !data->empty() && ppc::fnv1a64(*data) != *expected) {
-      return nullptr;
-    }
+    // Validate the download against the upload-time CRC32C: a delivery
+    // corrupted in flight counts as a miss and is re-fetched. Logical
+    // objects have no bytes and no checksum.
+    const auto expected = store.checksum(bucket, key);
+    if (expected.has_value() && ppc::crc32c(*data) != *expected) return nullptr;
     return data;
   });
 }

@@ -127,9 +127,11 @@ class TaskContext {
 
   /// Blob download (from any storage backend) that rides out
   /// read-after-write lag with the lifecycle's retry policy, counting
-  /// `downloads_missed` per miss. The payload aliases the stored blob
-  /// (zero-copy). Null when the retry budget is exhausted (abandon the
-  /// delivery; the blob will be visible by the time the message reappears).
+  /// `downloads_missed` per miss. A download that fails the store's CRC32C
+  /// checksum (corrupted in flight) is a miss too. The payload aliases the
+  /// stored blob (zero-copy). Null when the retry budget is exhausted
+  /// (abandon the delivery; the blob will be visible by the time the
+  /// message reappears).
   std::shared_ptr<const std::string> fetch(storage::StorageBackend& store,
                                            const std::string& bucket, const std::string& key);
 

@@ -44,7 +44,7 @@ struct ChaosConfig {
   std::string storage = "object";
   /// classiccloud: per-worker content-addressed block cache for the job's
   /// shared files. A corrupted shared download must never be cached — the
-  /// cache's etag validation is itself under test here.
+  /// cache's checksum validation is itself under test here.
   bool enable_cache = false;
   int num_files = 4;
   int num_workers = 3;

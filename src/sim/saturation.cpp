@@ -61,10 +61,12 @@ SaturationCell run_cell(int workers, int shards, int batch, int tasks, unsigned 
       while (deleted.load(std::memory_order_relaxed) < tasks) {
         buf.clear();
         if (queue.receive_batch(static_cast<std::size_t>(batch), 60.0, buf) == 0) {
-          // Empty receive: either drained, or every message is in flight on
-          // another thread that is about to delete it.
-          std::this_thread::yield();
-          continue;
+          // An empty receive swept every shard and found nothing visible.
+          // The queue was pre-filled and nothing times out within 60 s, so
+          // no message can become visible again: the rest is in flight on
+          // other threads, which delete it. Stop polling rather than bill
+          // a stream of empty receives while they finish.
+          break;
         }
         receipts.clear();
         for (cloudq::Message& m : buf) receipts.push_back(std::move(m.receipt_handle));
@@ -75,6 +77,7 @@ SaturationCell run_cell(int workers, int shards, int batch, int tasks, unsigned 
   }
   for (auto& t : pool) t.join();
   const double secs = wall_seconds_since(t0);
+  PPC_CHECK(queue.undeleted() == 0, "saturation cell must drain its queue");
 
   SaturationCell cell;
   cell.workers = workers;

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "common/crc32c.h"
 #include "common/error.h"
-#include "common/string_util.h"
 
 namespace ppc::storage {
 
@@ -137,6 +137,15 @@ BlockCache::FetchResult BlockCache::fetch(StorageBackend& backend, const std::st
   misses_.fetch_add(1, std::memory_order_relaxed);
   if (m_misses_ != nullptr) m_misses_->inc();
 
+  // The checksum must describe the version `tag` names: re-read the etag
+  // after it, so an overwrite since the lookup is caught here, and one after
+  // it fails the download check below. Either way nothing is cached under
+  // the wrong tag.
+  const auto crc = backend.checksum(bucket, key);
+  if (backend.etag(bucket, key) != tag) {
+    if (span != 0) tracer->op_end(span, /*failed=*/true);
+    return FetchResult{};  // overwritten or removed mid-fetch; caller retries
+  }
   // Revalidate size (HEAD — covers logical objects whose payload is empty),
   // then download. Both are real metered backend traffic.
   const auto head_size = backend.head(bucket, key);
@@ -145,11 +154,11 @@ BlockCache::FetchResult BlockCache::fetch(StorageBackend& backend, const std::st
     if (span != 0) tracer->op_end(span, /*failed=*/true);
     return FetchResult{};  // vanished between etag and get
   }
-  // Never cache a delivery that fails its content address: a download
-  // corrupted in flight (fault hook) would otherwise be served as a "hit"
-  // to every later task on this worker. Logical objects (empty payload,
-  // identity-derived etag) have no bytes to check.
-  if (!data->empty() && ppc::fnv1a64(*data) != *tag) {
+  // Never cache a delivery that fails its CRC32C: a download corrupted in
+  // flight (fault hook) would otherwise be served as a "hit" to every later
+  // task on this worker. Logical objects (empty payload, no checksum) have
+  // no bytes to check.
+  if (!data->empty() && (!crc.has_value() || ppc::crc32c(*data) != *crc)) {
     if (span != 0) tracer->op_end(span, /*failed=*/true);
     return FetchResult{};  // caller retries; the store copy is intact
   }

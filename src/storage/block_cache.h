@@ -6,8 +6,10 @@
 // address), split into fixed-size blocks, and kept in one block-granular
 // LRU. A fetch whose etag is fully resident is served locally (zero backend
 // traffic, `bytes_saved` grows); anything else revalidates with a HEAD,
-// downloads with a GET, and inserts the blocks — evicting least-recently
-// used blocks of colder objects to stay under capacity.
+// downloads with a GET, checks the bytes against the store's CRC32C, and
+// inserts the blocks — evicting least-recently used blocks of colder
+// objects to stay under capacity. A download that fails the check is never
+// cached.
 //
 // Content addressing means dedup is free: two keys with identical bytes
 // (or one key fetched by many tasks) share a single cache entry, and an

@@ -18,7 +18,8 @@
 //    stripes saturate, priced as K server instances.
 //
 // All three share the *semantic* data plane (bucket/key objects, zero-copy
-// snapshot gets, read-after-write visibility, etags, logical objects) and
+// snapshot gets, read-after-write visibility, etags and CRC32C checksums,
+// logical objects) and
 // fire the identical FaultHook / TraceHook sites ("blobstore.<bucket>.put" /
 // ".get" / ".list"), so chaos campaigns and Perfetto timelines work
 // unchanged regardless of the selected backend. What varies is the *timing*
@@ -139,11 +140,20 @@ class StorageBackend {
   /// True when the object exists and is visible. Metered as a HEAD.
   virtual bool exists(const std::string& bucket, const std::string& key) = 0;
 
-  /// Content hash (fnv1a64 ETag stand-in), or nullopt when absent / not yet
-  /// visible. Unmetered and immune to injected faults: it models the
-  /// checksum the service returned with the original upload.
+  /// Object identity (fnv1a64 ETag stand-in), or nullopt when absent / not
+  /// yet visible. Content-derived for real payloads, (bucket, key, size)-
+  /// derived for logical objects; the block cache uses it as the content
+  /// address. Unmetered and immune to injected faults: it models the ETag
+  /// the service returned with the original upload.
   virtual std::optional<std::uint64_t> etag(const std::string& bucket,
                                             const std::string& key) const = 0;
+
+  /// CRC32C of the stored bytes (S3's x-amz-checksum-crc32c), stamped at
+  /// put; readers check downloads against it. nullopt when absent / not yet
+  /// visible, and for logical objects, which have no bytes. Unmetered and
+  /// immune to injected faults, like etag().
+  virtual std::optional<std::uint32_t> checksum(const std::string& bucket,
+                                                const std::string& key) const = 0;
 
   /// Removes the object; returns false when absent.
   virtual bool remove(const std::string& bucket, const std::string& key) = 0;

@@ -66,7 +66,14 @@ TEST_P(FaultToleranceTest, CrashedWorkerNeverLosesTasks) {
   WorkerPool rescuers(store_, client.task_queue(), client.monitor_queue(), echo_executor(),
                       base_config(0.3), 3, "rescuer");
 
+  // The rescuers start only once the saboteur has crashed, so they cannot
+  // drain the queue before it has taken its first task.
   saboteur.start();
+  const auto crash_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!saboteur.crashed() && std::chrono::steady_clock::now() < crash_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(saboteur.crashed()) << "the saboteur must crash on its first task";
   rescuers.start_all();
   ASSERT_TRUE(client.wait_for_completion(30.0))
       << "all tasks must complete despite the crash";

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/error.h"
 
 namespace ppc::cloudq {
@@ -220,6 +221,31 @@ TEST_F(MessageQueueTest, BatchSendBillsOneRequestPerTenMessages) {
   EXPECT_EQ(q.meter().sends, 3u);  // ceil(25 / 10)
   q.send_batch({"single"});
   EXPECT_EQ(q.meter().sends, 4u);
+}
+
+TEST_F(MessageQueueTest, DeliveriesCarryTheBodyChecksum) {
+  auto q = make_queue();
+  q.send("payload");
+  const auto msg = q.receive();
+  ASSERT_TRUE(msg.has_value());
+  ASSERT_TRUE(msg->body_checksum.has_value());
+  EXPECT_EQ(*msg->body_checksum, ppc::crc32c("payload"));
+  EXPECT_TRUE(msg->intact());
+}
+
+TEST(MessageIntact, ZeroIsAChecksumNotAnUnknownSentinel) {
+  // About one body in 2^32 has CRC32C 0; a corrupted delivery of such a
+  // body must still fail intact(). Only an absent checksum (a hand-built
+  // message) skips the check.
+  Message m;
+  m.payload = std::make_shared<const std::string>("flipped bytes");
+  ASSERT_NE(ppc::crc32c(*m.payload), 0u);
+  m.body_checksum = 0;
+  EXPECT_FALSE(m.intact());
+  m.body_checksum = ppc::crc32c(*m.payload);
+  EXPECT_TRUE(m.intact());
+  m.body_checksum.reset();
+  EXPECT_TRUE(m.intact());
 }
 
 TEST_F(MessageQueueTest, BatchSendRejectsEmptyBatch) {

@@ -153,12 +153,17 @@ TEST(QueueStressModel, RandomizedThreadsConserveMessagesAcrossSeeds) {
     constexpr int kTotal = kProducers * kPerProducer;
 
     std::atomic<int> deleted{0};
+    // Messages whose send_batch has returned. A consumer that finds the
+    // queue empty waits for this to move instead of polling the queue, so
+    // empty receives are bounded by the number of send batches, not by
+    // how the scheduler interleaves the threads.
+    std::atomic<int> sent{0};
     std::mutex seen_mu;
     std::set<std::string> seen_bodies;
     {
       std::vector<std::jthread> threads;
       for (int p = 0; p < kProducers; ++p) {
-        threads.emplace_back([&queue, p, seed] {
+        threads.emplace_back([&queue, &sent, p, seed] {
           Rng rng(seed * 1000 + static_cast<unsigned>(p));
           std::vector<std::string> bodies;
           for (int i = 0; i < kPerProducer;) {
@@ -168,6 +173,8 @@ TEST(QueueStressModel, RandomizedThreadsConserveMessagesAcrossSeeds) {
               bodies.push_back("p" + std::to_string(p) + "-" + std::to_string(i));
             }
             queue.send_batch(bodies);
+            sent.fetch_add(static_cast<int>(bodies.size()));
+            sent.notify_all();
           }
         });
       }
@@ -179,8 +186,13 @@ TEST(QueueStressModel, RandomizedThreadsConserveMessagesAcrossSeeds) {
           while (deleted.load(std::memory_order_relaxed) < kTotal) {
             batch.clear();
             const auto want = static_cast<std::size_t>(1 + rng.uniform(0.0, 9.0));
+            const int sent_before = sent.load();
             if (queue.receive_batch(want, 60.0, batch) == 0) {
-              std::this_thread::yield();
+              // Nothing visible in any shard: every message sent so far is
+              // in flight or deleted, and none times out within 60 s. Once
+              // all are sent, no message can become visible again.
+              if (sent_before == kTotal) break;
+              sent.wait(sent_before);
               continue;
             }
             acks.clear();

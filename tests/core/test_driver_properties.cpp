@@ -4,6 +4,9 @@
 // identities must hold.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "common/error.h"
 #include "core/drivers.h"
 
@@ -24,6 +27,13 @@ struct FaultMix {
   double worker_crash_prob;
   double visibility_timeout;
 };
+
+// Without this gtest prints the raw bytes of the struct, heap pointer
+// included, so the test names ctest records would change with every build.
+void PrintTo(const FaultMix& mix, std::ostream* os) {
+  *os << mix.name << " (crash " << mix.worker_crash_prob << ", visibility "
+      << mix.visibility_timeout << " s)";
+}
 
 class ClassicCloudFaultSweep : public ::testing::TestWithParam<FaultMix> {};
 

@@ -1,10 +1,10 @@
 // Backend-conformance suite: every StorageBackend implementation must honor
 // the reference object semantics (visibility lag, overwrite visibility,
-// zero-copy aliasing, etags, metering) and fire the identical fault-hook
-// sites, so chaos plans and caches are backend-agnostic. The suite runs
-// against all three data planes via make_backend; backend-specific timing,
-// contention, and pricing behavior is covered by the non-parameterized
-// tests below it.
+// zero-copy aliasing, etags, CRC32C checksums, metering) and fire the
+// identical fault-hook sites, so chaos plans and caches are backend-agnostic.
+// The suite runs against all three data planes via make_backend;
+// backend-specific timing, contention, and pricing behavior is covered by
+// the non-parameterized tests below it.
 #include "storage/fs_backends.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/error.h"
 #include "common/fault_hook.h"
 #include "common/rng.h"
@@ -152,6 +153,24 @@ TEST_P(StorageConformanceTest, ContentEtagMatchesPayloadHash) {
   EXPECT_EQ(*store->etag("b", "k"), ppc::fnv1a64("other"));
 }
 
+TEST_P(StorageConformanceTest, ChecksumIsCrc32cOfTheStoredBytes) {
+  auto store = make_store(lagged_tuning(10.0));
+  EXPECT_FALSE(store->checksum("b", "k").has_value());  // absent
+  store->put("b", "k", "payload");
+  // Like etag(), the checksum follows read-after-write visibility.
+  EXPECT_FALSE(store->checksum("b", "k").has_value());
+  clock_->advance(1e6);
+  ASSERT_TRUE(store->checksum("b", "k").has_value());
+  EXPECT_EQ(*store->checksum("b", "k"), ppc::crc32c("payload"));
+  store->put("b", "k", "other");
+  EXPECT_EQ(*store->checksum("b", "k"), ppc::crc32c("other"));
+  // Logical objects have no bytes, so no checksum — only an identity etag.
+  store->put_logical("b", "dataset", 2.0_GB);
+  clock_->advance(1e6);
+  EXPECT_TRUE(store->etag("b", "dataset").has_value());
+  EXPECT_FALSE(store->checksum("b", "dataset").has_value());
+}
+
 TEST_P(StorageConformanceTest, LogicalEtagIsStableAcrossInstancesAndSizes) {
   auto store_a = make_store();
   auto store_b = make_store();
@@ -191,6 +210,9 @@ TEST_P(StorageConformanceTest, CorruptedDeliveryIsDetectableAgainstEtag) {
   // injected fault, so readers can always detect the corruption.
   EXPECT_EQ(*store->etag("b", "k"), ppc::fnv1a64("payload"));
   EXPECT_NE(ppc::fnv1a64(*delivered), *store->etag("b", "k"));
+  // checksum() is what readers verify against, and it is just as immune.
+  EXPECT_EQ(*store->checksum("b", "k"), ppc::crc32c("payload"));
+  EXPECT_NE(ppc::crc32c(*delivered), *store->checksum("b", "k"));
   // The stored object is untouched; a clean retry succeeds.
   store->set_fault_hook(nullptr);
   EXPECT_EQ(*store->get("b", "k"), "payload");
