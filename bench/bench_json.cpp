@@ -712,6 +712,26 @@ ShuffleBench bench_shuffle_pipeline() {
   return bench;
 }
 
+/// The Hadoop DES driver on a 20k-task Cap3 job, 16 x 8 slots: one
+/// TaskScheduler decision per heartbeat, so a per-heartbeat scan over every
+/// task (quadratic per job) shows up here long before it shows up in a
+/// campaign. Gated at 2x like the storage rows.
+SubstrateResult bench_mapreduce_sim() {
+  using namespace ppc::core;
+  const int kTasks = 20000;
+  const Workload workload = make_cap3_workload(kTasks, 458);
+  const ExecutionModel model(AppKind::kCap3);
+  const Deployment deployment = make_deployment(cloud::ec2_hcxl(), 16, 8);
+  SimRunParams params;
+  params.seed = 42;
+  int completed = 0;
+  const double secs = min_seconds(3, [&] {
+    completed = run_mapreduce_sim(workload, deployment, model, params).completed;
+  });
+  if (completed != kTasks) std::fprintf(stderr, "mapreduce sim left tasks unfinished\n");
+  return {"mapreduce_sim_20k", kTasks, secs, kTasks / secs};
+}
+
 struct ElasticComparison {
   int tasks = 0;
   int completed = 0;
@@ -925,6 +945,7 @@ int main(int argc, char** argv) {
   substrates.push_back(bench_external_sort());
   const ShuffleBench shuffle = bench_shuffle_pipeline();
   substrates.push_back(shuffle.pipeline);
+  substrates.push_back(bench_mapreduce_sim());
   for (const auto& s : substrates) {
     std::fprintf(stderr, "%-30s %8.1f tasks/s (%d tasks in %.4fs)\n", s.name.c_str(),
                  s.tasks_per_second, s.tasks, s.seconds);
@@ -1003,14 +1024,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "OK:   %s at %.2fx of baseline\n", k.name.c_str(), ratio);
       }
     }
-    // Storage data-plane rows are gated like kernels: the object-store path
-    // and the cache paths may not regress more than 2x against the tracked
+    // Storage data-plane, shuffle and scheduler rows are gated like
+    // kernels: they may not regress more than 2x against the tracked
     // baseline. The pre-refactor rows (classiccloud/azuremr/data_plane) stay
     // informational — they were recorded before any gate existed and on
     // different hardware, so holding new runs to them would be meaningless.
     for (const auto& s : substrates) {
       if (s.name.rfind("storage_", 0) != 0 && s.name.rfind("block_cache_", 0) != 0 &&
-          s.name.rfind("shuffle_", 0) != 0) {
+          s.name.rfind("shuffle_", 0) != 0 && s.name.rfind("mapreduce_sim", 0) != 0) {
         continue;
       }
       const auto it = baseline_secs.find(s.name);

@@ -73,18 +73,23 @@ std::string format_duration(double seconds) {
 }
 
 std::string encode_kv(const std::map<std::string, std::string>& kv) {
-  std::ostringstream os;
-  bool first = true;
+  std::size_t bytes = 0;
   for (const auto& [k, v] : kv) {
-    PPC_REQUIRE(k.find('=') == std::string::npos && k.find(';') == std::string::npos,
+    PPC_REQUIRE(k.find_first_of("=;") == std::string::npos,
                 "kv key contains reserved character");
-    PPC_REQUIRE(v.find('=') == std::string::npos && v.find(';') == std::string::npos,
+    PPC_REQUIRE(v.find_first_of("=;") == std::string::npos,
                 "kv value contains reserved character");
-    if (!first) os << ';';
-    first = false;
-    os << k << '=' << v;
+    bytes += k.size() + v.size() + 2;
   }
-  return os.str();
+  std::string out;
+  out.reserve(bytes);
+  for (const auto& [k, v] : kv) {
+    if (!out.empty()) out += ';';  // every field adds '=', so non-empty means "not first"
+    out += k;
+    out += '=';
+    out += v;
+  }
+  return out;
 }
 
 std::map<std::string, std::string> decode_kv(std::string_view s) {

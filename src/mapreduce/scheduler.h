@@ -13,15 +13,35 @@
 //    budget ("handles task failures by rerunning of the failed tasks").
 //
 // Being a plain state machine keeps it shared between the real-thread
-// engine (mapreduce::LocalJobRunner) and the discrete-event simulation
-// driver (core::SimMapReduceDriver), so tests of this class cover both.
-// All methods are thread-safe.
+// engines (mapreduce::LocalJobRunner, mapreduce::ShuffleJobRunner) and the
+// discrete-event simulation driver (core::run_mapreduce_sim), so tests of
+// this class cover all three. All methods are thread-safe.
+//
+// Decisions (the exact contract; tests/mapreduce/test_scheduler_model.cpp
+// pins it against a scan-everything reference):
+//  * a fresh pick is the lowest-id pending task data-local to the asking
+//    node, else the lowest-id pending task;
+//  * with nothing pending, the speculative pick is the running task with
+//    exactly one live attempt, not on the asking node, whose elapsed time
+//    strictly exceeds `speculative_slowdown` x median and is largest; ties
+//    go to the lowest id;
+//  * the median is the completed-attempt duration of rank floor(n/2)
+//    (0-based, ascending) among the n completions so far.
+//
+// Cost per call, with n tasks and s running single-attempt tasks (at most
+// the number of slots): next_task is amortized O(log nodes + s) — pending
+// picks advance per-node and global cursors that only move back when
+// report_failed re-queues a task; report_completed is O(log n) for the
+// median heaps; job_done/job_succeeded are O(1) counter reads. Every index
+// is a flat vector, so memory stays linear in n.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -35,7 +55,8 @@ struct SchedulerConfig {
   /// An attempt is a straggler candidate when its elapsed time exceeds
   /// `speculative_slowdown` x (median completed-attempt duration).
   double speculative_slowdown = 1.5;
-  /// Speculation waits for this many completions to estimate the median.
+  /// Speculation waits for this many completions to estimate the median
+  /// (must be >= 1).
   std::size_t min_completions_for_speculation = 5;
   /// Attempts per task before the task (and job) is declared failed.
   int max_attempts = 4;
@@ -114,19 +135,44 @@ class TaskScheduler {
   struct TaskRuntime {
     TaskState state = TaskState::kPending;
     int attempts_started = 0;
+    int solo_slot = -1;  // index in solo_, or -1 when not a speculation candidate
     std::vector<RunningAttempt> live;
   };
 
-  std::optional<std::size_t> pick_pending_locked(minihdfs::NodeId node, bool* local) const;
+  std::optional<std::size_t> pick_pending_locked(minihdfs::NodeId node, bool* local);
   std::optional<std::size_t> pick_straggler_locked(minihdfs::NodeId node, Seconds now) const;
+  std::optional<std::size_t> node_slot(minihdfs::NodeId node) const;
+  void requeue_locked(std::size_t task);
+  void sync_solo_locked(std::size_t task);
+  void add_duration_locked(Seconds duration);
 
   std::vector<TaskInfo> tasks_;
   SchedulerConfig config_;
 
   mutable std::mutex mu_;
   std::vector<TaskRuntime> runtime_;
-  std::vector<Seconds> completed_durations_;
   Stats stats_;
+
+  // Data-local pending index, CSR over the distinct preferred nodes:
+  // node_tasks_[node_begin_[k] .. node_begin_[k+1]) lists, ascending, the
+  // tasks that prefer nodes_[k]. Every task before node_cursor_[k] in that
+  // range, and every task below pending_cursor_, is not pending.
+  std::vector<minihdfs::NodeId> nodes_;
+  std::vector<std::size_t> node_begin_;
+  std::vector<int> node_tasks_;
+  std::vector<std::size_t> node_cursor_;
+  std::size_t pending_cursor_ = 0;
+
+  std::size_t terminal_tasks_ = 0;  // completed + failed
+
+  // Completed-attempt durations split at rank floor(n/2): lower_ (max-heap)
+  // holds the floor(n/2) smallest, upper_ (min-heap) the rest, so the
+  // median is upper_.top().
+  std::priority_queue<Seconds> lower_;
+  std::priority_queue<Seconds, std::vector<Seconds>, std::greater<>> upper_;
+
+  // Running tasks with exactly one live attempt: the speculation candidates.
+  std::vector<int> solo_;
 };
 
 }  // namespace ppc::mapreduce

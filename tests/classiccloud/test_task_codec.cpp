@@ -48,6 +48,24 @@ TEST(MonitorCodec, RejectsMalformed) {
   EXPECT_THROW(decode_monitor("task=t"), ppc::InvalidArgument);
 }
 
+// Queue bodies are metered and replayed byte for byte, so the wire format
+// itself is pinned: keys in sorted order, ';'-separated, fixed 6-digit secs.
+TEST(TaskCodec, GoldenBytes) {
+  EXPECT_EQ(encode_task(TaskSpec{"job1/f.fa", "input/f.fa", "output/f.fa", {}}),
+            "in=input/f.fa;out=output/f.fa;task=job1/f.fa");
+  EXPECT_EQ(encode_task(TaskSpec{"job1/f.fa", "input/f.fa", "output/f.fa",
+                                 {"shared/nr.db", "shared/params.cfg"}}),
+            "in=input/f.fa;out=output/f.fa;shared=shared/nr.db,shared/params.cfg;"
+            "task=job1/f.fa");
+}
+
+TEST(MonitorCodec, GoldenBytes) {
+  EXPECT_EQ(encode_monitor(MonitorRecord{"t1", "worker-3", "done", 12.5}),
+            "secs=12.500000;status=done;task=t1;worker=worker-3");
+  EXPECT_EQ(encode_monitor(MonitorRecord{"cap3/f-0007.fa", "w0", "failed", 0.0000004}),
+            "secs=0.000000;status=failed;task=cap3/f-0007.fa;worker=w0");
+}
+
 TEST(TaskCodec, MessageIsCompactEnoughForSqs) {
   // SQS limits message bodies (8 KB in 2010); our tasks are far below it.
   TaskSpec task{"job/file-with-long-name.fasta", "input/file-with-long-name.fasta",

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace ppc::mapreduce {
 namespace {
@@ -238,11 +243,88 @@ TEST(TaskScheduler, RetryBudgetExhaustionFailsJobWhileOthersComplete) {
   EXPECT_FALSE(sched.next_task(0, now).has_value());
 }
 
+TEST(TaskScheduler, ConcurrentHeartbeatsFinishEveryTaskExactlyOnce) {
+  // Real threads race heartbeats, completions and failures on one
+  // scheduler. Each thread holds up to two attempts at a time and the
+  // speculation bar is low, so twins launch and lose races. Only first
+  // attempts fail, so every task must still finish, exactly once.
+  constexpr int kTasks = 2000;
+  constexpr int kThreads = 6;
+  SchedulerConfig config;
+  config.min_completions_for_speculation = 1;
+  config.speculative_slowdown = 1.01;
+  std::vector<std::vector<minihdfs::NodeId>> preferred;
+  for (int i = 0; i < kTasks; ++i) preferred.push_back({i % 5});
+  TaskScheduler sched(make_tasks(kTasks, preferred), config);
+
+  std::vector<std::atomic<int>> wins(kTasks);
+  std::atomic<int> assigned{0}, failures{0}, late{0};
+  const auto start = std::chrono::steady_clock::now();
+  const auto clock = [start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+  const auto finish = [&](const Assignment& a, Rng& rng) {
+    if (a.attempt_id == 0 && rng.bernoulli(0.2)) {
+      sched.report_failed(a, clock());
+      ++failures;
+    } else if (sched.report_completed(a, clock())) {
+      ++wins[static_cast<std::size_t>(a.task_id)];
+    } else {
+      ++late;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<std::uint64_t>(t) + 1);
+      std::vector<Assignment> held;
+      while (!sched.job_done()) {
+        if (held.size() < 2) {
+          if (const auto a = sched.next_task(t % 4, clock())) {
+            ++assigned;
+            held.push_back(*a);
+            continue;
+          }
+        }
+        if (held.empty()) {
+          std::this_thread::yield();
+          continue;
+        }
+        const std::size_t pick = rng.index(held.size());
+        const Assignment a = held[pick];
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+        finish(a, rng);
+      }
+      for (const Assignment& a : held) finish(a, rng);  // twins that lost
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(wins[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
+  }
+  EXPECT_TRUE(sched.job_succeeded());
+  const auto stats = sched.stats();
+  EXPECT_EQ(stats.completed_tasks, kTasks);
+  EXPECT_EQ(stats.local_assignments + stats.remote_assignments + stats.speculative_assignments,
+            assigned.load());
+  EXPECT_EQ(assigned.load(), kTasks + failures.load() + late.load());
+  EXPECT_EQ(stats.failed_attempts, failures.load());
+  EXPECT_EQ(stats.wasted_attempts, late.load());
+}
+
 TEST(TaskScheduler, RejectsMalformedConstruction) {
   EXPECT_THROW(TaskScheduler({}, {}), ppc::InvalidArgument);
   std::vector<TaskInfo> bad = make_tasks(2);
   bad[1].task_id = 7;  // ids must be dense
   EXPECT_THROW(TaskScheduler(std::move(bad), {}), ppc::InvalidArgument);
+  SchedulerConfig no_attempts;
+  no_attempts.max_attempts = 0;
+  EXPECT_THROW(TaskScheduler(make_tasks(1), no_attempts), ppc::InvalidArgument);
+  // Zero completions would ask for the median of nothing.
+  SchedulerConfig no_history;
+  no_history.min_completions_for_speculation = 0;
+  EXPECT_THROW(TaskScheduler(make_tasks(1), no_history), ppc::InvalidArgument);
 }
 
 }  // namespace
