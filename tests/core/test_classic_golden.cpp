@@ -1,0 +1,436 @@
+// Golden oracle for the Classic Cloud DES: the full output of both entry
+// points (run_classic_cloud_sim and run_elastic_classic_sim) over a grid of
+// parameters, serialised to canonical text — every RunResult field with the
+// exec_times samples and the trace, ElasticRunStats with the fleet-size
+// series, and Monitor::to_json() — and compared line by line with the
+// checked-in expectation next to this file. Any behaviour change of the
+// drivers (an RNG draw moved, an event reordered, a meter bumped) surfaces
+// as the first differing field.
+//
+// After an intended behaviour change, regenerate the expectation with
+//   PPC_UPDATE_GOLDEN=1 ./ppc_tests_core --gtest_filter='ClassicGolden.*'
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "classiccloud/worker.h"
+#include "cloud/elastic_fleet.h"
+#include "cloud/instance_types.h"
+#include "core/drivers.h"
+#include "runtime/fault_injector.h"
+#include "runtime/fault_plan.h"
+#include "runtime/metrics.h"
+#include "runtime/monitor.h"
+
+namespace ppc::core {
+namespace {
+
+/// `<case>.<field> = <value>` lines; doubles round-trip exactly (%.17g).
+class Canon {
+ public:
+  explicit Canon(std::string prefix) : prefix_(std::move(prefix)) {}
+
+  void put(const std::string& key, const std::string& v) {
+    out_ += prefix_ + "." + key + " = " + v + "\n";
+  }
+  void put(const std::string& key, double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    put(key, std::string(buf));
+  }
+  void put(const std::string& key, std::int64_t v) { put(key, std::to_string(v)); }
+  void put(const std::string& key, std::uint64_t v) { put(key, std::to_string(v)); }
+  void put(const std::string& key, int v) { put(key, std::to_string(v)); }
+  void put(const std::string& key, bool v) { put(key, std::string(v ? "true" : "false")); }
+
+  const std::string& text() const { return out_; }
+
+ private:
+  std::string prefix_;
+  std::string out_;
+};
+
+void put_scheduler_stats(Canon& c, const std::string& key,
+                         const mapreduce::TaskScheduler::Stats& s) {
+  c.put(key + ".local_assignments", s.local_assignments);
+  c.put(key + ".remote_assignments", s.remote_assignments);
+  c.put(key + ".speculative_assignments", s.speculative_assignments);
+  c.put(key + ".failed_attempts", s.failed_attempts);
+  c.put(key + ".wasted_attempts", s.wasted_attempts);
+  c.put(key + ".completed_tasks", s.completed_tasks);
+}
+
+void put_result(Canon& c, const RunResult& r) {
+  c.put("framework", r.framework);
+  c.put("deployment_label", r.deployment_label);
+  c.put("makespan", r.makespan);
+  c.put("tasks", r.tasks);
+  c.put("completed", r.completed);
+  c.put("duplicate_executions", r.duplicate_executions);
+  const std::vector<double>& xs = r.exec_times.samples();
+  c.put("exec_times.count", static_cast<std::uint64_t>(xs.size()));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    c.put("exec_times[" + std::to_string(i) + "]", xs[i]);
+  }
+  c.put("compute_cost_hour_units", r.compute_cost_hour_units);
+  c.put("compute_cost_amortized", r.compute_cost_amortized);
+  c.put("queue_request_cost", r.queue_request_cost);
+  c.put("queue_api_requests", r.queue_api_requests);
+  c.put("queue_unbatched_requests", r.queue_unbatched_requests);
+  c.put("queue_batch_occupancy", r.queue_batch_occupancy);
+  c.put("queue_undeleted_end", r.queue_undeleted_end);
+  c.put("bytes_in", r.bytes_in);
+  c.put("bytes_out", r.bytes_out);
+  c.put("storage_backend", r.storage_backend);
+  c.put("storage_service_cost", r.storage_service_cost);
+  c.put("storage_heads", r.storage_heads);
+  c.put("cache_hits", r.cache_hits);
+  c.put("cache_misses", r.cache_misses);
+  c.put("cache_bytes_saved", r.cache_bytes_saved);
+  put_scheduler_stats(c, "scheduler_stats", r.scheduler_stats);
+  c.put("local_reads", r.local_reads);
+  c.put("remote_reads", r.remote_reads);
+  c.put("shuffle_bytes", r.shuffle_bytes);
+  c.put("shuffle_fetches", r.shuffle_fetches);
+  c.put("shuffle_local_fetches", r.shuffle_local_fetches);
+  c.put("shuffle_merge_spills", r.shuffle_merge_spills);
+  c.put("reduce_tasks", r.reduce_tasks);
+  c.put("reduce_completed", r.reduce_completed);
+  put_scheduler_stats(c, "reduce_scheduler_stats", r.reduce_scheduler_stats);
+  c.put("t1_seconds", r.t1_seconds);
+  c.put("parallel_efficiency", r.parallel_efficiency);
+  c.put("per_core_task_seconds", r.per_core_task_seconds);
+  c.put("trace.count", static_cast<std::uint64_t>(r.trace.size()));
+  for (std::size_t i = 0; i < r.trace.size(); ++i) {
+    const TaskTraceEntry& e = r.trace[i];
+    const std::string key = "trace[" + std::to_string(i) + "]";
+    c.put(key + ".task_id", e.task_id);
+    c.put(key + ".worker", e.worker);
+    c.put(key + ".exec_start", e.exec_start);
+    c.put(key + ".exec_end", e.exec_end);
+    c.put(key + ".counted", e.counted);
+  }
+}
+
+void put_elastic_stats(Canon& c, const ElasticRunStats& s) {
+  c.put("elastic.peak_instances", s.peak_instances);
+  c.put("elastic.scale_out_events", s.scale_out_events);
+  c.put("elastic.scale_in_events", s.scale_in_events);
+  c.put("elastic.revocations", s.revocations);
+  c.put("elastic.hard_kills", s.hard_kills);
+  c.put("elastic.drains_completed", s.drains_completed);
+  c.put("elastic.total_drain_seconds", s.total_drain_seconds);
+  c.put("elastic.stale_terminates", s.stale_terminates);
+  c.put("elastic.cost_on_demand", s.cost_on_demand);
+  c.put("elastic.cost_spot", s.cost_spot);
+  c.put("elastic.cost_on_demand_equivalent", s.cost_on_demand_equivalent);
+  c.put("elastic.fleet_size_series.count",
+        static_cast<std::uint64_t>(s.fleet_size_series.size()));
+  for (std::size_t i = 0; i < s.fleet_size_series.size(); ++i) {
+    const FleetSizePoint& p = s.fleet_size_series[i];
+    const std::string key = "elastic.fleet_size_series[" + std::to_string(i) + "]";
+    c.put(key + ".t", p.t);
+    c.put(key + ".active", p.active);
+    c.put(key + ".spot", p.spot);
+  }
+}
+
+void put_monitor(Canon& c, const std::string& json) {
+  std::istringstream in(json);
+  std::string line;
+  for (int i = 0; std::getline(in, line); ++i) {
+    c.put("monitor[" + std::to_string(i) + "]", line);
+  }
+}
+
+/// One grid point: a name, the inputs, and the optional attachments.
+struct GoldenCase {
+  std::string name;
+  Workload workload;
+  Deployment deployment;
+  AppKind app = AppKind::kCap3;
+  SimRunParams params;
+  bool monitor = false;
+  runtime::FaultPlan faults;  // armed when it has rules
+  ElasticSimParams elastic;   // elastic grid only
+};
+
+/// Runs one case through `run` (the static or the elastic entry point) and
+/// serialises everything it reports.
+std::string serialise(GoldenCase gc,
+                      const std::function<RunResult(GoldenCase&, ElasticRunStats*)>& run,
+                      bool elastic) {
+  runtime::MetricsRegistry registry;
+  runtime::MonitorConfig mc;
+  mc.period = 120.0;
+  mc.scrape_registry = false;
+  runtime::Monitor monitor(registry, mc);
+  runtime::FaultInjector injector;
+  if (gc.monitor) gc.params.monitor = &monitor;
+  if (!gc.faults.rules.empty()) {
+    injector.arm_plan(gc.faults);
+    gc.params.faults = &injector;
+  }
+  ElasticRunStats stats;
+  const RunResult r = run(gc, elastic ? &stats : nullptr);
+  Canon c(gc.name);
+  put_result(c, r);
+  if (elastic) put_elastic_stats(c, stats);
+  if (gc.monitor) put_monitor(c, monitor.to_json());
+  return c.text();
+}
+
+std::string golden_path(const std::string& file) {
+  return std::string(PPC_GOLDEN_DIR) + "/" + file;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+/// Compares `actual` with the checked-in file and reports the first line
+/// (= field) that differs. PPC_UPDATE_GOLDEN=1 rewrites the file instead.
+void expect_golden(const std::string& file, const std::string& actual) {
+  const std::string path = golden_path(file);
+  if (const char* update = std::getenv("PPC_UPDATE_GOLDEN");
+      update != nullptr && std::string(update) == "1") {
+    std::ofstream(path, std::ios::binary) << actual;
+    GTEST_SKIP() << "rewrote " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::vector<std::string> want = split_lines(buf.str());
+  const std::vector<std::string> got = split_lines(actual);
+  for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
+    if (want[i] != got[i]) {
+      FAIL() << file << ": first difference at line " << (i + 1) << "\n  expected: "
+             << want[i] << "\n  actual:   " << got[i];
+    }
+  }
+  ASSERT_EQ(want.size(), got.size())
+      << file << ": line count differs; first extra line: "
+      << (want.size() > got.size() ? want[got.size()] : got[want.size()]);
+}
+
+SimRunParams seeded(unsigned seed) {
+  SimRunParams p;
+  p.seed = seed;
+  return p;
+}
+
+// -- static grid -----------------------------------------------------------
+
+std::vector<GoldenCase> static_grid() {
+  const Workload cap3 = make_cap3_workload(40, 458);
+  const Deployment ec2 = make_deployment(cloud::ec2_hcxl(), 2, 4);
+  std::vector<GoldenCase> grid;
+  auto add = [&](const std::string& name, SimRunParams p) {
+    GoldenCase gc;
+    gc.name = name;
+    gc.workload = cap3;
+    gc.deployment = ec2;
+    gc.params = p;
+    grid.push_back(std::move(gc));
+    return &grid.back();
+  };
+
+  add("s.batch1", seeded(1));
+  {
+    SimRunParams p = seeded(2);
+    p.receive_batch = 10;
+    add("s.batch10", p)->monitor = true;
+  }
+  {
+    SimRunParams p = seeded(3);
+    p.worker_crash_prob = 0.05;
+    add("s.crash.batch1", p);
+    p.receive_batch = 10;
+    p.seed = 4;
+    add("s.crash.batch10", p);
+  }
+  {
+    GoldenCase* gc = add("s.fault_after_execute", seeded(5));
+    gc->faults.seed = 77;
+    gc->faults.crash(classiccloud::sites::kAfterExecute, /*budget=*/3, /*probability=*/0.5);
+  }
+  {
+    SimRunParams p = seeded(6);
+    p.record_trace = true;
+    p.straggler_prob = 0.1;
+    add("s.trace_straggler", p);
+  }
+  {
+    SimRunParams p = seeded(7);
+    p.stall_worker = 1;
+    p.stall_at = 100.0;
+    p.stall_duration = 400.0;
+    add("s.stall", p)->monitor = true;
+  }
+  {
+    SimRunParams p = seeded(8);
+    p.storage = storage::StorageKind::kSharedFs;
+    add("s.sharedfs", p)->monitor = true;
+  }
+  {
+    // Visibility timeout below the task length: redeliveries, stale
+    // deletes and duplicate executions, unbatched and batched.
+    SimRunParams p = seeded(9);
+    p.visibility_timeout = 60.0;
+    p.record_trace = true;
+    add("s.short_visibility.batch1", p);
+    p.receive_batch = 4;
+    add("s.short_visibility.batch4", p);
+    // A redelivery received just after the last first-completion: the
+    // one-message loop still runs it.
+    p = seeded(17);
+    p.visibility_timeout = 60.0;
+    add("s.late_delivery", p);
+  }
+  {
+    SimRunParams p = seeded(10);
+    p.queue.duplicate_delivery_prob = 0.1;
+    p.provider_variability = false;
+    add("s.duplicate_delivery", p);
+  }
+  {
+    // BLAST with a shared database: with and without the worker block cache.
+    const Workload blast = make_blast_workload(24, 100, 11, 128, 0.30, 64.0 * 1024 * 1024);
+    for (const bool cache : {false, true}) {
+      SimRunParams p = seeded(11);
+      p.enable_block_cache = cache;
+      GoldenCase* gc = add(cache ? "s.blast.cache" : "s.blast.nocache", p);
+      gc->workload = blast;
+      gc->app = AppKind::kBlast;
+      gc->monitor = cache;
+    }
+  }
+  {
+    GoldenCase* gc = add("s.azure", seeded(12));
+    gc->deployment = make_deployment(cloud::azure_small(), 6, 1);
+  }
+  return grid;
+}
+
+TEST(ClassicGolden, StaticGridMatchesExpectation) {
+  std::string text;
+  for (GoldenCase& gc : static_grid()) {
+    text += serialise(
+        std::move(gc),
+        [](GoldenCase& c, ElasticRunStats*) {
+          return run_classic_cloud_sim(c.workload, c.deployment, ExecutionModel(c.app),
+                                       c.params);
+        },
+        /*elastic=*/false);
+  }
+  expect_golden("classic_golden_static.txt", text);
+}
+
+// -- elastic grid ----------------------------------------------------------
+
+std::vector<GoldenCase> elastic_grid() {
+  const Workload cap3 = make_cap3_workload(400, 458);
+  const Deployment ec2 = make_deployment(cloud::ec2_hcxl(), 6, 4);
+  ElasticSimParams base;
+  base.autoscaler.min_instances = 2;
+  base.autoscaler.max_instances = 6;
+  base.autoscaler.step_out = 2;
+  base.storm_times = {500.0, 1100.0};
+  base.revocation_rate = 0.6;
+
+  std::vector<GoldenCase> grid;
+  auto add = [&](const std::string& name, unsigned seed, const ElasticSimParams& e) {
+    GoldenCase gc;
+    gc.name = name;
+    gc.workload = cap3;
+    gc.deployment = ec2;
+    gc.params = seeded(seed);
+    gc.params.visibility_timeout = 900.0;
+    gc.elastic = e;
+    grid.push_back(std::move(gc));
+    return &grid.back();
+  };
+
+  add("e.storm_notice", 21, base)->monitor = true;
+  {
+    ElasticSimParams e = base;
+    e.revocation_notice = 0.0;
+    GoldenCase* gc = add("e.storm_hard.batch10", 22, e);
+    gc->params.receive_batch = 10;
+    gc->params.visibility_timeout = 3600.0;  // covers a prefetched batch
+    gc->monitor = true;
+  }
+  {
+    ElasticSimParams e = base;
+    e.storm_times.clear();
+    GoldenCase* gc = add("e.revoke_rule", 23, e);
+    gc->faults.seed = 5;
+    gc->faults.revoke_spot(cloud::sites::kSpotRevoke, /*budget=*/3, /*probability=*/0.2,
+                           /*notice=*/120.0);
+    gc->faults.crash(classiccloud::sites::kAfterExecute, /*budget=*/2, /*probability=*/0.3);
+  }
+  {
+    ElasticSimParams e = base;
+    e.boot_time = 0.0;
+    add("e.boot0", 24, e);
+  }
+  {
+    ElasticSimParams e = base;
+    e.spot_fraction = 0.0;
+    add("e.spot0", 25, e);
+    e.spot_fraction = 1.0;
+    GoldenCase* gc = add("e.spot1.crash", 26, e);
+    gc->params.worker_crash_prob = 0.02;
+    gc->params.receive_batch = 5;
+    gc->params.visibility_timeout = 3600.0;
+  }
+  {
+    ElasticSimParams e = base;
+    e.autoscaler.budget = 12.0;
+    add("e.budget", 27, e);
+  }
+  {
+    // No storms; the queue runs low just before the first billing-hour
+    // boundary, so the autoscaler drains an instance there.
+    ElasticSimParams e = base;
+    e.storm_times.clear();
+    e.autoscaler.max_instances = 8;
+    e.autoscaler.step_out = 4;
+    e.autoscaler.hour_slack = 600.0;
+    GoldenCase* gc = add("e.billing_drain", 28, e);
+    gc->workload = make_cap3_workload(900, 458);
+    gc->deployment = make_deployment(cloud::ec2_hcxl(), 8, 4);
+    gc->params.receive_batch = 2;
+    gc->monitor = true;
+  }
+  return grid;
+}
+
+TEST(ClassicGolden, ElasticGridMatchesExpectation) {
+  std::string text;
+  for (GoldenCase& gc : elastic_grid()) {
+    text += serialise(
+        std::move(gc),
+        [](GoldenCase& c, ElasticRunStats* stats) {
+          return run_elastic_classic_sim(c.workload, c.deployment, ExecutionModel(c.app),
+                                         c.params, c.elastic, stats);
+        },
+        /*elastic=*/true);
+  }
+  expect_golden("classic_golden_elastic.txt", text);
+}
+
+}  // namespace
+}  // namespace ppc::core
