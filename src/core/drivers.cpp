@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "classiccloud/task.h"
 #include "classiccloud/worker.h"
@@ -98,13 +98,18 @@ void publish_run_metrics(const RunResult& result, runtime::MetricsRegistry& metr
 }
 
 // ---------------------------------------------------------------------------
-// Classic Cloud
+// Classic Cloud (static and elastic fleets)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// All state of one Classic Cloud simulation run. Lives on the stack of
-/// run_classic_cloud_sim; the simulator drains before it goes away.
+using cloud::InstanceState;
+
+/// All state of one Classic Cloud run, static or elastic. A static fleet is
+/// the fixed-size case: no control plane (`ctl`), booted at t=0, never
+/// revoked or drained. The modes differ only in data: the RNG streams they
+/// split, whether the run ends at the last first-completion or waits for
+/// the queue to drain, and the worker count the probes divide by.
 struct ClassicSim {
   sim::Simulator sim;
   const Workload& workload;
@@ -114,30 +119,74 @@ struct ClassicSim {
 
   std::unique_ptr<storage::StorageBackend> store;
   cloudq::MessageQueue queue;
-  cloudq::MessageQueue monitor;
-  cloud::Fleet fleet;
-  std::vector<ppc::Rng> worker_rng;
+  cloudq::MessageQueue monitorq;
+  cloud::ElasticFleet fleet;
+
+  /// The elastic control plane: autoscaling, spot revocations and storms.
+  struct Control {
+    const ElasticSimParams& ep;
+    cloud::Autoscaler scaler;
+    ppc::Rng rng;        // one child per booted worker, in boot order
+    ppc::Rng storm_rng;  // storm draws, apart from the worker streams
+    int launched = 0, spot_launched = 0;
+    ElasticRunStats stats{};
+  };
+  std::optional<Control> ctl;  // empty for a static fleet
+
   double run_factor = 1.0;
-  /// Per-worker shared-dataset caches; empty when the cache is disabled.
+  /// Per-worker shared-dataset caches (static fleets); empty when disabled.
   std::vector<std::unique_ptr<storage::BlockCache>> caches;
 
-  /// Completion flags indexed by task id, plus the count — O(1) per
-  /// completion where a std::set of task-id strings cost a tree insert per
-  /// task (the difference between minutes and seconds at the million-task
-  /// campaign scale).
+  struct Worker {
+    ppc::Rng rng;
+    int inst = 0;           // index into insts and fleet.elastic_instances()
+    Seconds backoff = 0.0;  // empty-poll backoff, reset on a delivery
+    std::deque<cloudq::Message> prefetch{};  // batched deliveries not yet handled
+    std::vector<std::string> acks{};  // receipts awaiting a DeleteMessageBatch
+    bool retired = false;
+    // The task in hand (one at a time), so its events capture only the
+    // worker index: small enough for std::function to store inline.
+    cloudq::Message msg{};
+    classiccloud::TaskSpec spec{};
+    const SimTask* task = nullptr;
+    Seconds ex = 0.0;  // execution time
+    Seconds ul = 0.0;  // upload time
+  };
+  struct Inst {
+    int live_workers = 0;
+    bool hard_dead = false;  // killed without notice: what its workers held died too
+  };
+  std::vector<Worker> workers;  // boot order; the index is the worker id
+  std::vector<Inst> insts;      // parallel to fleet.elastic_instances()
+  Worker& worker(int w) { return workers[static_cast<std::size_t>(w)]; }
+  Inst& inst(int i) { return insts[static_cast<std::size_t>(i)]; }
+  Inst& host(int w) { return inst(worker(w).inst); }
+  std::vector<cloudq::Message> recv_buf;  // reused receive_batch scratch
+
+  /// Completion flags indexed by task id, plus the count: O(1) per
+  /// completion, which matters at the million-task campaign scale.
   std::vector<std::uint8_t> completed;
   std::size_t completed_count = 0;
   int duplicate_executions = 0;
-  int busy = 0;  // workers currently in handle() (download..upload)
+  int busy = 0;   // workers currently in handle() (download..upload)
+  int alive = 0;  // enlisted and not retired
+  /// Every task has completed once; `done` follows at once for a static
+  /// run, and once the queue has drained too for an elastic one.
+  bool all_completed = false;
   bool done = false;
-  Seconds makespan = 0.0;
+  Seconds makespan = 0.0;  // last first-completion (the deadline metric)
+  Seconds end_time = 0.0;  // billing horizon
   ppc::SampleSet exec_times;
   std::vector<TaskTraceEntry> trace;
   static constexpr const char* kBucket = "job";
   static constexpr const char* kSharedKey = "shared/dataset";
 
+  /// RNG split order, frozen by checked-in baselines: store, task queue,
+  /// monitor queue, then one stream per worker (static) or the control and
+  /// storm streams (elastic; workers split the control stream at boot);
+  /// the provider run factor is sampled last.
   ClassicSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
-             const SimRunParams& p, ppc::Rng& rng)
+             const SimRunParams& p, const ElasticSimParams* elastic, ppc::Rng& rng)
       : workload(w),
         d(dep),
         model(m),
@@ -146,27 +195,43 @@ struct ClassicSim {
         // object-store runs replay the checked-in baselines exactly.
         store(storage::make_backend(p.storage, sim.clock(), rng.split(), backend_tuning(p))),
         queue("tasks", sim.clock(), p.queue, rng.split()),
-        monitor("monitor", sim.clock(), p.queue, rng.split()),
+        monitorq("monitor", sim.clock(), p.queue, rng.split()),
         fleet(sim.clock()) {
     PPC_REQUIRE(p.receive_batch >= 1 &&
                     p.receive_batch <= static_cast<int>(cloudq::MessageQueue::kBatchLimit),
                 "receive_batch must be in [1, kBatchLimit]");
     completed.assign(w.tasks.size(), 0);
-    const int workers = d.total_workers();
-    worker_rng.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i) worker_rng.push_back(rng.split());
-    prefetch.resize(static_cast<std::size_t>(workers));
-    acks.resize(static_cast<std::size_t>(workers));
+    if (elastic != nullptr) {
+      const ElasticSimParams& e = *elastic;
+      PPC_REQUIRE(!p.enable_block_cache, "block cache not modelled for elastic fleets");
+      PPC_REQUIRE(e.spot_fraction >= 0.0 && e.spot_fraction <= 1.0 &&
+                      e.revocation_rate >= 0.0 && e.revocation_rate <= 1.0,
+                  "spot_fraction and revocation_rate must be in [0, 1]");
+      PPC_REQUIRE(e.boot_time >= 0.0 && e.revocation_notice >= 0.0,
+                  "boot_time and revocation_notice must be non-negative");
+      PPC_REQUIRE(e.autoscale_interval > 0.0, "autoscale_interval must be positive");
+      // Braced initializers run in order: the control stream, then storms.
+      ctl.emplace(Control{e, cloud::Autoscaler(e.autoscaler), rng.split(), rng.split()});
+    } else {
+      const int n = d.total_workers();
+      PPC_REQUIRE(p.stall_worker < n || p.stall_at < 0.0,
+                  "stall_worker " + std::to_string(p.stall_worker) +
+                      " out of range: the deployment has " + std::to_string(n) + " workers");
+      workers.reserve(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        workers.push_back(Worker{rng.split(), i / d.workers_per_instance});
+      }
+    }
     run_factor = params.provider_variability
                      ? m.sample_run_factor(d.type.provider, rng)
                      : 1.0;
-    if (params.enable_block_cache) {
+    if (!ctl && params.enable_block_cache) {
       storage::BlockCacheConfig base = params.block_cache;
       // Model a worker local disk at least big enough for the shared
       // dataset — a cache that cannot hold it would pass everything through.
       base.capacity = std::max(base.capacity, workload.shared_input_size);
-      caches.reserve(static_cast<std::size_t>(workers));
-      for (int i = 0; i < workers; ++i) {
+      caches.reserve(workers.size());
+      for (std::size_t i = 0; i < workers.size(); ++i) {
         storage::BlockCacheConfig cc = base;
         cc.name = "w" + std::to_string(i) + ".blockcache";
         caches.push_back(std::make_unique<storage::BlockCache>(cc, params.metrics));
@@ -176,7 +241,6 @@ struct ClassicSim {
 
   void populate() {
     store->create_bucket(kBucket);
-    fleet.launch(d.type, d.instances);
     if (workload.shared_input_size > 0.0) {
       // The job-wide reference dataset (BLAST NR database, GTM training
       // matrix) goes up once; every task message points at it.
@@ -201,6 +265,10 @@ struct ClassicSim {
     return workload.tasks.at(static_cast<std::size_t>(id));
   }
 
+  /// Workers the utilization probes divide by: the deployment for a static
+  /// fleet (dead and stalled workers count as idle), else the live ones.
+  int capacity() const { return ctl ? alive : d.total_workers(); }
+
   void register_probes() {
     runtime::Monitor& mon = *params.monitor;
     using runtime::ProbeKind;
@@ -211,21 +279,21 @@ struct ClassicSim {
     mon.add_probe("workers.busy", ProbeKind::kLevel,
                   [this] { return static_cast<double>(busy); });
     mon.add_probe("worker.utilization", ProbeKind::kLevel, [this] {
-      const int total = d.total_workers();
-      return total > 0 ? static_cast<double>(busy) / total : 0.0;
+      const int n = capacity();
+      return n > 0 ? static_cast<double>(busy) / n : 0.0;
     });
-    // Crashed/stalled workers count as idle — a dead worker failing to
-    // drain a visible backlog IS the degraded condition this watches.
+    // Dead workers count as idle — a dead worker failing to drain a visible
+    // backlog IS the degraded condition this watches.
     mon.add_probe("workers.idle_with_backlog", ProbeKind::kLevel, [this] {
       return queue.approximate_visible() > 0
-                 ? static_cast<double>(d.total_workers() - busy)
+                 ? static_cast<double>(std::max(0, capacity() - busy))
                  : 0.0;
     });
     // Queue API request rate (both queues; SQS bills per request) and how
     // many messages each send/receive/delete request moved — a direct read
     // on how well the batch APIs are being used (1.0 = unbatched chatter).
     mon.add_probe("queue.api_calls", ProbeKind::kCumulative, [this] {
-      return static_cast<double>(queue.meter().total() + monitor.meter().total());
+      return static_cast<double>(queue.meter().total() + monitorq.meter().total());
     });
     mon.add_probe("queue.batch_occupancy", ProbeKind::kLevel,
                   [this] { return queue.meter().batch_occupancy(); });
@@ -236,8 +304,8 @@ struct ClassicSim {
     mon.add_probe(
         "cost.dollars_per_hour", ProbeKind::kCumulative,
         [this] {
-          return fleet.amortized_cost(sim.now()) + queue.request_cost() +
-                 monitor.request_cost() + store->service_cost(sim.now());
+          return fleet.fleet().amortized_cost(sim.now()) + queue.request_cost() +
+                 monitorq.request_cost() + store->service_cost(sim.now());
         },
         3600.0);
     if (!caches.empty()) {
@@ -251,15 +319,35 @@ struct ClassicSim {
         return lookups > 0 ? static_cast<double>(hits) / lookups : 0.0;
       });
     }
+    if (!ctl) return;
+    // Elasticity signals (the §14 design doc's probe set).
+    mon.add_probe("fleet.size", ProbeKind::kLevel,
+                  [this] { return static_cast<double>(fleet.active_count()); });
+    mon.add_probe("fleet.spot_running", ProbeKind::kLevel,
+                  [this] { return static_cast<double>(fleet.spot_running()); });
+    mon.add_probe("spot.revocations", ProbeKind::kCumulative,
+                  [this] { return static_cast<double>(fleet.revocations()); });
+    mon.add_probe("fleet.drain_seconds", ProbeKind::kLevel,
+                  [this] { return fleet.total_drain_seconds(); });
+    // Scale-event rate, watched by the default fleet.thrash alarm. The
+    // hysteresis band plus cooldown keep the steady-state rate an order of
+    // magnitude under the alarm threshold.
+    mon.add_probe("fleet.scale_events.rate", ProbeKind::kCumulative,
+                  [this] { return static_cast<double>(fleet.scale_events()); });
   }
 
   void start() {
     populate();
-    idle_interval.assign(static_cast<std::size_t>(d.total_workers()), params.poll_interval);
-    for (int w = 0; w < d.total_workers(); ++w) {
-      // Stagger worker start-up slightly, as real instances boot unevenly.
-      sim.after(worker_rng[static_cast<std::size_t>(w)].uniform(0.0, 1.0),
-                [this, w] { poll(w); });
+    if (ctl) {
+      launch_instances(ctl->scaler.config().min_instances, /*allow_spot=*/true);
+      for (const Seconds t : ctl->ep.storm_times) sim.at(t, [this] { storm(); });
+      sim.at(0.0, [this] { autoscale_tick(); });
+    } else {
+      for (const std::string& id : fleet.scale_out(d.type, d.instances, false)) {
+        fleet.mark_running(id);
+      }
+      insts.resize(static_cast<std::size_t>(d.instances));
+      for (int w = 0; w < static_cast<int>(workers.size()); ++w) enlist(w);
     }
     if (params.monitor != nullptr) {
       register_probes();
@@ -268,465 +356,113 @@ struct ClassicSim {
       sim.at(0.0, [this] { monitor_tick(sim, *params.monitor); });
     }
     sim.run();
-    if (!done) makespan = sim.now();  // crashed workers may strand the job
+    if (!done) makespan = sim.now();  // stranded: crashed workers, or no fleet left
+    // A static fleet bills at makespan; an elastic one also rents the drain
+    // tail (the fleet redelivering acks a hard kill destroyed).
+    end_time = ctl ? sim.now() : makespan;
   }
 
-  std::vector<Seconds> idle_interval;  // per-worker empty-poll backoff
-  /// Per-worker batched deliveries awaiting processing (receive_batch > 1).
-  std::vector<std::deque<cloudq::Message>> prefetch;
-  /// Per-worker buffered completion receipts, flushed in DeleteMessageBatch
-  /// requests of up to kBatchLimit.
-  std::vector<std::vector<std::string>> acks;
-  std::vector<cloudq::Message> recv_buf;  // reused receive_batch scratch
+  // -- elastic control plane (ctl set) --------------------------------------
 
-  void poll(int w) {
-    if (done) return;
-    if (w == params.stall_worker && params.stall_at >= 0.0 &&
-        sim.now() >= params.stall_at &&
-        sim.now() < params.stall_at + params.stall_duration) {
-      // Stalled (chaos injection): the worker sleeps through the window and
-      // resumes polling when it ends. Any backlog it would have drained
-      // stays visible meanwhile.
-      sim.at(params.stall_at + params.stall_duration, [this, w] { poll(w); });
-      return;
-    }
-    sim.after(params.queue_op_latency, [this, w] {
-      auto& backoff = idle_interval[static_cast<std::size_t>(w)];
-      if (params.receive_batch <= 1) {
-        auto msg = queue.receive(params.visibility_timeout);
-        if (!msg) {
-          if (done || queue.undeleted() == 0) return;
-          sim.after(backoff, [this, w] { poll(w); });
-          backoff = std::min(params.poll_interval_max, backoff * 2.0);
-          return;
-        }
-        backoff = params.poll_interval;  // reset on success
-        handle(w, *msg);
-        return;
-      }
-      recv_buf.clear();
-      if (queue.receive_batch(static_cast<std::size_t>(params.receive_batch),
-                              params.visibility_timeout, recv_buf) == 0) {
-        if (done || queue.undeleted() == 0) return;
-        sim.after(backoff, [this, w] { poll(w); });
-        backoff = std::min(params.poll_interval_max, backoff * 2.0);
-        return;
-      }
-      backoff = params.poll_interval;
-      auto& mine = prefetch[static_cast<std::size_t>(w)];
-      for (cloudq::Message& m : recv_buf) mine.push_back(std::move(m));
-      next_delivery(w);
-    });
+  const cloud::ElasticInstance& instance(int i) const {
+    return fleet.elastic_instances()[static_cast<std::size_t>(i)];
   }
-
-  /// Works through the worker's prefetched batch; when it drains, flushes
-  /// the buffered acks and polls again. With receive_batch == 1 both buffers
-  /// are always empty and this is exactly the legacy poll-again step.
-  void next_delivery(int w) {
-    auto& mine = prefetch[static_cast<std::size_t>(w)];
-    if (done || mine.empty()) {
-      // Flush even when the job just finished: the final ack batch is what
-      // drains the queue to zero undeleted messages.
-      flush_acks(w);
-      if (!done) poll(w);
-      return;
-    }
-    const cloudq::Message msg = std::move(mine.front());
-    mine.pop_front();
-    handle(w, msg);
-  }
-
-  void flush_acks(int w) {
-    auto& pending = acks[static_cast<std::size_t>(w)];
-    if (pending.empty()) return;
-    queue.delete_batch(pending);
-    pending.clear();
-  }
-
-  /// Acks a completed task: immediately (legacy) or buffered into a batch.
-  /// A worker that crashes with buffered acks never flushes them — those
-  /// messages resurface and idempotent re-execution absorbs the duplicates,
-  /// the same story as a crash between upload and delete.
-  void ack(int w, const cloudq::Message& msg) {
-    if (params.receive_batch <= 1) {
-      queue.delete_message(msg.receipt_handle);
-      return;
-    }
-    auto& pending = acks[static_cast<std::size_t>(w)];
-    pending.push_back(msg.receipt_handle);
-    if (pending.size() >= cloudq::MessageQueue::kBatchLimit) flush_acks(w);
-  }
-
-  void handle(int w, const cloudq::Message& msg) {
-    auto& rng = worker_rng[static_cast<std::size_t>(w)];
-    const classiccloud::TaskSpec spec = classiccloud::decode_task(msg.body());
-    const SimTask& task = task_of(spec);
-    ++busy;
-
-    // Shared dataset first: a block-cache hit is served from the worker's
-    // disk and never touches the backend; a miss (or no cache) downloads it
-    // alongside the task's own input.
-    Bytes download = task.input_size;
-    for (const std::string& key : spec.shared_keys) {
-      if (!caches.empty()) {
-        const auto r = caches[static_cast<std::size_t>(w)]->fetch(*store, kBucket, key);
-        if (!r.hit) download += workload.shared_input_size;
-      } else {
-        (void)store->get(kBucket, key);  // meters the repeated download
-        download += workload.shared_input_size;
-      }
-    }
-
-    store->begin_transfer();  // shared/parallel FS contention; object: no-op
-    const Seconds dl = store->sample_get_time(download, rng);
-    sim.after(dl, [this, w, msg, spec, &task] {
-      auto& wrng = worker_rng[static_cast<std::size_t>(w)];
-      store->end_transfer();
-      (void)store->get(kBucket, spec.input_key);  // meters the download
-      Seconds ex = model.sample(task, d, wrng) * run_factor;
-      ex = with_straggler(ex, params, wrng);
-      sim.after(ex, [this, w, msg, spec, &task, ex] {
-        auto& wrng2 = worker_rng[static_cast<std::size_t>(w)];
-        if (params.worker_crash_prob > 0.0 && wrng2.bernoulli(params.worker_crash_prob)) {
-          --busy;  // dead, not busy — shows up as idle-with-backlog
-          return;  // worker dies: no upload, no delete — message resurfaces
-        }
-        // Same named site the real-thread worker fires — one FaultInjector
-        // arming drives both execution modes.
-        if (params.faults != nullptr &&
-            params.faults->fire(classiccloud::sites::kAfterExecute, spec.task_id)) {
-          --busy;
-          return;
-        }
-        store->begin_transfer();
-        const Seconds ul = store->sample_put_time(task.output_size, wrng2);
-        sim.after(ul, [this, w, msg, spec, &task, ex, ul] {
-          store->end_transfer();
-          store->put_logical(kBucket, spec.output_key, task.output_size);
-          classiccloud::MonitorRecord record;
-          record.task_id = spec.task_id;
-          record.worker_id = "w" + std::to_string(w);
-          record.status = "done";
-          record.duration = ex;
-          monitor.send(classiccloud::encode_monitor(record));
-          ack(w, msg);
-
-          auto& flag = completed[static_cast<std::size_t>(task.id)];
-          const bool first = flag == 0;
-          if (first) {
-            flag = 1;
-            ++completed_count;
-          }
-          if (params.record_trace) {
-            // sim.now() is post-upload; the execution ended `ul` ago.
-            const Seconds end = sim.now() - ul;
-            trace.push_back({task.id, w, end - ex, end, first});
-          }
-          if (first) {
-            exec_times.add(ex);
-            if (completed_count == workload.size()) {
-              done = true;
-              makespan = sim.now();
-              fleet.terminate_all();
-            }
-          } else {
-            ++duplicate_executions;
-          }
-          --busy;
-          next_delivery(w);
-        });
-      });
-    });
-  }
-};
-
-}  // namespace
-
-RunResult run_classic_cloud_sim(const Workload& workload, const Deployment& deployment,
-                                const ExecutionModel& model, const SimRunParams& params) {
-  PPC_REQUIRE(!workload.tasks.empty(), "empty workload");
-  ppc::Rng rng(params.seed);
-  ClassicSim cs(workload, deployment, model, params, rng);
-  cs.start();
-
-  RunResult r;
-  r.framework = deployment.type.provider == cloud::Provider::kWindowsAzure
-                    ? "ClassicCloud-Azure"
-                    : "ClassicCloud-EC2";
-  r.deployment_label = deployment.label;
-  r.makespan = cs.makespan;
-  r.tasks = static_cast<int>(workload.size());
-  r.completed = static_cast<int>(cs.completed_count);
-  r.duplicate_executions = cs.duplicate_executions;
-  r.exec_times = cs.exec_times;
-  r.trace = std::move(cs.trace);
-  r.compute_cost_hour_units = cs.fleet.hourly_billed_cost(cs.makespan);
-  r.compute_cost_amortized = cs.fleet.amortized_cost(cs.makespan);
-  r.queue_request_cost = cs.queue.request_cost() + cs.monitor.request_cost();
-  const auto qm = cs.queue.meter();
-  const auto mm = cs.monitor.meter();
-  r.queue_api_requests = qm.total() + mm.total();
-  r.queue_unbatched_requests = qm.unbatched_total() + mm.unbatched_total();
-  r.queue_batch_occupancy = qm.batch_occupancy();
-  r.queue_undeleted_end = cs.queue.undeleted();
-  const auto meter = cs.store->meter();
-  r.bytes_in = meter.bytes_in;
-  r.bytes_out = meter.bytes_out;
-  r.storage_backend = storage::to_string(cs.store->kind());
-  r.storage_service_cost = cs.store->service_cost(cs.makespan);
-  r.storage_heads = meter.heads;
-  for (const auto& cache : cs.caches) {
-    r.cache_hits += cache->hits();
-    r.cache_misses += cache->misses();
-    r.cache_bytes_saved += cache->bytes_saved();
-  }
-  finalize_metrics(r, workload, deployment, model);
-  if (params.metrics != nullptr) publish_run_metrics(r, *params.metrics);
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Elastic Classic Cloud
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// All state of one elastic Classic Cloud run. A separate struct from
-/// ClassicSim on purpose: the static driver's RNG split order is frozen by
-/// checked-in baselines, and the elastic control plane (boot events, dynamic
-/// worker spawning, revocation draws) needs streams of its own.
-struct ElasticSim {
-  sim::Simulator sim;
-  const Workload& workload;
-  const Deployment& d;
-  const ExecutionModel& model;
-  const SimRunParams& params;
-  const ElasticSimParams& ep;
-
-  std::unique_ptr<storage::StorageBackend> store;
-  cloudq::MessageQueue queue;
-  cloudq::MessageQueue monitorq;
-  cloud::ElasticFleet efleet;
-  cloud::Autoscaler scaler;
-  /// Control-plane stream: splits one child per spawned worker, in event
-  /// order — deterministic because the DES executes events deterministically.
-  ppc::Rng ctrl_rng;
-  /// Storm kill decisions, isolated so adding a storm does not perturb the
-  /// worker streams.
-  ppc::Rng storm_rng;
-  double run_factor = 1.0;
-
-  struct WorkerRec {
-    ppc::Rng rng;
-    Seconds backoff = 1.0;
-    std::deque<cloudq::Message> prefetch;
-    std::vector<std::string> acks;
-    std::string inst;  // hosting instance id
-    bool retired = false;
-  };
-  struct InstRec {
-    int live_workers = 0;
-    /// Terminated without notice; its workers' prefetched deliveries and
-    /// buffered acks died with it.
-    bool hard_dead = false;
-  };
-  std::vector<WorkerRec> workers;
-  std::unordered_map<std::string, InstRec> insts;  // never iterated
-  int total_launched = 0;
-  int spot_launched = 0;
-
-  std::vector<std::uint8_t> completed;
-  std::size_t completed_count = 0;
-  int duplicate_executions = 0;
-  int busy = 0;
-  int alive = 0;  // spawned and not retired
-  /// Every task has completed once. Not yet `done`: a hard-killed worker may
-  /// have taken buffered acks down with it, leaving completed-but-undeleted
-  /// messages invisible until the visibility timeout. The run stays up (and
-  /// the fleet keeps polling) until redelivery drains the queue to zero, so
-  /// no message is ever silently lost — it only becomes `done` then.
-  bool all_completed = false;
-  bool done = false;
-  Seconds makespan = 0.0;   // last first-completion (the deadline metric)
-  Seconds end_time = 0.0;   // queue drained, fleet terminated (billing)
-  ppc::SampleSet exec_times;
-  ElasticRunStats stats;
-  std::vector<cloudq::Message> recv_buf;
-  static constexpr const char* kBucket = "job";
-  static constexpr const char* kSharedKey = "shared/dataset";
-
-  ElasticSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
-             const SimRunParams& p, const ElasticSimParams& e, ppc::Rng& rng)
-      : workload(w),
-        d(dep),
-        model(m),
-        params(p),
-        ep(e),
-        store(storage::make_backend(p.storage, sim.clock(), rng.split(), backend_tuning(p))),
-        queue("tasks", sim.clock(), p.queue, rng.split()),
-        monitorq("monitor", sim.clock(), p.queue, rng.split()),
-        efleet(sim.clock()),
-        scaler(e.autoscaler),
-        ctrl_rng(rng.split()),
-        storm_rng(rng.split()) {
-    PPC_REQUIRE(p.receive_batch >= 1 &&
-                    p.receive_batch <= static_cast<int>(cloudq::MessageQueue::kBatchLimit),
-                "receive_batch must be in [1, kBatchLimit]");
-    PPC_REQUIRE(!p.enable_block_cache, "block cache not modelled for elastic fleets");
-    PPC_REQUIRE(ep.spot_fraction >= 0.0 && ep.spot_fraction <= 1.0,
-                "spot_fraction must be in [0, 1]");
-    PPC_REQUIRE(ep.revocation_rate >= 0.0 && ep.revocation_rate <= 1.0,
-                "revocation_rate must be in [0, 1]");
-    PPC_REQUIRE(ep.boot_time >= 0.0 && ep.revocation_notice >= 0.0,
-                "boot_time and revocation_notice must be non-negative");
-    PPC_REQUIRE(ep.autoscale_interval > 0.0, "autoscale_interval must be positive");
-    completed.assign(w.tasks.size(), 0);
-    run_factor = params.provider_variability
-                     ? m.sample_run_factor(d.type.provider, rng)
-                     : 1.0;
-  }
-
-  void populate() {
-    store->create_bucket(kBucket);
-    if (workload.shared_input_size > 0.0) {
-      store->put_logical(kBucket, kSharedKey, workload.shared_input_size);
-    }
-    std::vector<std::string> messages;
-    messages.reserve(workload.tasks.size());
-    for (const SimTask& t : workload.tasks) {
-      store->put_logical(kBucket, input_key(t), t.input_size);
-      classiccloud::TaskSpec spec;
-      spec.task_id = "t" + std::to_string(t.id);
-      spec.input_key = input_key(t);
-      spec.output_key = output_key(t);
-      if (workload.shared_input_size > 0.0) spec.shared_keys = {kSharedKey};
-      messages.push_back(classiccloud::encode_task(spec));
-    }
-    queue.send_batch(messages);
-  }
-
-  const SimTask& task_of(const classiccloud::TaskSpec& spec) const {
-    const int id = std::stoi(spec.task_id.substr(1));
-    return workload.tasks.at(static_cast<std::size_t>(id));
-  }
-
-  bool hard_dead(int w) const { return insts.at(workers[static_cast<std::size_t>(w)].inst).hard_dead; }
-  bool draining(int w) const {
-    return efleet.state(workers[static_cast<std::size_t>(w)].inst) ==
-           cloud::InstanceState::kDraining;
-  }
-
-  // -- fleet control ----------------------------------------------------
 
   void launch_instances(int count, bool allow_spot) {
     // Keep the launched mix at ep.spot_fraction; deterministic, no RNG.
+    const ElasticSimParams& ep = ctl->ep;
     int n_spot = 0;
-    if (allow_spot) {
-      for (int i = 0; i < count; ++i) {
-        if (spot_launched + n_spot + 1 <=
-            ep.spot_fraction * (total_launched + i + 1)) {
-          ++n_spot;
-        }
-      }
+    for (int i = 0; allow_spot && i < count; ++i) {
+      if (ctl->spot_launched + n_spot + 1 <= ep.spot_fraction * (ctl->launched + i + 1)) ++n_spot;
     }
-    std::vector<std::string> ids;
-    if (count - n_spot > 0) {
-      auto v = efleet.scale_out(d.type, count - n_spot, /*spot_market=*/false);
-      ids.insert(ids.end(), v.begin(), v.end());
+    const std::size_t first = insts.size();
+    if (count - n_spot > 0) fleet.scale_out(d.type, count - n_spot, /*spot_market=*/false);
+    if (n_spot > 0) fleet.scale_out(d.type, n_spot, /*spot_market=*/true, ep.spot_discount);
+    ctl->launched += count;
+    ctl->spot_launched += n_spot;
+    insts.resize(fleet.elastic_instances().size());
+    for (std::size_t i = first; i < insts.size(); ++i) {
+      sim.after(ep.boot_time, [this, i] { on_boot(static_cast<int>(i)); });
     }
-    if (n_spot > 0) {
-      auto v = efleet.scale_out(d.type, n_spot, /*spot_market=*/true, ep.spot_discount);
-      ids.insert(ids.end(), v.begin(), v.end());
-    }
-    total_launched += count;
-    spot_launched += n_spot;
-    for (const std::string& id : ids) {
-      insts.emplace(id, InstRec{});
-      sim.after(ep.boot_time, [this, id] { on_boot(id); });
-    }
-    stats.peak_instances = std::max(stats.peak_instances, efleet.active_count());
+    ctl->stats.peak_instances = std::max(ctl->stats.peak_instances, fleet.active_count());
   }
 
-  void on_boot(const std::string& id) {
-    if (efleet.state(id) != cloud::InstanceState::kBooting) return;
-    efleet.mark_running(id);
-    InstRec& ir = insts.at(id);
+  void on_boot(int i) {
+    if (instance(i).state != InstanceState::kBooting) return;
+    fleet.mark_running(instance(i).id);
     for (int k = 0; k < d.workers_per_instance; ++k) {
-      const int w = static_cast<int>(workers.size());
-      WorkerRec rec;
-      rec.rng = ctrl_rng.split();
-      rec.backoff = params.poll_interval;
-      rec.inst = id;
-      workers.push_back(std::move(rec));
-      ++ir.live_workers;
-      ++alive;
-      // Stagger like real instances booting unevenly.
-      sim.after(workers[static_cast<std::size_t>(w)].rng.uniform(0.0, 1.0),
-                [this, w] { poll(w); });
+      workers.push_back(Worker{ctl->rng.split(), i});
+      enlist(static_cast<int>(workers.size()) - 1);
     }
   }
 
-  void do_revoke(const std::string& id, Seconds notice) {
-    const Seconds deadline = efleet.revoke(id, notice);
-    if (efleet.state(id) == cloud::InstanceState::kTerminated) {
-      insts.at(id).hard_dead = true;  // no-notice kill
+  void do_revoke(int i, Seconds notice) {
+    const Seconds deadline = fleet.revoke(instance(i).id, notice);
+    Inst& ir = inst(i);
+    if (instance(i).state == InstanceState::kTerminated) {
+      ir.hard_dead = true;  // no-notice kill
       return;
     }
-    if (insts.at(id).live_workers == 0) {
+    if (ir.live_workers == 0) {
       // Nothing to drain (workers already crashed away): gone immediately.
-      efleet.finish_drain(id);
+      fleet.finish_drain(instance(i).id);
       return;
     }
-    sim.at(deadline, [this, id] {
-      if (efleet.state(id) == cloud::InstanceState::kTerminated) return;  // drained in time
-      efleet.hard_kill(id);
-      insts.at(id).hard_dead = true;
+    sim.at(deadline, [this, i] {
+      if (instance(i).state == InstanceState::kTerminated) return;  // drained in time
+      fleet.hard_kill(instance(i).id);
+      inst(i).hard_dead = true;
     });
+  }
+
+  /// The running spot instances, in launch order.
+  std::vector<int> running_spot() const {
+    std::vector<int> out;
+    for (int i = 0; i < static_cast<int>(insts.size()); ++i) {
+      if (instance(i).spot && instance(i).state == InstanceState::kRunning) out.push_back(i);
+    }
+    return out;
   }
 
   void storm() {
     if (done) return;
     // Correlated revocation: the provider reclaims a slice of the spot pool
-    // in one sweep. Victims are chosen before any state flips so the draw
-    // sequence only depends on the fleet at storm time.
-    std::vector<std::string> victims;
-    for (const auto& ei : efleet.elastic_instances()) {
-      if (!ei.spot || ei.state != cloud::InstanceState::kRunning) continue;
-      if (storm_rng.bernoulli(ep.revocation_rate)) victims.push_back(ei.id);
+    // in one sweep. The draws run over the fleet as it was at storm time.
+    const ElasticSimParams& ep = ctl->ep;
+    for (const int i : running_spot()) {
+      if (ctl->storm_rng.bernoulli(ep.revocation_rate)) do_revoke(i, ep.revocation_notice);
     }
-    for (const std::string& id : victims) do_revoke(id, ep.revocation_notice);
   }
 
   void fire_revocations() {
     if (params.faults == nullptr) return;
-    for (const auto& ei : efleet.elastic_instances()) {
-      if (!ei.spot || ei.state != cloud::InstanceState::kRunning) continue;
+    for (const int i : running_spot()) {
+      // An earlier revocation in this sweep never changes another instance.
       const Seconds notice =
-          params.faults->fire_revocation(cloud::sites::kSpotRevoke, ei.id);
-      if (notice >= 0.0) do_revoke(ei.id, notice);
+          params.faults->fire_revocation(cloud::sites::kSpotRevoke, instance(i).id);
+      if (notice >= 0.0) do_revoke(i, notice);
     }
   }
 
   void drain_one() {
     // Scale-in only at a billing-hour boundary: among running instances
     // within hour_slack of their next boundary, drain the closest. Nobody
-    // eligible = hold (the decision was made; the drain waits for a cheaper
-    // moment).
+    // eligible = hold; the drain waits for a cheaper moment.
     const Seconds now = sim.now();
-    std::string victim;
-    Seconds best = scaler.config().hour_slack;
-    for (const auto& ei : efleet.elastic_instances()) {
-      if (ei.state != cloud::InstanceState::kRunning) continue;
-      const Seconds to_boundary = efleet.seconds_to_hour_boundary(ei.id, now);
-      if (to_boundary <= scaler.config().hour_slack &&
-          (victim.empty() || to_boundary < best)) {
-        victim = ei.id;
+    const Seconds slack = ctl->scaler.config().hour_slack;
+    int victim = -1;
+    Seconds best = slack;
+    for (int i = 0; i < static_cast<int>(insts.size()); ++i) {
+      if (instance(i).state != InstanceState::kRunning) continue;
+      const Seconds to_boundary = fleet.seconds_to_hour_boundary(instance(i).id, now);
+      if (to_boundary <= slack && (victim < 0 || to_boundary < best)) {
+        victim = i;
         best = to_boundary;
       }
     }
-    if (victim.empty()) return;
-    efleet.begin_drain(victim);
-    if (insts.at(victim).live_workers == 0) efleet.finish_drain(victim);
+    if (victim < 0) return;
+    fleet.begin_drain(instance(victim).id);
+    if (inst(victim).live_workers == 0) fleet.finish_drain(instance(victim).id);
   }
 
   void decide() {
@@ -734,17 +470,16 @@ struct ElasticSim {
     s.now = sim.now();
     s.queue_depth = static_cast<double>(queue.approximate_visible());
     s.inflight = static_cast<double>(queue.in_flight());
-    s.running_instances = efleet.running_count();
-    s.pending_instances = efleet.booting_count();
+    s.running_instances = fleet.running_count();
+    s.pending_instances = fleet.booting_count();
     s.workers_per_instance = d.workers_per_instance;
-    // Ungated by backlog: near the end of the queue (and through the
-    // post-completion drain tail, where leftovers are invisible) idle
-    // workers are what lets the scale-in path hand instances back before
-    // they bill another hour.
+    // Ungated by backlog: near the end of the queue (and through the drain
+    // tail) idle workers let scale-in hand instances back before they bill
+    // another hour.
     s.idle_workers = std::max(0, alive - busy);
-    s.spent = efleet.fleet().hourly_billed_cost(s.now);
+    s.spent = fleet.fleet().hourly_billed_cost(s.now);
     s.cost_per_instance_hour = d.type.cost_per_hour;
-    const cloud::AutoscaleDecision dec = scaler.decide(s);
+    const cloud::AutoscaleDecision dec = ctl->scaler.decide(s);
     if (dec.delta > 0) {
       // Min-floor refills replace revoked capacity with on-demand: refilling
       // a storm's losses from the same spot pool invites the next storm.
@@ -760,346 +495,307 @@ struct ElasticSim {
       fire_revocations();
       decide();
     }
-    stats.fleet_size_series.push_back(
-        {sim.now(), efleet.active_count(), efleet.spot_running()});
-    stats.peak_instances = std::max(stats.peak_instances, efleet.active_count());
+    ElasticRunStats& stats = ctl->stats;
+    stats.fleet_size_series.push_back({sim.now(), fleet.active_count(), fleet.spot_running()});
+    stats.peak_instances = std::max(stats.peak_instances, fleet.active_count());
     if (done) return;
-    // Parasitic like the monitor tick, with one extension: while undeleted
-    // work remains AND the fleet still exists, the tick keeps itself alive so
-    // a below-min refill can rebuild a storm-gutted fleet. A run with no
-    // fleet left and no events is stranded and must end.
-    if (sim.events_pending() > 0 ||
-        (queue.undeleted() > 0 && efleet.active_count() > 0)) {
-      sim.after(ep.autoscale_interval, [this] { autoscale_tick(); });
+    // Parasitic like the monitor tick, except that while undeleted work and
+    // a fleet remain it stays alive, so a below-min refill can rebuild a
+    // storm-gutted fleet. No fleet and no events left = stranded: end.
+    if (sim.events_pending() > 0 || (queue.undeleted() > 0 && fleet.active_count() > 0)) {
+      sim.after(ctl->ep.autoscale_interval, [this] { autoscale_tick(); });
     }
   }
 
-  // -- worker lifecycle -------------------------------------------------
+  // -- worker lifecycle -----------------------------------------------------
 
-  /// Ends the run once the last task is done AND the queue is fully
-  /// drained; called wherever a delete could have removed the last message.
+  /// Puts worker `w` on its instance and schedules its first poll, staggered
+  /// as real instances boot unevenly.
+  void enlist(int w) {
+    Worker& k = worker(w);
+    k.backoff = params.poll_interval;
+    ++host(w).live_workers;
+    ++alive;
+    sim.after(k.rng.uniform(0.0, 1.0), [this, w] { poll(w); });
+  }
+
+  /// Ends the run once every task has completed; an elastic run also waits
+  /// for the queue to drain (redelivering acks a hard kill destroyed, so no
+  /// message is silently lost). Called wherever a delete may empty the queue.
   void maybe_finish() {
     if (done || !all_completed) return;
-    if (queue.undeleted() != 0) return;
+    if (ctl && queue.undeleted() != 0) return;
     done = true;
-    efleet.terminate_all();
+    fleet.terminate_all();
   }
 
   void flush_acks(int w) {
-    auto& pending = workers[static_cast<std::size_t>(w)].acks;
+    auto& pending = worker(w).acks;
     if (pending.empty()) return;
     queue.delete_batch(pending);
     pending.clear();
     maybe_finish();
   }
 
+  /// Acks a completed task: immediately (receive_batch 1) or buffered into a
+  /// batch. Acks a dying worker still buffers are lost: their messages
+  /// resurface, as after a crash between upload and delete.
   void ack(int w, const cloudq::Message& msg) {
     if (params.receive_batch <= 1) {
       queue.delete_message(msg.receipt_handle);
       maybe_finish();
       return;
     }
-    auto& pending = workers[static_cast<std::size_t>(w)].acks;
+    auto& pending = worker(w).acks;
     pending.push_back(msg.receipt_handle);
     if (pending.size() >= cloudq::MessageQueue::kBatchLimit) flush_acks(w);
   }
 
-  /// Retires one worker. A clean retirement (graceful drain, natural
-  /// end-of-queue exit) releases unstarted prefetched deliveries back to the
-  /// queue for immediate redelivery and flushes buffered acks; a hard one
-  /// (instance reclaimed, worker crash) loses both — redelivery plus
-  /// idempotent re-execution absorb the damage. The last worker off a
-  /// draining healthy instance completes the drain.
+  /// Retires one worker. A clean retirement (graceful drain, end of queue)
+  /// releases unstarted prefetched deliveries for immediate redelivery and
+  /// flushes buffered acks; a hard one (instance reclaimed, worker crash)
+  /// loses both, absorbed by redelivery and idempotent re-execution. The
+  /// last worker off a draining instance completes the drain; on a static
+  /// fleet, which never drains, this only stops the worker.
   void drop_worker(int w, bool clean) {
-    WorkerRec& rec = workers[static_cast<std::size_t>(w)];
-    if (rec.retired) return;
+    Worker& k = worker(w);
+    if (k.retired) return;
     if (clean) {
-      for (const cloudq::Message& m : rec.prefetch) {
-        queue.change_visibility(m.receipt_handle, 0.0);
-      }
-      rec.prefetch.clear();
+      for (const cloudq::Message& m : k.prefetch) queue.change_visibility(m.receipt_handle, 0.0);
       flush_acks(w);
-    } else {
-      rec.prefetch.clear();
-      rec.acks.clear();
     }
-    rec.retired = true;
+    k.prefetch.clear();
+    k.acks.clear();
+    k.retired = true;
     --alive;
-    InstRec& ir = insts.at(rec.inst);
-    --ir.live_workers;
-    if (ir.live_workers == 0 && !ir.hard_dead &&
-        efleet.state(rec.inst) == cloud::InstanceState::kDraining) {
-      efleet.finish_drain(rec.inst);
+    Inst& ir = host(w);
+    if (--ir.live_workers == 0 && !ir.hard_dead &&
+        instance(k.inst).state == InstanceState::kDraining) {
+      fleet.finish_drain(instance(k.inst).id);
     }
   }
 
-  void poll(int w) {
-    if (done) return;
-    if (workers[static_cast<std::size_t>(w)].retired) return;
-    if (hard_dead(w)) {
-      drop_worker(w, /*clean=*/false);
-      return;
+  /// False once worker `w` is retired; retires it first when its instance
+  /// was hard-killed (losing what it held) or is draining (handing it back).
+  bool on_duty(int w) {
+    if (worker(w).retired) return false;
+    const bool dead = host(w).hard_dead;
+    if (dead || instance(worker(w).inst).state == InstanceState::kDraining) {
+      drop_worker(w, /*clean=*/!dead);
+      return false;
     }
-    if (draining(w)) {
-      drop_worker(w, /*clean=*/true);
+    return true;
+  }
+
+  /// The task in hand dies with its worker; its message resurfaces on timeout.
+  void abandon(int w) {
+    --busy;  // dead, not busy — shows up as idle-with-backlog
+    drop_worker(w, /*clean=*/false);
+  }
+
+  void poll(int w) {
+    if (done || !on_duty(w)) return;
+    if (w == params.stall_worker && !ctl && params.stall_at >= 0.0 &&
+        sim.now() >= params.stall_at && sim.now() < params.stall_at + params.stall_duration) {
+      // Stalled (chaos injection, static fleets): the worker sleeps through
+      // the window; the backlog it would have drained stays visible.
+      sim.at(params.stall_at + params.stall_duration, [this, w] { poll(w); });
       return;
     }
     sim.after(params.queue_op_latency, [this, w] {
-      WorkerRec& rec = workers[static_cast<std::size_t>(w)];
-      if (rec.retired) return;
-      if (hard_dead(w)) {
-        drop_worker(w, /*clean=*/false);
-        return;
-      }
-      if (draining(w)) {  // drain began during the round trip
-        drop_worker(w, /*clean=*/true);
-        return;
-      }
+      if (!on_duty(w)) return;  // reclaimed or drained during the round trip
+      Worker& k = worker(w);
       recv_buf.clear();
       if (queue.receive_batch(static_cast<std::size_t>(params.receive_batch),
                               params.visibility_timeout, recv_buf) == 0) {
         if (done || queue.undeleted() == 0) {
-          drop_worker(w, /*clean=*/true);
+          drop_worker(w, /*clean=*/true);  // nothing left to do
           return;
         }
-        sim.after(rec.backoff, [this, w] { poll(w); });
-        rec.backoff = std::min(params.poll_interval_max, rec.backoff * 2.0);
+        sim.after(k.backoff, [this, w] { poll(w); });
+        k.backoff = std::min(params.poll_interval_max, k.backoff * 2.0);
         return;
       }
-      rec.backoff = params.poll_interval;
-      for (cloudq::Message& m : recv_buf) rec.prefetch.push_back(std::move(m));
+      k.backoff = params.poll_interval;
+      for (cloudq::Message& m : recv_buf) k.prefetch.push_back(std::move(m));
       next_delivery(w);
     });
   }
 
+  /// Works through the worker's prefetched deliveries; when they run out,
+  /// flushes the buffered acks and polls again.
   void next_delivery(int w) {
-    WorkerRec& rec = workers[static_cast<std::size_t>(w)];
-    if (rec.retired) return;
-    if (hard_dead(w)) {
-      drop_worker(w, /*clean=*/false);
-      return;
-    }
-    if (!done && draining(w)) {
-      drop_worker(w, /*clean=*/true);
-      return;
-    }
-    if (done || rec.prefetch.empty()) {
+    if (!on_duty(w)) return;
+    Worker& k = worker(w);
+    // Once the job is done a prefetched batch is abandoned, but a lone
+    // delivery (receive_batch 1) still runs, as the one-message loop always
+    // has. (An elastic run is only done with the queue drained.)
+    if (k.prefetch.empty() || (done && params.receive_batch > 1)) {
+      // Flush even when the job just finished: the final ack batch is what
+      // drains the queue to zero undeleted messages.
       flush_acks(w);
       if (!done) poll(w);
       return;
     }
-    const cloudq::Message msg = std::move(rec.prefetch.front());
-    rec.prefetch.pop_front();
-    handle(w, msg);
+    k.msg = std::move(k.prefetch.front());
+    k.prefetch.pop_front();
+    handle(w);
   }
 
-  void handle(int w, const cloudq::Message& msg) {
-    auto& rng = workers[static_cast<std::size_t>(w)].rng;
-    const classiccloud::TaskSpec spec = classiccloud::decode_task(msg.body());
-    const SimTask& task = task_of(spec);
+  /// Stage 1 of the task in hand: fetch the shared dataset and the input.
+  void handle(int w) {
+    Worker& k = worker(w);
+    k.spec = classiccloud::decode_task(k.msg.body());
+    k.task = &task_of(k.spec);
     ++busy;
 
-    Bytes download = task.input_size;
-    for (const std::string& key : spec.shared_keys) {
-      (void)store->get(kBucket, key);  // meters the repeated download
-      download += workload.shared_input_size;
-    }
-
-    store->begin_transfer();
-    const Seconds dl = store->sample_get_time(download, rng);
-    sim.after(dl, [this, w, msg, spec, &task] {
-      store->end_transfer();  // pair before any abandonment check
-      if (hard_dead(w)) {
-        --busy;  // reclaimed mid-download; message resurfaces on timeout
-        drop_worker(w, /*clean=*/false);
-        return;
+    // Shared dataset first: a block-cache hit is served from the worker's
+    // disk and never touches the backend; a miss (or no cache) downloads it
+    // alongside the task's own input.
+    Bytes download = k.task->input_size;
+    for (const std::string& key : k.spec.shared_keys) {
+      if (!caches.empty()) {
+        const auto r = caches[static_cast<std::size_t>(w)]->fetch(*store, kBucket, key);
+        if (!r.hit) download += workload.shared_input_size;
+      } else {
+        (void)store->get(kBucket, key);  // meters the repeated download
+        download += workload.shared_input_size;
       }
-      auto& wrng = workers[static_cast<std::size_t>(w)].rng;
-      (void)store->get(kBucket, spec.input_key);
-      Seconds ex = model.sample(task, d, wrng) * run_factor;
-      ex = with_straggler(ex, params, wrng);
-      sim.after(ex, [this, w, msg, spec, &task, ex] {
-        if (hard_dead(w)) {
-          --busy;  // reclaimed mid-execute
-          drop_worker(w, /*clean=*/false);
-          return;
-        }
-        auto& wrng2 = workers[static_cast<std::size_t>(w)].rng;
-        if (params.worker_crash_prob > 0.0 &&
-            wrng2.bernoulli(params.worker_crash_prob)) {
-          --busy;
-          drop_worker(w, /*clean=*/false);  // worker dies; instance survives
-          return;
-        }
-        if (params.faults != nullptr &&
-            params.faults->fire(classiccloud::sites::kAfterExecute, spec.task_id)) {
-          --busy;
-          drop_worker(w, /*clean=*/false);
-          return;
-        }
-        store->begin_transfer();
-        const Seconds ul = store->sample_put_time(task.output_size, wrng2);
-        sim.after(ul, [this, w, msg, spec, &task, ex] {
-          store->end_transfer();
-          if (hard_dead(w)) {
-            --busy;  // reclaimed before the upload landed
-            drop_worker(w, /*clean=*/false);
-            return;
-          }
-          store->put_logical(kBucket, spec.output_key, task.output_size);
-          classiccloud::MonitorRecord record;
-          record.task_id = spec.task_id;
-          record.worker_id = "w" + std::to_string(w);
-          record.status = "done";
-          record.duration = ex;
-          monitorq.send(classiccloud::encode_monitor(record));
-          ack(w, msg);
-
-          auto& flag = completed[static_cast<std::size_t>(task.id)];
-          const bool first = flag == 0;
-          if (first) {
-            flag = 1;
-            ++completed_count;
-            exec_times.add(ex);
-            if (completed_count == workload.size()) {
-              all_completed = true;
-              makespan = sim.now();
-              maybe_finish();  // no-op if buffered acks are still pending
-            }
-          } else {
-            ++duplicate_executions;
-          }
-          --busy;
-          next_delivery(w);
-        });
-      });
-    });
+    }
+    store->begin_transfer();  // shared/parallel FS contention; object: no-op
+    sim.after(store->sample_get_time(download, k.rng), [this, w] { execute(w); });
   }
 
-  // -- probes -----------------------------------------------------------
-
-  void register_probes() {
-    runtime::Monitor& mon = *params.monitor;
-    using runtime::ProbeKind;
-    mon.add_probe("queue.tasks.depth", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(queue.approximate_visible()); });
-    mon.add_probe("queue.tasks.inflight", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(queue.in_flight()); });
-    mon.add_probe("workers.busy", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(busy); });
-    mon.add_probe("worker.utilization", ProbeKind::kLevel, [this] {
-      return alive > 0 ? static_cast<double>(busy) / alive : 0.0;
-    });
-    mon.add_probe("workers.idle_with_backlog", ProbeKind::kLevel, [this] {
-      return queue.approximate_visible() > 0
-                 ? static_cast<double>(std::max(0, alive - busy))
-                 : 0.0;
-    });
-    mon.add_probe("queue.api_calls", ProbeKind::kCumulative, [this] {
-      return static_cast<double>(queue.meter().total() + monitorq.meter().total());
-    });
-    mon.add_probe("queue.batch_occupancy", ProbeKind::kLevel,
-                  [this] { return queue.meter().batch_occupancy(); });
-    mon.add_probe("storage.bytes_per_sec", ProbeKind::kCumulative, [this] {
-      const auto m = store->meter();
-      return m.bytes_in + m.bytes_out;
-    });
-    mon.add_probe(
-        "cost.dollars_per_hour", ProbeKind::kCumulative,
-        [this] {
-          return efleet.fleet().amortized_cost(sim.now()) + queue.request_cost() +
-                 monitorq.request_cost() + store->service_cost(sim.now());
-        },
-        3600.0);
-    // Elasticity signals (the §14 design doc's probe set).
-    mon.add_probe("fleet.size", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(efleet.active_count()); });
-    mon.add_probe("fleet.spot_running", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(efleet.spot_running()); });
-    mon.add_probe("spot.revocations", ProbeKind::kCumulative,
-                  [this] { return static_cast<double>(efleet.revocations()); });
-    mon.add_probe("fleet.drain_seconds", ProbeKind::kLevel,
-                  [this] { return efleet.total_drain_seconds(); });
-    // Scale-event rate, watched by the default fleet.thrash alarm. The
-    // hysteresis band plus cooldown keep the steady-state rate an order of
-    // magnitude under the alarm threshold.
-    mon.add_probe("fleet.scale_events.rate", ProbeKind::kCumulative,
-                  [this] { return static_cast<double>(efleet.scale_events()); });
+  /// Stage 2: the download landed; run the task.
+  void execute(int w) {
+    store->end_transfer();  // pair before any abandonment check
+    if (host(w).hard_dead) return abandon(w);  // reclaimed mid-download
+    Worker& k = worker(w);
+    (void)store->get(kBucket, k.spec.input_key);  // meters the download
+    k.ex = with_straggler(model.sample(*k.task, d, k.rng) * run_factor, params, k.rng);
+    sim.after(k.ex, [this, w] { upload(w); });
   }
 
-  void start() {
-    populate();
-    launch_instances(scaler.config().min_instances, /*allow_spot=*/true);
-    for (const Seconds t : ep.storm_times) {
-      sim.at(t, [this] { storm(); });
+  /// Stage 3: the execution finished; upload the output (or die first).
+  void upload(int w) {
+    Worker& k = worker(w);
+    // Reclaimed mid-execute, or the worker dies (its instance survives; the
+    // real-thread worker fires the same fault site): no upload, no delete.
+    if (host(w).hard_dead ||
+        (params.worker_crash_prob > 0.0 && k.rng.bernoulli(params.worker_crash_prob)) ||
+        (params.faults != nullptr &&
+         params.faults->fire(classiccloud::sites::kAfterExecute, k.spec.task_id))) {
+      return abandon(w);
     }
-    sim.at(0.0, [this] { autoscale_tick(); });
-    if (params.monitor != nullptr) {
-      register_probes();
-      sim.at(0.0, [this] { monitor_tick(sim, *params.monitor); });
+    store->begin_transfer();
+    k.ul = store->sample_put_time(k.task->output_size, k.rng);
+    sim.after(k.ul, [this, w] { complete(w); });
+  }
+
+  /// Stage 4: the output landed; report, ack, and take the next delivery.
+  void complete(int w) {
+    store->end_transfer();
+    if (host(w).hard_dead) return abandon(w);  // reclaimed before the upload landed
+    Worker& k = worker(w);
+    const SimTask& task = *k.task;
+    store->put_logical(kBucket, k.spec.output_key, task.output_size);
+    monitorq.send(classiccloud::encode_monitor(
+        {k.spec.task_id, "w" + std::to_string(w), "done", k.ex}));
+    ack(w, k.msg);
+
+    auto& flag = completed[static_cast<std::size_t>(task.id)];
+    const bool first = flag == 0;
+    if (params.record_trace) {  // post-upload: the execution ended `ul` ago
+      trace.push_back({task.id, w, sim.now() - k.ul - k.ex, sim.now() - k.ul, first});
     }
-    sim.run();
-    if (!done) makespan = sim.now();  // stranded (fleet gone, work left)
-    end_time = sim.now();
+    if (first) {
+      flag = 1;
+      ++completed_count;
+      exec_times.add(k.ex);
+      if (completed_count == workload.size()) {
+        all_completed = true;
+        makespan = sim.now();
+        maybe_finish();  // elastic: no-op while buffered acks are pending
+      }
+    } else {
+      ++duplicate_executions;
+    }
+    --busy;
+    next_delivery(w);
   }
 };
 
-}  // namespace
-
-RunResult run_elastic_classic_sim(const Workload& workload, const Deployment& deployment,
-                                  const ExecutionModel& model, const SimRunParams& params,
-                                  const ElasticSimParams& elastic, ElasticRunStats* stats) {
+/// Runs one Classic Cloud job; `elastic` null = a static fleet.
+RunResult run_classic_sim(const Workload& workload, const Deployment& deployment,
+                          const ExecutionModel& model, const SimRunParams& params,
+                          const ElasticSimParams* elastic, ElasticRunStats* stats) {
   PPC_REQUIRE(!workload.tasks.empty(), "empty workload");
   ppc::Rng rng(params.seed);
-  ElasticSim es(workload, deployment, model, params, elastic, rng);
-  es.start();
+  ClassicSim cs(workload, deployment, model, params, elastic, rng);
+  cs.start();
 
   RunResult r;
-  r.framework = deployment.type.provider == cloud::Provider::kWindowsAzure
-                    ? "ElasticCloud-Azure"
-                    : "ElasticCloud-EC2";
+  r.framework = std::string(elastic != nullptr ? "ElasticCloud-" : "ClassicCloud-") +
+                (deployment.type.provider == cloud::Provider::kWindowsAzure ? "Azure" : "EC2");
   r.deployment_label = deployment.label;
-  r.makespan = es.makespan;
+  r.makespan = cs.makespan;
   r.tasks = static_cast<int>(workload.size());
-  r.completed = static_cast<int>(es.completed_count);
-  r.duplicate_executions = es.duplicate_executions;
-  r.exec_times = es.exec_times;
-  const cloud::Fleet& fleet = es.efleet.fleet();
-  // Billed at end_time, not makespan: the post-completion drain tail (the
-  // fleet redelivering acks a hard kill destroyed) is real rented time.
-  r.compute_cost_hour_units = fleet.hourly_billed_cost(es.end_time);
-  r.compute_cost_amortized = fleet.amortized_cost(es.end_time);
-  r.queue_request_cost = es.queue.request_cost() + es.monitorq.request_cost();
-  const auto qm = es.queue.meter();
-  const auto mm = es.monitorq.meter();
+  r.completed = static_cast<int>(cs.completed_count);
+  r.duplicate_executions = cs.duplicate_executions;
+  r.exec_times = cs.exec_times;
+  r.trace = std::move(cs.trace);
+  const cloud::Fleet& fleet = cs.fleet.fleet();
+  r.compute_cost_hour_units = fleet.hourly_billed_cost(cs.end_time);
+  r.compute_cost_amortized = fleet.amortized_cost(cs.end_time);
+  r.queue_request_cost = cs.queue.request_cost() + cs.monitorq.request_cost();
+  const auto qm = cs.queue.meter();
+  const auto mm = cs.monitorq.meter();
   r.queue_api_requests = qm.total() + mm.total();
   r.queue_unbatched_requests = qm.unbatched_total() + mm.unbatched_total();
   r.queue_batch_occupancy = qm.batch_occupancy();
-  r.queue_undeleted_end = es.queue.undeleted();
-  const auto meter = es.store->meter();
+  r.queue_undeleted_end = cs.queue.undeleted();
+  const auto meter = cs.store->meter();
   r.bytes_in = meter.bytes_in;
   r.bytes_out = meter.bytes_out;
-  r.storage_backend = storage::to_string(es.store->kind());
-  r.storage_service_cost = es.store->service_cost(es.end_time);
+  r.storage_backend = storage::to_string(cs.store->kind());
+  r.storage_service_cost = cs.store->service_cost(cs.end_time);
   r.storage_heads = meter.heads;
+  for (const auto& cache : cs.caches) {
+    r.cache_hits += cache->hits();
+    r.cache_misses += cache->misses();
+    r.cache_bytes_saved += cache->bytes_saved();
+  }
   finalize_metrics(r, workload, deployment, model);
   if (params.metrics != nullptr) publish_run_metrics(r, *params.metrics);
 
   if (stats != nullptr) {
-    *stats = std::move(es.stats);
-    stats->scale_out_events = es.efleet.scale_out_events();
-    stats->scale_in_events = es.efleet.scale_in_events();
-    stats->revocations = es.efleet.revocations();
-    stats->hard_kills = es.efleet.hard_kills();
-    stats->drains_completed = es.efleet.drains_completed();
-    stats->total_drain_seconds = es.efleet.total_drain_seconds();
+    *stats = std::move(cs.ctl->stats);
+    stats->scale_out_events = cs.fleet.scale_out_events();
+    stats->scale_in_events = cs.fleet.scale_in_events();
+    stats->revocations = cs.fleet.revocations();
+    stats->hard_kills = cs.fleet.hard_kills();
+    stats->drains_completed = cs.fleet.drains_completed();
+    stats->total_drain_seconds = cs.fleet.total_drain_seconds();
     stats->stale_terminates = fleet.stale_terminates();
-    const cloud::Fleet::CostBreakdown b = fleet.hourly_billed_breakdown(es.end_time);
+    const cloud::Fleet::CostBreakdown b = fleet.hourly_billed_breakdown(cs.end_time);
     stats->cost_on_demand = b.on_demand;
     stats->cost_spot = b.spot;
     stats->cost_on_demand_equivalent = b.on_demand_equivalent;
   }
   return r;
+}
+
+}  // namespace
+
+RunResult run_classic_cloud_sim(const Workload& workload, const Deployment& deployment,
+                                const ExecutionModel& model, const SimRunParams& params) {
+  return run_classic_sim(workload, deployment, model, params, nullptr, nullptr);
+}
+
+RunResult run_elastic_classic_sim(const Workload& workload, const Deployment& deployment,
+                                  const ExecutionModel& model, const SimRunParams& params,
+                                  const ElasticSimParams& elastic, ElasticRunStats* stats) {
+  return run_classic_sim(workload, deployment, model, params, &elastic, stats);
 }
 
 // ---------------------------------------------------------------------------

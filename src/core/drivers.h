@@ -228,13 +228,17 @@ struct RunResult {
 };
 
 /// Classic Cloud (EC2/Azure flavor decided by the deployment's instance
-/// provider): queue-scheduled independent workers over blob storage.
+/// provider): queue-scheduled independent workers over blob storage, on a
+/// static fleet of deployment.instances booted at t=0. The run ends at the
+/// last first-completion and bills at the makespan. An armed stall
+/// (stall_worker >= 0 and stall_at >= 0) must name an existing worker.
 RunResult run_classic_cloud_sim(const Workload& workload, const Deployment& deployment,
                                 const ExecutionModel& model, const SimRunParams& params);
 
-/// Elastic-fleet knobs for run_elastic_classic_sim. The deployment's
-/// `instances` field is reinterpreted as the Equation-1 core budget (set it
-/// to autoscaler.max_instances); the actual fleet size is the Autoscaler's
+/// Elastic-fleet knobs for run_elastic_classic_sim — the control plane a
+/// static fleet does without. The deployment's `instances` field is
+/// reinterpreted as the Equation-1 core budget (set it to
+/// autoscaler.max_instances); the actual fleet size is the Autoscaler's
 /// business, starting from min_instances.
 struct ElasticSimParams {
   cloud::AutoscalerConfig autoscaler;
@@ -283,14 +287,21 @@ struct ElasticRunStats {
   }
 };
 
-/// Classic Cloud data plane (queue + blob storage) driven by an autoscaled
+/// The same Classic Cloud driver as run_classic_cloud_sim (one loop; a
+/// static fleet is the fixed-size case), here with an autoscaled
 /// ElasticFleet: scale-out on backlog, billing-boundary scale-in after a
 /// graceful drain, spot instances revocable via FaultPlan::revoke_spot rules
-/// at cloud::sites::kSpotRevoke and via seeded storms. Registers the classic
-/// probes plus fleet.size / fleet.spot_running / spot.revocations /
-/// fleet.drain_seconds / fleet.scale_events.rate when params.monitor is set.
-/// The worker block cache is not modelled for elastic fleets
-/// (params.enable_block_cache must be off).
+/// at cloud::sites::kSpotRevoke and via seeded storms. The run ends once
+/// every task completed AND the queue drained (acks a hard kill destroyed
+/// are redelivered first) and bills at that end time; makespan stays the
+/// last first-completion. Worker utilization probes divide by the live
+/// workers, and fleet.size / fleet.spot_running / spot.revocations /
+/// fleet.drain_seconds / fleet.scale_events.rate join the classic probes
+/// when params.monitor is set, and params.record_trace fills RunResult::trace
+/// as for a static fleet. RNG streams: store, queues, a control stream
+/// (split once per worker in boot order) and a storm stream. The worker
+/// block cache and stall injection are not modelled for elastic fleets
+/// (params.enable_block_cache must be off; the stall knobs are ignored).
 RunResult run_elastic_classic_sim(const Workload& workload, const Deployment& deployment,
                                   const ExecutionModel& model, const SimRunParams& params,
                                   const ElasticSimParams& elastic,

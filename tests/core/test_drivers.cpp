@@ -315,5 +315,21 @@ TEST(Drivers, EmptyWorkloadRejected) {
   EXPECT_THROW(run_dryad_sim(w, d, model, quiet_params()), ppc::InvalidArgument);
 }
 
+TEST(ClassicCloudDriver, RejectsStallOnAWorkerTheDeploymentLacks) {
+  const Workload w = make_cap3_workload(8, 200);
+  const Deployment d = make_deployment(cloud::ec2_hcxl(), 2, 4);  // workers 0..7
+  const ExecutionModel model(AppKind::kCap3);
+  SimRunParams params = quiet_params();
+  params.stall_at = 100.0;
+  params.stall_duration = 120.0;
+  params.stall_worker = 8;
+  EXPECT_THROW(run_classic_cloud_sim(w, d, model, params), ppc::InvalidArgument);
+  params.stall_worker = 7;
+  EXPECT_EQ(run_classic_cloud_sim(w, d, model, params).completed, 8);
+  params.stall_worker = 99;
+  params.stall_at = -1.0;  // not armed: the worker index is never consulted
+  EXPECT_EQ(run_classic_cloud_sim(w, d, model, params).completed, 8);
+}
+
 }  // namespace
 }  // namespace ppc::core

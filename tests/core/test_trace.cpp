@@ -74,6 +74,26 @@ TEST(TraceInvariants, ClassicCloudWithDuplicates) {
   check_trace_invariants(r, 24);
 }
 
+TEST(TraceInvariants, ElasticCloudUnderAStorm) {
+  // Workers boot mid-run and die with revoked instances; the ones that
+  // remain still never overlap, and every task is counted once.
+  const Workload w = make_cap3_workload(200, 458);
+  const Deployment d = make_deployment(cloud::ec2_hcxl(), 6, 4);
+  const ExecutionModel model(AppKind::kCap3);
+  ElasticSimParams elastic;
+  elastic.autoscaler.min_instances = 2;
+  elastic.autoscaler.max_instances = 6;
+  elastic.storm_times = {500.0};
+  elastic.revocation_rate = 0.6;
+  elastic.revocation_notice = 0.0;
+  SimRunParams params = traced(21);
+  params.visibility_timeout = 900.0;
+  ElasticRunStats stats;
+  const RunResult r = run_elastic_classic_sim(w, d, model, params, elastic, &stats);
+  EXPECT_GT(stats.hard_kills, 0);
+  check_trace_invariants(r, 200);
+}
+
 TEST(TraceInvariants, MapReduce) {
   const Workload w = make_blast_workload(96, 100, 7);
   const Deployment d = make_deployment(cloud::bare_metal_idataplex_node(), 4, 8);

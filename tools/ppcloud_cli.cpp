@@ -161,11 +161,15 @@
 //
 // Exit status: 0 on success, 1 on bad usage or a failed run (a failed chaos
 // campaign prints the seed that reproduces it).
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "apps/cap3/assembler.h"
@@ -207,9 +211,28 @@ std::string opt(const Options& opts, const std::string& key, const std::string& 
   return it == opts.end() ? fallback : it->second;
 }
 
-int opt_int(const Options& opts, const std::string& key, int fallback) {
+/// Numeric option `key` as a T, or `fallback` when absent. The whole value
+/// must parse and fit T ("8x", "abc", "-1" for an unsigned, an overflow, a
+/// non-finite double are all rejected) — InvalidArgument names the option
+/// and the value.
+template <typename T>
+T opt_num(const Options& opts, const std::string& key, T fallback) {
   const auto it = opts.find(key);
-  return it == opts.end() ? fallback : std::stoi(it->second);
+  if (it == opts.end()) return fallback;
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const char* kind = std::is_floating_point_v<T> ? "a finite number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "a non-negative integer";
+    throw InvalidArgument("invalid --" + key + " '" + text + "': expected " + kind +
+                          " in range");
+  }
+  return value;
 }
 
 bool write_file(const std::string& path, const std::string& data) {
@@ -240,33 +263,33 @@ int cmd_catalog() {
 int cmd_simulate(const Options& opts) {
   const std::string app_name = opt(opts, "app", "cap3");
   AppKind app;
-  int files = opt_int(opts, "files", 256);
+  int files = opt_num<int>(opts, "files", 256);
   Workload workload;
   if (app_name == "cap3") {
     app = AppKind::kCap3;
-    workload = make_cap3_workload(files, opt_int(opts, "reads", 458));
+    workload = make_cap3_workload(files, opt_num<int>(opts, "reads", 458));
   } else if (app_name == "blast") {
     app = AppKind::kBlast;
-    workload = make_blast_workload(files, opt_int(opts, "queries", 100),
-                                   static_cast<unsigned>(opt_int(opts, "seed", 42)));
+    workload = make_blast_workload(files, opt_num<int>(opts, "queries", 100),
+                                   opt_num(opts, "seed", 42u));
   } else if (app_name == "gtm") {
     app = AppKind::kGtm;
-    workload = make_gtm_workload(files, opt_int(opts, "points", 100000));
+    workload = make_gtm_workload(files, opt_num<int>(opts, "points", 100000));
   } else {
     throw InvalidArgument("unknown --app: " + app_name);
   }
 
-  const Deployment d = make_deployment(cloud::find_type(opt(opts, "type", "EC2-HCXL")),
-                                       opt_int(opts, "instances", 2),
-                                       opt_int(opts, "workers", 8), opt_int(opts, "threads", 1));
-  const double shared_mb = std::stod(opt(opts, "shared-mb", "0"));
+  const Deployment d = make_deployment(
+      cloud::find_type(opt(opts, "type", "EC2-HCXL")), opt_num<int>(opts, "instances", 2),
+      opt_num<int>(opts, "workers", 8), opt_num<int>(opts, "threads", 1));
+  const double shared_mb = opt_num(opts, "shared-mb", 0.0);
   PPC_REQUIRE(shared_mb >= 0.0, "--shared-mb must be >= 0");
   workload.shared_input_size = shared_mb * 1024.0 * 1024.0;
 
   const ExecutionModel model(app);
   SimRunParams params;
-  params.seed = static_cast<unsigned>(opt_int(opts, "seed", 42));
-  params.visibility_timeout = std::stod(opt(opts, "visibility", "7200"));
+  params.seed = opt_num(opts, "seed", 42u);
+  params.visibility_timeout = opt_num(opts, "visibility", 7200.0);
   params.storage = storage::parse_storage_kind(opt(opts, "storage", "object"));
   params.enable_block_cache = opt(opts, "cache", "0") != "0";
   params.stage_inputs = params.storage != storage::StorageKind::kObject;
@@ -323,8 +346,8 @@ int cmd_simulate(const Options& opts) {
 }
 
 int cmd_assemble(const Options& opts) {
-  Rng rng(static_cast<unsigned>(opt_int(opts, "seed", 42)));
-  const int reads = opt_int(opts, "reads", 200);
+  Rng rng(opt_num(opts, "seed", 42u));
+  const int reads = opt_num<int>(opts, "reads", 200);
   const std::string fasta = apps::cap3::make_cap3_input(static_cast<std::size_t>(reads), rng);
   std::fputs(apps::cap3::assemble_fasta_file(fasta).c_str(), stdout);
   return 0;
@@ -332,10 +355,10 @@ int cmd_assemble(const Options& opts) {
 
 int cmd_chaos(const Options& opts) {
   sim::ChaosConfig base;
-  base.seed = static_cast<std::uint64_t>(std::stoull(opt(opts, "seed", "42")));
+  base.seed = opt_num<std::uint64_t>(opts, "seed", 42);
   base.app = opt(opts, "app", "cap3");
-  base.num_files = opt_int(opts, "files", 4);
-  base.num_workers = opt_int(opts, "workers", 3);
+  base.num_files = opt_num<int>(opts, "files", 4);
+  base.num_workers = opt_num<int>(opts, "workers", 3);
   base.storage = opt(opts, "storage", "object");
   base.enable_cache = opt(opts, "cache", "0") != "0";
   base.revocation_storm = opt(opts, "revocation-storm", "0") != "0";
@@ -399,11 +422,11 @@ int cmd_chaos(const Options& opts) {
 int cmd_shuffle(const Options& opts) {
   sim::ShuffleRunConfig config;
   config.app = opt(opts, "app", "histogram");
-  config.seed = static_cast<std::uint64_t>(std::stoull(opt(opts, "seed", "1")));
-  config.num_files = opt_int(opts, "files", 6);
-  config.num_nodes = opt_int(opts, "nodes", 3);
-  config.slots_per_node = opt_int(opts, "slots", 2);
-  config.num_reducers = opt_int(opts, "reducers", 3);
+  config.seed = opt_num<std::uint64_t>(opts, "seed", 1);
+  config.num_files = opt_num<int>(opts, "files", 6);
+  config.num_nodes = opt_num<int>(opts, "nodes", 3);
+  config.slots_per_node = opt_num<int>(opts, "slots", 2);
+  config.num_reducers = opt_num<int>(opts, "reducers", 3);
   config.verify_determinism = opt(opts, "verify", "0") != "0";
   const std::string trace_dir = opt(opts, "trace-dir", "");
   config.trace = !trace_dir.empty();
@@ -431,9 +454,9 @@ int cmd_shuffle(const Options& opts) {
 int cmd_trace(const Options& opts) {
   sim::TraceRunConfig base;
   base.app = opt(opts, "app", "cap3");
-  base.num_files = opt_int(opts, "files", 12);
-  base.num_workers = opt_int(opts, "workers", 4);
-  base.skew = std::stod(opt(opts, "skew", "3.0"));
+  base.num_files = opt_num<int>(opts, "files", 12);
+  base.num_workers = opt_num<int>(opts, "workers", 4);
+  base.skew = opt_num(opts, "skew", 3.0);
   base.storage = opt(opts, "storage", "object");
   base.enable_cache = opt(opts, "cache", "0") != "0";
   const std::string out_path = opt(opts, "out", "");
@@ -484,15 +507,15 @@ int cmd_trace(const Options& opts) {
 int cmd_monitor(const Options& opts) {
   sim::MonitorRunConfig base;
   base.app = opt(opts, "app", "cap3");
-  base.num_files = opt_int(opts, "files", 32);
-  base.instances = opt_int(opts, "instances", 2);
-  base.workers_per_instance = opt_int(opts, "workers", 4);
-  base.skew = std::stod(opt(opts, "skew", "2.0"));
-  base.seed = static_cast<unsigned>(opt_int(opts, "seed", 42));
-  base.period = std::stod(opt(opts, "period", "5"));
-  base.stall_worker = opt_int(opts, "stall-worker", -1);
-  base.stall_at = std::stod(opt(opts, "stall-at", "-1"));
-  base.stall_duration = std::stod(opt(opts, "stall-duration", "0"));
+  base.num_files = opt_num<int>(opts, "files", 32);
+  base.instances = opt_num<int>(opts, "instances", 2);
+  base.workers_per_instance = opt_num<int>(opts, "workers", 4);
+  base.skew = opt_num(opts, "skew", 2.0);
+  base.seed = opt_num(opts, "seed", 42u);
+  base.period = opt_num(opts, "period", 5.0);
+  base.stall_worker = opt_num<int>(opts, "stall-worker", -1);
+  base.stall_at = opt_num(opts, "stall-at", -1.0);
+  base.stall_duration = opt_num(opts, "stall-duration", 0.0);
   if (opts.contains("alarm")) base.alarms = {opt(opts, "alarm", "")};
   const std::string json_path = opt(opts, "json", "");
   const std::string prom_path = opt(opts, "prom", "");
@@ -528,9 +551,9 @@ int cmd_monitor(const Options& opts) {
 
 int cmd_saturate(const Options& opts) {
   sim::SaturationConfig config;
-  config.tasks = opt_int(opts, "tasks", config.tasks);
-  config.batch = opt_int(opts, "batch", config.batch);
-  config.seed = static_cast<unsigned>(opt_int(opts, "seed", 42));
+  config.tasks = opt_num<int>(opts, "tasks", config.tasks);
+  config.batch = opt_num<int>(opts, "batch", config.batch);
+  config.seed = opt_num(opts, "seed", 42u);
   const std::string out_path = opt(opts, "out", "");
 
   const sim::SaturationReport report = sim::run_saturation_sweep(config);
@@ -548,20 +571,20 @@ int cmd_saturate(const Options& opts) {
 
 int cmd_autoscale(const Options& opts) {
   sim::AutoscaleCampaignConfig config;
-  config.tasks = opt_int(opts, "tasks", config.tasks);
-  config.instances = opt_int(opts, "instances", config.instances);
-  config.workers_per_instance = opt_int(opts, "workers", config.workers_per_instance);
-  config.receive_batch = opt_int(opts, "receive-batch", config.receive_batch);
-  config.queue_shards = opt_int(opts, "shards", config.queue_shards);
-  config.seed = static_cast<unsigned>(opt_int(opts, "seed", 42));
-  config.deadline = std::stod(opt(opts, "deadline", "-1"));
-  config.budget = std::stod(opt(opts, "budget", "-1"));
-  config.spot_fraction = std::stod(opt(opts, "spot-fraction", "0.5"));
-  config.storms = opt_int(opts, "storms", config.storms);
-  config.revocation_rate = std::stod(opt(opts, "revocation-rate", "0.2"));
-  config.revocation_notice = std::stod(opt(opts, "revocation-notice", "90"));
-  config.monitor_period = std::stod(opt(opts, "period", "600"));
-  config.wall_budget = std::stod(opt(opts, "wall-budget", "300"));
+  config.tasks = opt_num<int>(opts, "tasks", config.tasks);
+  config.instances = opt_num<int>(opts, "instances", config.instances);
+  config.workers_per_instance = opt_num<int>(opts, "workers", config.workers_per_instance);
+  config.receive_batch = opt_num<int>(opts, "receive-batch", config.receive_batch);
+  config.queue_shards = opt_num<int>(opts, "shards", config.queue_shards);
+  config.seed = opt_num(opts, "seed", 42u);
+  config.deadline = opt_num(opts, "deadline", -1.0);
+  config.budget = opt_num(opts, "budget", -1.0);
+  config.spot_fraction = opt_num(opts, "spot-fraction", 0.5);
+  config.storms = opt_num<int>(opts, "storms", config.storms);
+  config.revocation_rate = opt_num(opts, "revocation-rate", 0.2);
+  config.revocation_notice = opt_num(opts, "revocation-notice", 90.0);
+  config.monitor_period = opt_num(opts, "period", 600.0);
+  config.wall_budget = opt_num(opts, "wall-budget", 300.0);
   config.verify_determinism = opt(opts, "verify", "1") != "0";
   const bool check = opt(opts, "check", "1") != "0";
   const std::string out_path = opt(opts, "out", "");
@@ -590,14 +613,14 @@ int cmd_autoscale(const Options& opts) {
 
 int cmd_campaign(const Options& opts) {
   sim::CampaignConfig config;
-  config.tasks = opt_int(opts, "tasks", config.tasks);
-  config.instances = opt_int(opts, "instances", config.instances);
-  config.workers_per_instance = opt_int(opts, "workers", config.workers_per_instance);
-  config.receive_batch = opt_int(opts, "receive-batch", config.receive_batch);
-  config.queue_shards = opt_int(opts, "shards", config.queue_shards);
-  config.seed = static_cast<unsigned>(opt_int(opts, "seed", 42));
-  config.monitor_period = std::stod(opt(opts, "period", "600"));
-  config.wall_budget = std::stod(opt(opts, "wall-budget", "300"));
+  config.tasks = opt_num<int>(opts, "tasks", config.tasks);
+  config.instances = opt_num<int>(opts, "instances", config.instances);
+  config.workers_per_instance = opt_num<int>(opts, "workers", config.workers_per_instance);
+  config.receive_batch = opt_num<int>(opts, "receive-batch", config.receive_batch);
+  config.queue_shards = opt_num<int>(opts, "shards", config.queue_shards);
+  config.seed = opt_num(opts, "seed", 42u);
+  config.monitor_period = opt_num(opts, "period", 600.0);
+  config.wall_budget = opt_num(opts, "wall-budget", 300.0);
   config.verify_determinism = opt(opts, "verify", "1") != "0";
   const std::string out_path = opt(opts, "out", "");
 
