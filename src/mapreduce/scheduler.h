@@ -13,9 +13,10 @@
 //    budget ("handles task failures by rerunning of the failed tasks").
 //
 // Being a plain state machine keeps it shared between the real-thread
-// engines (mapreduce::LocalJobRunner, mapreduce::ShuffleJobRunner) and the
-// discrete-event simulation driver (core::run_mapreduce_sim), so tests of
-// this class cover all three. All methods are thread-safe.
+// engine's one slot loop (mapreduce::detail::run_phase, every phase of
+// LocalJobRunner and ShuffleJobRunner) and the discrete-event simulation
+// driver (core::run_mapreduce_sim), so tests of this class cover both.
+// All methods are thread-safe.
 //
 // Decisions (the exact contract; tests/mapreduce/test_scheduler_model.cpp
 // pins it against a scan-everything reference):
@@ -120,6 +121,7 @@ class TaskScheduler {
   bool attempt_useful(const Assignment& a) const;
 
   std::size_t total_tasks() const { return tasks_.size(); }
+  const TaskInfo& task(int task_id) const { return tasks_[static_cast<std::size_t>(task_id)]; }
   Stats stats() const;
 
  private:

@@ -1,15 +1,11 @@
 #include "mapreduce/shuffle_job.h"
 
-#include <atomic>
-#include <chrono>
 #include <mutex>
-#include <thread>
 
 #include "blobstore/blob_store.h"
 #include "common/clock.h"
 #include "common/error.h"
 #include "common/log.h"
-#include "common/thread_pool.h"
 
 namespace ppc::mapreduce {
 
@@ -38,13 +34,11 @@ ShuffleJobRunner::ShuffleJobRunner(minihdfs::MiniHdfs& hdfs) : hdfs_(hdfs) {}
 ShuffleJobResult ShuffleJobRunner::run(const std::vector<std::string>& input_paths,
                                        const MapKvFn& map_fn, const ReduceFn& reduce_fn,
                                        const ShuffleJobConfig& config) {
-  PPC_REQUIRE(!input_paths.empty(), "job has no input files");
   PPC_REQUIRE(map_fn != nullptr, "job has no map function");
   PPC_REQUIRE(reduce_fn != nullptr, "job has no reduce function");
-  PPC_REQUIRE(config.num_nodes >= 1 && config.num_nodes <= hdfs_.num_nodes(),
-              "num_nodes must be within the HDFS cluster size");
-  PPC_REQUIRE(config.slots_per_node >= 1, "slots_per_node must be >= 1");
   PPC_REQUIRE(config.num_reducers >= 1, "num_reducers must be >= 1");
+  TaskScheduler map_scheduler(detail::map_tasks(hdfs_, input_paths, config), config.scheduler);
+  const int num_maps = static_cast<int>(map_scheduler.total_tasks());
 
   // Shuffle store: borrowed when the caller supplies one (its hooks are the
   // caller's business), otherwise a private zero-latency BlobStore with the
@@ -62,391 +56,207 @@ ShuffleJobResult ShuffleJobRunner::run(const std::vector<std::string>& input_pat
   const std::string job_prefix = "shuffle/" + config.job_name;
   const Dollars store_cost0 = store->transfer_and_request_cost();
 
-  const auto splits = FilePathInputFormat::splits(hdfs_, input_paths);
-  std::vector<TaskInfo> map_tasks;
-  map_tasks.reserve(splits.size());
-  for (std::size_t i = 0; i < splits.size(); ++i) {
-    TaskInfo t;
-    t.task_id = static_cast<int>(i);
-    t.path = splits[i].record.path;
-    t.name = splits[i].record.name;
-    t.size = splits[i].size;
-    t.preferred = splits[i].locations;
-    map_tasks.push_back(std::move(t));
-  }
-  const int num_maps = static_cast<int>(map_tasks.size());
-
   auto metrics = config.metrics ? config.metrics
                                 : std::make_shared<runtime::MetricsRegistry>();
   const std::int64_t corrupt0 = metrics->counter_value("mapreduce.shuffle.corrupt_fetches");
-  runtime::Tracer* tracer = config.tracer;
   ppc::SystemClock clock;
-
-  PartitionMapRegistry registry;
-  ShuffleJobResult result;
-  std::mutex result_mu;
-
-  // ---------------------------------------------------------------- map ---
-  TaskScheduler map_scheduler(std::move(map_tasks), config.scheduler);
-
-  auto run_map_attempt = [&](int task_id, int attempt_id, minihdfs::NodeId node,
-                             const std::string& track, bool tracing) {
-    const std::string& path = input_paths[static_cast<std::size_t>(task_id)];
-    runtime::Span fetch_span =
-        tracing ? tracer->span("fetch.input", "task", track) : runtime::Span{};
-    const auto contents = hdfs_.read_from(path, node);
-    fetch_span.close();
-    PPC_CHECK(contents.has_value(), "input vanished from HDFS: " + path);
-    FileRecord rec;
-    rec.name = FilePathInputFormat::base_name(path);
-    rec.path = path;
+  auto hooks_for = [&](const detail::Slot& slot) {
     ShuffleHooks hooks;
     hooks.faults = config.faults;
     hooks.metrics = metrics.get();
-    hooks.tracer = tracer;
-    hooks.track = track;
-    const std::string attempt_prefix =
-        job_prefix + "/m" + std::to_string(task_id) + ".a" + std::to_string(attempt_id);
-    MapOutputWriter writer(*store, bucket, attempt_prefix, task_id, attempt_id,
-                           config.num_reducers, config.map_spill_budget, hooks);
-    runtime::Span compute_span =
-        tracing ? tracer->span("compute", "task", track) : runtime::Span{};
-    map_fn(rec, *contents, [&writer](const std::string& key, std::string value) {
-      writer.emit(key, std::move(value));
-    });
-    compute_span.close();
-    MapOutput out = writer.finish();
-    const int spills = writer.spills();
-    return std::make_tuple(std::move(out), attempt_prefix, spills,
-                           static_cast<Bytes>(writer.spilled_bytes()));
+    hooks.tracer = config.tracer;
+    hooks.track = slot.track;
+    return hooks;
   };
 
-  auto map_slot_loop = [&](minihdfs::NodeId node, int slot) {
-    const std::string track = "mr.n" + std::to_string(node) + ".s" + std::to_string(slot);
-    if (tracer != nullptr) runtime::Tracer::bind_thread(track);
-    Seconds idle_since = -1.0;
-    while (!map_scheduler.job_done()) {
-      const bool tracing = tracer != nullptr && tracer->enabled();
-      if (tracing && idle_since < 0.0) idle_since = tracer->now();
-      const auto assignment = map_scheduler.next_task(node, clock.now());
-      if (!assignment) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      AttemptRecord record;
-      record.assignment = *assignment;
-      record.start = clock.now();
-      const std::string task_name = FilePathInputFormat::base_name(
-          input_paths[static_cast<std::size_t>(assignment->task_id)]);
-      runtime::Span task_span;
-      if (tracing) {
-        if (idle_since >= 0.0) {
-          tracer->span_from(idle_since, "queue.wait", "mapreduce", track).close();
-          idle_since = -1.0;
-        }
-        runtime::Tracer::bind_thread_task(task_name);
-        task_span = tracer->span("task", "mapreduce", track, task_name);
-        task_span.arg("attempt", std::to_string(assignment->attempt_id));
-        task_span.arg("node", std::to_string(node));
-        task_span.arg("phase", "map");
-      }
-      try {
-        if (config.faults != nullptr &&
-            config.faults->fire(sites::kMapAttempt,
-                                std::to_string(assignment->task_id) + ":" +
-                                    std::to_string(assignment->attempt_id))) {
-          throw runtime::InjectedFault("injected crash at " + sites::kMapAttempt);
-        }
-        auto [out, attempt_prefix, spills, spill_bytes] = run_map_attempt(
-            assignment->task_id, assignment->attempt_id, node, track, tracing);
-        // The commit window: spills are durable, the registration is not.
-        // A crash here is the map-output-loss shape satellite 4 covers.
-        if (config.faults != nullptr &&
-            config.faults->fire(sites::kMapRegister,
-                                std::to_string(assignment->task_id) + ":" +
-                                    std::to_string(assignment->attempt_id))) {
-          throw runtime::InjectedFault("injected crash at " + sites::kMapRegister);
-        }
-        record.end = clock.now();
-        record.succeeded = true;
-        const bool first = map_scheduler.report_completed(*assignment, record.end);
-        metrics->histogram("mapreduce.attempt_seconds").record(record.end - record.start);
-        if (first) {
-          record.output_committed = true;
-          registry.register_output(assignment->task_id, std::move(out));
-          metrics->counter("mapreduce.tasks_completed").inc();
-          task_span.arg("outcome", "completed");
-          std::lock_guard lock(result_mu);
-          result.shuffle.map_spills += spills;
-          result.shuffle.map_spill_bytes += spill_bytes;
-          result.shuffle.map_output_bytes += spill_bytes;
-        } else {
-          // A twin already committed: this attempt's spills are orphans.
-          MapOutputWriter::discard(*store, bucket, attempt_prefix);
-          metrics->counter("mapreduce.wasted_attempts").inc();
-          task_span.arg("outcome", "superseded");
-        }
-      } catch (const std::exception& e) {
-        record.end = clock.now();
-        record.error = e.what();
-        map_scheduler.report_failed(*assignment, record.end);
-        metrics->counter("mapreduce.failed_attempts").inc();
-        task_span.arg("outcome", "failed");
-        PPC_DEBUG << "map attempt failed on node " << node << ": " << e.what();
-      }
-      task_span.close();
-      if (tracing) runtime::Tracer::bind_thread_task({});
-      metrics->counter("mapreduce.attempts").inc();
-      {
-        std::lock_guard lock(result_mu);
-        result.map_attempts.push_back(record);
-      }
+  PartitionMapRegistry registry;
+  ShuffleJobResult result;
+  std::mutex result_mu;  // result.shuffle, written from executor threads
+
+  // ---------------------------------------------------------------- map ---
+  struct MapAttempt {
+    MapOutput out;
+    std::string prefix;  // this attempt's spill objects
+    int spills = 0;
+    Bytes spill_bytes = 0.0;
+  };
+  // One map attempt's work, shared by the map phase and reducer-side
+  // redrives: read the input, run the user function into a spilling writer.
+  auto run_map = [&](const TaskInfo& task, int attempt_id, const detail::Slot& slot) {
+    const std::string contents = detail::read_input(hdfs_, task, slot);
+    MapAttempt attempt;
+    attempt.prefix =
+        job_prefix + "/m" + std::to_string(task.task_id) + ".a" + std::to_string(attempt_id);
+    MapOutputWriter writer(*store, bucket, attempt.prefix, task.task_id, attempt_id,
+                           config.num_reducers, config.map_spill_budget, hooks_for(slot));
+    runtime::Span compute_span = slot.span("compute", "task", task.name);
+    map_fn(FileRecord{task.name, task.path}, contents,
+           [&writer](const std::string& key, std::string value) {
+             writer.emit(key, std::move(value));
+           });
+    compute_span.close();
+    attempt.out = writer.finish();
+    attempt.spills = writer.spills();
+    attempt.spill_bytes = static_cast<Bytes>(writer.spilled_bytes());
+    return attempt;
+  };
+
+  const auto map_attempt = [&](const Assignment& a, const TaskInfo& task,
+                               const detail::Slot& slot) {
+    auto attempt = std::make_shared<MapAttempt>(run_map(task, a.attempt_id, slot));
+    // The commit window: spills are durable, the registration is not. A
+    // crash here is the map-output-loss shape the reduce phase survives.
+    if (config.faults != nullptr &&
+        config.faults->fire(sites::kMapRegister, std::to_string(a.task_id) + ":" +
+                                                     std::to_string(a.attempt_id))) {
+      throw runtime::InjectedFault("injected crash at " + sites::kMapRegister);
     }
-    if (tracer != nullptr) runtime::Tracer::clear_thread();
+    return detail::Completion{
+        [&, attempt, task_id = a.task_id] {
+          registry.register_output(task_id, std::move(attempt->out));
+          std::lock_guard lock(result_mu);
+          result.shuffle.map_spills += attempt->spills;
+          result.shuffle.map_spill_bytes += attempt->spill_bytes;
+          result.shuffle.map_output_bytes += attempt->spill_bytes;
+        },
+        // A twin already committed: this attempt's spills are orphans.
+        [&, attempt] { MapOutputWriter::discard(*store, bucket, attempt->prefix); }};
   };
 
   const Seconds t0 = clock.now();
-  {
-    ppc::ThreadPool pool(static_cast<std::size_t>(config.num_nodes * config.slots_per_node));
-    std::vector<std::future<void>> slots;
-    slots.reserve(pool.size());
-    for (int node = 0; node < config.num_nodes; ++node) {
-      for (int s = 0; s < config.slots_per_node; ++s) {
-        if (auto slot = pool.try_submit([&map_slot_loop, node, s] { map_slot_loop(node, s); })) {
-          slots.push_back(std::move(*slot));
-        }
-      }
-    }
-    for (auto& slot : slots) slot.get();
-  }
+  result.map_attempts =
+      detail::run_phase(map_scheduler, detail::kMapPhase, map_attempt, config, *metrics, clock);
   result.map_stats = map_scheduler.stats();
   if (!map_scheduler.job_succeeded()) {
-    result.succeeded = false;
     result.elapsed = clock.now() - t0;
     metrics->emit({"mapreduce.job_finished", {{"succeeded", "false"}, {"phase", "map"}}});
     return result;
   }
 
-  if (config.between_phases) {
-    ShuffleJobControl control(registry, *store, bucket, job_prefix);
-    config.between_phases(control);
-  }
+  ShuffleJobControl control(registry, *store, bucket);
+  if (config.between_phases) config.between_phases(control);
 
   // ------------------------------------------------------------- reduce ---
-  // Redrive bookkeeping: per-map generation counters let concurrent
-  // reducers that both lost m's output agree on who re-executes it.
+  // Redrive bookkeeping: per-map redrive counts double as generation
+  // counters, so concurrent reducers that both lost m's output agree on
+  // who re-executes it.
   std::mutex redrive_mu;
   std::vector<int> redrive_gen(static_cast<std::size_t>(num_maps), 0);
-  std::vector<int> redrives_used(static_cast<std::size_t>(num_maps), 0);
 
   auto read_gen = [&](int m) {
     std::lock_guard lock(redrive_mu);
     return redrive_gen[static_cast<std::size_t>(m)];
   };
 
-  // Synchronously re-executes map task m on the calling (reducer) thread.
+  // Synchronously re-executes map task m on the calling (reducer) slot.
   // Returns true when m's output is registered again (by us or a racing
   // redrive), false when the redrive budget is exhausted.
-  auto redrive_map = [&](int m, int gen_seen, minihdfs::NodeId node, const std::string& track,
-                         bool tracing) {
+  auto redrive_map = [&](int m, int gen_seen, const detail::Slot& slot) {
     std::lock_guard lock(redrive_mu);
     auto& gen = redrive_gen[static_cast<std::size_t>(m)];
     if (gen != gen_seen) return true;  // a racing reducer already redrove m
-    auto& used = redrives_used[static_cast<std::size_t>(m)];
-    if (used >= config.max_map_redrives) return false;
-    ++used;
+    if (gen >= config.max_map_redrives) return false;
     ++gen;
     // Stale spills (e.g. corrupt-beyond-retries) are garbage once the
     // redrive commits; collect them so the meter doesn't drift.
-    if (const auto old = registry.lookup(m)) {
-      registry.drop(m);
-      for (const auto& partition : old->partitions) {
-        for (const auto& spill : partition) store->remove(bucket, spill.store_key);
-      }
-    }
-    runtime::Span span;
-    if (tracing) {
-      span = tracer->span("map.redrive", "shuffle", track);
-      span.arg("map", std::to_string(m));
-    }
+    control.lose_map_output(m);
+    const TaskInfo& task = map_scheduler.task(m);
+    runtime::Span span = slot.span("map.redrive", "shuffle", task.name);
+    span.arg("map", std::to_string(m));
     // Redrive attempt ids live far above the scheduler's so spill prefixes
     // never collide with scheduled attempts.
-    auto [out, prefix, spills, spill_bytes] =
-        run_map_attempt(m, 10000 + gen, node, track, tracing);
-    (void)prefix;
-    registry.register_output(m, std::move(out));
+    MapAttempt attempt = run_map(task, 10000 + gen, slot);
+    registry.register_output(m, std::move(attempt.out));
     span.close();
     metrics->counter("mapreduce.map_redrives").inc();
     {
       std::lock_guard rlock(result_mu);
       result.shuffle.map_redrives += 1;
-      result.shuffle.map_spills += spills;
-      result.shuffle.map_spill_bytes += spill_bytes;
+      result.shuffle.map_spills += attempt.spills;
+      result.shuffle.map_spill_bytes += attempt.spill_bytes;
     }
     return true;
   };
 
-  std::vector<TaskInfo> reduce_tasks;
-  reduce_tasks.reserve(static_cast<std::size_t>(config.num_reducers));
+  std::vector<TaskInfo> reduce_tasks(static_cast<std::size_t>(config.num_reducers));
   for (int r = 0; r < config.num_reducers; ++r) {
-    TaskInfo t;
+    TaskInfo& t = reduce_tasks[static_cast<std::size_t>(r)];
     t.task_id = r;
     t.name = part_name(r);
     t.path = config.output_dir + "/" + t.name;
-    t.size = 0.0;
-    reduce_tasks.push_back(std::move(t));
   }
   TaskScheduler reduce_scheduler(std::move(reduce_tasks), config.reduce_scheduler);
 
-  auto reduce_slot_loop = [&](minihdfs::NodeId node, int slot) {
-    const std::string track = "mr.n" + std::to_string(node) + ".s" + std::to_string(slot);
-    if (tracer != nullptr) runtime::Tracer::bind_thread(track);
-    Seconds idle_since = -1.0;
-    while (!reduce_scheduler.job_done()) {
-      const bool tracing = tracer != nullptr && tracer->enabled();
-      if (tracing && idle_since < 0.0) idle_since = tracer->now();
-      const auto assignment = reduce_scheduler.next_task(node, clock.now());
-      if (!assignment) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      AttemptRecord record;
-      record.assignment = *assignment;
-      record.start = clock.now();
-      const int r = assignment->task_id;
-      const std::string task_name = part_name(r);
-      runtime::Span task_span;
-      if (tracing) {
-        if (idle_since >= 0.0) {
-          tracer->span_from(idle_since, "queue.wait", "mapreduce", track).close();
-          idle_since = -1.0;
-        }
-        runtime::Tracer::bind_thread_task(task_name);
-        task_span = tracer->span("task", "mapreduce", track, task_name);
-        task_span.arg("attempt", std::to_string(assignment->attempt_id));
-        task_span.arg("node", std::to_string(node));
-        task_span.arg("phase", "reduce");
-      }
-      ShuffleHooks hooks;
-      hooks.faults = config.faults;
-      hooks.metrics = metrics.get();
-      hooks.tracer = tracer;
-      hooks.track = track;
-      ExternalSorter sorter(*store, bucket,
-                            job_prefix + "/r" + std::to_string(r) + ".a" +
-                                std::to_string(assignment->attempt_id),
-                            config.sort_memory_budget, hooks);
-      try {
-        if (config.faults != nullptr &&
-            config.faults->fire(sites::kReduceAttempt,
-                                std::to_string(r) + ":" +
-                                    std::to_string(assignment->attempt_id))) {
-          throw runtime::InjectedFault("injected crash at " + sites::kReduceAttempt);
-        }
-        FetchOptions fopts;
-        fopts.max_attempts = config.max_fetch_attempts;
-        Bytes fetched = 0.0;
-        std::int64_t fetch_count = 0;
-        for (int m = 0; m < num_maps; ++m) {
-          const int gen_seen = read_gen(m);
-          try {
-            const auto out = registry.lookup(m);
-            if (!out) throw MapOutputLost(m, "partition map not registered");
-            auto records = fetch_partition(*store, bucket, *out, m, r, hooks, fopts);
-            for (const auto& spill : out->partitions[static_cast<std::size_t>(r)]) {
-              fetched += spill.bytes;
-              ++fetch_count;
-            }
-            for (auto& rec : records) sorter.add(std::move(rec));
-          } catch (const MapOutputLost& lost) {
-            // The contract satellite 4 pins: redrive the map task, then
-            // fail (and re-queue) this reduce attempt — never hang, never
-            // drop the group.
-            const bool recovered = redrive_map(lost.map_id(), gen_seen, node, track, tracing);
-            if (tracing) {
-              tracer->instant("shuffle.map_output_lost", "shuffle", track);
-            }
-            if (!recovered) {
-              PPC_WARN << "map output m" << lost.map_id()
-                       << " unrecoverable (redrive budget exhausted)";
-            }
-            throw;
+  const auto reduce_attempt = [&](const Assignment& a, const TaskInfo& task,
+                                  const detail::Slot& slot) {
+    const int r = a.task_id;
+    const ShuffleHooks hooks = hooks_for(slot);
+    ExternalSorter sorter(*store, bucket,
+                          job_prefix + "/r" + std::to_string(r) + ".a" +
+                              std::to_string(a.attempt_id),
+                          config.sort_memory_budget, hooks);
+    FetchOptions fopts;
+    fopts.max_attempts = config.max_fetch_attempts;
+    Bytes fetched = 0.0;
+    std::int64_t fetch_count = 0;
+    std::vector<std::pair<std::string, std::string>> reduced;
+    try {
+      for (int m = 0; m < num_maps; ++m) {
+        const int gen_seen = read_gen(m);
+        try {
+          const auto out = registry.lookup(m);
+          if (!out) throw MapOutputLost(m, "partition map not registered");
+          auto records = fetch_partition(*store, bucket, *out, m, r, hooks, fopts);
+          for (const auto& spill : out->partitions[static_cast<std::size_t>(r)]) {
+            fetched += spill.bytes;
+            ++fetch_count;
           }
+          for (auto& rec : records) sorter.add(std::move(rec));
+        } catch (const MapOutputLost& lost) {
+          // The contract the shuffle pins: redrive the map task, then fail
+          // (and re-queue) this reduce attempt — never hang, never drop the
+          // group.
+          const bool recovered = redrive_map(lost.map_id(), gen_seen, slot);
+          if (slot.tracer != nullptr) {
+            slot.tracer->instant("shuffle.map_output_lost", "shuffle", slot.track);
+          }
+          if (!recovered) {
+            PPC_WARN << "map output m" << lost.map_id()
+                     << " unrecoverable (redrive budget exhausted)";
+          }
+          throw;
         }
-        std::vector<std::pair<std::string, std::string>> reduced;
-        {
-          runtime::Span reduce_span =
-              tracing ? tracer->span("shuffle.reduce", "shuffle", track, task_name)
-                      : runtime::Span{};
-          sorter.for_each_group([&](const std::string& key, const std::vector<std::string>& values) {
-            reduced.emplace_back(key, reduce_fn(key, values));
-          });
-          reduce_span.close();
-        }
-        sorter.cleanup();
-        record.end = clock.now();
-        record.succeeded = true;
-        const bool first = reduce_scheduler.report_completed(*assignment, record.end);
-        metrics->histogram("mapreduce.reduce_attempt_seconds")
-            .record(record.end - record.start);
-        if (first) {
-          runtime::Span upload_span =
-              tracing ? tracer->span("upload.output", "task", track, task_name)
-                      : runtime::Span{};
-          const std::string out_path = config.output_dir + "/" + task_name;
-          hdfs_.write(out_path, encode_pairs(reduced), node);
-          upload_span.close();
-          record.output_committed = true;
-          metrics->counter("mapreduce.reduces_completed").inc();
-          task_span.arg("outcome", "completed");
-          std::lock_guard lock(result_mu);
-          result.outputs[task_name] = out_path;
-          result.shuffle.fetches += fetch_count;
-          result.shuffle.fetched_bytes += fetched;
-        } else {
-          metrics->counter("mapreduce.wasted_attempts").inc();
-          task_span.arg("outcome", "superseded");
-        }
-        {
-          std::lock_guard lock(result_mu);
-          result.shuffle.sort_runs_spilled += sorter.runs_spilled();
-          result.shuffle.sort_run_bytes += sorter.spilled_bytes();
-        }
-      } catch (const std::exception& e) {
-        sorter.cleanup();
-        record.end = clock.now();
-        record.error = e.what();
-        reduce_scheduler.report_failed(*assignment, record.end);
-        metrics->counter("mapreduce.failed_attempts").inc();
-        task_span.arg("outcome", "failed");
-        PPC_DEBUG << "reduce attempt failed on node " << node << ": " << e.what();
       }
-      task_span.close();
-      if (tracing) runtime::Tracer::bind_thread_task({});
-      metrics->counter("mapreduce.reduce_attempts").inc();
-      {
-        std::lock_guard lock(result_mu);
-        result.reduce_attempts.push_back(record);
-      }
+      runtime::Span reduce_span = slot.span("shuffle.reduce", "shuffle", task.name);
+      sorter.for_each_group([&](const std::string& key, const std::vector<std::string>& values) {
+        reduced.emplace_back(key, reduce_fn(key, values));
+      });
+    } catch (...) {
+      sorter.cleanup();
+      throw;
     }
-    if (tracer != nullptr) runtime::Tracer::clear_thread();
+    sorter.cleanup();
+    {
+      std::lock_guard lock(result_mu);
+      result.shuffle.sort_runs_spilled += sorter.runs_spilled();
+      result.shuffle.sort_run_bytes += sorter.spilled_bytes();
+    }
+    return detail::Completion{[&, fetched, fetch_count, reduced = std::move(reduced)] {
+      runtime::Span upload_span = slot.span("upload.output", "task", task.name);
+      hdfs_.write(task.path, encode_pairs(reduced), slot.node);
+      upload_span.close();
+      std::lock_guard lock(result_mu);
+      result.outputs[task.name] = task.path;
+      result.shuffle.fetches += fetch_count;
+      result.shuffle.fetched_bytes += fetched;
+    }};
   };
 
-  {
-    ppc::ThreadPool pool(static_cast<std::size_t>(config.num_nodes * config.slots_per_node));
-    std::vector<std::future<void>> slots;
-    slots.reserve(pool.size());
-    for (int node = 0; node < config.num_nodes; ++node) {
-      for (int s = 0; s < config.slots_per_node; ++s) {
-        if (auto slot =
-                pool.try_submit([&reduce_slot_loop, node, s] { reduce_slot_loop(node, s); })) {
-          slots.push_back(std::move(*slot));
-        }
-      }
-    }
-    for (auto& slot : slots) slot.get();
-  }
-
+  static const detail::PhaseSpec kReducePhase{
+      "reduce", sites::kReduceAttempt, "mapreduce.reduce_attempts",
+      "mapreduce.reduces_completed", "mapreduce.reduce_attempt_seconds"};
+  result.reduce_attempts =
+      detail::run_phase(reduce_scheduler, kReducePhase, reduce_attempt, config, *metrics, clock);
   result.elapsed = clock.now() - t0;
   result.succeeded = reduce_scheduler.job_succeeded();
   result.reduce_stats = reduce_scheduler.stats();

@@ -4,12 +4,13 @@
 //
 // Pipeline (see shuffle.h for the primitives and DESIGN.md §15 for the
 // architecture):
-//   1. Map phase — the map-only slot loop from LocalJobRunner, except the
-//      user function emits (key, value) pairs into a MapOutputWriter, which
-//      hash-partitions and spills through a storage::StorageBackend. The
-//      attempt commits by registering its partition map *after* a
-//      kMapRegister fault site — crashing in that window leaves durable but
-//      invisible spills, exactly the loss mode reducers must survive.
+//   1. Map phase — the very phase LocalJobRunner runs on job.h's one slot
+//      loop, except the user function emits (key, value) pairs into a
+//      MapOutputWriter, which hash-partitions and spills through a
+//      storage::StorageBackend. The attempt ends at a kMapRegister fault
+//      site and commits by registering its partition map — crashing in that
+//      window leaves durable but invisible spills, exactly the loss mode
+//      reducers must survive. The reduce phase runs on the same loop.
 //   2. Reduce phase — each reduce task fetches its partition from every
 //      registered map output, external-sorts under a memory budget, applies
 //      the user Reducer per key group, and commits "part-NNNNN" to HDFS on
@@ -55,9 +56,8 @@ using ReduceFn =
 class ShuffleJobControl {
  public:
   ShuffleJobControl(PartitionMapRegistry& registry, storage::StorageBackend& store,
-                    std::string bucket, std::string job_prefix)
-      : registry_(registry), store_(store), bucket_(std::move(bucket)),
-        job_prefix_(std::move(job_prefix)) {}
+                    std::string bucket)
+      : registry_(registry), store_(store), bucket_(std::move(bucket)) {}
 
   /// Simulates a mapper node dying after commit: drops m's registration AND
   /// deletes its spill objects. Reducers must redrive m, not hang.
@@ -73,14 +73,12 @@ class ShuffleJobControl {
   PartitionMapRegistry& registry_;
   storage::StorageBackend& store_;
   std::string bucket_;
-  std::string job_prefix_;
 };
 
-struct ShuffleJobConfig {
-  int num_nodes = 4;
-  int slots_per_node = 2;
+/// A map-only JobConfig (cluster shape, output_dir, the map phase's
+/// `scheduler`, faults, metrics, tracer) plus the reduce stage.
+struct ShuffleJobConfig : JobConfig {
   int num_reducers = 2;
-  std::string output_dir = "/out";
   /// Job name — namespaces this job's objects in the shuffle bucket.
   std::string job_name = "job";
   /// Map-side buffer budget before a spill flushes every partition
@@ -92,16 +90,12 @@ struct ShuffleJobConfig {
   int max_fetch_attempts = 5;
   /// Synchronous map redrives allowed per map task during the reduce phase.
   int max_map_redrives = 2;
-  SchedulerConfig scheduler;         // map phase
-  SchedulerConfig reduce_scheduler;  // reduce phase
+  SchedulerConfig reduce_scheduler;
   /// Spill/fetch go through this backend when set (borrowed); when null the
   /// runner owns a private zero-latency BlobStore bucket and installs
   /// `faults`/`tracer` on it (so blobstore.shuffle.* sites are armable).
   storage::StorageBackend* spill_store = nullptr;
   std::string shuffle_bucket = "shuffle";
-  runtime::FaultInjector* faults = nullptr;
-  std::shared_ptr<runtime::MetricsRegistry> metrics;
-  runtime::Tracer* tracer = nullptr;
   /// Test seam: runs between the map barrier and the reduce phase.
   std::function<void(ShuffleJobControl&)> between_phases;
 };

@@ -256,5 +256,53 @@ TEST(ShuffleJob, SingleNodeSingleReducerDegeneratesToSortedWordCount) {
   EXPECT_EQ(canonical.at("d"), "n=1,p1");
 }
 
+TEST(ShuffleJob, MapSpansCarryTheInputFileTraceId) {
+  // Every map attempt's fetch.input / compute spans carry the input file
+  // name as their trace id, so task_summaries() rolls them up per file —
+  // scheduled attempts and the reducer-side redrive of a lost map alike.
+  minihdfs::MiniHdfs hdfs(2);
+  const auto paths = stage_inputs(hdfs, 4, 9);
+  runtime::Tracer tracer;
+  tracer.enable();
+  auto config = small_cluster("trace-id");
+  config.num_nodes = 2;
+  config.tracer = &tracer;
+  config.between_phases = [](ShuffleJobControl& control) { control.unregister_map_output(1); };
+  ShuffleJobRunner runner(hdfs);
+  const auto result = runner.run(paths, word_map, count_reduce, config);
+  ASSERT_TRUE(result.succeeded);
+  ASSERT_GE(result.shuffle.map_redrives, 1);
+
+  std::vector<std::string> files;
+  for (const auto& path : paths) files.push_back(FilePathInputFormat::base_name(path));
+  const auto summaries = tracer.task_summaries();
+  for (const auto& file : files) {
+    const auto row = std::find_if(summaries.begin(), summaries.end(),
+                                  [&](const auto& s) { return s.task == file; });
+    ASSERT_NE(row, summaries.end()) << file;
+    EXPECT_GT(row->fetch, 0.0) << file;
+    EXPECT_GT(row->compute, 0.0) << file;
+  }
+
+  const auto spans = tracer.snapshot();
+  int redrive_fetches = 0;
+  for (const auto& s : spans) {
+    if (s.name == "fetch.input" || s.name == "compute") {
+      EXPECT_TRUE(std::find(files.begin(), files.end(), s.task) != files.end())
+          << s.name << " span on " << s.track << " has trace id '" << s.task << "'";
+    }
+    if (s.name != "map.redrive") continue;
+    EXPECT_EQ(s.task, files[1]);
+    for (const auto& inner : spans) {
+      if (inner.name == "fetch.input" && inner.track == s.track && inner.start >= s.start &&
+          inner.end <= s.end) {
+        EXPECT_EQ(inner.task, files[1]);
+        ++redrive_fetches;
+      }
+    }
+  }
+  EXPECT_GE(redrive_fetches, 1);
+}
+
 }  // namespace
 }  // namespace ppc::mapreduce
