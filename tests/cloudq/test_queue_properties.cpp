@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "cloudq/message_queue.h"
@@ -19,6 +20,13 @@ struct AnomalyParams {
   double duplicate_prob;
   double miss_prob;
 };
+
+// Without this gtest prints the raw bytes of the struct, heap pointer
+// included, so the test names ctest records would change with every build.
+void PrintTo(const AnomalyParams& p, std::ostream* os) {
+  *os << p.name << " (lag " << p.visibility_lag_mean << " s, duplicate " << p.duplicate_prob
+      << ", miss " << p.miss_prob << ")";
+}
 
 class QueueAnomalyProperty : public ::testing::TestWithParam<AnomalyParams> {};
 
