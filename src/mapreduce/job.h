@@ -95,7 +95,7 @@ struct Slot {
 
   /// A span on this slot's track with trace id `task`; inert when untraced.
   runtime::Span span(std::string_view name, std::string_view category,
-                     std::string_view task = {}) const;
+                     std::string_view task) const;
 };
 
 /// A successful attempt's output: `commit` publishes it when the attempt is
