@@ -15,7 +15,6 @@
 // After an intended behaviour change, regenerate the expectation with
 //   PPC_UPDATE_GOLDEN=1 ./ppc_tests_core --gtest_filter='DesGolden.*'
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
