@@ -636,7 +636,7 @@ SubstrateResult bench_external_sort() {
     for (const auto& r : records) sorter.add(r);
     std::size_t groups = 0;
     sorter.for_each_group(
-        [&groups](const std::string&, const std::vector<std::string>&) { ++groups; });
+        [&groups](std::string_view, const std::vector<std::string_view>&) { ++groups; });
     if (groups == 0) std::abort();  // keep the work observable
   });
   return {"shuffle_external_sort_50k", kRecords, secs, kRecords / secs};

@@ -19,6 +19,20 @@ std::string encode_records(const std::vector<KeyValue>& records) {
   return out;
 }
 
+namespace {
+
+// One length field [first, last) in the only form encode_records emits:
+// digits only, no leading zero, no overflow.
+std::size_t parse_length(const char* first, const char* last) {
+  std::size_t v = 0;
+  const auto r = std::from_chars(first, last, v);
+  PPC_REQUIRE(r.ec == std::errc() && r.ptr == last && (last - first == 1 || *first != '0'),
+              "corrupt record lengths");
+  return v;
+}
+
+}  // namespace
+
 std::vector<KeyValue> decode_records(const std::string& data) {
   std::vector<KeyValue> records;
   std::size_t pos = 0;
@@ -27,12 +41,12 @@ std::vector<KeyValue> decode_records(const std::string& data) {
     PPC_REQUIRE(space != std::string::npos, "corrupt record header (no space)");
     const std::size_t newline = data.find('\n', space);
     PPC_REQUIRE(newline != std::string::npos, "corrupt record header (no newline)");
-    std::size_t klen = 0, vlen = 0;
-    auto r1 = std::from_chars(data.data() + pos, data.data() + space, klen);
-    auto r2 = std::from_chars(data.data() + space + 1, data.data() + newline, vlen);
-    PPC_REQUIRE(r1.ec == std::errc() && r2.ec == std::errc(), "corrupt record lengths");
+    const std::size_t klen = parse_length(data.data() + pos, data.data() + space);
+    const std::size_t vlen = parse_length(data.data() + space + 1, data.data() + newline);
     const std::size_t body = newline + 1;
-    PPC_REQUIRE(body + klen + vlen <= data.size(), "truncated record body");
+    // Compared against what is left, so a huge length cannot wrap the sum.
+    PPC_REQUIRE(klen <= data.size() - body && vlen <= data.size() - body - klen,
+                "truncated record body");
     KeyValue kv;
     kv.key = data.substr(body, klen);
     kv.value = data.substr(body + klen, vlen);

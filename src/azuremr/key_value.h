@@ -27,7 +27,9 @@ struct KeyValue {
 /// Serializes records as "<klen> <vlen>\n<key><value>" frames.
 std::string encode_records(const std::vector<KeyValue>& records);
 
-/// Inverse of encode_records. Throws ppc::InvalidArgument on corruption.
+/// Inverse of encode_records. Throws ppc::InvalidArgument on corruption:
+/// a non-numeric or non-canonical length (a leading zero), or one that runs
+/// past the end of the payload.
 std::vector<KeyValue> decode_records(const std::string& data);
 
 /// Deterministic partition assignment for a key (shuffle hash).

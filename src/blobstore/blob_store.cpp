@@ -71,9 +71,9 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
   // Logical objects have no bytes to hash, so their etag is derived from the
   // stable identity (bucket, key, declared size). That keeps the tag
   // deterministic across runs and processes, which content-addressed caching
-  // depends on; real payloads keep the content hash plus a CRC32C that
-  // readers verify downloads against.
-  std::uint64_t etag = 0;
+  // depends on. Real payloads get a CRC32C that readers verify downloads
+  // against; their content-hash etag is left to the first etag() call.
+  std::optional<std::uint64_t> etag;
   std::optional<std::uint32_t> checksum;
   if (is_logical) {
     std::string identity = "logical:";
@@ -84,7 +84,6 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     identity += std::to_string(static_cast<std::uint64_t>(logical_size));
     etag = ppc::fnv1a64(identity);
   } else {
-    etag = ppc::fnv1a64(data);
     checksum = ppc::crc32c(data);
   }
   auto payload = std::make_shared<const std::string>(std::move(data));
@@ -176,10 +175,23 @@ std::optional<std::uint64_t> BlobStore::etag(const std::string& bucket,
                                              const std::string& key) const {
   auto b = find_bucket(bucket);
   if (b == nullptr) return std::nullopt;
+  std::shared_ptr<const std::string> data;
+  {
+    std::lock_guard lock(b->mu);
+    auto it = b->objects.find(key);
+    if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
+    if (it->second.etag.has_value()) return it->second.etag;
+    data = it->second.data;
+  }
+  // First read of this version: hash outside the lock. Racing first readers
+  // all compute the same value; holding `data` keeps the version's address
+  // from being reused, so the pointer test below publishes the hash only if
+  // no overwrite replaced the version in the meantime.
+  const std::uint64_t tag = ppc::fnv1a64(*data);
   std::lock_guard lock(b->mu);
   auto it = b->objects.find(key);
-  if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
-  return it->second.etag;
+  if (it != b->objects.end() && it->second.data == data) it->second.etag = tag;
+  return tag;
 }
 
 std::optional<std::uint32_t> BlobStore::checksum(const std::string& bucket,

@@ -9,8 +9,9 @@
 //  * transfer and request metering — S3 bills by stored bytes, transferred
 //    bytes and request count; these feed Table 4's storage and data-transfer
 //    line items;
-//  * per-object ETag (identity) and CRC32C checksum (integrity) stamped at
-//    put, so readers can detect a download corrupted in flight;
+//  * per-object CRC32C checksum (integrity) stamped at put, so readers can
+//    detect a download corrupted in flight, and an ETag (identity) hashed
+//    on first read and memoized per object version;
 //  * a latency/bandwidth *timing model* the discrete-event workers sample
 //    when deciding how long a download/upload takes. In real-thread mode
 //    operations complete immediately (the data is in memory) and the model
@@ -121,7 +122,9 @@ class BlobStore : public storage::StorageBackend {
   /// Identity hash (fnv1a64 — our stand-in for the S3 ETag) of the stored
   /// object, or nullopt when absent / not yet visible. Unmetered and immune
   /// to injected faults: it models the ETag the service returned with the
-  /// original upload. Content caches key on it.
+  /// original upload. Content caches key on it. A real payload is hashed on
+  /// the first call and the value memoized for that version, so objects
+  /// nobody asks about (task outputs, shuffle spills) never pay for it.
   std::optional<std::uint64_t> etag(const std::string& bucket,
                                     const std::string& key) const override;
 
@@ -170,7 +173,10 @@ class BlobStore : public storage::StorageBackend {
   struct Object {
     std::shared_ptr<const std::string> data;  // immutable payload, shared with readers
     Bytes logical_size = 0.0;                 // == data->size() for real objects
-    std::uint64_t etag = 0;                   // fnv1a64 of data (or identity) at put time
+    /// fnv1a64 of data, computed by the first etag() call and memoized for
+    /// this version (a put resets it); set at put for logical objects, from
+    /// their identity.
+    std::optional<std::uint64_t> etag;
     std::optional<std::uint32_t> checksum;    // crc32c of data; nullopt for logical objects
     Seconds visible_at = 0.0;
     bool is_new = true;  // false once overwritten (overwrite => visible)

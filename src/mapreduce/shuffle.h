@@ -27,6 +27,17 @@
 // attempts emit identical sequences, which makes the merged stream (and
 // therefore reduce output) byte-identical regardless of worker count, spill
 // schedule, speculative twins, or mid-shuffle crash/redrive.
+//
+// Record storage: every stage holds its records in one RecordRun — record
+// bytes in arena blocks plus a flat index of {bytes pointer, klen, vlen,
+// map_id, seq, 8-byte big-endian key prefix}. A map-side buffer copies each
+// emitted pair into its arena once. A fetched spill or re-read sort run is
+// decoded to index entries that point into the immutable payload the store
+// returned (the run keeps that payload alive), so no key or value is copied
+// on the reduce side. Sorting permutes only the index, comparing the cached
+// prefix before touching key bytes; the order is exactly (key, map_id, seq).
+// The wire format, CRC32C values and budget accounting are unchanged by the
+// layout, so spill and run bytes are what the encoder always produced.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +47,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -47,9 +59,10 @@
 
 namespace ppc::mapreduce {
 
-/// One shuffled record. (map_id, seq) identifies the emission: map task
-/// `map_id` produced it as its `seq`-th key/value pair. The pair breaks
-/// ties between equal keys so the merged order is schedule-independent.
+/// One shuffled record as an owning value — what tests and reference models
+/// build. (map_id, seq) identifies the emission: map task `map_id` produced
+/// it as its `seq`-th key/value pair. The pair breaks ties between equal
+/// keys so the merged order is schedule-independent.
 struct ShuffleRecord {
   std::string key;
   std::string value;
@@ -66,14 +79,116 @@ struct ShuffleRecord {
   }
 };
 
+/// A record inside a RecordRun; the views live as long as the run does.
+struct RecordView {
+  std::string_view key;
+  std::string_view value;
+  std::uint32_t map_id = 0;
+  std::uint32_t seq = 0;
+};
+
+/// Approximate in-memory footprint of one buffered record, used against the
+/// spill and sort budgets. Matches the reference model in the property tests.
+inline Bytes record_footprint(std::size_t key_bytes, std::size_t value_bytes) {
+  return static_cast<Bytes>(key_bytes + value_bytes + 16);
+}
+
+/// The shuffle's one record container (see "Record storage" above): the
+/// map-side partition buffer, a fetched partition, the external sorter's
+/// buffer and each re-read sort run are all RecordRuns. Move-only: two
+/// runs never append into one arena block.
+class RecordRun {
+ public:
+  RecordRun() = default;
+  RecordRun(RecordRun&&) = default;
+  RecordRun& operator=(RecordRun&&) = default;
+  RecordRun(const RecordRun&) = delete;
+  RecordRun& operator=(const RecordRun&) = delete;
+
+  /// Copies the record's bytes into the run's arena. Keys and values must
+  /// each be under 4 GiB.
+  void append(std::string_view key, std::string_view value, std::uint32_t map_id,
+              std::uint32_t seq);
+
+  /// Decodes a spill/run payload (the encode() wire format) and appends its
+  /// records as views into it; the run keeps `payload` alive. Throws
+  /// ppc::Error on a malformed payload and then appends nothing.
+  void append_decoded(std::shared_ptr<const std::string> payload);
+
+  /// Appends records [begin, end) of `from` as views into its storage,
+  /// which this run then keeps alive too. Copies no record bytes.
+  void splice(const RecordRun& from, std::size_t begin, std::size_t end);
+
+  /// Sorts the index into total record order (key, map_id, seq).
+  void sort();
+
+  /// The records in index order as length-prefixed frames
+  /// "<klen> <vlen> <map_id> <seq>\n<key><value>", concatenated. Text
+  /// prefixes keep spill payloads debuggable in tests and trace dumps while
+  /// still carrying arbitrary binary key/value bytes.
+  std::string encode() const;
+
+  /// Drops every record and every kept payload; reuses the arena block.
+  void clear();
+
+  std::size_t size() const { return index_.size(); }
+  bool empty() const { return index_.empty(); }
+  Bytes footprint(std::size_t i) const {
+    return record_footprint(index_[i].klen, index_[i].vlen);
+  }
+  RecordView operator[](std::size_t i) const { return view(index_[i]); }
+
+  class const_iterator {
+   public:
+    RecordView operator*() const { return run_->operator[](i_); }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+
+   private:
+    friend class RecordRun;
+    const_iterator(const RecordRun* run, std::size_t i) : run_(run), i_(i) {}
+    const RecordRun* run_;
+    std::size_t i_;
+  };
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, index_.size()}; }
+
+ private:
+  friend class ExternalSorter;
+
+  struct Entry {
+    const char* bytes;     // key bytes, then value bytes, in a kept block
+    std::uint32_t klen;
+    std::uint32_t vlen;
+    std::uint32_t map_id;
+    std::uint32_t seq;
+    std::uint64_t prefix;  // first 8 key bytes, big-endian, zero-padded
+  };
+  /// Total record order with the prefix as the first, cheapest key test.
+  static bool less(const Entry& a, const Entry& b);
+  static RecordView view(const Entry& e) {
+    return {{e.bytes, e.klen}, {e.bytes + e.klen, e.vlen}, e.map_id, e.seq};
+  }
+
+  std::vector<Entry> index_;
+  /// Every block an entry may point into: arena blocks and kept payloads.
+  std::vector<std::shared_ptr<const std::string>> blocks_;
+  /// The arena block append() writes into; never grown past its capacity,
+  /// so entry pointers into it stay valid.
+  std::shared_ptr<std::string> arena_;
+};
+
 /// Reducer → partition assignment: FNV-1a of the key modulo the reducer
 /// count, the same stable hash every other keyed surface in the repo uses.
-int partition_of(const std::string& key, int num_partitions);
+int partition_of(std::string_view key, int num_partitions);
 
-/// Wire format for spill objects: length-prefixed frames
-/// "<klen> <vlen> <map_id> <seq>\n<key><value>", concatenated. Text
-/// prefixes keep spill payloads debuggable in tests and trace dumps while
-/// still carrying arbitrary binary key/value bytes.
+/// Spill wire format for owning records (RecordRun::encode on a run of
+/// `records` in the given order) and its inverse. Decode throws ppc::Error
+/// on a malformed payload: bad or non-canonical digits (a leading zero), a
+/// length past the payload end, or a map id / seq above 32 bits.
 std::string encode_records(const std::vector<ShuffleRecord>& records);
 std::vector<ShuffleRecord> decode_records(const std::string& data);
 
@@ -82,12 +197,6 @@ std::vector<ShuffleRecord> decode_records(const std::string& data);
 /// malformed payload (a corruption that slipped past the checksum).
 std::string encode_pairs(const std::vector<std::pair<std::string, std::string>>& pairs);
 std::vector<std::pair<std::string, std::string>> decode_pairs(const std::string& data);
-
-/// Approximate in-memory footprint of one buffered record, used against the
-/// spill budget. Matches the reference model in the property tests.
-inline Bytes record_footprint(const ShuffleRecord& r) {
-  return static_cast<Bytes>(r.key.size() + r.value.size() + 16);
-}
 
 /// Descriptor of one spill object, as published in the partition map.
 struct SpillInfo {
@@ -208,7 +317,7 @@ class MapOutputWriter {
   Bytes spill_budget_;
   ShuffleHooks hooks_;
 
-  std::vector<std::vector<ShuffleRecord>> buffers_;   // per partition
+  std::vector<RecordRun> buffers_;                    // per partition
   std::vector<std::vector<SpillInfo>> spill_lists_;   // per partition
   std::vector<int> partition_spills_;                 // spill index per partition
   Bytes buffered_bytes_ = 0.0;
@@ -227,26 +336,31 @@ struct FetchOptions {
 /// retries corrupt or missing reads (read-after-write lag, injected
 /// corruption) up to `opts.max_attempts` before throwing MapOutputLost.
 /// Returns the spills' records concatenated in spill order (each spill
-/// internally sorted).
-std::vector<ShuffleRecord> fetch_partition(storage::StorageBackend& store,
-                                           const std::string& bucket, const MapOutput& output,
-                                           int map_id, int partition, const ShuffleHooks& hooks,
-                                           const FetchOptions& opts = {});
+/// internally sorted), as views into the fetched payloads.
+RecordRun fetch_partition(storage::StorageBackend& store, const std::string& bucket,
+                          const MapOutput& output, int map_id, int partition,
+                          const ShuffleHooks& hooks, const FetchOptions& opts = {});
 
 /// External sorter for one reducer's partition. add() buffers records;
 /// when the buffered footprint exceeds `memory_budget` (> 0), the buffer is
 /// sorted and spilled as a run object "<key_prefix>/run<i>" through the
-/// storage backend. finish() merges buffer + runs into one stream in total
-/// record order and hands consecutive equal-key groups to the callback.
+/// storage backend. for_each_group() merges buffer + runs into one stream
+/// in total record order and hands consecutive equal-key groups to the
+/// callback as views (valid for the duration of the call).
 class ExternalSorter {
  public:
   using GroupFn =
-      std::function<void(const std::string& key, const std::vector<std::string>& values)>;
+      std::function<void(std::string_view key, const std::vector<std::string_view>& values)>;
 
   ExternalSorter(storage::StorageBackend& store, std::string bucket, std::string key_prefix,
                  Bytes memory_budget, const ShuffleHooks& hooks);
 
-  void add(ShuffleRecord record);
+  /// Buffers every record of `run` (a fetched partition) without copying
+  /// its bytes; spills whenever the budget fills, exactly as if the records
+  /// were added one by one.
+  void add(const RecordRun& run);
+  /// Buffers a copy of one record.
+  void add(const ShuffleRecord& record);
 
   /// Merges and groups; calls `fn` once per distinct key, values in
   /// (map_id, seq) order. May be called once.
@@ -269,7 +383,7 @@ class ExternalSorter {
   Bytes memory_budget_;
   ShuffleHooks hooks_;
 
-  std::vector<ShuffleRecord> buffer_;
+  RecordRun buffer_;
   std::vector<std::string> run_keys_;
   Bytes buffered_bytes_ = 0.0;
   Bytes spilled_bytes_ = 0.0;

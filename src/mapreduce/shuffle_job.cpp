@@ -206,12 +206,11 @@ ShuffleJobResult ShuffleJobRunner::run(const std::vector<std::string>& input_pat
         try {
           const auto out = registry.lookup(m);
           if (!out) throw MapOutputLost(m, "partition map not registered");
-          auto records = fetch_partition(*store, bucket, *out, m, r, hooks, fopts);
+          sorter.add(fetch_partition(*store, bucket, *out, m, r, hooks, fopts));
           for (const auto& spill : out->partitions[static_cast<std::size_t>(r)]) {
             fetched += spill.bytes;
             ++fetch_count;
           }
-          for (auto& rec : records) sorter.add(std::move(rec));
         } catch (const MapOutputLost& lost) {
           // The contract the shuffle pins: redrive the map task, then fail
           // (and re-queue) this reduce attempt — never hang, never drop the
@@ -228,9 +227,17 @@ ShuffleJobResult ShuffleJobRunner::run(const std::vector<std::string>& input_pat
         }
       }
       runtime::Span reduce_span = slot.span("shuffle.reduce", "shuffle", task.name);
-      sorter.for_each_group([&](const std::string& key, const std::vector<std::string>& values) {
-        reduced.emplace_back(key, reduce_fn(key, values));
-      });
+      // The public ReduceFn takes owning strings: convert each group once,
+      // reusing one value vector across groups.
+      std::vector<std::string> group;
+      sorter.for_each_group(
+          [&](std::string_view key, const std::vector<std::string_view>& values) {
+            group.resize(values.size());
+            for (std::size_t i = 0; i < values.size(); ++i) group[i].assign(values[i]);
+            std::string k(key);
+            std::string v = reduce_fn(k, group);
+            reduced.emplace_back(std::move(k), std::move(v));
+          });
     } catch (...) {
       sorter.cleanup();
       throw;

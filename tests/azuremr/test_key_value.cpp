@@ -30,6 +30,16 @@ TEST(RecordCodec, RejectsCorruption) {
   EXPECT_THROW(decode_records("x y\nzz"), ppc::InvalidArgument);  // non-numeric lengths
 }
 
+TEST(RecordCodec, RejectsLengthWraparound) {
+  // klen + vlen wraps past 2^64 back to a small offset; the decoder used to
+  // accept this as two records.
+  EXPECT_THROW(decode_records("18446744073709551615 1\n1 1\nxy"), ppc::InvalidArgument);
+  EXPECT_THROW(decode_records("18446744073709551616 0\nx"), ppc::InvalidArgument);
+  // Trailing junk in a length field and a leading zero are not lengths.
+  EXPECT_THROW(decode_records("1x 1\nab"), ppc::InvalidArgument);
+  EXPECT_THROW(decode_records("01 1\nab"), ppc::InvalidArgument);
+}
+
 TEST(Partitioning, DeterministicAndInRange) {
   for (int r = 1; r <= 8; ++r) {
     for (const std::string key : {"a", "centroid-3", "", "long-key-with-text"}) {

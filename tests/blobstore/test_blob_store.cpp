@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "common/clock.h"
 #include "common/error.h"
 #include "common/stats.h"
+#include "common/string_util.h"
 #include "common/units.h"
 
 namespace ppc::blobstore {
@@ -205,6 +210,90 @@ TEST_F(BlobStoreTest, RejectsEmptyNames) {
   EXPECT_THROW(store.put("", "k", "v"), InvalidArgument);
   EXPECT_THROW(store.put("b", "", "v"), InvalidArgument);
   EXPECT_THROW(store.create_bucket(""), InvalidArgument);
+}
+
+// The etag of a real payload is hashed on the first etag() call and
+// memoized per object version. These tests run under TSan in CI.
+
+TEST(LazyEtag, EqualsTheContentHashAfterPutAndOverwrite) {
+  BlobStore store(std::make_shared<ManualClock>());
+  store.put("b", "k", "version-one");
+  EXPECT_EQ(store.etag("b", "k"), fnv1a64("version-one"));
+  EXPECT_EQ(store.etag("b", "k"), fnv1a64("version-one"));  // memoized
+  store.put("b", "k", "version-two");
+  EXPECT_EQ(store.etag("b", "k"), fnv1a64("version-two"));
+  store.put("b", "k", "");
+  EXPECT_EQ(store.etag("b", "k"), fnv1a64(""));
+  // An overwrite before anyone read the etag resets nothing stale either.
+  store.put("b", "k", "version-three");
+  store.put("b", "k", "version-four");
+  EXPECT_EQ(store.etag("b", "k"), fnv1a64("version-four"));
+  EXPECT_FALSE(store.etag("b", "missing").has_value());
+}
+
+TEST(LazyEtag, RacingFirstReadersAllGetTheSameValue) {
+  BlobStore store(std::make_shared<SystemClock>());
+  // Big enough that the first hash takes a while, so first reads overlap.
+  std::string payload(1 << 20, 'a');
+  for (std::size_t i = 0; i < payload.size(); i += 97) payload[i] = static_cast<char>(i);
+  const std::uint64_t want = fnv1a64(payload);
+  for (int round = 0; round < 4; ++round) {
+    const std::string key = "k" + std::to_string(round);
+    store.put("b", key, payload);
+    std::atomic<bool> go{false};
+    std::vector<std::uint64_t> got(8, 0);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      readers.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        got[t] = store.etag("b", key).value_or(0);
+      });
+    }
+    go.store(true);
+    for (auto& r : readers) r.join();
+    for (const std::uint64_t tag : got) EXPECT_EQ(tag, want);
+    EXPECT_EQ(store.etag("b", key), want);
+  }
+}
+
+TEST(LazyEtag, AnOverwriteDuringTheFirstHashIsNeverMemoizedForTheNewVersion) {
+  BlobStore store(std::make_shared<SystemClock>());
+  const std::string v1(256 * 1024, 'x');
+  const std::string v2(256 * 1024, 'y');
+  const std::uint64_t t1 = fnv1a64(v1);
+  const std::uint64_t t2 = fnv1a64(v2);
+  store.put("b", "k", v1);
+  // Readers keep hashing whatever version is current; a reader that finishes
+  // after the writer's next put must not tag that put's version with the
+  // hash of the one it read.
+  std::atomic<bool> done{false};
+  std::atomic<long> calls{0};
+  std::vector<std::thread> readers;
+  std::atomic<int> bad{0};
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        const auto tag = store.etag("b", "k");
+        if (tag != t1 && tag != t2) bad.fetch_add(1);
+        calls.fetch_add(1);
+      }
+    });
+  }
+  int stale = 0;
+  for (int i = 0; i < 100; ++i) {
+    const bool odd = i % 2 == 1;
+    store.put("b", "k", odd ? v1 : v2);
+    // Let every reader that was hashing the previous version finish, so
+    // its answer has had the chance to be (wrongly) memoized.
+    const long seen = calls.load();
+    while (calls.load() < seen + 8) std::this_thread::yield();
+    if (store.etag("b", "k") != (odd ? t1 : t2)) ++stale;
+  }
+  done.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(stale, 0);
+  EXPECT_EQ(store.etag("b", "k"), t1);  // the last put wrote v1
 }
 
 }  // namespace

@@ -30,8 +30,8 @@ struct Group {
 
 std::vector<Group> collect_groups(ExternalSorter& sorter) {
   std::vector<Group> groups;
-  sorter.for_each_group([&](const std::string& key, const std::vector<std::string>& values) {
-    groups.push_back({key, values});
+  sorter.for_each_group([&](std::string_view key, const std::vector<std::string_view>& values) {
+    groups.push_back({std::string(key), {values.begin(), values.end()}});
   });
   return groups;
 }
@@ -159,6 +159,37 @@ TEST(ExternalSort, IdenticalKeyAndProvenanceRecordsAllSurvive) {
   for (std::uint32_t s = 0; s < 12; ++s) {
     EXPECT_EQ(groups[0].values[s], "m0-" + std::to_string(s));
     EXPECT_EQ(groups[0].values[12 + s], "m1-" + std::to_string(s));
+  }
+}
+
+TEST(ExternalSort, KeysSharingTheirFirstEightBytesOrderLikeTheFullKey) {
+  // The sort compares a zero-padded 8-byte prefix first; keys that tie on it
+  // (embedded NULs, lengths around 8, high bytes) must still come out in
+  // std::string order, in memory and across spilled runs alike.
+  const std::vector<std::string> keys = {
+      "", std::string(1, '\0'), "abcdefg", std::string("abcdefg\0", 8),
+      std::string("abcdefg\0\0", 9), "abcdefgh", std::string("abcdefgh\0", 9),
+      "abcdefgh\x01", "abcdefgh\xff", "abcdefghi", "abcdefgi", "\xff",
+      "\xff\xff\xff\xff\xff\xff\xff\xff\x01"};
+  for (const Bytes budget : {0.0, 120.0}) {
+    auto store = make_store();
+    ExternalSorter sorter(*store, "shuffle", "r7", budget, {});
+    std::vector<ShuffleRecord> records;
+    std::uint32_t seq = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (auto k = keys.rbegin(); k != keys.rend(); ++k) {
+        records.push_back({*k, "v" + std::to_string(seq), static_cast<std::uint32_t>(round % 2),
+                           seq});
+        ++seq;
+      }
+    }
+    for (const auto& r : records) sorter.add(r);
+    if (budget > 0.0) {
+      ASSERT_GT(sorter.runs_spilled(), 1);
+    }
+    const auto groups = collect_groups(sorter);
+    ASSERT_EQ(groups.size(), keys.size());
+    EXPECT_EQ(groups, reference_groups(records));
   }
 }
 

@@ -42,6 +42,23 @@ TEST(ShuffleCodec, MalformedPayloadThrows) {
   EXPECT_THROW(decode_pairs("2 x\nab"), ppc::Error);
 }
 
+TEST(ShuffleCodec, RecordsRejectLengthWraparound) {
+  // pos + klen + vlen wraps past 2^64; the decoder used to return 2 records.
+  EXPECT_THROW(decode_records("18446744073709551615 1 0 0\n1 1 0 0\nxy"), ppc::Error);
+}
+
+TEST(ShuffleCodec, RecordsRejectOutOfRangeNumbers) {
+  // 2^64 + 1 used to wrap to a key length of 1, and a 33-bit map id to 1.
+  EXPECT_THROW(decode_records("18446744073709551617 0 0 0\nx"), ppc::Error);
+  EXPECT_THROW(decode_records("1 1 4294967297 0\nab"), ppc::Error);
+  EXPECT_THROW(decode_records("1 1 0 4294967296\nab"), ppc::Error);
+  EXPECT_EQ(decode_records("1 1 4294967295 4294967295\nab").at(0).map_id, 4294967295u);
+}
+
+TEST(ShuffleCodec, PairsRejectLengthWraparound) {
+  EXPECT_THROW(decode_pairs("18446744073709551615 1\n1 1\nxy"), ppc::Error);
+}
+
 TEST(ShuffleCodec, PairsRoundTrip) {
   std::vector<std::pair<std::string, std::string>> pairs = {
       {"k1", "v1"}, {"", "v2"}, {"k3", ""}};

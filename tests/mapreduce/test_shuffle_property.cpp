@@ -86,12 +86,12 @@ std::map<std::string, std::string> run_pipeline(
     ExternalSorter sorter(store, "shuffle", "job/r" + std::to_string(r) + ".a0", sort_budget, {});
     for (std::size_t m = 0; m < per_map.size(); ++m) {
       const auto out = registry.lookup(static_cast<int>(m));
-      for (auto& rec :
-           fetch_partition(store, "shuffle", *out, static_cast<int>(m), r, {})) {
-        sorter.add(std::move(rec));
-      }
+      sorter.add(fetch_partition(store, "shuffle", *out, static_cast<int>(m), r, {}));
     }
-    sorter.for_each_group([&](const std::string& key, const std::vector<std::string>& values) {
+    sorter.for_each_group([&](std::string_view key_view,
+                              const std::vector<std::string_view>& value_views) {
+      const std::string key(key_view);
+      const std::vector<std::string> values(value_views.begin(), value_views.end());
       // Partitioning invariant: every key lands in its hash partition.
       ASSERT_EQ(partition_of(key, num_partitions), r);
       const auto [it, inserted] = canonical.emplace(key, join_reduce(key, values));

@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blobstore/blob_store.h"
@@ -374,6 +377,79 @@ TEST_F(BlockCacheTest, RandomizedWorkloadMatchesReferenceModel) {
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_GT(cache.misses(), 0u);
   EXPECT_GT(cache.evictions(), 0u);
+}
+
+// The lazily computed etag must keep the fill's etag / checksum / etag
+// re-read sound: an overwrite between the lookup and the checksum read is
+// refused, never cached under the old version's address.
+
+/// A store whose first checksum() read races a writer: it overwrites the
+/// key just before answering, the interleaving the fill's re-read guards.
+class OverwriteOnFirstChecksum : public blobstore::BlobStore {
+ public:
+  using BlobStore::BlobStore;
+  std::optional<std::uint32_t> checksum(const std::string& bucket,
+                                        const std::string& key) const override {
+    if (!fired_) {
+      fired_ = true;
+      const_cast<OverwriteOnFirstChecksum*>(this)->put(bucket, key, "version-two!");
+    }
+    return BlobStore::checksum(bucket, key);
+  }
+
+ private:
+  mutable bool fired_ = false;
+};
+
+TEST(LazyEtag, BlockCacheFillRefusesAnOverwriteBetweenEtagReads) {
+  OverwriteOnFirstChecksum store(std::make_shared<ManualClock>());
+  store.put("b", "k", "version-one");
+  BlockCacheConfig config;
+  config.capacity = 8 * kBlock;
+  config.block_size = kBlock;
+  BlockCache cache(config);
+  const auto refused = cache.fetch(store, "b", "k");
+  EXPECT_FALSE(refused.found);
+  EXPECT_EQ(cache.insertions(), 0u);
+  // The retry sees one consistent version and caches it under its own hash.
+  const auto fetched = cache.fetch(store, "b", "k");
+  ASSERT_TRUE(fetched.found);
+  EXPECT_EQ(*fetched.data, "version-two!");
+  EXPECT_EQ(store.etag("b", "k"), fnv1a64("version-two!"));
+  EXPECT_TRUE(cache.fetch(store, "b", "k").hit);
+}
+
+TEST(LazyEtag, ConcurrentFillsNeverServeAStaleVersion) {
+  blobstore::BlobStore store(std::make_shared<SystemClock>());
+  const std::string v1(64 * 1024, '1');
+  const std::string v2(64 * 1024, '2');
+  store.put("b", "k", v1);
+  BlockCacheConfig config;
+  config.capacity = 1024 * kBlock;
+  config.block_size = kBlock;
+  BlockCache cache(config);
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        const auto r = cache.fetch(store, "b", "k");
+        if (r.found && *r.data != v1 && *r.data != v2) torn.fetch_add(1);
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) store.put("b", "k", i % 2 == 0 ? v2 : v1);
+  done.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(torn.load(), 0);
+  // The last put wrote v1. An entry cached under the wrong address would
+  // serve v2 here; the current version must come back, hit or miss.
+  for (int i = 0; i < 3; ++i) {
+    const auto r = cache.fetch(store, "b", "k");
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(*r.data, v1);
+  }
 }
 
 }  // namespace
