@@ -211,7 +211,8 @@ std::vector<ShuffleRecord> decode_records(const std::string& data) {
   run.append_decoded(std::shared_ptr<const std::string>(std::shared_ptr<void>(), &data));
   std::vector<ShuffleRecord> records;
   records.reserve(run.size());
-  for (const RecordView r : run) {
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const RecordView r = run[i];
     records.push_back({std::string(r.key), std::string(r.value), r.map_id, r.seq});
   }
   return records;

@@ -95,16 +95,9 @@ inline Bytes record_footprint(std::size_t key_bytes, std::size_t value_bytes) {
 
 /// The shuffle's one record container (see "Record storage" above): the
 /// map-side partition buffer, a fetched partition, the external sorter's
-/// buffer and each re-read sort run are all RecordRuns. Move-only: two
-/// runs never append into one arena block.
+/// buffer and each re-read sort run are all RecordRuns.
 class RecordRun {
  public:
-  RecordRun() = default;
-  RecordRun(RecordRun&&) = default;
-  RecordRun& operator=(RecordRun&&) = default;
-  RecordRun(const RecordRun&) = delete;
-  RecordRun& operator=(const RecordRun&) = delete;
-
   /// Copies the record's bytes into the run's arena. Keys and values must
   /// each be under 4 GiB.
   void append(std::string_view key, std::string_view value, std::uint32_t map_id,
@@ -138,24 +131,6 @@ class RecordRun {
   }
   RecordView operator[](std::size_t i) const { return view(index_[i]); }
 
-  class const_iterator {
-   public:
-    RecordView operator*() const { return run_->operator[](i_); }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    friend class RecordRun;
-    const_iterator(const RecordRun* run, std::size_t i) : run_(run), i_(i) {}
-    const RecordRun* run_;
-    std::size_t i_;
-  };
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, index_.size()}; }
-
  private:
   friend class ExternalSorter;
 
@@ -177,7 +152,8 @@ class RecordRun {
   /// Every block an entry may point into: arena blocks and kept payloads.
   std::vector<std::shared_ptr<const std::string>> blocks_;
   /// The arena block append() writes into; never grown past its capacity,
-  /// so entry pointers into it stay valid.
+  /// so entry pointers into it stay valid. Not reused by clear() while
+  /// another run (a copy, or a splice target) still keeps it.
   std::shared_ptr<std::string> arena_;
 };
 

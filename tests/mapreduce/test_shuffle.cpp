@@ -165,7 +165,9 @@ TEST(FetchPartition, RoundTripsWriterOutput) {
   for (int r = 0; r < 2; ++r) {
     const auto records = fetch_partition(*store, "shuffle", out, 0, r, {});
     total += records.size();
-    for (const auto& rec : records) EXPECT_EQ(partition_of(rec.key, 2), r);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(partition_of(records[i].key, 2), r);
+    }
   }
   EXPECT_EQ(total, 30u);
 }
