@@ -5,6 +5,7 @@
 
 #include "apps/blast/aligner.h"
 #include "apps/cap3/assembler.h"
+#include "apps/cap3/fasta.h"
 #include "apps/cap3/read_simulator.h"
 #include "apps/gtm/data_gen.h"
 #include "apps/gtm/gtm.h"
@@ -81,6 +82,65 @@ AppJob make_app_job(const std::string& app, int num_files, double skew) {
     };
   } else {
     throw ppc::InvalidArgument("unknown app: " + app);
+  }
+  return job;
+}
+
+AppJob make_shuffle_app(const std::string& app, int num_files, std::uint64_t seed) {
+  PPC_REQUIRE(num_files >= 1, "shuffle app needs at least one input file");
+  AppJob job;
+  ppc::Rng rng(seed);
+  if (app == "histogram") {
+    apps::blast::DbGenConfig db_config;
+    db_config.num_sequences = 24;
+    const auto db = apps::blast::SequenceDb::generate(db_config, rng);
+    auto index = std::make_shared<apps::blast::BlastIndex>(db);
+    for (int i = 0; i < num_files; ++i) {
+      job.files.emplace_back("queries-" + std::to_string(i) + ".fa",
+                             apps::blast::make_query_file(db, 6, 0.7, rng));
+    }
+    job.map = [index](const mapreduce::FileRecord&, const std::string& contents,
+                      const mapreduce::EmitFn& emit) {
+      for (const auto& query : apps::parse_fasta(contents)) {
+        const auto hits = index->search(query);
+        // Group queries by their best database hit; unmatched queries all
+        // land in one "no-hit" bucket so nothing silently drops.
+        emit(hits.empty() ? "no-hit" : hits.front().subject_id, query.id);
+      }
+    };
+    job.reduce = [](const std::string&, const std::vector<std::string>& values) {
+      return "count=" + std::to_string(values.size()) + " first=" + values.front();
+    };
+  } else if (app == "dedup") {
+    // A pool of distinct reads sampled with repetition across files — the
+    // duplicates the job exists to find.
+    std::vector<std::string> pool;
+    for (int i = 0; i < 10; ++i) pool.push_back(apps::blast::random_protein(40, rng));
+    for (int i = 0; i < num_files; ++i) {
+      std::vector<apps::FastaRecord> reads;
+      for (int r = 0; r < 8; ++r) {
+        apps::FastaRecord rec;
+        rec.id = "f" + std::to_string(i) + "r" + std::to_string(r);
+        rec.seq = pool[rng.index(pool.size())];
+        reads.push_back(std::move(rec));
+      }
+      job.files.emplace_back("reads-" + std::to_string(i) + ".fa",
+                             apps::write_fasta(reads));
+    }
+    job.map = [](const mapreduce::FileRecord&, const std::string& contents,
+                 const mapreduce::EmitFn& emit) {
+      for (const auto& read : apps::parse_fasta(contents)) {
+        emit(read.seq, read.id);
+      }
+    };
+    job.reduce = [](const std::string&, const std::vector<std::string>& values) {
+      // First occurrence (in deterministic (map_id, seq) order) is the
+      // canonical representative; the rest are the duplicates.
+      return "rep=" + values.front() + " copies=" + std::to_string(values.size());
+    };
+  } else {
+    throw ppc::InvalidArgument("unknown shuffle app: " + app +
+                               " (expected histogram or dedup)");
   }
   return job;
 }

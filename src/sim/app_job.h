@@ -1,19 +1,29 @@
-// Canned per-file workloads over the three paper applications (Cap3, BLAST,
-// GTM), shared by the chaos campaign and the trace runner. Input generation
-// is seeded with a fixed constant so a job is identical across the runs that
-// compare against each other (fault-free baseline vs chaos run; the four
-// substrates of a trace sweep).
+// Canned workloads for the engine runner's presets. Input generation is
+// seeded, so a job is identical across the runs that compare against each
+// other. A job is map-only (one Cap3 / BLAST / GTM call per file, the
+// paper's shape) or a shuffle job, which the paper's frameworks cannot
+// express:
+//  * "histogram" — BLAST hit histogram: map searches each query against the
+//    shared database and emits (best-hit subject, query id); reduce counts
+//    the queries landing on each database sequence — §5's result table
+//    computed as a real group-by;
+//  * "dedup" — sequence dedup: reads are keyed by their exact sequence;
+//    reduce keeps the first occurrence as the canonical representative and
+//    counts the copies.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mapreduce/shuffle_job.h"
+
 namespace ppc::sim {
 
-/// A campaign's workload: (name, bytes) input files plus the per-file
-/// "executable".
+/// A workload: (name, bytes) input files plus the user code — the per-file
+/// "executable" `fn`, or `map` + `reduce` for a shuffle job.
 struct AppJob {
   std::vector<std::pair<std::string, std::string>> files;
   /// Job-wide reference data every task reads besides its own input — the
@@ -22,6 +32,9 @@ struct AppJob {
   /// content-addressed, once per worker instead of once per task.
   std::vector<std::pair<std::string, std::string>> shared_files;
   std::function<std::string(const std::string& name, const std::string& data)> fn;
+  /// Shuffle jobs only, instead of `fn`.
+  mapreduce::MapKvFn map;
+  mapreduce::ReduceFn reduce;
 };
 
 /// Builds `num_files` inputs for `app` ("cap3", "blast", "gtm").
@@ -33,5 +46,15 @@ struct AppJob {
 /// partitioning loses to dynamic scheduling precisely because per-file cost
 /// varies. Throws InvalidArgument on an unknown app.
 AppJob make_app_job(const std::string& app, int num_files, double skew = 0.0);
+
+/// Builds the "histogram" or "dedup" shuffle job over `num_files` input files.
+/// One (app, num_files, seed) triple is one job corpus — byte-identical
+/// across every run that compares against another. Throws InvalidArgument
+/// on an unknown app.
+AppJob make_shuffle_app(const std::string& app, int num_files, std::uint64_t seed = 0xC0FFEE);
+
+inline bool is_shuffle_app(const std::string& app) {
+  return app == "histogram" || app == "dedup";
+}
 
 }  // namespace ppc::sim

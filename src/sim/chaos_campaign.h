@@ -1,4 +1,5 @@
-// Chaos campaign harness — the repo's executable fault-tolerance argument.
+// Chaos campaign — the repo's executable fault-tolerance argument, and the
+// chaos preset of the engine runner (engine_run.h).
 //
 // The paper's frameworks claim to survive the cloud's failure modes with
 // nothing but visibility timeouts, delete-after-completion, and idempotent
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/engine_run.h"
 
 namespace ppc::sim {
 
@@ -48,16 +50,6 @@ struct ChaosConfig {
   bool enable_cache = false;
   int num_files = 4;
   int num_workers = 3;
-  /// Deliveries before a failing task is dead-lettered (queue substrates).
-  /// High enough that a real task hit by several independent faults (a
-  /// corrupt delivery + a crash + a failed delete) still completes; only
-  /// the always-failing poison sentinel exhausts it.
-  int max_receive_count = 5;
-  /// Queue visibility timeout for the runs — small, so crash redeliveries
-  /// resolve quickly.
-  Seconds visibility_timeout = 1.5;
-  /// Wall-clock budget per run; the campaign fails rather than hangs.
-  Seconds run_timeout = 60.0;
   /// Arm a correlated spot-revocation storm on top of the sampled plan:
   /// revoke_spot rules (budget 2, p=0.9) at the substrate's worker lifecycle
   /// site. The real-thread substrates have no drain protocol, so storm
@@ -65,7 +57,7 @@ struct ChaosConfig {
   /// crash machinery (redelivery, idempotent re-execution, DLQ) absorbs
   /// them byte-identically; the notice-respecting drain path is the DES
   /// elastic driver's and the WorkerSupervisor tests' business. Storm runs
-  /// get extra redelivery headroom (max_receive_count / map attempts).
+  /// get extra redelivery headroom (queue deliveries / task attempts).
   bool revocation_storm = false;
   /// > 0: attach a runtime::Monitor (own sampler thread, wall clock) to the
   /// chaos run's registry at this period. Every worker-scoped counter
@@ -75,7 +67,8 @@ struct ChaosConfig {
   Seconds monitor_period = 0.0;
 };
 
-struct ChaosReport {
+/// The injected and absorbed counts are the chaos run's FaultTally.
+struct ChaosReport : FaultTally {
   bool passed = false;
   std::uint64_t seed = 0;
   std::string substrate;
@@ -84,26 +77,6 @@ struct ChaosReport {
   std::string plan_summary;
   /// Human-readable reasons when !passed; empty otherwise.
   std::vector<std::string> failures;
-
-  // What the plan injected (FaultInjector totals).
-  std::int64_t crashes = 0;
-  std::int64_t delays = 0;
-  std::int64_t errors = 0;
-  std::int64_t corruptions = 0;
-  /// Spot revocations fired by the storm rules (also counted in `crashes`:
-  /// a no-notice revocation IS a crash as far as the worker is concerned).
-  std::int64_t spot_revocations = 0;
-
-  // What the substrate absorbed.
-  std::int64_t redeliveries = 0;        // at-least-once retries observed
-  std::int64_t deletes_failed = 0;      // failed / injected delete attempts
-  std::int64_t stale_deletes = 0;       // lapsed-receipt deletes suppressed
-  std::int64_t corrupt_deliveries = 0;  // checksum-detected bad deliveries
-  std::int64_t dlq_entries = 0;         // tasks dead-lettered
-  std::int64_t poison_tasks = 0;        // lifecycle-routed poison tasks
-  std::int64_t supervisor_restarts = 0;
-  double recovery_p50 = 0.0;  // supervisor time-to-recovery (seconds)
-  double recovery_max = 0.0;
 
   /// Full MetricsRegistry::to_json() snapshot of the chaos run — the
   /// artifact CI archives.

@@ -1,153 +1,56 @@
 #include "sim/shuffle_run.h"
 
-#include <memory>
 #include <sstream>
 
-#include "apps/blast/aligner.h"
-#include "apps/cap3/fasta.h"
-#include "common/error.h"
-#include "common/rng.h"
+#include "sim/engine_run.h"
 
 namespace ppc::sim {
 
-ShuffleAppJob make_shuffle_app(const std::string& app, int num_files, std::uint64_t seed) {
-  PPC_REQUIRE(num_files >= 1, "shuffle app needs at least one input file");
-  ShuffleAppJob job;
-  ppc::Rng rng(seed);
-  if (app == "histogram") {
-    apps::blast::DbGenConfig db_config;
-    db_config.num_sequences = 24;
-    const auto db = apps::blast::SequenceDb::generate(db_config, rng);
-    auto index = std::make_shared<apps::blast::BlastIndex>(db);
-    for (int i = 0; i < num_files; ++i) {
-      job.files.emplace_back("queries-" + std::to_string(i) + ".fa",
-                             apps::blast::make_query_file(db, 6, 0.7, rng));
-    }
-    job.map = [index](const mapreduce::FileRecord&, const std::string& contents,
-                      const mapreduce::EmitFn& emit) {
-      for (const auto& query : apps::parse_fasta(contents)) {
-        const auto hits = index->search(query);
-        // Group queries by their best database hit; unmatched queries all
-        // land in one "no-hit" bucket so nothing silently drops.
-        emit(hits.empty() ? "no-hit" : hits.front().subject_id, query.id);
-      }
-    };
-    job.reduce = [](const std::string&, const std::vector<std::string>& values) {
-      return "count=" + std::to_string(values.size()) + " first=" + values.front();
-    };
-  } else if (app == "dedup") {
-    // A pool of distinct reads sampled with repetition across files — the
-    // duplicates the job exists to find.
-    std::vector<std::string> pool;
-    for (int i = 0; i < 10; ++i) pool.push_back(apps::blast::random_protein(40, rng));
-    for (int i = 0; i < num_files; ++i) {
-      std::vector<apps::FastaRecord> reads;
-      for (int r = 0; r < 8; ++r) {
-        apps::FastaRecord rec;
-        rec.id = "f" + std::to_string(i) + "r" + std::to_string(r);
-        rec.seq = pool[rng.index(pool.size())];
-        reads.push_back(std::move(rec));
-      }
-      job.files.emplace_back("reads-" + std::to_string(i) + ".fa",
-                             apps::write_fasta(reads));
-    }
-    job.map = [](const mapreduce::FileRecord&, const std::string& contents,
-                 const mapreduce::EmitFn& emit) {
-      for (const auto& read : apps::parse_fasta(contents)) {
-        emit(read.seq, read.id);
-      }
-    };
-    job.reduce = [](const std::string&, const std::vector<std::string>& values) {
-      // First occurrence (in deterministic (map_id, seq) order) is the
-      // canonical representative; the rest are the duplicates.
-      return "rep=" + values.front() + " copies=" + std::to_string(values.size());
-    };
-  } else {
-    throw ppc::InvalidArgument("unknown shuffle app: " + app +
-                               " (expected histogram or dedup)");
-  }
-  return job;
-}
-
-namespace {
-
-struct OneRun {
-  mapreduce::ShuffleJobResult result;
-  std::string canonical;
-  std::size_t groups = 0;
-};
-
-OneRun run_once(const ShuffleAppJob& app_job, const ShuffleRunConfig& config, int num_nodes,
-                int slots_per_node, int num_reducers, Bytes sort_budget,
-                runtime::Tracer* tracer) {
-  minihdfs::MiniHdfs hdfs(num_nodes);
-  std::vector<std::string> paths;
-  for (const auto& [name, data] : app_job.files) {
-    const std::string path = "/in/" + name;
-    hdfs.write(path, data);
-    paths.push_back(path);
-  }
-  mapreduce::ShuffleJobConfig jc;
-  jc.num_nodes = num_nodes;
-  jc.slots_per_node = slots_per_node;
-  jc.num_reducers = num_reducers;
-  jc.job_name = config.app + "-" + std::to_string(config.seed);
-  jc.map_spill_budget = config.map_spill_budget;
-  jc.sort_memory_budget = sort_budget;
-  jc.faults = config.faults;
-  jc.metrics = config.metrics;
-  jc.tracer = tracer;
-  mapreduce::ShuffleJobRunner runner(hdfs);
-  OneRun run;
-  run.result = runner.run(paths, app_job.map, app_job.reduce, jc);
-  if (run.result.succeeded) {
-    const auto canonical = mapreduce::canonical_reduced_output(run.result, hdfs);
-    run.groups = canonical.size();
-    run.canonical = mapreduce::encode_canonical(canonical);
-  }
-  return run;
-}
-
-}  // namespace
-
 ShuffleRunReport run_shuffle_job(const ShuffleRunConfig& config) {
-  const ShuffleAppJob app_job = make_shuffle_app(config.app, config.num_files, config.seed);
+  const AppJob app_job = make_shuffle_app(config.app, config.num_files, config.seed);
 
-  std::unique_ptr<runtime::Tracer> tracer;
-  if (config.trace) {
-    tracer = std::make_unique<runtime::Tracer>();
-    tracer->enable();
-  }
+  runtime::Tracer tracer;
+  if (config.trace) tracer.enable();
+
+  EngineRunSpec spec;
+  spec.substrate = "mapreduce";
+  spec.job = config.app + "-" + std::to_string(config.seed);
+  spec.num_workers = config.num_nodes;
+  spec.slots_per_node = config.slots_per_node;
+  spec.num_reducers = config.num_reducers;
+  spec.tracer = config.trace ? &tracer : nullptr;
+  const EngineRun run = run_engine(spec, app_job);
 
   ShuffleRunReport report;
   report.app = config.app;
   report.seed = config.seed;
   report.maps = config.num_files;
   report.reducers = config.num_reducers;
-
-  OneRun run = run_once(app_job, config, config.num_nodes, config.slots_per_node,
-                        config.num_reducers, config.sort_memory_budget, tracer.get());
-  report.succeeded = run.result.succeeded;
-  report.groups = run.groups;
-  report.canonical = std::move(run.canonical);
-  report.shuffle = run.result.shuffle;
-  report.map_stats = run.result.map_stats;
-  report.reduce_stats = run.result.reduce_stats;
-  report.elapsed = run.result.elapsed;
-  if (tracer != nullptr) {
-    report.trace_json = tracer->to_chrome_json();
-    report.trace_spans = tracer->completed_spans();
+  report.succeeded = run.succeeded;
+  if (run.succeeded) {
+    report.groups = run.outputs.size();
+    report.canonical = mapreduce::encode_canonical(run.outputs);
+  }
+  report.shuffle = run.shuffle;
+  report.map_stats = run.map_stats;
+  report.reduce_stats = run.reduce_stats;
+  report.elapsed = run.elapsed;
+  if (config.trace) {
+    report.trace_json = tracer.to_chrome_json();
+    report.trace_spans = tracer.completed_spans();
   }
 
   if (config.verify_determinism && report.succeeded) {
     // Different cluster shape, different reducer sort budget (forcing a
     // different spill schedule) — the canonical bytes must not move.
-    const int alt_nodes = config.num_nodes == 1 ? 2 : 1;
-    const Bytes alt_budget = config.sort_memory_budget > 0.0 ? 0.0 : 1024.0;
-    OneRun alt = run_once(app_job, config, alt_nodes, config.slots_per_node + 1,
-                          config.num_reducers, alt_budget, nullptr);
+    spec.num_workers = config.num_nodes == 1 ? 2 : 1;
+    spec.slots_per_node = config.slots_per_node + 1;
+    spec.sort_memory_budget = 0.0;
+    spec.tracer = nullptr;
+    const EngineRun alt = run_engine(spec, app_job);
     report.determinism_verified = true;
-    report.determinism_ok = alt.result.succeeded && alt.canonical == report.canonical;
+    report.determinism_ok =
+        alt.succeeded && mapreduce::encode_canonical(alt.outputs) == report.canonical;
   }
   return report;
 }

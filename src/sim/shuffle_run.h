@@ -1,48 +1,18 @@
-// Shuffle workloads and the `ppcloud shuffle` run harness.
+// The `ppcloud shuffle` preset of the engine runner.
 //
-// Two biomedical workloads exercise the full MapReduce pipeline — the first
-// group-by shapes this repo can express (the map-only substrates of the
-// paper cannot):
-//  * "histogram" — BLAST hit histogram: map searches each query against the
-//    shared database and emits (best-hit subject, query id); reduce counts
-//    the queries landing on each database sequence. The per-subject hit
-//    histogram is §5's result table, computed as a real group-by instead of
-//    a post-processing script.
-//  * "dedup" — sequence dedup: reads are keyed by their exact sequence;
-//    reduce keeps the first occurrence as the canonical representative and
-//    counts the copies — a shuffle join of every input file against itself.
-//
-// Input generation is seeded, so one seed defines one job corpus; the
-// harness runs the job on the real-thread engine and (optionally) verifies
-// the determinism contract by re-running with a different cluster shape and
-// comparing canonical output bytes.
+// Runs one shuffle workload ("histogram" or "dedup", see app_job.h) on the
+// real-thread mapreduce engine and, on request, verifies the determinism
+// contract: a rerun on a different cluster shape (nodes, slots, reducer
+// sort budget) must produce the same canonical output bytes.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 
 #include "mapreduce/shuffle_job.h"
+#include "sim/app_job.h"
 
 namespace ppc::sim {
-
-/// A shuffle campaign's workload: seeded input files plus the user map and
-/// reduce functions.
-struct ShuffleAppJob {
-  std::vector<std::pair<std::string, std::string>> files;
-  mapreduce::MapKvFn map;
-  mapreduce::ReduceFn reduce;
-};
-
-/// Builds the "histogram" or "dedup" workload over `num_files` input files.
-/// One (app, num_files, seed) triple is one job corpus — byte-identical
-/// across every run that compares against another. Throws InvalidArgument
-/// on an unknown app.
-ShuffleAppJob make_shuffle_app(const std::string& app, int num_files,
-                               std::uint64_t seed = 0xC0FFEE);
-
-inline bool is_shuffle_app(const std::string& app) {
-  return app == "histogram" || app == "dedup";
-}
 
 struct ShuffleRunConfig {
   std::string app = "histogram";
@@ -51,15 +21,11 @@ struct ShuffleRunConfig {
   int num_nodes = 3;
   int slots_per_node = 2;
   int num_reducers = 3;
-  Bytes map_spill_budget = 8.0 * 1024;   // small: real jobs here are small
-  Bytes sort_memory_budget = 32.0 * 1024;
   /// Re-run the job with a different cluster shape (nodes/slots/reducer
   /// budget) and assert canonical output bytes are identical.
   bool verify_determinism = false;
-  /// > 0: attach a tracer and keep the Chrome JSON in the report.
+  /// Attach a tracer and keep the Chrome JSON in the report.
   bool trace = false;
-  runtime::FaultInjector* faults = nullptr;
-  std::shared_ptr<runtime::MetricsRegistry> metrics;
 };
 
 struct ShuffleRunReport {
@@ -82,8 +48,8 @@ struct ShuffleRunReport {
   std::string to_text() const;
 };
 
-/// Runs one shuffle job on the real-thread engine (fresh MiniHdfs staged
-/// with the seeded corpus). Throws on configuration errors.
+/// Runs one shuffle job on the real-thread engine, staged with the seeded
+/// corpus. Throws on configuration errors.
 ShuffleRunReport run_shuffle_job(const ShuffleRunConfig& config);
 
 }  // namespace ppc::sim

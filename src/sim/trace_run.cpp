@@ -1,168 +1,12 @@
 #include "sim/trace_run.h"
 
-#include <memory>
 #include <utility>
 
-#include "azuremr/runtime.h"
-#include "classiccloud/job_client.h"
-#include "cloudq/queue_service.h"
-#include "common/clock.h"
-#include "common/error.h"
-#include "common/rng.h"
 #include "common/string_util.h"
-#include "dryad/file_share.h"
-#include "dryad/partitioned_table.h"
-#include "dryad/runtime.h"
-#include "mapreduce/job.h"
-#include "minihdfs/mini_hdfs.h"
-#include "runtime/monitor.h"
 #include "sim/app_job.h"
-#include "storage/fs_backends.h"
+#include "sim/engine_run.h"
 
 namespace ppc::sim {
-
-namespace {
-
-void run_classiccloud(const TraceRunConfig& cfg, const AppJob& app, runtime::Tracer& tracer,
-         const std::shared_ptr<runtime::MetricsRegistry>& metrics,
-                      TraceRunReport& report) {
-  auto clock = std::make_shared<ppc::SystemClock>();
-  const auto store =
-      storage::make_backend(storage::parse_storage_kind(cfg.storage), clock, ppc::Rng(0x77ACE));
-  cloudq::QueueService queues(clock);
-  store->set_tracer(&tracer);
-  queues.set_tracer(&tracer);
-
-  classiccloud::JobClient client(*store, queues, "trace-cc");
-  client.submit(app.files, app.shared_files);
-
-  classiccloud::TaskExecutor executor = [&app](const classiccloud::TaskSpec& task,
-                                               const std::string& input) {
-    return app.fn(task.task_id, input);
-  };
-  classiccloud::WorkerConfig wc;
-  wc.poll_interval = 0.001;
-  wc.tracer = &tracer;
-  wc.metrics = metrics;
-  wc.enable_cache = cfg.enable_cache;
-  classiccloud::WorkerPool pool(*store, client.task_queue(), client.monitor_queue(), executor,
-                                wc, cfg.num_workers, "trace-cc-w");
-  pool.start_all();
-  const bool done = client.wait_for_completion(cfg.run_timeout);
-  pool.stop_all();
-  pool.join_all();
-  if (!done) {
-    report.failures.push_back("classiccloud job did not complete within " +
-                              ppc::format_fixed(cfg.run_timeout, 0) + "s");
-    return;
-  }
-  for (const auto& task : client.tasks()) {
-    if (client.fetch_output(task) != nullptr) ++report.files_processed;
-  }
-  report.succeeded = report.files_processed == app.files.size();
-  if (!report.succeeded) report.failures.push_back("classiccloud outputs missing");
-}
-
-void run_azuremr(const TraceRunConfig& cfg, const AppJob& app, runtime::Tracer& tracer,
-         const std::shared_ptr<runtime::MetricsRegistry>& metrics,
-                 TraceRunReport& report) {
-  auto clock = std::make_shared<ppc::SystemClock>();
-  const auto store =
-      storage::make_backend(storage::parse_storage_kind(cfg.storage), clock, ppc::Rng(0xA27ACE));
-  cloudq::QueueService queues(clock);
-  store->set_tracer(&tracer);
-  queues.set_tracer(&tracer);
-
-  azuremr::MrWorkerConfig wc;
-  wc.poll_interval = 0.001;
-  wc.tracer = &tracer;
-  wc.metrics = metrics;
-  azuremr::AzureMapReduce mr(*store, queues, cfg.num_workers, wc);
-  mr.supervisor_config.tracer = &tracer;
-
-  azuremr::JobSpec spec;
-  spec.job_id = "trace-az";
-  spec.inputs = app.files;
-  spec.num_reduce_tasks = 2;
-  spec.stage_timeout = cfg.run_timeout;
-  const auto fn = app.fn;
-  spec.map = [fn](const std::string& name, const std::string& data, const std::string&) {
-    return std::vector<azuremr::KeyValue>{{name, fn(name, data)}};
-  };
-  spec.reduce = [](const std::string&, const std::vector<std::string>& values) {
-    return values.front();
-  };
-  const auto result = mr.run(spec);
-  report.files_processed = result.outputs.size();
-  report.succeeded = result.succeeded && report.files_processed == app.files.size();
-  if (!report.succeeded) report.failures.push_back("azuremr job failed");
-}
-
-void run_mapreduce(const TraceRunConfig& cfg, const AppJob& app, runtime::Tracer& tracer,
-         const std::shared_ptr<runtime::MetricsRegistry>& metrics,
-                   TraceRunReport& report) {
-  minihdfs::MiniHdfs hdfs(cfg.num_workers);
-  std::vector<std::string> paths;
-  for (const auto& [name, data] : app.files) {
-    const std::string path = "/in/" + name;
-    hdfs.write(path, data);
-    paths.push_back(path);
-  }
-  const auto fn = app.fn;
-  mapreduce::JobConfig jc;
-  jc.num_nodes = cfg.num_workers;
-  // One slot per node so each trace track is a node — comparable 1:1 with
-  // the dryad run of the same job.
-  jc.slots_per_node = 1;
-  jc.tracer = &tracer;
-  jc.metrics = metrics;
-  mapreduce::LocalJobRunner runner(hdfs);
-  const auto result = runner.run(
-      paths,
-      [fn](const mapreduce::FileRecord& record, const std::string& contents) {
-        return fn(record.name, contents);
-      },
-      jc);
-  report.files_processed = result.outputs.size();
-  report.succeeded = result.succeeded && report.files_processed == app.files.size();
-  if (!report.succeeded) report.failures.push_back("mapreduce job failed");
-}
-
-void run_dryad(const TraceRunConfig& cfg, const AppJob& app, runtime::Tracer& tracer,
-         const std::shared_ptr<runtime::MetricsRegistry>& metrics,
-               TraceRunReport& report) {
-  dryad::FileShare share(cfg.num_workers);
-  std::vector<std::string> names;
-  names.reserve(app.files.size());
-  for (const auto& [name, _] : app.files) names.push_back(name);
-  // Round-robin static partitioning — the layout the paper's partition tool
-  // produces without size information, and the one §4.2 blames for the
-  // imbalance on inhomogeneous data.
-  const auto table = dryad::PartitionedTable::round_robin(names, cfg.num_workers);
-  table.distribute(share, [&](const std::string& name) -> std::string {
-    for (const auto& [n, data] : app.files) {
-      if (n == name) return data;
-    }
-    throw ppc::InternalError("partition references unknown file: " + name);
-  });
-
-  dryad::RuntimeConfig rc;
-  rc.num_nodes = cfg.num_workers;
-  rc.slots_per_node = 1;
-  rc.tracer = &tracer;
-  rc.metrics = metrics;
-  dryad::DryadRuntime rt(rc);
-  const auto fn = app.fn;
-  const auto result = dryad_select(rt, share, table,
-                                   [fn](const std::string& name, const std::string& contents) {
-                                     return fn(name, contents);
-                                   });
-  report.files_processed = result.outputs.size();
-  report.succeeded = result.report.succeeded && report.files_processed == app.files.size();
-  if (!report.succeeded) report.failures.push_back("dryad job failed");
-}
-
-}  // namespace
 
 TraceRunReport run_traced_job(const TraceRunConfig& config) {
   TraceRunReport report;
@@ -172,32 +16,21 @@ TraceRunReport run_traced_job(const TraceRunConfig& config) {
   const AppJob app = make_app_job(config.app, config.num_files, config.skew);
   runtime::Tracer tracer;
   tracer.enable();
-  auto metrics = std::make_shared<runtime::MetricsRegistry>();
-  std::unique_ptr<runtime::Monitor> monitor;
-  if (config.monitor_period > 0.0) {
-    runtime::MonitorConfig mc;
-    mc.period = config.monitor_period;
-    monitor = std::make_unique<runtime::Monitor>(*metrics, mc);
-    monitor->start();
-  }
-
-  if (config.substrate == "classiccloud") {
-    run_classiccloud(config, app, tracer, metrics, report);
-  } else if (config.substrate == "azuremr") {
-    run_azuremr(config, app, tracer, metrics, report);
-  } else if (config.substrate == "mapreduce") {
-    run_mapreduce(config, app, tracer, metrics, report);
-  } else if (config.substrate == "dryad") {
-    run_dryad(config, app, tracer, metrics, report);
-  } else {
-    throw ppc::InvalidArgument("unknown trace substrate: " + config.substrate);
-  }
-
-  if (monitor != nullptr) {
-    monitor->stop();
-    report.monitor_json = monitor->to_json();
-  }
+  EngineRunSpec spec;
+  spec.substrate = config.substrate;
+  spec.job = "trace";
+  spec.storage = config.storage;
+  spec.enable_cache = config.enable_cache;
+  spec.num_workers = config.num_workers;
+  spec.tracer = &tracer;
+  spec.monitor_period = config.monitor_period;
+  EngineRun run = run_engine(spec, app);
   tracer.disable();
+
+  report.succeeded = run.succeeded;
+  report.files_processed = run.outputs.size();
+  report.failures = std::move(run.failures);
+  report.monitor_json = std::move(run.monitor_json);
   report.spans = tracer.completed_spans();
   report.chrome_json = tracer.to_chrome_json();
   report.summary_table = tracer.summary_table();

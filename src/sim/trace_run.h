@@ -1,9 +1,10 @@
 // Traced end-to-end runs — the timeline evidence behind the paper's figures.
 //
-// run_traced_job() executes one small Cap3 / BLAST / GTM job on any of the
-// four substrates with an enabled runtime::Tracer attached to every layer
-// (queues, blob store, lifecycle, supervisor, engine slots), then returns the
-// three exports: Chrome trace_event JSON (load it in ui.perfetto.dev), the
+// run_traced_job() — the trace preset of the engine runner (engine_run.h) —
+// executes one small Cap3 / BLAST / GTM job on any of the four substrates
+// with an enabled runtime::Tracer attached to every layer (queues, blob
+// store, lifecycle, supervisor, engine slots), then returns the three
+// exports: Chrome trace_event JSON (load it in ui.perfetto.dev), the
 // per-task summary table, and the per-worker LoadReport.
 //
 // The default workload is deliberately inhomogeneous (see AppJob `skew`):
@@ -45,8 +46,6 @@ struct TraceRunConfig {
   /// job's shared files (BLAST database, GTM training matrix) are fetched
   /// once per worker. Cache hits/misses appear as "cache.*" spans.
   bool enable_cache = false;
-  /// Wall-clock budget; the run fails rather than hangs.
-  Seconds run_timeout = 60.0;
   /// > 0: attach a runtime::Monitor (own sampler thread, wall clock) to a
   /// registry shared by the run's engine — per-worker busy gauges and
   /// engine counters become time series, dumped into
