@@ -1,7 +1,6 @@
 #include "sim/autoscale_run.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 #include "cloud/instance_types.h"
@@ -13,14 +12,6 @@
 #include "sim/monitor_run.h"
 
 namespace ppc::sim {
-
-namespace {
-
-double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-}  // namespace
 
 AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
   PPC_REQUIRE(config.tasks >= 1, "campaign needs tasks");
@@ -91,65 +82,22 @@ AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
   const core::Deployment elastic_deployment =
       core::make_deployment(type, config.instances, config.workers_per_instance);
 
-  auto run_once = [&](core::ElasticRunStats& stats, std::string& monitor_json,
-                      std::uint64_t& samples, bool& alarm) {
-    runtime::MetricsRegistry registry;
-    runtime::MonitorConfig mc;
-    mc.period = config.monitor_period;
-    mc.capacity = config.monitor_capacity;
-    mc.scrape_registry = false;
-    runtime::Monitor monitor(registry, mc);
-    for (const std::string& rule : default_alarm_rules()) {
-      monitor.add_alarm(runtime::parse_alarm(rule));
-    }
+  core::SimRunParams params = static_params;
+  // Redelivery tail of a hard kill: long enough to cover a prefetched
+  // batch, short enough that resurfaced tasks still meet the deadline.
+  params.visibility_timeout = 1800.0;
+  const core::RunResult result = report.run_monitored(
+      config.monitor_period, config.monitor_capacity, config.verify_determinism,
+      [&](runtime::Monitor& monitor, bool first) {
+        params.monitor = &monitor;
+        core::ElasticRunStats rerun_stats;
+        return core::run_elastic_classic_sim(workload, elastic_deployment, model, params,
+                                             elastic, first ? &report.elastic : &rerun_stats);
+      });
 
-    core::SimRunParams params;
-    params.seed = config.seed;
-    params.receive_batch = config.receive_batch;
-    params.queue.shards = config.queue_shards;
-    // Redelivery tail of a hard kill: long enough to cover a prefetched
-    // batch, short enough that resurfaced tasks still meet the deadline.
-    params.visibility_timeout = 1800.0;
-    params.monitor = &monitor;
-
-    const core::RunResult result = core::run_elastic_classic_sim(
-        workload, elastic_deployment, model, params, elastic, &stats);
-    monitor_json = monitor.to_json();
-    samples = monitor.samples();
-    alarm = monitor.degraded() || !monitor.firings().empty();
-    return result;
-  };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::string monitor_json;
-  const core::RunResult result =
-      run_once(report.elastic, monitor_json, report.monitor_samples, report.alarm_fired);
-  report.wall_seconds = wall_seconds_since(t0);
-
-  report.completed = result.completed;
   report.makespan_elastic = result.makespan;
   report.cost_elastic = result.compute_cost_hour_units;
-  report.queue_undeleted_end = result.queue_undeleted_end;
-  report.monitor_json = monitor_json;
 
-  if (config.verify_determinism) {
-    core::ElasticRunStats rerun_stats;
-    std::string rerun_json;
-    std::uint64_t rerun_samples = 0;
-    bool rerun_alarm = false;
-    (void)run_once(rerun_stats, rerun_json, rerun_samples, rerun_alarm);
-    report.deterministic = rerun_json == monitor_json;
-  }
-
-  if (report.completed != report.tasks) {
-    report.failures.push_back("completed " + std::to_string(report.completed) + " of " +
-                              std::to_string(report.tasks) + " tasks");
-  }
-  if (report.queue_undeleted_end != 0) {
-    report.failures.push_back("task queue did not drain: " +
-                              std::to_string(report.queue_undeleted_end) +
-                              " undeleted messages");
-  }
   if (report.makespan_elastic > report.deadline) {
     report.failures.push_back("deadline missed: " + std::to_string(report.makespan_elastic) +
                               " sim-s > " + std::to_string(report.deadline) + " sim-s");
@@ -170,17 +118,7 @@ AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
     report.failures.push_back("budget exceeded: $" + std::to_string(report.cost_elastic) +
                               " > $" + std::to_string(config.budget));
   }
-  if (report.alarm_fired) {
-    report.failures.push_back("monitor alarm fired (thrash or stall)");
-  }
-  if (!report.deterministic) {
-    report.failures.push_back("monitor time-series differed across reruns");
-  }
-  if (report.wall_seconds > config.wall_budget) {
-    report.failures.push_back("wall budget exceeded: " + std::to_string(report.wall_seconds) +
-                              "s > " + std::to_string(config.wall_budget) + "s");
-  }
-  report.passed = report.failures.empty();
+  report.finish(config.wall_budget);
   return report;
 }
 

@@ -28,6 +28,7 @@
 
 #include "common/units.h"
 #include "core/drivers.h"
+#include "sim/monitor_run.h"
 
 namespace ppc::sim {
 
@@ -64,12 +65,9 @@ struct AutoscaleCampaignConfig {
   bool verify_determinism = true;
 };
 
-struct AutoscaleReport {
-  bool passed = false;
-  std::vector<std::string> failures;
-
-  int tasks = 0;
-  int completed = 0;
+/// The verdict, task counts and monitor series of the elastic run come
+/// from MonitoredCampaign.
+struct AutoscaleReport : MonitoredCampaign {
   Seconds deadline = 0.0;
   int static_instances = 0;  // the SchedulerPolicy's comparator fleet
   Seconds makespan_static = 0.0;
@@ -77,14 +75,6 @@ struct AutoscaleReport {
   Dollars cost_static = 0.0;   // hour units, all on-demand
   Dollars cost_elastic = 0.0;  // hour units, blended
   core::ElasticRunStats elastic;
-  std::uint64_t queue_undeleted_end = 0;
-  double wall_seconds = 0.0;
-
-  std::uint64_t monitor_samples = 0;
-  bool alarm_fired = false;
-  bool deterministic = true;
-  /// Monitor::to_json() of the elastic run — the byte-diff artifact.
-  std::string monitor_json;
 
   std::string to_text() const;
   /// "t,active,spot\n..." — the fleet-size-vs-time CI artifact.

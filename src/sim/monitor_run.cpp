@@ -1,5 +1,6 @@
 #include "sim/monitor_run.h"
 
+#include <chrono>
 #include <sstream>
 
 #include "cloud/instance_types.h"
@@ -61,6 +62,54 @@ std::vector<std::string> default_alarm_rules() {
           "fleet.thrash: fleet.scale_events.rate > 0.05 for 60s"};
 }
 
+AlarmedMonitor::AlarmedMonitor(Seconds period, std::size_t capacity,
+                               const std::vector<std::string>& rules)
+    : monitor(registry, {.period = period, .capacity = capacity, .scrape_registry = false}) {
+  for (const std::string& rule : rules) monitor.add_alarm(runtime::parse_alarm(rule));
+}
+
+bool AlarmedMonitor::alarmed() const {
+  return monitor.degraded() || !monitor.firings().empty();
+}
+
+core::RunResult MonitoredCampaign::run_monitored(
+    Seconds period, std::size_t capacity, bool verify,
+    const std::function<core::RunResult(runtime::Monitor&, bool first)>& drive) {
+  const auto t0 = std::chrono::steady_clock::now();
+  AlarmedMonitor m(period, capacity);
+  core::RunResult result = drive(m.monitor, true);
+  wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  completed = result.completed;
+  queue_undeleted_end = result.queue_undeleted_end;
+  monitor_samples = m.monitor.samples();
+  alarm_fired = m.alarmed();
+  monitor_json = m.monitor.to_json();
+  if (verify) {
+    AlarmedMonitor rerun(period, capacity);
+    (void)drive(rerun.monitor, false);
+    deterministic = rerun.monitor.to_json() == monitor_json;
+  }
+  return result;
+}
+
+void MonitoredCampaign::finish(Seconds wall_budget) {
+  if (completed != tasks) {
+    failures.push_back("completed " + std::to_string(completed) + " of " +
+                       std::to_string(tasks) + " tasks");
+  }
+  if (queue_undeleted_end != 0) {
+    failures.push_back("task queue did not drain: " + std::to_string(queue_undeleted_end) +
+                       " undeleted messages");
+  }
+  if (alarm_fired) failures.push_back("monitor alarm fired");
+  if (!deterministic) failures.push_back("monitor time-series differed across reruns");
+  if (wall_seconds > wall_budget) {
+    failures.push_back("wall budget exceeded: " + std::to_string(wall_seconds) + "s > " +
+                       std::to_string(wall_budget) + "s");
+  }
+  passed = failures.empty();
+}
+
 MonitorRunReport run_monitored_job(const MonitorRunConfig& config) {
   PPC_REQUIRE(config.substrate == "classiccloud" || config.substrate == "azuremr" ||
                   config.substrate == "mapreduce" || config.substrate == "dryad",
@@ -69,23 +118,14 @@ MonitorRunReport run_monitored_job(const MonitorRunConfig& config) {
   const core::Deployment deployment = build_deployment(config);
   const core::ExecutionModel model(workload.app);
 
-  runtime::MetricsRegistry registry;
-  runtime::MonitorConfig mc;
-  mc.period = config.period;
-  mc.capacity = config.capacity;
-  // The registry only fills when the driver publishes its end-of-run
-  // totals, after the last tick — scraping it would add all-zero series.
-  // The probes the driver registers carry every live signal.
-  mc.scrape_registry = false;
-  runtime::Monitor monitor(registry, mc);
-  const std::vector<std::string> rules =
-      config.alarms.empty() ? default_alarm_rules() : config.alarms;
-  for (const std::string& rule : rules) monitor.add_alarm(runtime::parse_alarm(rule));
+  AlarmedMonitor m(config.period, config.capacity,
+                   config.alarms.empty() ? default_alarm_rules() : config.alarms);
+  runtime::Monitor& monitor = m.monitor;
 
   core::SimRunParams params;
   params.seed = config.seed;
   params.monitor = &monitor;
-  params.metrics = &registry;
+  params.metrics = &m.registry;
   params.stall_worker = config.stall_worker;
   params.stall_at = config.stall_at;
   params.stall_duration = config.stall_duration;

@@ -16,10 +16,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
+#include "core/drivers.h"
 #include "runtime/monitor.h"
 
 namespace ppc::sim {
@@ -78,6 +81,43 @@ struct MonitorRunReport {
 /// (inert unless an elastic driver registers the fleet probes). Exposed so
 /// docs and tests quote the real thing.
 std::vector<std::string> default_alarm_rules();
+
+/// A Monitor on its own registry with alarm rules armed — the set-up shared
+/// by `ppcloud monitor`, `campaign` and `autoscale`. The registry is not
+/// scraped: a DES driver publishes into it only after the last tick, so the
+/// probes it registers carry every live signal.
+struct AlarmedMonitor {
+  AlarmedMonitor(Seconds period, std::size_t capacity,
+                 const std::vector<std::string>& rules = default_alarm_rules());
+  /// True once any alarm fired.
+  bool alarmed() const;
+
+  runtime::MetricsRegistry registry;
+  runtime::Monitor monitor;
+};
+
+/// What the DES campaigns (`ppcloud campaign`, `autoscale`) share.
+struct MonitoredCampaign {
+  bool passed = false;
+  std::vector<std::string> failures;  // reasons when !passed
+  int tasks = 0;
+  int completed = 0;
+  std::uint64_t queue_undeleted_end = 0;  // 0 = task queue fully drained
+  double wall_seconds = 0.0;              // first run, real time
+  std::uint64_t monitor_samples = 0;
+  bool alarm_fired = false;
+  bool deterministic = true;  // monitor series byte-identical across reruns
+  std::string monitor_json;  // first run; the artifact CI byte-diffs
+
+  /// Calls `drive` under an AlarmedMonitor and, when `verify`, once more
+  /// (first = false) under a fresh one; returns the first run's result.
+  core::RunResult run_monitored(
+      Seconds period, std::size_t capacity, bool verify,
+      const std::function<core::RunResult(runtime::Monitor&, bool first)>& drive);
+  /// Appends the shared checks (tasks, drain, alarm, rerun, wall budget) to
+  /// `failures`, then sets `passed`.
+  void finish(Seconds wall_budget);
+};
 
 /// Runs one monitored job. Throws InvalidArgument on unknown
 /// substrate/app/alarm grammar; run-level problems (incomplete job, fired

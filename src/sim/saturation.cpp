@@ -179,43 +179,20 @@ CampaignReport run_million_task_campaign(const CampaignConfig& config) {
   CampaignReport report;
   report.tasks = config.tasks;
 
-  // One run = driver + fresh Monitor; returns (result, monitor json, alarm).
-  auto run_once = [&](std::string& monitor_json, std::uint64_t& samples, bool& alarm) {
-    runtime::MetricsRegistry registry;
-    runtime::MonitorConfig mc;
-    mc.period = config.monitor_period;
-    mc.capacity = config.monitor_capacity;
-    mc.scrape_registry = false;
-    runtime::Monitor monitor(registry, mc);
-    for (const std::string& rule : default_alarm_rules()) {
-      monitor.add_alarm(runtime::parse_alarm(rule));
-    }
+  core::SimRunParams params;
+  params.seed = config.seed;
+  params.receive_batch = config.receive_batch;
+  params.queue.shards = config.queue_shards;
+  const core::RunResult result = report.run_monitored(
+      config.monitor_period, config.monitor_capacity, config.verify_determinism,
+      [&](runtime::Monitor& monitor, bool) {
+        params.monitor = &monitor;
+        return core::run_classic_cloud_sim(workload, deployment, model, params);
+      });
 
-    core::SimRunParams params;
-    params.seed = config.seed;
-    params.receive_batch = config.receive_batch;
-    params.queue.shards = config.queue_shards;
-    params.monitor = &monitor;
-
-    const core::RunResult result =
-        core::run_classic_cloud_sim(workload, deployment, model, params);
-    monitor_json = monitor.to_json();
-    samples = monitor.samples();
-    alarm = monitor.degraded() || !monitor.firings().empty();
-    return result;
-  };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::string monitor_json;
-  const core::RunResult result =
-      run_once(monitor_json, report.monitor_samples, report.alarm_fired);
-  report.wall_seconds = wall_seconds_since(t0);
-
-  report.completed = result.completed;
   report.makespan = result.makespan;
   report.sim_tasks_per_second =
       result.makespan > 0.0 ? result.completed / result.makespan : 0.0;
-  report.queue_undeleted_end = result.queue_undeleted_end;
   report.api_requests = result.queue_api_requests;
   report.unbatched_requests = result.queue_unbatched_requests;
   report.batch_occupancy = result.queue_batch_occupancy;
@@ -223,34 +200,8 @@ CampaignReport run_million_task_campaign(const CampaignConfig& config) {
       billing::queue_batching_savings(result.queue_api_requests, result.queue_unbatched_requests);
   report.queue_cost = savings.cost;
   report.queue_cost_unbatched = savings.unbatched_cost;
-  report.monitor_json = monitor_json;
 
-  if (config.verify_determinism) {
-    std::string rerun_json;
-    std::uint64_t rerun_samples = 0;
-    bool rerun_alarm = false;
-    (void)run_once(rerun_json, rerun_samples, rerun_alarm);
-    report.deterministic = rerun_json == monitor_json;
-  }
-
-  if (report.completed != report.tasks) {
-    report.failures.push_back("completed " + std::to_string(report.completed) + " of " +
-                              std::to_string(report.tasks) + " tasks");
-  }
-  if (report.queue_undeleted_end != 0) {
-    report.failures.push_back("task queue did not drain: " +
-                              std::to_string(report.queue_undeleted_end) +
-                              " undeleted messages");
-  }
-  if (report.alarm_fired) report.failures.push_back("monitor alarm fired on a fault-free run");
-  if (!report.deterministic) {
-    report.failures.push_back("monitor time-series differed across reruns");
-  }
-  if (report.wall_seconds > config.wall_budget) {
-    report.failures.push_back("wall budget exceeded: " + std::to_string(report.wall_seconds) +
-                              "s > " + std::to_string(config.wall_budget) + "s");
-  }
-  report.passed = report.failures.empty();
+  report.finish(config.wall_budget);
   return report;
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/monitor_run.h"
 
 namespace ppc::sim {
 
@@ -90,29 +91,16 @@ struct CampaignConfig {
   bool verify_determinism = true;
 };
 
-struct CampaignReport {
-  bool passed = false;
-  std::vector<std::string> failures;  // reasons when !passed
-
-  int tasks = 0;
-  int completed = 0;
-  Seconds makespan = 0.0;        // sim-seconds
-  double wall_seconds = 0.0;     // first run, real time
+/// The verdict, task counts and monitor series come from MonitoredCampaign.
+struct CampaignReport : MonitoredCampaign {
+  Seconds makespan = 0.0;  // sim-seconds
   double sim_tasks_per_second = 0.0;
-  std::uint64_t queue_undeleted_end = 0;  // 0 = task queue fully drained
 
   std::uint64_t api_requests = 0;
   std::uint64_t unbatched_requests = 0;
   double batch_occupancy = 0.0;
   Dollars queue_cost = 0.0;
   Dollars queue_cost_unbatched = 0.0;
-
-  std::uint64_t monitor_samples = 0;
-  bool alarm_fired = false;
-  bool deterministic = true;  // monitor series byte-identical across reruns
-  /// Monitor::to_json() of the first run — the deterministic artifact CI
-  /// archives and byte-diffs.
-  std::string monitor_json;
 
   std::string to_text() const;
 };
