@@ -159,8 +159,10 @@
 // spot-revocation rules on top of the sampled plan (absorbed as crashes by
 // the real-thread substrates; extra redelivery headroom is applied).
 //
-// Exit status: 0 on success, 1 on bad usage or a failed run (a failed chaos
-// campaign prints the seed that reproduces it).
+// Exit status: 0 on success, 1 on bad usage, a failed run (a failed chaos
+// campaign prints the seed that reproduces it) or a requested artifact
+// (--out, --json, --prom, --fleet-csv, --trace-dir, --monitor-dir) that
+// could not be written.
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -235,11 +237,19 @@ T opt_num(const Options& opts, const std::string& key, T fallback) {
   return value;
 }
 
-bool write_file(const std::string& path, const std::string& data) {
+/// Writes a requested artifact and prints "<what>: <path>". A failed write
+/// prints "ppcloud: could not write <path>" and returns false; every verb
+/// then exits non-zero.
+bool write_artifact(const std::string& path, const std::string& data, const std::string& what) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  return (std::fclose(f) == 0) && ok;
+  bool ok = f != nullptr && std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (ok) {
+    std::printf("%s: %s\n", what.c_str(), path.c_str());
+  } else {
+    std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
+  }
+  return ok;
 }
 
 int cmd_catalog() {
@@ -384,39 +394,33 @@ int cmd_chaos(const Options& opts) {
 
   const std::string trace_dir = opt(opts, "trace-dir", "");
 
-  bool all_passed = true;
+  bool all_ok = true;
   for (const std::string& s : substrates) {
     sim::ChaosConfig config = base;
     config.substrate = s;
     const sim::ChaosReport report = sim::run_chaos_campaign(config);
     std::fputs(report.to_text().c_str(), stdout);
     if (print_json) std::printf("%s\n", report.metrics_json.c_str());
-    if (!monitor_dir.empty() && !report.monitor_json.empty()) {
-      const std::string path = monitor_dir + "/chaos-monitor-" + s + ".json";
-      if (write_file(path, report.monitor_json)) {
-        std::printf("chaos-run monitor series: %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-      }
+    if (!monitor_dir.empty() && !report.monitor_json.empty() &&
+        !write_artifact(monitor_dir + "/chaos-monitor-" + s + ".json", report.monitor_json,
+                        "chaos-run monitor series")) {
+      all_ok = false;
     }
     if (!report.passed) {
-      all_passed = false;
+      all_ok = false;
       std::printf("reproduce with: ppcloud chaos --seed %llu --substrate %s --app %s%s\n",
                   static_cast<unsigned long long>(report.seed), s.c_str(),
                   base.app.c_str(),
                   base.revocation_storm ? " --revocation-storm 1" : "");
       if (!trace_dir.empty() && !report.trace_json.empty()) {
-        const std::string path = trace_dir + "/chaos-trace-" + s + "-seed" +
-                                 std::to_string(report.seed) + ".json";
-        if (write_file(path, report.trace_json)) {
-          std::printf("chaos-run trace (%zu spans): %s\n", report.trace_spans, path.c_str());
-        } else {
-          std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-        }
+        write_artifact(trace_dir + "/chaos-trace-" + s + "-seed" +
+                           std::to_string(report.seed) + ".json",
+                       report.trace_json,
+                       "chaos-run trace (" + std::to_string(report.trace_spans) + " spans)");
       }
     }
   }
-  return all_passed ? 0 : 1;
+  return all_ok ? 0 : 1;
 }
 
 int cmd_shuffle(const Options& opts) {
@@ -433,22 +437,20 @@ int cmd_shuffle(const Options& opts) {
 
   const sim::ShuffleRunReport report = sim::run_shuffle_job(config);
   std::fputs(report.to_text().c_str(), stdout);
-  if (!trace_dir.empty() && !report.trace_json.empty()) {
-    const std::string path = trace_dir + "/shuffle-trace-" + config.app + "-seed" +
-                             std::to_string(config.seed) + ".json";
-    if (write_file(path, report.trace_json)) {
-      std::printf("shuffle trace (%zu spans): %s\n", report.trace_spans, path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-    }
+  bool ok = report.succeeded;
+  if (!trace_dir.empty() && !report.trace_json.empty() &&
+      !write_artifact(trace_dir + "/shuffle-trace-" + config.app + "-seed" +
+                          std::to_string(config.seed) + ".json",
+                      report.trace_json,
+                      "shuffle trace (" + std::to_string(report.trace_spans) + " spans)")) {
+    ok = false;
   }
-  if (!report.succeeded) return 1;
   if (report.determinism_verified && !report.determinism_ok) {
     std::printf("reproduce with: ppcloud shuffle --app %s --seed %llu --verify 1\n",
                 config.app.c_str(), static_cast<unsigned long long>(config.seed));
-    return 1;
+    ok = false;
   }
-  return 0;
+  return ok ? 0 : 1;
 }
 
 int cmd_trace(const Options& opts) {
@@ -481,22 +483,15 @@ int cmd_trace(const Options& opts) {
     sim::TraceRunReport report = sim::run_traced_job(config);
     std::fputs(report.to_text().c_str(), stdout);
     if (!report.succeeded) all_ok = false;
-    if (!monitor_dir.empty() && !report.monitor_json.empty()) {
-      const std::string path = monitor_dir + "/trace-monitor-" + s + ".json";
-      if (write_file(path, report.monitor_json)) {
-        std::printf("trace-run monitor series: %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-        all_ok = false;
-      }
+    if (!monitor_dir.empty() && !report.monitor_json.empty() &&
+        !write_artifact(monitor_dir + "/trace-monitor-" + s + ".json", report.monitor_json,
+                        "trace-run monitor series")) {
+      all_ok = false;
     }
-    if (!out_path.empty()) {
-      if (write_file(out_path, report.chrome_json)) {
-        std::printf("trace (%zu spans): %s\n", report.spans, out_path.c_str());
-      } else {
-        std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-        all_ok = false;
-      }
+    if (!out_path.empty() &&
+        !write_artifact(out_path, report.chrome_json,
+                        "trace (" + std::to_string(report.spans) + " spans)")) {
+      all_ok = false;
     }
     reports.push_back(std::move(report));
   }
@@ -537,12 +532,12 @@ int cmd_monitor(const Options& opts) {
     const sim::MonitorRunReport report = sim::run_monitored_job(config);
     std::fputs(report.to_text().c_str(), stdout);
     if (report.completed != report.tasks) all_ok = false;
-    if (!json_path.empty() && !write_file(json_path, report.monitor_json)) {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", json_path.c_str());
+    if (!json_path.empty() &&
+        !write_artifact(json_path, report.monitor_json, "monitor series")) {
       all_ok = false;
     }
-    if (!prom_path.empty() && !write_file(prom_path, report.prometheus)) {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", prom_path.c_str());
+    if (!prom_path.empty() &&
+        !write_artifact(prom_path, report.prometheus, "prometheus exposition")) {
       all_ok = false;
     }
   }
@@ -558,13 +553,9 @@ int cmd_saturate(const Options& opts) {
 
   const sim::SaturationReport report = sim::run_saturation_sweep(config);
   std::fputs(report.to_text().c_str(), stdout);
-  if (!out_path.empty()) {
-    if (write_file(out_path, report.to_json("unknown", config))) {
-      std::printf("sweep artifact: %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-      return 1;
-    }
+  if (!out_path.empty() &&
+      !write_artifact(out_path, report.to_json("unknown", config), "sweep artifact")) {
+    return 1;
   }
   return 0;
 }
@@ -592,21 +583,13 @@ int cmd_autoscale(const Options& opts) {
 
   const sim::AutoscaleReport report = sim::run_autoscale_campaign(config);
   std::fputs(report.to_text().c_str(), stdout);
-  if (!out_path.empty()) {
-    if (write_file(out_path, report.monitor_json)) {
-      std::printf("autoscale monitor series: %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-      return 1;
-    }
+  if (!out_path.empty() &&
+      !write_artifact(out_path, report.monitor_json, "autoscale monitor series")) {
+    return 1;
   }
-  if (!csv_path.empty()) {
-    if (write_file(csv_path, report.fleet_series_csv())) {
-      std::printf("fleet size series: %s\n", csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", csv_path.c_str());
-      return 1;
-    }
+  if (!csv_path.empty() &&
+      !write_artifact(csv_path, report.fleet_series_csv(), "fleet size series")) {
+    return 1;
   }
   return (report.passed || !check) ? 0 : 1;
 }
@@ -626,13 +609,9 @@ int cmd_campaign(const Options& opts) {
 
   const sim::CampaignReport report = sim::run_million_task_campaign(config);
   std::fputs(report.to_text().c_str(), stdout);
-  if (!out_path.empty()) {
-    if (write_file(out_path, report.monitor_json)) {
-      std::printf("campaign monitor series: %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-      return 1;
-    }
+  if (!out_path.empty() &&
+      !write_artifact(out_path, report.monitor_json, "campaign monitor series")) {
+    return 1;
   }
   return report.passed ? 0 : 1;
 }
