@@ -44,8 +44,12 @@ constexpr std::size_t kNr = 12;  // packed-panel width (B columns)
 
 // SIMD via function multi-versioning: the project is built for baseline
 // x86-64, but the micro-kernel is cloned for AVX2/FMA and AVX-512 and
-// dispatched at load time on ELF/GCC-compatible toolchains.
-#if defined(__GNUC__) && defined(__ELF__) && defined(__x86_64__)
+// dispatched at load time on ELF/GCC-compatible toolchains. Not under
+// ThreadSanitizer: it instruments the clones' IFUNC resolver, which runs
+// during relocation, before the TSan runtime is up, and crashes every
+// binary that links this file.
+#if defined(__GNUC__) && defined(__ELF__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
 #define PPC_MM_CLONES __attribute__((target_clones("avx512f", "avx2,fma", "default")))
 #else
 #define PPC_MM_CLONES
