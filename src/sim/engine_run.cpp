@@ -289,6 +289,7 @@ void run_shuffle(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
   run.tally.redeliveries =
       failed_attempts(result.map_attempts) + failed_attempts(result.reduce_attempts);
   run.tally.corrupt_deliveries = result.shuffle.corrupt_fetches;
+  run.elapsed = result.elapsed;
   run.shuffle = result.shuffle;
   run.map_stats = result.map_stats;
   run.reduce_stats = result.reduce_stats;
@@ -339,9 +340,7 @@ EngineRun run_engine(EngineRunSpec spec, const AppJob& app) {
     monitor->start();
   }
   EngineRun run;
-  const auto t0 = std::chrono::steady_clock::now();
   body(spec, app, run);
-  run.elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (monitor) {
     monitor->stop();
     run.monitor_json = monitor->to_json();

@@ -92,8 +92,8 @@ struct EngineRun {
   std::map<std::string, std::string> outputs;
   FaultTally tally;
   std::string monitor_json;  // empty unless spec.monitor_period > 0
-  Seconds elapsed = 0.0;
   // Shuffle jobs only.
+  Seconds elapsed = 0.0;
   mapreduce::ShuffleStats shuffle;
   mapreduce::TaskScheduler::Stats map_stats;
   mapreduce::TaskScheduler::Stats reduce_stats;
