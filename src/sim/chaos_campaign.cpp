@@ -2,7 +2,6 @@
 
 #include <map>
 #include <memory>
-#include <utility>
 
 #include "azuremr/worker.h"
 #include "classiccloud/worker.h"
