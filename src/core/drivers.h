@@ -65,7 +65,8 @@ struct SimRunParams {
   /// down while tasks are in flight elsewhere.
   Seconds poll_interval_max = 16.0;
   /// Visibility timeout requested by workers. Must exceed the task length
-  /// or duplicate executions appear (the ablation bench sweeps this).
+  /// or duplicate executions appear (`ppcloud experiment
+  /// ablation-visibility` sweeps this).
   Seconds visibility_timeout = 7200.0;
   /// Messages fetched per queue receive request (1..10, the SQS batch
   /// limit). 1 keeps the legacy one-receive-per-poll loop (and its exact
@@ -325,7 +326,7 @@ void finalize_metrics(RunResult& result, const Workload& workload, const Deploym
 /// counters (tasks, completed, duplicate_executions), gauges
 /// (parallel_efficiency = Eq 1, per_core_task_seconds = Eq 2, makespan,
 /// t1_seconds) and the "task_exec_seconds" histogram. The drivers call this
-/// when SimRunParams::metrics is set; CLI and benches read Eq 1/Eq 2 from
+/// when SimRunParams::metrics is set; the CLI reads Eq 1/Eq 2 from
 /// the registry instead of the per-substrate result struct.
 void publish_run_metrics(const RunResult& result, runtime::MetricsRegistry& metrics);
 

@@ -1,6 +1,6 @@
 // Per-figure experiment functions: each regenerates one table/figure of the
 // paper's evaluation and returns the rows/series the figure plots. The
-// bench binaries print these; EXPERIMENTS.md records paper-vs-measured.
+// `ppcloud experiment` prints these; EXPERIMENTS.md records paper-vs-measured.
 #pragma once
 
 #include <string>
@@ -18,7 +18,7 @@ namespace ppc::core {
 // Every study accepts a trailing storage backend selector. The default
 // (object store) reproduces the checked-in baselines byte-for-byte; the
 // shared/parallel-FS variants re-run the same figure with the data plane
-// swapped, producing the per-backend rows the storage benches print.
+// swapped, producing the per-backend rows of `ppcloud experiment <id> all`.
 
 struct InstanceTypeRow {
   std::string label;        // "EC2-HCXL - 2x8"

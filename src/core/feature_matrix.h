@@ -1,8 +1,8 @@
 // Table 3 of the paper ("Summary of cloud technology features") as
 // structured data: the qualitative comparison of the three framework
-// families. Kept in code so the bench that prints it and the tests that
-// check it against the *implemented* behaviour (e.g. which engines
-// re-execute slow tasks) cannot drift from the documentation.
+// families. Kept in code so `ppcloud features`, which prints it, and the
+// tests that check it against the *implemented* behaviour (e.g. which
+// engines re-execute slow tasks) cannot drift from the documentation.
 #pragma once
 
 #include <string>

@@ -2,11 +2,18 @@
 //
 //   ppcloud catalog                      print Tables 1-2 (instance types)
 //   ppcloud features                     print Table 3 (framework features)
-//   ppcloud experiment <id> [backend]    regenerate a paper experiment:
+//   ppcloud experiment <id> [backend]    regenerate a paper experiment or
+//                                        ablation (tools/experiments.cpp):
 //                                        fig3 fig5 fig7 fig9 fig10 fig12
-//                                        fig14 table4 variability; the
-//                                        optional backend re-runs it on
-//                                        object|sharedfs|parallelfs storage
+//                                        fig14 table4 table4-deadline
+//                                        variability ablation-visibility
+//                                        ablation-scheduling
+//                                        ablation-inhomogeneity
+//                                        azure-linearity; the figures and
+//                                        table4 take an optional backend,
+//                                        object (default), sharedfs,
+//                                        parallelfs or all (one block per
+//                                        backend)
 //   ppcloud simulate [options]           one simulated run, any app on any
 //                                        framework and deployment:
 //     --app cap3|blast|gtm               (default cap3)
@@ -178,9 +185,8 @@
 #include "apps/cap3/read_simulator.h"
 #include "common/error.h"
 #include "common/string_util.h"
+#include "common/table.h"
 #include "core/drivers.h"
-#include "core/experiments.h"
-#include "core/feature_matrix.h"
 #include "runtime/metrics.h"
 #include "sim/autoscale_run.h"
 #include "sim/chaos_campaign.h"
@@ -189,6 +195,7 @@
 #include "sim/shuffle_run.h"
 #include "sim/trace_run.h"
 #include "storage/storage_backend.h"
+#include "experiments.h"
 
 using namespace ppc;
 using namespace ppc::core;
@@ -250,24 +257,6 @@ bool write_artifact(const std::string& path, const std::string& data, const std:
     std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
   }
   return ok;
-}
-
-int cmd_catalog() {
-  auto print = [](const std::string& title, const std::vector<cloud::InstanceType>& types) {
-    Table table(title);
-    table.set_header({"Name", "Cores", "Clock GHz", "Memory GB", "Cost/hour $"});
-    for (const auto& t : types) {
-      table.add_row({t.name, std::to_string(t.cpu_cores), Table::num(t.clock_ghz, 2),
-                     Table::num(t.memory_gb, 1), Table::num(t.cost_per_hour, 2)});
-    }
-    table.print();
-  };
-  print("Table 1: Amazon EC2", cloud::ec2_catalog());
-  print("Table 2: Windows Azure", cloud::azure_catalog());
-  print("Bare metal", {cloud::bare_metal_cap3_node(), cloud::bare_metal_idataplex_node(),
-                       cloud::bare_metal_hpcs_node(), cloud::bare_metal_gtm_hadoop_node(),
-                       cloud::bare_metal_cost_cluster_node()});
-  return 0;
 }
 
 int cmd_simulate(const Options& opts) {
@@ -616,77 +605,6 @@ int cmd_campaign(const Options& opts) {
   return report.passed ? 0 : 1;
 }
 
-int cmd_experiment(const std::string& id, const std::string& backend_name) {
-  const storage::StorageKind backend = storage::parse_storage_kind(backend_name);
-  // Reuse the bench logic through the experiment API.
-  if (id == "table4") {
-    const auto report = run_table4_cost_comparison(42, backend);
-    std::printf("storage backend: %s\n", report.storage_backend.c_str());
-    report.ec2.to_table().print();
-    report.azure.to_table().print();
-    for (const auto& [util, cost] : report.cluster_costs) {
-      std::printf("owned cluster @ %2.0f%%: $%.2f\n", util * 100, cost);
-    }
-    return 0;
-  }
-  if (id == "table4-deadline") {
-    std::printf("cheapest config meeting deadline D (4096 Cap3 files; spot discount %.0f%%)\n",
-                cloud::kDefaultSpotDiscount * 100);
-    for (const auto& row : run_table4_deadline_sweep()) {
-      auto describe = [](const cloud::FleetPlan& p) {
-        if (!p.feasible) return std::string("infeasible (") + p.note + ")";
-        std::string s = std::to_string(p.instances) + " x " + p.type.name;
-        if (p.spot_instances > 0) {
-          s += " (" + std::to_string(p.spot_instances) + " spot)";
-        }
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), ", est $%.2f in %.0fs", p.est_cost, p.est_makespan);
-        return s + buf;
-      };
-      std::printf("D=%6.0fs  on-demand: %-44s  half-spot: %s\n", row.deadline,
-                  describe(row.on_demand).c_str(), describe(row.half_spot).c_str());
-    }
-    return 0;
-  }
-  if (id == "variability") {
-    const auto report = run_sustained_variability_study();
-    std::printf("EC2 CV %.2f%% (paper 1.56%%), Azure CV %.2f%% (paper 2.25%%)\n",
-                report.ec2_cv * 100, report.azure_cv * 100);
-    return 0;
-  }
-  auto print_rows = [](const std::vector<InstanceTypeRow>& rows) {
-    for (const auto& r : rows) {
-      std::printf("%-20s storage=%-10s time=%-12s hour-units=$%-8.2f amortized=$%-8.2f",
-                  r.label.c_str(), r.storage.c_str(), format_duration(r.compute_time).c_str(),
-                  r.cost_hour_units, r.cost_amortized);
-      if (r.storage_service_cost > 0) std::printf(" fs-servers=$%.2f", r.storage_service_cost);
-      std::printf("\n");
-    }
-    return 0;
-  };
-  auto print_points = [](const std::vector<ScalingPoint>& points) {
-    for (const auto& p : points) {
-      std::printf("%-20s %-24s storage=%-10s files=%-5d eff=%-6.3f eq2=%.1fs\n",
-                  p.framework.c_str(), p.deployment.c_str(), p.storage.c_str(), p.files,
-                  p.efficiency, p.per_core_task_seconds);
-    }
-    return 0;
-  };
-  if (id == "fig3") return print_rows(run_cap3_ec2_instance_study(42, backend));
-  if (id == "fig7") return print_rows(run_blast_ec2_instance_study(42, backend));
-  if (id == "fig12") return print_rows(run_gtm_ec2_instance_study(42, backend));
-  if (id == "fig9") {
-    for (const auto& r : run_blast_azure_instance_study(42, backend)) {
-      std::printf("%-26s time=%s\n", r.label.c_str(), format_duration(r.compute_time).c_str());
-    }
-    return 0;
-  }
-  if (id == "fig5") return print_points(run_cap3_scaling_study(42, {512, 1024, 2048, 3072, 4096}, backend));
-  if (id == "fig10") return print_points(run_blast_scaling_study(42, {1, 2, 3, 4, 5, 6}, backend));
-  if (id == "fig14") return print_points(run_gtm_scaling_study(42, {88, 176, 264}, backend));
-  throw InvalidArgument("unknown experiment: " + id);
-}
-
 int usage() {
   std::fputs(
       "usage: ppcloud <catalog|features|assemble|simulate|experiment|chaos|shuffle|trace|"
@@ -702,9 +620,12 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   try {
-    if (command == "catalog") return cmd_catalog();
+    if (command == "catalog") {
+      tools::print_catalog();
+      return 0;
+    }
     if (command == "features") {
-      feature_matrix_table().print();
+      tools::print_features();
       return 0;
     }
     if (command == "simulate") return cmd_simulate(parse_options(argc, argv, 2));
@@ -718,7 +639,9 @@ int main(int argc, char** argv) {
     if (command == "autoscale") return cmd_autoscale(parse_options(argc, argv, 2));
     if (command == "experiment") {
       if (argc < 3) return usage();
-      return cmd_experiment(argv[2], argc >= 4 ? argv[3] : "object");
+      if (argc > 4) return usage();
+      tools::run_experiment(argv[2], argc == 4 ? argv[3] : "");
+      return 0;
     }
     return usage();
   } catch (const std::exception& e) {
