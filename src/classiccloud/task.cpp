@@ -1,5 +1,7 @@
 #include "classiccloud/task.h"
 
+#include <optional>
+
 #include "common/error.h"
 #include "common/string_util.h"
 
@@ -29,7 +31,14 @@ TaskSpec decode_task(const std::string& body) {
   PPC_REQUIRE(kv.contains("task") && kv.contains("in") && kv.contains("out"),
               "malformed task message: " + body);
   TaskSpec task{kv.at("task"), kv.at("in"), kv.at("out"), {}};
-  if (kv.contains("shared")) task.shared_keys = ppc::split(kv.at("shared"), ',');
+  PPC_REQUIRE(!task.task_id.empty() && !task.input_key.empty() && !task.output_key.empty(),
+              "task message has an empty field: " + body);
+  if (kv.contains("shared")) {
+    task.shared_keys = ppc::split(kv.at("shared"), ',');
+    for (const std::string& key : task.shared_keys) {
+      PPC_REQUIRE(!key.empty(), "task message has an empty shared key: " + body);
+    }
+  }
   return task;
 }
 
@@ -48,7 +57,11 @@ MonitorRecord decode_monitor(const std::string& body) {
   r.task_id = kv.at("task");
   r.worker_id = kv.at("worker");
   r.status = kv.at("status");
-  if (kv.contains("secs")) r.duration = std::stod(kv.at("secs"));
+  if (kv.contains("secs")) {
+    const std::optional<double> secs = ppc::parse_finite(kv.at("secs"));
+    PPC_REQUIRE(secs.has_value(), "monitor message has a bad secs value: " + body);
+    r.duration = *secs;
+  }
   return r;
 }
 

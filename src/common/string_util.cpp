@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -42,10 +44,22 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+std::optional<double> parse_finite(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
 std::string format_fixed(double v, int decimals) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  if (n < static_cast<int>(sizeof buf)) return std::string(buf, static_cast<std::size_t>(n));
+  // Values of 1e57 and up have more integer digits than buf holds.
+  std::string out(static_cast<std::size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", decimals, v);
+  return out;
 }
 
 std::string format_bytes(double bytes) {
@@ -97,8 +111,10 @@ std::map<std::string, std::string> decode_kv(std::string_view s) {
   if (s.empty()) return out;
   for (const auto& field : split(s, ';')) {
     const std::size_t eq = field.find('=');
-    PPC_REQUIRE(eq != std::string::npos, "malformed kv field: " + field);
-    out.emplace(field.substr(0, eq), field.substr(eq + 1));
+    PPC_REQUIRE(eq != std::string::npos && field.find('=', eq + 1) == std::string::npos,
+                "malformed kv field: " + field);
+    PPC_REQUIRE(out.emplace(field.substr(0, eq), field.substr(eq + 1)).second,
+                "repeated kv key: " + field);
   }
   return out;
 }

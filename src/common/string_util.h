@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,11 @@ std::string_view trim(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 
+/// All of `text` as a finite double (std::from_chars syntax: no leading
+/// whitespace or '+'), or nullopt for anything else: trailing bytes, an
+/// overflow, "nan", "inf".
+std::optional<double> parse_finite(std::string_view text);
+
 /// Formats with fixed decimals, e.g. format_fixed(3.14159, 2) == "3.14".
 std::string format_fixed(double v, int decimals);
 
@@ -40,7 +46,9 @@ std::string format_duration(double seconds);
 /// contain '=' or ';' (checked). Deterministic (keys sorted by std::map).
 std::string encode_kv(const std::map<std::string, std::string>& kv);
 
-/// Inverse of encode_kv. Throws ppc::InvalidArgument on malformed input.
+/// Inverse of encode_kv. Throws ppc::InvalidArgument on malformed input,
+/// including a value with a '=' and a repeated key, which encode_kv never
+/// emits.
 std::map<std::string, std::string> decode_kv(std::string_view s);
 
 }  // namespace ppc

@@ -4,10 +4,12 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "common/clock.h"
 #include "common/error.h"
+#include "common/string_util.h"
 #include "runtime/retry_policy.h"
 
 namespace ppc::runtime {
@@ -69,7 +71,8 @@ AlarmRule parse_alarm(const std::string& text) {
   PPC_REQUIRE(op_pos != std::string::npos,
               "alarm rule needs '<' or '>': " + text);
   rule.series = trim(body.substr(0, op_pos));
-  PPC_REQUIRE(!rule.series.empty(), "alarm rule has empty series: " + text);
+  PPC_REQUIRE(!rule.series.empty() && rule.series.find(':') == std::string::npos,
+              "alarm rule has an empty or bad series: " + text);
   rule.op = body[op_pos] == '>' ? AlarmRule::Op::kGreater : AlarmRule::Op::kLess;
 
   std::string rest = body.substr(op_pos + 1);
@@ -81,14 +84,9 @@ AlarmRule parse_alarm(const std::string& text) {
   PPC_REQUIRE(!threshold_str.empty() && !duration_str.empty(),
               "alarm rule missing threshold or duration: " + text);
 
-  std::size_t consumed = 0;
-  try {
-    rule.threshold = std::stod(threshold_str, &consumed);
-  } catch (const std::exception&) {
-    throw ppc::InvalidArgument("alarm rule has bad threshold: " + text);
-  }
-  PPC_REQUIRE(consumed == threshold_str.size(),
-              "alarm rule has bad threshold: " + text);
+  const std::optional<double> threshold = parse_finite(threshold_str);
+  PPC_REQUIRE(threshold.has_value(), "alarm rule has bad threshold: " + text);
+  rule.threshold = *threshold;
 
   double unit = 1.0;
   const char suffix = duration_str.back();
@@ -96,12 +94,9 @@ AlarmRule parse_alarm(const std::string& text) {
     unit = suffix == 's' ? 1.0 : suffix == 'm' ? 60.0 : 3600.0;
     duration_str.pop_back();
   }
-  try {
-    rule.sustain = std::stod(duration_str, &consumed) * unit;
-  } catch (const std::exception&) {
-    throw ppc::InvalidArgument("alarm rule has bad duration: " + text);
-  }
-  PPC_REQUIRE(consumed == duration_str.size() && rule.sustain >= 0.0,
+  const std::optional<double> duration = parse_finite(duration_str);
+  rule.sustain = duration.value_or(-1.0) * unit;
+  PPC_REQUIRE(std::isfinite(rule.sustain) && rule.sustain >= 0.0,
               "alarm rule has bad duration: " + text);
 
   if (rule.name.empty()) rule.name = rule.to_text();

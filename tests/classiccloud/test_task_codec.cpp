@@ -48,6 +48,43 @@ TEST(MonitorCodec, RejectsMalformed) {
   EXPECT_THROW(decode_monitor("task=t"), ppc::InvalidArgument);
 }
 
+// Every malformed secs value is a ppc::InvalidArgument, not a std::stod
+// exception, and the whole value must parse to a finite number.
+TEST(MonitorCodec, RejectsNonNumericSecs) {
+  EXPECT_THROW(decode_monitor("task=t1;worker=w;status=done;secs=abc"), ppc::InvalidArgument);
+}
+
+TEST(MonitorCodec, RejectsOverflowingSecs) {
+  EXPECT_THROW(decode_monitor("task=t1;worker=w;status=done;secs=1e999"), ppc::InvalidArgument);
+}
+
+TEST(MonitorCodec, RejectsTrailingBytesAfterSecs) {
+  EXPECT_THROW(decode_monitor("task=t1;worker=w;status=done;secs=1.5junk"),
+               ppc::InvalidArgument);
+}
+
+TEST(MonitorCodec, RejectsNanSecs) {
+  EXPECT_THROW(decode_monitor("task=t1;worker=w;status=done;secs=nan"), ppc::InvalidArgument);
+}
+
+// The decoder rejects the empty fields encode_task refuses to write.
+TEST(TaskCodec, RejectsEmptyTaskId) {
+  EXPECT_THROW(decode_task("task=;in=a;out=b"), ppc::InvalidArgument);
+}
+
+TEST(TaskCodec, RejectsEmptySharedKeys) {
+  EXPECT_THROW(decode_task("in=a;out=b;shared=,;task=t"), ppc::InvalidArgument);
+}
+
+// encode_kv never writes a '=' inside a value or a key twice.
+TEST(TaskCodec, RejectsEqualsSignInValue) {
+  EXPECT_THROW(decode_task("in=a;out=b;task=t=u"), ppc::InvalidArgument);
+}
+
+TEST(TaskCodec, RejectsRepeatedKey) {
+  EXPECT_THROW(decode_task("in=a;out=b;task=t;task=u"), ppc::InvalidArgument);
+}
+
 // Queue bodies are metered and replayed byte for byte, so the wire format
 // itself is pinned: keys in sorted order, ';'-separated, fixed 6-digit secs.
 TEST(TaskCodec, GoldenBytes) {

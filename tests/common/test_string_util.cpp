@@ -47,6 +47,27 @@ TEST(FormatFixed, Decimals) {
   EXPECT_EQ(format_fixed(-1.005, 1), "-1.0");
 }
 
+// 1e60 prints as 60 integer digits; the text must not be cut short.
+TEST(FormatFixed, KeepsEveryDigitOfLargeValues) {
+  const std::string text = format_fixed(1e60, 6);
+  EXPECT_EQ(text.size(), 60u + 7u);
+  EXPECT_EQ(parse_finite(text), 1e60);
+}
+
+TEST(ParseFinite, AcceptsOnlyAWholeFiniteNumber) {
+  EXPECT_EQ(parse_finite("12.5"), 12.5);
+  EXPECT_EQ(parse_finite("-3e2"), -300.0);
+  for (const char* bad : {"", "abc", "1.5junk", " 1", "nan", "inf", "-inf", "1e999"}) {
+    EXPECT_EQ(parse_finite(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(DecodeKv, RejectsWhatEncodeKvNeverEmits) {
+  EXPECT_THROW(decode_kv("a=b=c"), InvalidArgument);
+  EXPECT_THROW(decode_kv("a=1;a=2"), InvalidArgument);
+  EXPECT_THROW(decode_kv("a=1;;b=2"), InvalidArgument);
+}
+
 TEST(FormatBytes, Units) {
   EXPECT_EQ(format_bytes(512), "512.0 B");
   EXPECT_EQ(format_bytes(1536), "1.50 KB");

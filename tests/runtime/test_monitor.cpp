@@ -69,6 +69,26 @@ TEST(ParseAlarm, RejectsMalformedRules) {
   EXPECT_THROW(parse_alarm("queue.depth > 100x for 60s"), ppc::InvalidArgument);
 }
 
+// A NaN threshold compares false both ways, so the alarm could never fire.
+TEST(ParseAlarm, RejectsNanThreshold) {
+  EXPECT_THROW(parse_alarm("x > nan for 5s"), ppc::InvalidArgument);
+}
+
+TEST(ParseAlarm, RejectsInfiniteSustain) {
+  EXPECT_THROW(parse_alarm("x > 1 for infs"), ppc::InvalidArgument);
+}
+
+// 1e308 hours overflows to an infinite sustain once scaled to seconds.
+TEST(ParseAlarm, RejectsSustainThatOverflowsInSeconds) {
+  EXPECT_THROW(parse_alarm("x > 1 for 1e308h"), ppc::InvalidArgument);
+}
+
+// The first ':' ends the name, so a series with a ':' would not survive
+// to_text() -> parse_alarm.
+TEST(ParseAlarm, RejectsColonInSeries) {
+  EXPECT_THROW(parse_alarm("n: a:b > 1 for 5s"), ppc::InvalidArgument);
+}
+
 TEST(Monitor, LevelProbeRecordsScaledValues) {
   MetricsRegistry registry;
   Monitor monitor(registry, probe_only());
