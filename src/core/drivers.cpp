@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,14 +27,6 @@ namespace {
 std::string input_key(const SimTask& t) { return "input/t" + std::to_string(t.id); }
 std::string output_key(const SimTask& t) { return "output/t" + std::to_string(t.id); }
 
-/// Applies straggler injection to a sampled execution time.
-Seconds with_straggler(Seconds ex, const SimRunParams& params, ppc::Rng& rng) {
-  if (params.straggler_prob > 0.0 && rng.bernoulli(params.straggler_prob)) {
-    return ex * params.straggler_factor;
-  }
-  return ex;
-}
-
 storage::BackendTuning backend_tuning(const SimRunParams& params) {
   return {params.blob, params.sharedfs, params.parallelfs};
 }
@@ -49,6 +42,176 @@ void monitor_tick(sim::Simulator& sim, runtime::Monitor& monitor) {
   sim.after(monitor.config().period,
             [&sim, &monitor] { monitor_tick(sim, monitor); });
 }
+
+/// What every DES driver holds and does alike: the simulator and the run's
+/// inputs, the provider run factor, the execution-time draw, the monitor
+/// tick, and the head and tail of the RunResult.
+struct DesRun {
+  sim::Simulator sim;
+  const Workload& workload;
+  const Deployment& d;
+  const ExecutionModel& model;
+  const SimRunParams& params;
+
+  double run_factor = 1.0;
+  int duplicate_executions = 0;
+  Seconds makespan = 0.0;
+  ppc::SampleSet exec_times;
+  std::vector<TaskTraceEntry> trace;
+
+  DesRun(const Workload& w, const Deployment& dep, const ExecutionModel& m, const SimRunParams& p)
+      : workload(w), d(dep), model(m), params(p) {}
+
+  void draw_run_factor(ppc::Rng& rng) {
+    run_factor = params.provider_variability ? model.sample_run_factor(d.type.provider, rng) : 1.0;
+  }
+
+  /// One execution time: the model's sample scaled by the run factor, times
+  /// the straggler factor when the straggler draw hits.
+  Seconds sample_exec(const SimTask& task, ppc::Rng& rng) const {
+    const Seconds ex = model.sample(task, d, rng) * run_factor;
+    if (params.straggler_prob > 0.0 && rng.bernoulli(params.straggler_prob)) {
+      return ex * params.straggler_factor;
+    }
+    return ex;
+  }
+
+  /// Schedules the first monitor tick; call after the start events so the
+  /// first tick sees a non-empty event queue and the chain takes hold.
+  void start_monitor_tick() {
+    sim.at(0.0, [this] { monitor_tick(sim, *params.monitor); });
+  }
+
+  RunResult result_head(std::string framework, int completed) {
+    RunResult r;
+    r.framework = std::move(framework);
+    r.deployment_label = d.label;
+    r.makespan = makespan;
+    r.tasks = static_cast<int>(workload.size());
+    r.completed = completed;
+    r.duplicate_executions = duplicate_executions;
+    r.exec_times = exec_times;
+    r.trace = std::move(trace);
+    return r;
+  }
+
+  /// Eq 1 / Eq 2, and the registry when SimRunParams::metrics is set.
+  RunResult finish(RunResult r) const {
+    finalize_metrics(r, workload, d, model);
+    if (params.metrics != nullptr) publish_run_metrics(r, *params.metrics);
+    return r;
+  }
+};
+
+/// The two slot drivers (MapReduce, Dryad): one RNG stream per slot, an
+/// optional input-staging data plane, the slot launch and the common probes.
+struct SlotSim : DesRun {
+  std::vector<ppc::Rng> slot_rng;
+  /// Input-staging data plane; null unless SimRunParams::stage_inputs.
+  std::unique_ptr<storage::StorageBackend> stage_store;
+  ppc::Rng stage_rng;
+
+  int completed = 0;
+  int busy_slots = 0;  // slots with an attempt in flight
+
+  using DesRun::DesRun;
+  virtual ~SlotSim() = default;
+
+  /// A slot's scheduling loop, entered once its node has launched.
+  virtual void request(int node, int slot) = 0;
+
+  /// One stream per slot, then the run factor.
+  void split_slot_streams(ppc::Rng& rng) {
+    const int slots = d.total_workers();
+    slot_rng.reserve(static_cast<std::size_t>(slots));
+    for (int i = 0; i < slots; ++i) slot_rng.push_back(rng.split());
+    draw_run_factor(rng);
+  }
+
+  /// Extra splits sit after every baseline draw, so runs without staging
+  /// consume the identical random stream as before.
+  void open_stage_store(ppc::Rng& rng) {
+    if (!params.stage_inputs) return;
+    stage_store = storage::make_backend(params.storage, sim.clock(), rng.split(),
+                                        backend_tuning(params));
+    stage_rng = rng.split();
+  }
+
+  /// Starts every slot of `node` after a uniform [0, jitter) delay.
+  void launch_node(int node, Seconds jitter) {
+    for (int s = 0; s < d.workers_per_instance; ++s) {
+      const int slot = node * d.workers_per_instance + s;
+      sim.after(slot_rng[static_cast<std::size_t>(slot)].uniform(0.0, jitter),
+                [this, node, slot] { request(node, slot); });
+    }
+  }
+
+  /// Launches every node. With staging, each node first pulls
+  /// `node_bytes(node)` as object `<key_prefix><node>` from the stage store;
+  /// all nodes pull concurrently, so the backend's contention model shapes
+  /// the staging phase.
+  void stage_and_launch(Seconds jitter, const std::string& key_prefix,
+                        const std::function<Bytes(int)>& node_bytes) {
+    if (stage_store == nullptr) {
+      for (int node = 0; node < d.instances; ++node) launch_node(node, jitter);
+      return;
+    }
+    stage_store->create_bucket("stage");
+    for (int node = 0; node < d.instances; ++node) {
+      stage_store->put_logical("stage", key_prefix + std::to_string(node), node_bytes(node));
+    }
+    for (int node = 0; node < d.instances; ++node) stage_store->begin_transfer();
+    for (int node = 0; node < d.instances; ++node) {
+      const Seconds t = stage_store->sample_get_time(node_bytes(node), stage_rng);
+      sim.after(t, [this, node, jitter, key_prefix] {
+        stage_store->end_transfer();
+        (void)stage_store->get("stage", key_prefix + std::to_string(node));  // meters
+        launch_node(node, jitter);
+      });
+    }
+  }
+
+  /// Attaches SimRunParams::monitor, if any: the shared probes around the
+  /// driver's own backlog depth and idle-with-backlog count, then the tick.
+  void attach_monitor(std::function<double()> depth, std::function<double()> idle_with_backlog) {
+    if (params.monitor == nullptr) return;
+    runtime::Monitor& mon = *params.monitor;
+    using runtime::ProbeKind;
+    mon.add_probe("queue.tasks.depth", ProbeKind::kLevel, std::move(depth));
+    mon.add_probe("queue.tasks.inflight", ProbeKind::kLevel,
+                  [this] { return static_cast<double>(busy_slots); });
+    mon.add_probe("workers.busy", ProbeKind::kLevel,
+                  [this] { return static_cast<double>(busy_slots); });
+    mon.add_probe("worker.utilization", ProbeKind::kLevel, [this] {
+      const int total = d.total_workers();
+      return total > 0 ? static_cast<double>(busy_slots) / total : 0.0;
+    });
+    mon.add_probe("workers.idle_with_backlog", ProbeKind::kLevel, std::move(idle_with_backlog));
+    mon.add_probe("cost.dollars_per_hour", ProbeKind::kLevel, [this] {
+      return static_cast<double>(d.instances) * d.type.cost_per_hour;
+    });
+    if (stage_store != nullptr) {
+      mon.add_probe("storage.bytes_per_sec", ProbeKind::kCumulative, [this] {
+        const auto m = stage_store->meter();
+        return m.bytes_in + m.bytes_out;
+      });
+    }
+    start_monitor_tick();
+  }
+
+  RunResult result_head(std::string framework) {
+    RunResult r = DesRun::result_head(std::move(framework), completed);
+    if (stage_store != nullptr) {
+      const auto meter = stage_store->meter();
+      r.bytes_in = meter.bytes_in;
+      r.bytes_out = meter.bytes_out;
+      r.storage_backend = storage::to_string(stage_store->kind());
+      r.storage_service_cost = stage_store->service_cost(makespan);
+      r.storage_heads = meter.heads;
+    }
+    return r;
+  }
+};
 
 }  // namespace
 
@@ -110,13 +273,7 @@ using cloud::InstanceState;
 /// revoked or drained. The modes differ only in data: the RNG streams they
 /// split, whether the run ends at the last first-completion or waits for
 /// the queue to drain, and the worker count the probes divide by.
-struct ClassicSim {
-  sim::Simulator sim;
-  const Workload& workload;
-  const Deployment& d;
-  const ExecutionModel& model;
-  const SimRunParams& params;
-
+struct ClassicSim : DesRun {
   std::unique_ptr<storage::StorageBackend> store;
   cloudq::MessageQueue queue;
   cloudq::MessageQueue monitorq;
@@ -133,7 +290,6 @@ struct ClassicSim {
   };
   std::optional<Control> ctl;  // empty for a static fleet
 
-  double run_factor = 1.0;
   /// Per-worker shared-dataset caches (static fleets); empty when disabled.
   std::vector<std::unique_ptr<storage::BlockCache>> caches;
 
@@ -167,17 +323,14 @@ struct ClassicSim {
   /// completion, which matters at the million-task campaign scale.
   std::vector<std::uint8_t> completed;
   std::size_t completed_count = 0;
-  int duplicate_executions = 0;
   int busy = 0;   // workers currently in handle() (download..upload)
   int alive = 0;  // enlisted and not retired
   /// Every task has completed once; `done` follows at once for a static
   /// run, and once the queue has drained too for an elastic one.
   bool all_completed = false;
   bool done = false;
-  Seconds makespan = 0.0;  // last first-completion (the deadline metric)
+  // DesRun::makespan is the last first-completion (the deadline metric).
   Seconds end_time = 0.0;  // billing horizon
-  ppc::SampleSet exec_times;
-  std::vector<TaskTraceEntry> trace;
   static constexpr const char* kBucket = "job";
   static constexpr const char* kSharedKey = "shared/dataset";
 
@@ -187,10 +340,7 @@ struct ClassicSim {
   /// the provider run factor is sampled last.
   ClassicSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
              const SimRunParams& p, const ElasticSimParams* elastic, ppc::Rng& rng)
-      : workload(w),
-        d(dep),
-        model(m),
-        params(p),
+      : DesRun(w, dep, m, p),
         // Same rng.split() position the by-value BlobStore held, so the
         // object-store runs replay the checked-in baselines exactly.
         store(storage::make_backend(p.storage, sim.clock(), rng.split(), backend_tuning(p))),
@@ -222,9 +372,7 @@ struct ClassicSim {
         workers.push_back(Worker{rng.split(), i / d.workers_per_instance});
       }
     }
-    run_factor = params.provider_variability
-                     ? m.sample_run_factor(d.type.provider, rng)
-                     : 1.0;
+    draw_run_factor(rng);
     if (!ctl && params.enable_block_cache) {
       storage::BlockCacheConfig base = params.block_cache;
       // Model a worker local disk at least big enough for the shared
@@ -351,9 +499,7 @@ struct ClassicSim {
     }
     if (params.monitor != nullptr) {
       register_probes();
-      // Scheduled after the worker start events so the first tick sees a
-      // non-empty event queue and the chain takes hold.
-      sim.at(0.0, [this] { monitor_tick(sim, *params.monitor); });
+      start_monitor_tick();
     }
     sim.run();
     if (!done) makespan = sim.now();  // stranded: crashed workers, or no fleet left
@@ -672,7 +818,7 @@ struct ClassicSim {
     if (host(w).hard_dead) return abandon(w);  // reclaimed mid-download
     Worker& k = worker(w);
     (void)store->get(kBucket, k.spec.input_key);  // meters the download
-    k.ex = with_straggler(model.sample(*k.task, d, k.rng) * run_factor, params, k.rng);
+    k.ex = sample_exec(*k.task, k.rng);
     sim.after(k.ex, [this, w] { upload(w); });
   }
 
@@ -734,16 +880,10 @@ RunResult run_classic_sim(const Workload& workload, const Deployment& deployment
   ClassicSim cs(workload, deployment, model, params, elastic, rng);
   cs.start();
 
-  RunResult r;
-  r.framework = std::string(elastic != nullptr ? "ElasticCloud-" : "ClassicCloud-") +
-                (deployment.type.provider == cloud::Provider::kWindowsAzure ? "Azure" : "EC2");
-  r.deployment_label = deployment.label;
-  r.makespan = cs.makespan;
-  r.tasks = static_cast<int>(workload.size());
-  r.completed = static_cast<int>(cs.completed_count);
-  r.duplicate_executions = cs.duplicate_executions;
-  r.exec_times = cs.exec_times;
-  r.trace = std::move(cs.trace);
+  RunResult r = cs.result_head(
+      std::string(elastic != nullptr ? "ElasticCloud-" : "ClassicCloud-") +
+          (deployment.type.provider == cloud::Provider::kWindowsAzure ? "Azure" : "EC2"),
+      static_cast<int>(cs.completed_count));
   const cloud::Fleet& fleet = cs.fleet.fleet();
   r.compute_cost_hour_units = fleet.hourly_billed_cost(cs.end_time);
   r.compute_cost_amortized = fleet.amortized_cost(cs.end_time);
@@ -765,8 +905,7 @@ RunResult run_classic_sim(const Workload& workload, const Deployment& deployment
     r.cache_misses += cache->misses();
     r.cache_bytes_saved += cache->bytes_saved();
   }
-  finalize_metrics(r, workload, deployment, model);
-  if (params.metrics != nullptr) publish_run_metrics(r, *params.metrics);
+  r = cs.finish(std::move(r));
 
   if (stats != nullptr) {
     *stats = std::move(cs.ctl->stats);
@@ -804,28 +943,10 @@ RunResult run_elastic_classic_sim(const Workload& workload, const Deployment& de
 
 namespace {
 
-struct MapReduceSim {
-  sim::Simulator sim;
-  const Workload& workload;
-  const Deployment& d;
-  const ExecutionModel& model;
-  const SimRunParams& params;
-
+struct MapReduceSim : SlotSim {
   minihdfs::MiniHdfs hdfs;
   std::unique_ptr<mapreduce::TaskScheduler> scheduler;
-  std::vector<ppc::Rng> slot_rng;
-  double run_factor = 1.0;
-  /// Input-staging data plane; null unless SimRunParams::stage_inputs.
-  std::unique_ptr<storage::StorageBackend> stage_store;
-  ppc::Rng stage_rng;
-
-  int completed = 0;
-  int duplicate_executions = 0;
-  int busy_slots = 0;  // slots with an attempt in flight
   bool finished = false;
-  Seconds makespan = 0.0;
-  ppc::SampleSet exec_times;
-  std::vector<TaskTraceEntry> trace;
   std::vector<bool> node_dead;
 
   // Shuffle state (params.num_reducers > 0). Reducers pull their partition
@@ -840,59 +961,17 @@ struct MapReduceSim {
   int shuffle_merge_spills = 0;
   int reduce_completed = 0;
 
-  void register_probes() {
-    runtime::Monitor& mon = *params.monitor;
-    using runtime::ProbeKind;
-    // The scheduler has no pending-count accessor; the backlog is derived
-    // driver-side. Speculative twin attempts make busy_slots overshoot the
-    // distinct-task in-flight count, hence the clamp.
-    mon.add_probe("queue.tasks.depth", ProbeKind::kLevel, [this] {
-      const int depth = static_cast<int>(workload.size()) - completed - busy_slots;
-      return static_cast<double>(std::max(0, depth));
-    });
-    mon.add_probe("queue.tasks.inflight", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(busy_slots); });
-    mon.add_probe("workers.busy", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(busy_slots); });
-    mon.add_probe("worker.utilization", ProbeKind::kLevel, [this] {
-      const int total = d.total_workers();
-      return total > 0 ? static_cast<double>(busy_slots) / total : 0.0;
-    });
-    // Slots on dead nodes count as idle: lost capacity against a visible
-    // backlog is exactly what the stall/degradation alarms watch.
-    mon.add_probe("workers.idle_with_backlog", ProbeKind::kLevel, [this] {
-      const int depth = static_cast<int>(workload.size()) - completed - busy_slots;
-      return depth > 0 ? static_cast<double>(d.total_workers() - busy_slots) : 0.0;
-    });
-    mon.add_probe("cost.dollars_per_hour", ProbeKind::kLevel, [this] {
-      return static_cast<double>(d.instances) * d.type.cost_per_hour;
-    });
-    if (stage_store != nullptr) {
-      mon.add_probe("storage.bytes_per_sec", ProbeKind::kCumulative, [this] {
-        const auto m = stage_store->meter();
-        return m.bytes_in + m.bytes_out;
-      });
-    }
-    if (params.num_reducers > 0) {
-      // The shuffle is the run's dominant network phase: a cumulative probe
-      // turns bytes-moved into the bytes/s rate series, and the in-flight
-      // fetch level shows reducer fan-in saturating the fabric.
-      mon.add_probe("shuffle.bytes", ProbeKind::kCumulative,
-                    [this] { return static_cast<double>(shuffle_bytes_moved); });
-      mon.add_probe("shuffle.inflight_fetches", ProbeKind::kLevel,
-                    [this] { return static_cast<double>(inflight_fetches); });
-    }
+  /// The scheduler has no pending-count accessor; the backlog is derived
+  /// driver-side. Speculative twin attempts make busy_slots overshoot the
+  /// distinct-task in-flight count, hence the clamp.
+  int backlog() const {
+    return std::max(0, static_cast<int>(workload.size()) - completed - busy_slots);
   }
 
   MapReduceSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
                const SimRunParams& p, ppc::Rng& rng)
-      : workload(w), d(dep), model(m), params(p), hdfs(dep.instances, p.hdfs, rng.split()) {
-    const int slots = d.total_workers();
-    slot_rng.reserve(static_cast<std::size_t>(slots));
-    for (int i = 0; i < slots; ++i) slot_rng.push_back(rng.split());
-    run_factor = params.provider_variability
-                     ? m.sample_run_factor(d.type.provider, rng)
-                     : 1.0;
+      : SlotSim(w, dep, m, p), hdfs(dep.instances, p.hdfs, rng.split()) {
+    split_slot_streams(rng);  // after HDFS's stream
 
     std::vector<mapreduce::TaskInfo> tasks;
     tasks.reserve(w.tasks.size());
@@ -927,21 +1006,7 @@ struct MapReduceSim {
       reduce_scheduler =
           std::make_unique<mapreduce::TaskScheduler>(std::move(reduce_tasks), p.scheduler);
     }
-    if (params.stage_inputs) {
-      // Extra splits sit after every baseline draw, so runs without staging
-      // consume the identical random stream as before.
-      stage_store =
-          storage::make_backend(p.storage, sim.clock(), rng.split(), backend_tuning(p));
-      stage_rng = rng.split();
-    }
-  }
-
-  void launch_node(int node) {
-    for (int s = 0; s < d.workers_per_instance; ++s) {
-      const int slot = node * d.workers_per_instance + s;
-      sim.after(slot_rng[static_cast<std::size_t>(slot)].uniform(0.0, 0.5),
-                [this, node, slot] { request(node, slot); });
-    }
+    open_stage_store(rng);
   }
 
   void start() {
@@ -953,33 +1018,28 @@ struct MapReduceSim {
         hdfs.fail_node(params.failed_node);  // replicas re-replicate
       });
     }
-    if (stage_store != nullptr) {
-      // The paper's data distribution step: every node pulls its share of
-      // the input (plus the shared dataset, if any) from the selected
-      // backend before its slots take work. All nodes pull concurrently, so
-      // the backend's contention model shapes the staging phase.
-      stage_store->create_bucket("stage");
-      Bytes total = 0.0;
-      for (const SimTask& t : workload.tasks) total += t.input_size;
-      const Bytes per_node = total / std::max(1, d.instances) + workload.shared_input_size;
-      for (int node = 0; node < d.instances; ++node) {
-        stage_store->put_logical("stage", "in/n" + std::to_string(node), per_node);
-      }
-      for (int node = 0; node < d.instances; ++node) stage_store->begin_transfer();
-      for (int node = 0; node < d.instances; ++node) {
-        const Seconds t = stage_store->sample_get_time(per_node, stage_rng);
-        sim.after(t, [this, node] {
-          stage_store->end_transfer();
-          (void)stage_store->get("stage", "in/n" + std::to_string(node));  // meters
-          launch_node(node);
-        });
-      }
-    } else {
-      for (int node = 0; node < d.instances; ++node) launch_node(node);
-    }
-    if (params.monitor != nullptr) {
-      register_probes();
-      sim.at(0.0, [this] { monitor_tick(sim, *params.monitor); });
+    // The paper's data distribution step (when staging): every node pulls
+    // its share of the input, plus the shared dataset, before its slots
+    // take work.
+    Bytes total = 0.0;
+    for (const SimTask& t : workload.tasks) total += t.input_size;
+    const Bytes per_node = total / std::max(1, d.instances) + workload.shared_input_size;
+    stage_and_launch(0.5, "in/n", [per_node](int) { return per_node; });
+    // Slots on dead nodes count as idle: lost capacity against a visible
+    // backlog is exactly what the stall/degradation alarms watch.
+    attach_monitor([this] { return static_cast<double>(backlog()); },
+                   [this] {
+                     return backlog() > 0 ? static_cast<double>(d.total_workers() - busy_slots)
+                                          : 0.0;
+                   });
+    if (params.monitor != nullptr && params.num_reducers > 0) {
+      // The shuffle is the run's dominant network phase: a cumulative probe
+      // turns bytes-moved into the bytes/s rate series, and the in-flight
+      // fetch level shows reducer fan-in saturating the fabric.
+      params.monitor->add_probe("shuffle.bytes", runtime::ProbeKind::kCumulative,
+                                [this] { return static_cast<double>(shuffle_bytes_moved); });
+      params.monitor->add_probe("shuffle.inflight_fetches", runtime::ProbeKind::kLevel,
+                                [this] { return static_cast<double>(inflight_fetches); });
     }
     sim.run();
     if (!finished) makespan = sim.now();
@@ -997,7 +1057,7 @@ struct MapReduceSim {
     makespan = sim.now();
   }
 
-  void request(int node, int slot) {
+  void request(int node, int slot) override {
     if (node_dead[static_cast<std::size_t>(node)]) return;  // instance is gone
     if (scheduler->job_done()) {
       // Map phase over: slots roll into the reduce phase (if any).
@@ -1015,8 +1075,7 @@ struct MapReduceSim {
     auto& rng = slot_rng[static_cast<std::size_t>(slot)];
     const SimTask& task = workload.tasks.at(static_cast<std::size_t>(assignment->task_id));
     const Seconds read = hdfs.sample_read_time(task.input_size, assignment->data_local, rng);
-    Seconds ex = model.sample(task, d, rng) * run_factor;
-    ex = with_straggler(ex, params, rng);
+    const Seconds ex = sample_exec(task, rng);
     // HDFS write of the (small) result, local to the node.
     const Seconds write = hdfs.sample_read_time(task.output_size, /*local=*/true, rng);
     const Seconds total = params.task_startup_overhead + read + ex + write;
@@ -1152,15 +1211,7 @@ RunResult run_mapreduce_sim(const Workload& workload, const Deployment& deployme
   MapReduceSim ms(workload, deployment, model, params, rng);
   ms.start();
 
-  RunResult r;
-  r.framework = "Hadoop";
-  r.deployment_label = deployment.label;
-  r.makespan = ms.makespan;
-  r.tasks = static_cast<int>(workload.size());
-  r.completed = ms.completed;
-  r.duplicate_executions = ms.duplicate_executions;
-  r.exec_times = ms.exec_times;
-  r.trace = std::move(ms.trace);
+  RunResult r = ms.result_head("Hadoop");
   r.scheduler_stats = ms.scheduler->stats();
   r.local_reads = static_cast<std::uint64_t>(r.scheduler_stats.local_assignments);
   r.remote_reads = static_cast<std::uint64_t>(r.scheduler_stats.remote_assignments);
@@ -1173,17 +1224,7 @@ RunResult run_mapreduce_sim(const Workload& workload, const Deployment& deployme
     r.shuffle_local_fetches = ms.shuffle_local_fetches;
     r.shuffle_merge_spills = ms.shuffle_merge_spills;
   }
-  if (ms.stage_store != nullptr) {
-    const auto meter = ms.stage_store->meter();
-    r.bytes_in = meter.bytes_in;
-    r.bytes_out = meter.bytes_out;
-    r.storage_backend = storage::to_string(ms.stage_store->kind());
-    r.storage_service_cost = ms.stage_store->service_cost(ms.makespan);
-    r.storage_heads = meter.heads;
-  }
-  finalize_metrics(r, workload, deployment, model);
-  if (params.metrics != nullptr) publish_run_metrics(r, *params.metrics);
-  return r;
+  return ms.finish(std::move(r));
 }
 
 // ---------------------------------------------------------------------------
@@ -1192,43 +1233,18 @@ RunResult run_mapreduce_sim(const Workload& workload, const Deployment& deployme
 
 namespace {
 
-struct DryadSim {
-  sim::Simulator sim;
-  const Workload& workload;
-  const Deployment& d;
-  const ExecutionModel& model;
-  const SimRunParams& params;
-
+struct DryadSim : SlotSim {
   dryad::FileShare share;
   std::vector<std::deque<int>> node_queue;  // task ids per node (static!)
   std::vector<Bytes> node_bytes;            // partition bytes per node
-  std::vector<ppc::Rng> slot_rng;
-  double run_factor = 1.0;
-  /// Partition-distribution data plane; null unless stage_inputs.
-  std::unique_ptr<storage::StorageBackend> stage_store;
-  ppc::Rng stage_rng;
-
-  int completed = 0;
-  int busy_slots = 0;
-  std::vector<int> node_busy;  // running vertices per node
-  Seconds makespan = 0.0;
-  ppc::SampleSet exec_times;
-  std::vector<TaskTraceEntry> trace;
+  std::vector<int> node_busy;               // running vertices per node
 
   DryadSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
            const SimRunParams& p, ppc::Rng& rng)
-      : workload(w),
-        d(dep),
-        model(m),
-        params(p),
+      : SlotSim(w, dep, m, p),
         share(dep.instances, p.share),
         node_queue(static_cast<std::size_t>(dep.instances)) {
-    const int slots = d.total_workers();
-    slot_rng.reserve(static_cast<std::size_t>(slots));
-    for (int i = 0; i < slots; ++i) slot_rng.push_back(rng.split());
-    run_factor = params.provider_variability
-                     ? m.sample_run_factor(d.type.provider, rng)
-                     : 1.0;
+    split_slot_streams(rng);
 
     // Static partitioning — the "data partition and distribution programs"
     // of §2.3, executed before the job starts.
@@ -1255,96 +1271,40 @@ struct DryadSim {
         share.write(part.node, name, std::string());
       }
     }
-    if (params.stage_inputs) {
-      // Extra splits sit after every baseline draw (see MapReduceSim).
-      stage_store =
-          storage::make_backend(p.storage, sim.clock(), rng.split(), backend_tuning(p));
-      stage_rng = rng.split();
-    }
-  }
-
-  void launch_node(int node) {
-    for (int s = 0; s < d.workers_per_instance; ++s) {
-      const int slot = node * d.workers_per_instance + s;
-      sim.after(slot_rng[static_cast<std::size_t>(slot)].uniform(0.0, 0.2),
-                [this, node, slot] { next(node, slot); });
-    }
-  }
-
-  void register_probes() {
-    runtime::Monitor& mon = *params.monitor;
-    using runtime::ProbeKind;
-    mon.add_probe("queue.tasks.depth", ProbeKind::kLevel, [this] {
-      std::size_t depth = 0;
-      for (const auto& q : node_queue) depth += q.size();
-      return static_cast<double>(depth);
-    });
-    mon.add_probe("queue.tasks.inflight", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(busy_slots); });
-    mon.add_probe("workers.busy", ProbeKind::kLevel,
-                  [this] { return static_cast<double>(busy_slots); });
-    mon.add_probe("worker.utilization", ProbeKind::kLevel, [this] {
-      const int total = d.total_workers();
-      return total > 0 ? static_cast<double>(busy_slots) / total : 0.0;
-    });
-    // Static partitioning means a node that drained its own partition idles
-    // while *other* nodes still hold work — that is the paper's imbalance
-    // story, not a stall. A slot only counts here while its OWN node still
-    // has queued vertices it is failing to run.
-    mon.add_probe("workers.idle_with_backlog", ProbeKind::kLevel, [this] {
-      int idle = 0;
-      for (int node = 0; node < d.instances; ++node) {
-        if (!node_queue[static_cast<std::size_t>(node)].empty()) {
-          idle += d.workers_per_instance - node_busy[static_cast<std::size_t>(node)];
-        }
-      }
-      return static_cast<double>(idle);
-    });
-    mon.add_probe("cost.dollars_per_hour", ProbeKind::kLevel, [this] {
-      return static_cast<double>(d.instances) * d.type.cost_per_hour;
-    });
-    if (stage_store != nullptr) {
-      mon.add_probe("storage.bytes_per_sec", ProbeKind::kCumulative, [this] {
-        const auto m = stage_store->meter();
-        return m.bytes_in + m.bytes_out;
-      });
-    }
+    open_stage_store(rng);
   }
 
   void start() {
     node_busy.assign(static_cast<std::size_t>(d.instances), 0);
-    if (stage_store != nullptr) {
-      // §2.3's "data partition and distribution programs", modelled against
-      // the selected backend: each node pulls exactly its partitions' bytes
-      // (plus the shared dataset) before its vertices run.
-      stage_store->create_bucket("stage");
-      for (int node = 0; node < d.instances; ++node) {
-        stage_store->put_logical(
-            "stage", "part/n" + std::to_string(node),
-            node_bytes[static_cast<std::size_t>(node)] + workload.shared_input_size);
-      }
-      for (int node = 0; node < d.instances; ++node) stage_store->begin_transfer();
-      for (int node = 0; node < d.instances; ++node) {
-        const Bytes bytes =
-            node_bytes[static_cast<std::size_t>(node)] + workload.shared_input_size;
-        const Seconds t = stage_store->sample_get_time(bytes, stage_rng);
-        sim.after(t, [this, node] {
-          stage_store->end_transfer();
-          (void)stage_store->get("stage", "part/n" + std::to_string(node));  // meters
-          launch_node(node);
+    // §2.3's "data partition and distribution programs" (when staging):
+    // each node pulls exactly its partitions' bytes, plus the shared
+    // dataset, before its vertices run.
+    stage_and_launch(0.2, "part/n", [this](int node) {
+      return node_bytes[static_cast<std::size_t>(node)] + workload.shared_input_size;
+    });
+    attach_monitor(
+        [this] {
+          std::size_t depth = 0;
+          for (const auto& q : node_queue) depth += q.size();
+          return static_cast<double>(depth);
+        },
+        // Static partitioning means a node that drained its own partition
+        // idles while *other* nodes still hold work — that is the paper's
+        // imbalance story, not a stall. A slot only counts here while its
+        // OWN node still has queued vertices it is failing to run.
+        [this] {
+          int idle = 0;
+          for (int node = 0; node < d.instances; ++node) {
+            if (!node_queue[static_cast<std::size_t>(node)].empty()) {
+              idle += d.workers_per_instance - node_busy[static_cast<std::size_t>(node)];
+            }
+          }
+          return static_cast<double>(idle);
         });
-      }
-    } else {
-      for (int node = 0; node < d.instances; ++node) launch_node(node);
-    }
-    if (params.monitor != nullptr) {
-      register_probes();
-      sim.at(0.0, [this] { monitor_tick(sim, *params.monitor); });
-    }
     sim.run();
   }
 
-  void next(int node, int slot) {
+  void request(int node, int slot) override {
     auto& queue = node_queue[static_cast<std::size_t>(node)];
     if (queue.empty()) return;  // this node is done; no stealing (static)
     const int task_id = queue.front();
@@ -1355,8 +1315,7 @@ struct DryadSim {
     const SimTask& task = workload.tasks.at(static_cast<std::size_t>(task_id));
     (void)share.read(node, std::to_string(task_id), node);  // locality accounting
     const Seconds read = share.sample_read_time(task.input_size, /*local=*/true, rng);
-    Seconds ex = model.sample(task, d, rng) * run_factor;
-    ex = with_straggler(ex, params, rng);
+    const Seconds ex = sample_exec(task, rng);
     const Seconds write = share.sample_read_time(task.output_size, /*local=*/true, rng);
     const Seconds total = params.vertex_startup_overhead + read + ex + write;
     sim.after(total, [this, node, slot, task_id, ex, write] {
@@ -1369,7 +1328,7 @@ struct DryadSim {
       --busy_slots;
       --node_busy[static_cast<std::size_t>(node)];
       if (completed == static_cast<int>(workload.size())) makespan = sim.now();
-      next(node, slot);
+      request(node, slot);
     });
   }
 };
@@ -1383,26 +1342,9 @@ RunResult run_dryad_sim(const Workload& workload, const Deployment& deployment,
   DryadSim ds(workload, deployment, model, params, rng);
   ds.start();
 
-  RunResult r;
-  r.framework = "DryadLINQ";
-  r.deployment_label = deployment.label;
-  r.makespan = ds.makespan;
-  r.tasks = static_cast<int>(workload.size());
-  r.completed = ds.completed;
-  r.exec_times = ds.exec_times;
-  r.trace = std::move(ds.trace);
+  RunResult r = ds.result_head("DryadLINQ");
   r.local_reads = ds.share.stats().local_reads;
-  if (ds.stage_store != nullptr) {
-    const auto meter = ds.stage_store->meter();
-    r.bytes_in = meter.bytes_in;
-    r.bytes_out = meter.bytes_out;
-    r.storage_backend = storage::to_string(ds.stage_store->kind());
-    r.storage_service_cost = ds.stage_store->service_cost(ds.makespan);
-    r.storage_heads = meter.heads;
-  }
-  finalize_metrics(r, workload, deployment, model);
-  if (params.metrics != nullptr) publish_run_metrics(r, *params.metrics);
-  return r;
+  return ds.finish(std::move(r));
 }
 
 }  // namespace ppc::core
