@@ -61,6 +61,9 @@ struct DesRun {
 
   DesRun(const Workload& w, const Deployment& dep, const ExecutionModel& m, const SimRunParams& p)
       : workload(w), d(dep), model(m), params(p) {}
+  // Scheduled events capture `this`.
+  DesRun(const DesRun&) = delete;
+  DesRun& operator=(const DesRun&) = delete;
 
   void draw_run_factor(ppc::Rng& rng) {
     run_factor = params.provider_variability ? model.sample_run_factor(d.type.provider, rng) : 1.0;
@@ -115,7 +118,6 @@ struct SlotSim : DesRun {
   int busy_slots = 0;  // slots with an attempt in flight
 
   using DesRun::DesRun;
-  virtual ~SlotSim() = default;
 
   /// A slot's scheduling loop, entered once its node has launched.
   virtual void request(int node, int slot) = 0;

@@ -23,7 +23,6 @@
 #include "common/table.h"
 #include "core/drivers.h"
 #include "core/experiments.h"
-#include "core/feature_matrix.h"
 #include "runtime/metrics.h"
 #include "storage/storage_backend.h"
 
@@ -535,8 +534,6 @@ void print_catalog() {
                           cloud::bare_metal_hpcs_node(), cloud::bare_metal_gtm_hadoop_node(),
                           cloud::bare_metal_cost_cluster_node()});
 }
-
-void print_features() { core::feature_matrix_table().print(); }
 
 void run_experiment(const std::string& id, const std::string& backend) {
   for (const Study& study : kStudies) {

@@ -10,9 +10,6 @@ namespace ppc::tools {
 /// `ppcloud catalog`: Tables 1 and 2 plus the bare-metal baseline nodes.
 void print_catalog();
 
-/// `ppcloud features`: Table 3.
-void print_features();
-
 /// `ppcloud experiment <id> [object|sharedfs|parallelfs|all]`; `backend` is
 /// empty when none was given. A study that runs on a storage backend
 /// defaults to `object`; `all` prints its rows for every backend. Throws

@@ -187,6 +187,7 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "core/drivers.h"
+#include "core/feature_matrix.h"
 #include "runtime/metrics.h"
 #include "sim/autoscale_run.h"
 #include "sim/chaos_campaign.h"
@@ -625,7 +626,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "features") {
-      tools::print_features();
+      feature_matrix_table().print();
       return 0;
     }
     if (command == "simulate") return cmd_simulate(parse_options(argc, argv, 2));
