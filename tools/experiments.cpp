@@ -135,11 +135,6 @@ void print_instance_catalog(const std::string& title,
   table.print();
 }
 
-/// "<makespan> (<efficiency>)", the ablation tables' cell.
-std::string makespan_cell(const RunResult& r) {
-  return format_duration(r.makespan) + " (" + Table::num(r.parallel_efficiency, 2) + ")";
-}
-
 SimRunParams fixed_params(unsigned seed) {
   SimRunParams params;
   params.seed = seed;
@@ -426,6 +421,9 @@ void ablation_inhomogeneity(const Backends&) {
   const Deployment cloud_d = core::make_deployment(cloud::ec2_hcxl(), 8, 8);
   const ExecutionModel model(AppKind::kBlast);
 
+  auto cell = [](const RunResult& r) {
+    return format_duration(r.makespan) + " (" + Table::num(r.parallel_efficiency, 2) + ")";
+  };
   Table table("Makespan (and efficiency) vs inhomogeneity");
   table.set_header({"Work CV", "Hadoop (dynamic)", "Dryad (static RR)", "Dryad (static LPT)",
                     "ClassicCloud-EC2 (dynamic)"});
@@ -434,10 +432,10 @@ void ablation_inhomogeneity(const Backends&) {
     const SimRunParams params = fixed_params(9);
     SimRunParams lpt = params;
     lpt.dryad_partition_by_size = true;
-    table.add_row({Table::num(cv, 2), makespan_cell(core::run_mapreduce_sim(w, bare, model, params)),
-                   makespan_cell(core::run_dryad_sim(w, bare, model, params)),
-                   makespan_cell(core::run_dryad_sim(w, bare, model, lpt)),
-                   makespan_cell(core::run_classic_cloud_sim(w, cloud_d, model, params))});
+    table.add_row({Table::num(cv, 2), cell(core::run_mapreduce_sim(w, bare, model, params)),
+                   cell(core::run_dryad_sim(w, bare, model, params)),
+                   cell(core::run_dryad_sim(w, bare, model, lpt)),
+                   cell(core::run_classic_cloud_sim(w, cloud_d, model, params))});
   }
   table.print();
   std::puts("\nExpected: at CV=0 all schedulers tie; as inhomogeneity grows, the static");
