@@ -1,63 +1,47 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace ppc::sim {
 
+namespace {
+
+// Heap order: the std heap algorithms keep the greatest element on top, so
+// "greater" means later.
+struct Later {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
 Simulator::Simulator() : clock_(std::make_shared<ppc::ManualClock>(0.0)) {}
 
-EventId Simulator::at(Seconds t, EventFn fn) {
+void Simulator::at(Seconds t, EventFn fn) {
   PPC_REQUIRE(t >= now(), "cannot schedule an event in the past");
   PPC_REQUIRE(fn != nullptr, "null event function");
-  const std::uint64_t id = next_id_++;
-  heap_.push(Scheduled{t, next_seq_++, id});
-  handlers_.emplace(id, std::move(fn));
-  return EventId{id};
+  heap_.push_back(Event{t, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-EventId Simulator::after(Seconds delay, EventFn fn) {
+void Simulator::after(Seconds delay, EventFn fn) {
   PPC_REQUIRE(delay >= 0.0, "negative delay");
-  return at(now() + delay, std::move(fn));
+  at(now() + delay, std::move(fn));
 }
 
-void Simulator::cancel(EventId id) {
-  if (id.valid()) handlers_.erase(id.value);
-}
-
-bool Simulator::step() {
+void Simulator::run() {
   while (!heap_.empty()) {
-    const Scheduled next = heap_.top();
-    heap_.pop();
-    auto it = handlers_.find(next.id);
-    if (it == handlers_.end()) continue;  // cancelled
-    EventFn fn = std::move(it->second);
-    handlers_.erase(it);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event next = std::move(heap_.back());
+    heap_.pop_back();
     clock_->set(next.time);
-    ++executed_;
-    fn();
-    return true;
-  }
-  return false;
-}
-
-void Simulator::run(std::uint64_t max_events) {
-  for (std::uint64_t i = 0; i < max_events; ++i) {
-    if (!step()) return;
+    next.fn();
   }
 }
-
-void Simulator::run_until(Seconds t_end) {
-  while (!heap_.empty()) {
-    // Skip cancelled heads so we do not advance time for them.
-    if (handlers_.find(heap_.top().id) == handlers_.end()) {
-      heap_.pop();
-      continue;
-    }
-    if (heap_.top().time > t_end) return;
-    step();
-  }
-}
-
-std::uint64_t Simulator::events_pending() const { return handlers_.size(); }
 
 }  // namespace ppc::sim

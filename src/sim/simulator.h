@@ -9,11 +9,10 @@
 // message-queue / blob-store / billing code runs under simulation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -22,12 +21,6 @@
 namespace ppc::sim {
 
 using EventFn = std::function<void()>;
-
-/// Handle for cancelling a scheduled event.
-struct EventId {
-  std::uint64_t value = 0;
-  bool valid() const { return value != 0; }
-};
 
 class Simulator {
  public:
@@ -41,45 +34,30 @@ class Simulator {
   std::shared_ptr<ppc::Clock> clock() const { return clock_; }
 
   /// Schedules `fn` at absolute sim time `t` (>= now()).
-  EventId at(Seconds t, EventFn fn);
+  void at(Seconds t, EventFn fn);
 
   /// Schedules `fn` after `delay` seconds (>= 0).
-  EventId after(Seconds delay, EventFn fn);
+  void after(Seconds delay, EventFn fn);
 
-  /// Cancels a pending event; no-op if already executed or cancelled.
-  void cancel(EventId id);
+  /// Runs events until none remain. An event that throws is consumed; the
+  /// exception propagates and a later run() resumes with the next event.
+  void run();
 
-  /// Executes the next pending event. Returns false when none remain.
-  bool step();
-
-  /// Runs until the event queue drains or `max_events` have executed.
-  void run(std::uint64_t max_events = UINT64_MAX);
-
-  /// Runs until the queue drains or sim time would exceed `t_end`. Events at
-  /// exactly t_end still execute.
-  void run_until(Seconds t_end);
-
-  std::uint64_t events_executed() const { return executed_; }
-  std::uint64_t events_pending() const;
+  /// Events scheduled and not yet started. The event currently running is
+  /// not counted, so a self-rescheduling chain can tell whether anything
+  /// else is left.
+  std::size_t events_pending() const { return heap_.size(); }
 
  private:
-  struct Scheduled {
+  struct Event {
     Seconds time;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
-    std::uint64_t id;
-    // Ordering for min-heap via std::greater.
-    bool operator>(const Scheduled& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
+    EventFn fn;
   };
 
   std::shared_ptr<ppc::ManualClock> clock_;
-  std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>> heap_;
-  std::unordered_map<std::uint64_t, EventFn> handlers_;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t executed_ = 0;
+  std::vector<Event> heap_;  // min-heap on (time, seq)
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace ppc::sim
