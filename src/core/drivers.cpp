@@ -27,9 +27,18 @@ namespace {
 std::string input_key(const SimTask& t) { return "input/t" + std::to_string(t.id); }
 std::string output_key(const SimTask& t) { return "output/t" + std::to_string(t.id); }
 
-storage::BackendTuning backend_tuning(const SimRunParams& params) {
-  return {params.blob, params.sharedfs, params.parallelfs};
-}
+// Calibration constants of the DES drivers (DESIGN.md §6).
+constexpr Seconds kQueueOpLatency = 0.03;  // one queue API round trip
+// Idle Classic Cloud workers re-poll after kPollInterval; empty polls back
+// off exponentially up to kPollIntervalMax (reset on a delivery), standard
+// practice to keep SQS request charges down while tasks run elsewhere.
+constexpr Seconds kPollInterval = 1.0;
+constexpr Seconds kPollIntervalMax = 16.0;
+constexpr Seconds kAutoscaleInterval = 30.0;  // autoscaler decision + revocation-site period
+constexpr Seconds kHeartbeatInterval = 3.0;   // idle slot re-poll (TaskTracker heartbeat)
+constexpr Seconds kTaskStartupOverhead = 1.0;  // per-attempt launch (Hadoop 0.20 task JVM)
+// Merge + reduce throughput of one reduce slot, bytes/s of sorted partition.
+constexpr double kShuffleSortBandwidth = 200.0 * 1024 * 1024;
 
 /// Recurring Monitor tick on the simulation clock. Parasitic: it reschedules
 /// only while the sim holds other pending events (events_pending() excludes
@@ -134,8 +143,7 @@ struct SlotSim : DesRun {
   /// consume the identical random stream as before.
   void open_stage_store(ppc::Rng& rng) {
     if (!params.stage_inputs) return;
-    stage_store = storage::make_backend(params.storage, sim.clock(), rng.split(),
-                                        backend_tuning(params));
+    stage_store = storage::make_backend(params.storage, sim.clock(), rng.split());
     stage_rng = rng.split();
   }
 
@@ -345,7 +353,7 @@ struct ClassicSim : DesRun {
       : DesRun(w, dep, m, p),
         // Same rng.split() position the by-value BlobStore held, so the
         // object-store runs replay the checked-in baselines exactly.
-        store(storage::make_backend(p.storage, sim.clock(), rng.split(), backend_tuning(p))),
+        store(storage::make_backend(p.storage, sim.clock(), rng.split())),
         queue("tasks", sim.clock(), p.queue, rng.split()),
         monitorq("monitor", sim.clock(), p.queue, rng.split()),
         fleet(sim.clock()) {
@@ -361,7 +369,6 @@ struct ClassicSim : DesRun {
                   "spot_fraction and revocation_rate must be in [0, 1]");
       PPC_REQUIRE(e.boot_time >= 0.0 && e.revocation_notice >= 0.0,
                   "boot_time and revocation_notice must be non-negative");
-      PPC_REQUIRE(e.autoscale_interval > 0.0, "autoscale_interval must be positive");
       // Braced initializers run in order: the control stream, then storms.
       ctl.emplace(Control{e, cloud::Autoscaler(e.autoscaler), rng.split(), rng.split()});
     } else {
@@ -376,7 +383,7 @@ struct ClassicSim : DesRun {
     }
     draw_run_factor(rng);
     if (!ctl && params.enable_block_cache) {
-      storage::BlockCacheConfig base = params.block_cache;
+      storage::BlockCacheConfig base;
       // Model a worker local disk at least big enough for the shared
       // dataset — a cache that cannot hold it would pass everything through.
       base.capacity = std::max(base.capacity, workload.shared_input_size);
@@ -525,7 +532,7 @@ struct ClassicSim : DesRun {
     }
     const std::size_t first = insts.size();
     if (count - n_spot > 0) fleet.scale_out(d.type, count - n_spot, /*spot_market=*/false);
-    if (n_spot > 0) fleet.scale_out(d.type, n_spot, /*spot_market=*/true, ep.spot_discount);
+    if (n_spot > 0) fleet.scale_out(d.type, n_spot, /*spot_market=*/true);
     ctl->launched += count;
     ctl->spot_launched += n_spot;
     insts.resize(fleet.elastic_instances().size());
@@ -651,7 +658,7 @@ struct ClassicSim : DesRun {
     // a fleet remain it stays alive, so a below-min refill can rebuild a
     // storm-gutted fleet. No fleet and no events left = stranded: end.
     if (sim.events_pending() > 0 || (queue.undeleted() > 0 && fleet.active_count() > 0)) {
-      sim.after(ctl->ep.autoscale_interval, [this] { autoscale_tick(); });
+      sim.after(kAutoscaleInterval, [this] { autoscale_tick(); });
     }
   }
 
@@ -661,7 +668,7 @@ struct ClassicSim : DesRun {
   /// as real instances boot unevenly.
   void enlist(int w) {
     Worker& k = worker(w);
-    k.backoff = params.poll_interval;
+    k.backoff = kPollInterval;
     ++host(w).live_workers;
     ++alive;
     sim.after(k.rng.uniform(0.0, 1.0), [this, w] { poll(w); });
@@ -750,7 +757,7 @@ struct ClassicSim : DesRun {
       sim.at(params.stall_at + params.stall_duration, [this, w] { poll(w); });
       return;
     }
-    sim.after(params.queue_op_latency, [this, w] {
+    sim.after(kQueueOpLatency, [this, w] {
       if (!on_duty(w)) return;  // reclaimed or drained during the round trip
       Worker& k = worker(w);
       recv_buf.clear();
@@ -761,10 +768,10 @@ struct ClassicSim : DesRun {
           return;
         }
         sim.after(k.backoff, [this, w] { poll(w); });
-        k.backoff = std::min(params.poll_interval_max, k.backoff * 2.0);
+        k.backoff = std::min(kPollIntervalMax, k.backoff * 2.0);
         return;
       }
-      k.backoff = params.poll_interval;
+      k.backoff = kPollInterval;
       for (cloudq::Message& m : recv_buf) k.prefetch.push_back(std::move(m));
       next_delivery(w);
     });
@@ -972,7 +979,7 @@ struct MapReduceSim : SlotSim {
 
   MapReduceSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
                const SimRunParams& p, ppc::Rng& rng)
-      : SlotSim(w, dep, m, p), hdfs(dep.instances, p.hdfs, rng.split()) {
+      : SlotSim(w, dep, m, p), hdfs(dep.instances, {}, rng.split()) {
     split_slot_streams(rng);  // after HDFS's stream
 
     std::vector<mapreduce::TaskInfo> tasks;
@@ -1070,7 +1077,7 @@ struct MapReduceSim : SlotSim {
     }
     const auto assignment = scheduler->next_task(node, sim.now());
     if (!assignment) {
-      sim.after(params.heartbeat_interval, [this, node, slot] { request(node, slot); });
+      sim.after(kHeartbeatInterval, [this, node, slot] { request(node, slot); });
       return;
     }
     ++busy_slots;
@@ -1080,7 +1087,7 @@ struct MapReduceSim : SlotSim {
     const Seconds ex = sample_exec(task, rng);
     // HDFS write of the (small) result, local to the node.
     const Seconds write = hdfs.sample_read_time(task.output_size, /*local=*/true, rng);
-    const Seconds total = params.task_startup_overhead + read + ex + write;
+    const Seconds total = kTaskStartupOverhead + read + ex + write;
 
     sim.after(total, [this, node, slot, a = *assignment, ex, write] {
       auto& rng2 = slot_rng[static_cast<std::size_t>(slot)];
@@ -1133,13 +1140,13 @@ struct MapReduceSim : SlotSim {
     if (reduce_scheduler->job_done()) return;
     const auto assignment = reduce_scheduler->next_task(node, sim.now());
     if (!assignment) {
-      sim.after(params.heartbeat_interval, [this, node, slot] { reduce_request(node, slot); });
+      sim.after(kHeartbeatInterval, [this, node, slot] { reduce_request(node, slot); });
       return;
     }
     ++busy_slots;
     auto state = std::make_shared<ReduceAttempt>();
     state->a = *assignment;
-    sim.after(params.task_startup_overhead,
+    sim.after(kTaskStartupOverhead,
               [this, node, slot, state] { fetch_next(node, slot, state); });
   }
 
@@ -1175,8 +1182,7 @@ struct MapReduceSim : SlotSim {
   void merge_and_reduce(int node, int slot, const std::shared_ptr<ReduceAttempt>& state) {
     auto& rng = slot_rng[static_cast<std::size_t>(slot)];
     const Bytes pb = state->partition_bytes;
-    Seconds merge =
-        params.shuffle_sort_bandwidth > 0.0 ? pb / params.shuffle_sort_bandwidth : 0.0;
+    Seconds merge = pb / kShuffleSortBandwidth;
     if (params.reduce_sort_budget > 0.0 && pb > params.reduce_sort_budget) {
       // Overflow: sorted runs round-trip local disk (written once, read
       // back by the k-way merge).
@@ -1244,7 +1250,7 @@ struct DryadSim : SlotSim {
   DryadSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
            const SimRunParams& p, ppc::Rng& rng)
       : SlotSim(w, dep, m, p),
-        share(dep.instances, p.share),
+        share(dep.instances),
         node_queue(static_cast<std::size_t>(dep.instances)) {
     split_slot_streams(rng);
 

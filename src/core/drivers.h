@@ -37,16 +37,13 @@ struct SimRunParams {
   // -- storage data plane --
   /// Backend serving the Classic Cloud data plane (and MapReduce/Dryad
   /// input staging when `stage_inputs` is set): the 2010 object store, an
-  /// NFS-like shared FS, or a Lustre-like parallel FS. The matching config
-  /// below (`blob`, `sharedfs`, `parallelfs`) tunes whichever is selected.
+  /// NFS-like shared FS, or a Lustre-like parallel FS, each with its
+  /// default tuning.
   storage::StorageKind storage = storage::StorageKind::kObject;
-  storage::SharedFsConfig sharedfs;
-  storage::ParallelFsConfig parallelfs;
   /// Per-worker content-addressed block cache for the workload's shared
   /// dataset (Workload::shared_input_size — the BLAST NR database, the GTM
   /// training matrix). Off: every task re-downloads the shared data.
   bool enable_block_cache = false;
-  storage::BlockCacheConfig block_cache;
   /// MapReduce/Dryad: model staging the inputs from the selected storage
   /// backend into HDFS / node shares before the job starts (per-backend
   /// scaling rows). Off = inputs pre-placed, as the checked-in baselines
@@ -55,15 +52,6 @@ struct SimRunParams {
 
   // -- Classic Cloud --
   cloudq::QueueConfig queue;
-  blobstore::BlobStoreConfig blob;
-  /// Sim seconds a queue API round trip takes.
-  Seconds queue_op_latency = 0.03;
-  /// Idle worker re-poll interval (initial).
-  Seconds poll_interval = 1.0;
-  /// Empty polls back off exponentially up to this cap (and reset on a
-  /// successful receive) — standard practice to keep SQS request charges
-  /// down while tasks are in flight elsewhere.
-  Seconds poll_interval_max = 16.0;
   /// Visibility timeout requested by workers. Must exceed the task length
   /// or duplicate executions appear (`ppcloud experiment
   /// ablation-visibility` sweeps this).
@@ -77,12 +65,7 @@ struct SimRunParams {
   int receive_batch = 1;
 
   // -- MapReduce --
-  minihdfs::HdfsConfig hdfs;
   mapreduce::SchedulerConfig scheduler;
-  /// Idle slot re-poll (TaskTracker heartbeat).
-  Seconds heartbeat_interval = 3.0;
-  /// Per-attempt launch overhead (task JVM start in Hadoop 0.20).
-  Seconds task_startup_overhead = 1.0;
   /// Reduce tasks appended after the map phase (0 = map-only — the paper's
   /// pleasingly-parallel jobs and every checked-in baseline). With reducers,
   /// each map task's output is hash-partitioned R ways; every reducer pulls
@@ -95,12 +78,8 @@ struct SimRunParams {
   /// Reduce-side in-memory sort budget; a partition larger than this pays
   /// an extra spill-and-merge pass over local disk (0 = always fits).
   Bytes reduce_sort_budget = 64.0 * 1024 * 1024;
-  /// Merge + reduce throughput of one reduce slot (bytes/s of sorted
-  /// partition processed).
-  double shuffle_sort_bandwidth = 200.0 * 1024 * 1024;
 
   // -- Dryad --
-  dryad::FileShareConfig share;
   Seconds vertex_startup_overhead = 0.3;
   /// false = round-robin static partitions (the paper's layout);
   /// true = size-balanced LPT (ablation).
@@ -245,12 +224,10 @@ struct ElasticSimParams {
   cloud::AutoscalerConfig autoscaler;
   /// Target fraction of launched instances placed on the spot market.
   /// Min-floor refills after revocations always launch on-demand.
+  /// Spot instances bill at cloud::kDefaultSpotDiscount.
   double spot_fraction = 0.5;
-  double spot_discount = cloud::kDefaultSpotDiscount;
   /// Sim seconds from scale-out to the instance's workers polling.
   Seconds boot_time = 60.0;
-  /// Autoscaler decision (and revocation-site firing) period.
-  Seconds autoscale_interval = 30.0;
   /// Notice window of storm revocations (0 = hard kills, no notice).
   Seconds revocation_notice = 90.0;
   /// Sim times of correlated revocation storms: at each, every running spot
