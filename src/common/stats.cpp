@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.h"
 
@@ -101,44 +100,6 @@ double SampleSet::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, xs_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return xs_[lo] * (1.0 - frac) + xs_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  PPC_REQUIRE(hi > lo, "Histogram range must be non-empty");
-  PPC_REQUIRE(buckets > 0, "Histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const auto b = static_cast<std::size_t>((x - lo_) / width_);
-    ++counts_[std::min(b, counts_.size() - 1)];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  PPC_REQUIRE(bucket < counts_.size(), "bucket out of range");
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const { return bucket_lo(bucket) + width_; }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto bar = counts_[b] * width / peak;
-    os << "[" << bucket_lo(b) << ", " << bucket_hi(b) << ") ";
-    for (std::size_t i = 0; i < bar; ++i) os << '#';
-    os << ' ' << counts_[b] << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace ppc

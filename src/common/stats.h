@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace ppc {
@@ -61,29 +60,6 @@ class SampleSet {
   mutable std::vector<double> xs_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t total() const { return total_; }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-
-  /// Ascii rendering, one line per bucket — handy in example programs.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace ppc

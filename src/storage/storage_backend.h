@@ -205,20 +205,4 @@ class StorageBackend {
   virtual int active_transfers() const { return 0; }
 };
 
-/// RAII bracket for one modeled transfer.
-class TransferGuard {
- public:
-  explicit TransferGuard(StorageBackend& backend) : backend_(&backend) {
-    backend_->begin_transfer();
-  }
-  ~TransferGuard() {
-    if (backend_ != nullptr) backend_->end_transfer();
-  }
-  TransferGuard(const TransferGuard&) = delete;
-  TransferGuard& operator=(const TransferGuard&) = delete;
-
- private:
-  StorageBackend* backend_;
-};
-
 }  // namespace ppc::storage

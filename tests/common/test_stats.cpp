@@ -99,35 +99,5 @@ TEST(SampleSet, EmptyThrows) {
   EXPECT_THROW(s.percentile(50), InvalidArgument);
 }
 
-TEST(Histogram, BucketsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);   // bucket 0
-  h.add(1.9);   // bucket 0
-  h.add(2.0);   // bucket 1
-  h.add(9.99);  // bucket 4
-  h.add(10.0);  // overflow
-  h.add(-0.1);  // underflow
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
-TEST(Histogram, RenderProducesOneLinePerBucket) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  const std::string render = h.render(10);
-  EXPECT_EQ(std::count(render.begin(), render.end(), '\n'), 4);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), InvalidArgument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace ppc

@@ -326,16 +326,6 @@ TEST_F(StorageTimingTest, BackendOrderingMatchesTheDesignedRegimes) {
   EXPECT_GT(shared, obj);
 }
 
-TEST_F(StorageTimingTest, TransferGuardBracketsExactlyOneTransfer) {
-  auto store = make_store(StorageKind::kSharedFs);
-  EXPECT_EQ(store->active_transfers(), 0);
-  {
-    TransferGuard guard(*store);
-    EXPECT_EQ(store->active_transfers(), 1);
-  }
-  EXPECT_EQ(store->active_transfers(), 0);
-}
-
 TEST(StoragePricingTest, ObjectStoreBillsUsageFsBackendsBillServers) {
   auto clock = std::make_shared<ManualClock>();
   const auto object = make_backend(StorageKind::kObject, clock, Rng(5));
