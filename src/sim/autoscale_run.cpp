@@ -8,8 +8,6 @@
 #include "common/error.h"
 #include "core/exec_model.h"
 #include "core/workload.h"
-#include "runtime/monitor.h"
-#include "sim/monitor_run.h"
 
 namespace ppc::sim {
 
@@ -54,21 +52,21 @@ AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
   }
   report.static_instances = plan.instances;
 
-  core::SimRunParams static_params;
-  static_params.seed = config.seed;
-  static_params.receive_batch = config.receive_batch;
-  static_params.queue.shards = config.queue_shards;
-  const core::Deployment static_deployment =
-      core::make_deployment(type, plan.instances, config.workers_per_instance);
-  const core::RunResult static_result = core::run_classic_cloud_sim(
-      workload, static_deployment, model, static_params);
+  DesRunSpec spec;
+  spec.params.seed = config.seed;
+  spec.params.receive_batch = config.receive_batch;
+  spec.params.queue.shards = config.queue_shards;
+  const core::RunResult static_result =
+      run_des(workload, core::make_deployment(type, plan.instances, config.workers_per_instance),
+              spec)
+          .result;
   report.makespan_static = static_result.makespan;
   report.cost_static = static_result.compute_cost_hour_units;
 
   // The elastic fleet gets the full reference budget of instances: headroom
   // over the static comparator is what absorbs storm losses, and half-spot
   // pricing is what makes the bigger fleet the cheaper one.
-  core::ElasticSimParams elastic;
+  core::ElasticSimParams& elastic = spec.elastic.emplace();
   elastic.autoscaler.max_instances = config.instances;
   elastic.autoscaler.min_instances = std::max(1, config.instances / 4);
   elastic.autoscaler.step_out = std::max(1, config.instances / 4);
@@ -79,21 +77,15 @@ AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
   for (int i = 1; i <= config.storms; ++i) {
     elastic.storm_times.push_back(plan.est_makespan * i / (config.storms + 1));
   }
-  const core::Deployment elastic_deployment =
-      core::make_deployment(type, config.instances, config.workers_per_instance);
-
-  core::SimRunParams params = static_params;
   // Redelivery tail of a hard kill: long enough to cover a prefetched
   // batch, short enough that resurfaced tasks still meet the deadline.
-  params.visibility_timeout = 1800.0;
-  const core::RunResult result = report.run_monitored(
-      config.monitor_period, config.monitor_capacity, config.verify_determinism,
-      [&](runtime::Monitor& monitor, bool first) {
-        params.monitor = &monitor;
-        core::ElasticRunStats rerun_stats;
-        return core::run_elastic_classic_sim(workload, elastic_deployment, model, params,
-                                             elastic, first ? &report.elastic : &rerun_stats);
-      });
+  spec.params.visibility_timeout = 1800.0;
+  spec.monitor = DesMonitor{.period = config.monitor_period, .capacity = kCampaignMonitorCapacity};
+  spec.rerun = config.verify_determinism;
+  const DesRunReport run = run_des(
+      workload, core::make_deployment(type, config.instances, config.workers_per_instance), spec);
+  const core::RunResult& result = run.result;
+  report.elastic = run.elastic;
 
   report.makespan_elastic = result.makespan;
   report.cost_elastic = result.compute_cost_hour_units;
@@ -118,7 +110,7 @@ AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
     report.failures.push_back("budget exceeded: $" + std::to_string(report.cost_elastic) +
                               " > $" + std::to_string(config.budget));
   }
-  report.finish(config.wall_budget);
+  report.finish(run, config.wall_budget);
   return report;
 }
 

@@ -28,7 +28,7 @@
 
 #include "common/units.h"
 #include "core/drivers.h"
-#include "sim/monitor_run.h"
+#include "sim/des_run.h"
 
 namespace ppc::sim {
 
@@ -59,7 +59,6 @@ struct AutoscaleCampaignConfig {
   Seconds revocation_notice = 90.0;
 
   Seconds monitor_period = 600.0;
-  std::size_t monitor_capacity = 8192;
   /// Real-seconds budget for the elastic run (excluding the rerun).
   Seconds wall_budget = 300.0;
   bool verify_determinism = true;

@@ -10,12 +10,8 @@
 #include "cloudq/message_queue.h"
 #include "common/clock.h"
 #include "common/error.h"
-#include "core/drivers.h"
-#include "core/exec_model.h"
 #include "core/workload.h"
 #include "billing/cost_model.h"
-#include "runtime/monitor.h"
-#include "sim/monitor_run.h"
 
 namespace ppc::sim {
 
@@ -174,21 +170,18 @@ CampaignReport run_million_task_campaign(const CampaignConfig& config) {
   const core::Workload workload = core::make_cap3_workload(config.tasks, 458);
   const core::Deployment deployment =
       core::make_deployment(cloud::ec2_hcxl(), config.instances, config.workers_per_instance);
-  const core::ExecutionModel model(core::AppKind::kCap3);
 
   CampaignReport report;
   report.tasks = config.tasks;
 
-  core::SimRunParams params;
-  params.seed = config.seed;
-  params.receive_batch = config.receive_batch;
-  params.queue.shards = config.queue_shards;
-  const core::RunResult result = report.run_monitored(
-      config.monitor_period, config.monitor_capacity, config.verify_determinism,
-      [&](runtime::Monitor& monitor, bool) {
-        params.monitor = &monitor;
-        return core::run_classic_cloud_sim(workload, deployment, model, params);
-      });
+  DesRunSpec spec;
+  spec.params.seed = config.seed;
+  spec.params.receive_batch = config.receive_batch;
+  spec.params.queue.shards = config.queue_shards;
+  spec.monitor = DesMonitor{.period = config.monitor_period, .capacity = kCampaignMonitorCapacity};
+  spec.rerun = config.verify_determinism;
+  const DesRunReport run = run_des(workload, deployment, spec);
+  const core::RunResult& result = run.result;
 
   report.makespan = result.makespan;
   report.sim_tasks_per_second =
@@ -201,7 +194,7 @@ CampaignReport run_million_task_campaign(const CampaignConfig& config) {
   report.queue_cost = savings.cost;
   report.queue_cost_unbatched = savings.unbatched_cost;
 
-  report.finish(config.wall_budget);
+  report.finish(run, config.wall_budget);
   return report;
 }
 

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/units.h"
-#include "sim/monitor_run.h"
+#include "sim/des_run.h"
 
 namespace ppc::sim {
 
@@ -83,7 +83,6 @@ struct CampaignConfig {
   unsigned seed = 42;
   /// Monitor sample period in sim-seconds.
   Seconds monitor_period = 600.0;
-  std::size_t monitor_capacity = 8192;
   /// Real-seconds budget for the DES run itself (per run, excluding the
   /// determinism re-run). Exceeding it fails the campaign.
   Seconds wall_budget = 300.0;

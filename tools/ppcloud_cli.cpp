@@ -166,16 +166,22 @@
 // spot-revocation rules on top of the sampled plan (absorbed as crashes by
 // the real-thread substrates; extra redelivery headroom is applied).
 //
-// Exit status: 0 on success, 1 on bad usage, a failed run (a failed chaos
-// campaign prints the seed that reproduces it) or a requested artifact
-// (--out, --json, --prom, --fleet-csv, --trace-dir, --monitor-dir) that
-// could not be written.
+// Every verb rejects an option it does not read: `simulate --instance 4`
+// or `simulate --app blast --reads 9` exits 1 naming the option, before
+// anything runs. `simulate`, `monitor`, `campaign` and `autoscale` run
+// through sim::run_des (src/sim/des_run.h), the one DES harness.
+//
+// Exit status: 0 on success, 1 on bad usage (an unknown verb or option),
+// a failed run (a failed chaos campaign prints the seed that reproduces it)
+// or a requested artifact (--out, --json, --prom, --fleet-csv, --trace-dir,
+// --monitor-dir) that could not be written.
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -186,11 +192,11 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "core/drivers.h"
 #include "core/feature_matrix.h"
 #include "runtime/metrics.h"
 #include "sim/autoscale_run.h"
 #include "sim/chaos_campaign.h"
+#include "sim/des_run.h"
 #include "sim/monitor_run.h"
 #include "sim/saturation.h"
 #include "sim/shuffle_run.h"
@@ -203,22 +209,41 @@ using namespace ppc::core;
 
 namespace {
 
-using Options = std::map<std::string, std::string>;
-
-Options parse_options(int argc, char** argv, int first) {
-  Options opts;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    PPC_REQUIRE(key.size() > 2 && key[0] == '-' && key[1] == '-', "expected --option: " + key);
-    PPC_REQUIRE(i + 1 < argc, "missing value for " + key);
-    opts[key.substr(2)] = argv[++i];
+/// The --key value pairs after a verb. Every lookup marks its key read; a
+/// verb calls reject_unread() once it has read all it takes, so a misspelled
+/// or unused option fails the verb instead of being silently ignored.
+class Options {
+ public:
+  Options(int argc, char** argv, int first) {
+    for (int i = first; i < argc; ++i) {
+      std::string key = argv[i];
+      PPC_REQUIRE(key.size() > 2 && key[0] == '-' && key[1] == '-', "expected --option: " + key);
+      PPC_REQUIRE(i + 1 < argc, "missing value for " + key);
+      values_[key.substr(2)] = argv[++i];
+    }
   }
-  return opts;
-}
+
+  /// The value of --key, or null when absent.
+  const std::string* find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  void reject_unread() const {
+    for (const auto& [key, value] : values_) {
+      if (!read_.contains(key)) throw InvalidArgument("unknown option --" + key);
+    }
+  }
+
+ private:
+  std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
+};
 
 std::string opt(const Options& opts, const std::string& key, const std::string& fallback) {
-  const auto it = opts.find(key);
-  return it == opts.end() ? fallback : it->second;
+  const std::string* value = opts.find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 /// Numeric option `key` as a T, or `fallback` when absent. The whole value
@@ -227,9 +252,9 @@ std::string opt(const Options& opts, const std::string& key, const std::string& 
 /// and the value.
 template <typename T>
 T opt_num(const Options& opts, const std::string& key, T fallback) {
-  const auto it = opts.find(key);
-  if (it == opts.end()) return fallback;
-  const std::string& text = it->second;
+  const std::string* given = opts.find(key);
+  if (given == nullptr) return fallback;
+  const std::string& text = *given;
   const char* end = text.data() + text.size();
   T value{};
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
@@ -261,24 +286,13 @@ bool write_artifact(const std::string& path, const std::string& data, const std:
 }
 
 int cmd_simulate(const Options& opts) {
-  const std::string app_name = opt(opts, "app", "cap3");
-  AppKind app;
-  int files = opt_num<int>(opts, "files", 256);
-  Workload workload;
-  if (app_name == "cap3") {
-    app = AppKind::kCap3;
-    workload = make_cap3_workload(files, opt_num<int>(opts, "reads", 458));
-  } else if (app_name == "blast") {
-    app = AppKind::kBlast;
-    workload = make_blast_workload(files, opt_num<int>(opts, "queries", 100),
-                                   opt_num(opts, "seed", 42u));
-  } else if (app_name == "gtm") {
-    app = AppKind::kGtm;
-    workload = make_gtm_workload(files, opt_num<int>(opts, "points", 100000));
-  } else {
-    throw InvalidArgument("unknown --app: " + app_name);
-  }
-
+  const std::string app = opt(opts, "app", "cap3");
+  const unsigned seed = opt_num(opts, "seed", 42u);
+  // Per-file work: Cap3 reads, BLAST queries or GTM points.
+  const char* work = app == "blast" ? "queries" : app == "gtm" ? "points" : "reads";
+  Workload workload =
+      sim::make_des_workload(app, opt_num<int>(opts, "files", 256), seed, 0.0,
+                             opt_num<int>(opts, work, -1));
   const Deployment d = make_deployment(
       cloud::find_type(opt(opts, "type", "EC2-HCXL")), opt_num<int>(opts, "instances", 2),
       opt_num<int>(opts, "workers", 8), opt_num<int>(opts, "threads", 1));
@@ -286,31 +300,20 @@ int cmd_simulate(const Options& opts) {
   PPC_REQUIRE(shared_mb >= 0.0, "--shared-mb must be >= 0");
   workload.shared_input_size = shared_mb * 1024.0 * 1024.0;
 
-  const ExecutionModel model(app);
-  SimRunParams params;
-  params.seed = opt_num(opts, "seed", 42u);
-  params.visibility_timeout = opt_num(opts, "visibility", 7200.0);
-  params.storage = storage::parse_storage_kind(opt(opts, "storage", "object"));
-  params.enable_block_cache = opt(opts, "cache", "0") != "0";
-  params.stage_inputs = params.storage != storage::StorageKind::kObject;
+  sim::DesRunSpec spec;
+  spec.framework = opt(opts, "framework", "classic");
+  spec.params.seed = seed;
+  spec.params.visibility_timeout = opt_num(opts, "visibility", 7200.0);
+  spec.params.storage = storage::parse_storage_kind(opt(opts, "storage", "object"));
+  spec.params.enable_block_cache = opt(opts, "cache", "0") != "0";
+  spec.params.stage_inputs = spec.params.storage != storage::StorageKind::kObject;
+  opts.reject_unread();
+  const sim::DesRunReport run = sim::run_des(workload, d, spec);
 
-  // All frameworks publish into one MetricsRegistry; the report below reads
-  // Eq 1 / Eq 2 from it rather than from the per-substrate result struct.
-  runtime::MetricsRegistry metrics;
-  params.metrics = &metrics;
-
-  const std::string framework = opt(opts, "framework", "classic");
-  RunResult r;
-  if (framework == "classic") {
-    r = run_classic_cloud_sim(workload, d, model, params);
-  } else if (framework == "hadoop") {
-    r = run_mapreduce_sim(workload, d, model, params);
-  } else if (framework == "dryad") {
-    r = run_dryad_sim(workload, d, model, params);
-  } else {
-    throw InvalidArgument("unknown --framework: " + framework);
-  }
-
+  // Eq 1 / Eq 2 come from the registry every framework publishes into,
+  // not from the per-substrate result struct.
+  const RunResult& r = run.result;
+  const runtime::MetricsRegistry& metrics = *run.metrics;
   const std::string prefix = r.framework + ".";
   Table table("Simulation result");
   table.set_header({"Metric", "Value"});
@@ -348,6 +351,7 @@ int cmd_simulate(const Options& opts) {
 int cmd_assemble(const Options& opts) {
   Rng rng(opt_num(opts, "seed", 42u));
   const int reads = opt_num<int>(opts, "reads", 200);
+  opts.reject_unread();
   const std::string fasta = apps::cap3::make_cap3_input(static_cast<std::size_t>(reads), rng);
   std::fputs(apps::cap3::assemble_fasta_file(fasta).c_str(), stdout);
   return 0;
@@ -383,6 +387,7 @@ int cmd_chaos(const Options& opts) {
   }
 
   const std::string trace_dir = opt(opts, "trace-dir", "");
+  opts.reject_unread();
 
   bool all_ok = true;
   for (const std::string& s : substrates) {
@@ -424,6 +429,7 @@ int cmd_shuffle(const Options& opts) {
   config.verify_determinism = opt(opts, "verify", "0") != "0";
   const std::string trace_dir = opt(opts, "trace-dir", "");
   config.trace = !trace_dir.empty();
+  opts.reject_unread();
 
   const sim::ShuffleRunReport report = sim::run_shuffle_job(config);
   std::fputs(report.to_text().c_str(), stdout);
@@ -464,6 +470,7 @@ int cmd_trace(const Options& opts) {
   }
   PPC_REQUIRE(out_path.empty() || substrates.size() == 1,
               "--out needs a single --substrate");
+  opts.reject_unread();
 
   bool all_ok = true;
   std::vector<sim::TraceRunReport> reports;
@@ -501,7 +508,7 @@ int cmd_monitor(const Options& opts) {
   base.stall_worker = opt_num<int>(opts, "stall-worker", -1);
   base.stall_at = opt_num(opts, "stall-at", -1.0);
   base.stall_duration = opt_num(opts, "stall-duration", 0.0);
-  if (opts.contains("alarm")) base.alarms = {opt(opts, "alarm", "")};
+  if (const std::string* alarm = opts.find("alarm")) base.alarms = {*alarm};
   const std::string json_path = opt(opts, "json", "");
   const std::string prom_path = opt(opts, "prom", "");
 
@@ -514,6 +521,7 @@ int cmd_monitor(const Options& opts) {
   }
   PPC_REQUIRE((json_path.empty() && prom_path.empty()) || substrates.size() == 1,
               "--json/--prom need a single --substrate");
+  opts.reject_unread();
 
   bool all_ok = true;
   for (const std::string& s : substrates) {
@@ -540,6 +548,7 @@ int cmd_saturate(const Options& opts) {
   config.batch = opt_num<int>(opts, "batch", config.batch);
   config.seed = opt_num(opts, "seed", 42u);
   const std::string out_path = opt(opts, "out", "");
+  opts.reject_unread();
 
   const sim::SaturationReport report = sim::run_saturation_sweep(config);
   std::fputs(report.to_text().c_str(), stdout);
@@ -550,26 +559,33 @@ int cmd_saturate(const Options& opts) {
   return 0;
 }
 
-int cmd_autoscale(const Options& opts) {
-  sim::AutoscaleCampaignConfig config;
+/// The nine options `campaign` and `autoscale` share.
+template <typename Config>
+void parse_campaign_options(const Options& opts, Config& config) {
   config.tasks = opt_num<int>(opts, "tasks", config.tasks);
   config.instances = opt_num<int>(opts, "instances", config.instances);
   config.workers_per_instance = opt_num<int>(opts, "workers", config.workers_per_instance);
   config.receive_batch = opt_num<int>(opts, "receive-batch", config.receive_batch);
   config.queue_shards = opt_num<int>(opts, "shards", config.queue_shards);
-  config.seed = opt_num(opts, "seed", 42u);
-  config.deadline = opt_num(opts, "deadline", -1.0);
-  config.budget = opt_num(opts, "budget", -1.0);
-  config.spot_fraction = opt_num(opts, "spot-fraction", 0.5);
-  config.storms = opt_num<int>(opts, "storms", config.storms);
-  config.revocation_rate = opt_num(opts, "revocation-rate", 0.2);
-  config.revocation_notice = opt_num(opts, "revocation-notice", 90.0);
-  config.monitor_period = opt_num(opts, "period", 600.0);
-  config.wall_budget = opt_num(opts, "wall-budget", 300.0);
+  config.seed = opt_num(opts, "seed", config.seed);
+  config.monitor_period = opt_num(opts, "period", config.monitor_period);
+  config.wall_budget = opt_num(opts, "wall-budget", config.wall_budget);
   config.verify_determinism = opt(opts, "verify", "1") != "0";
+}
+
+int cmd_autoscale(const Options& opts) {
+  sim::AutoscaleCampaignConfig config;
+  parse_campaign_options(opts, config);
+  config.deadline = opt_num(opts, "deadline", config.deadline);
+  config.budget = opt_num(opts, "budget", config.budget);
+  config.spot_fraction = opt_num(opts, "spot-fraction", config.spot_fraction);
+  config.storms = opt_num<int>(opts, "storms", config.storms);
+  config.revocation_rate = opt_num(opts, "revocation-rate", config.revocation_rate);
+  config.revocation_notice = opt_num(opts, "revocation-notice", config.revocation_notice);
   const bool check = opt(opts, "check", "1") != "0";
   const std::string out_path = opt(opts, "out", "");
   const std::string csv_path = opt(opts, "fleet-csv", "");
+  opts.reject_unread();
 
   const sim::AutoscaleReport report = sim::run_autoscale_campaign(config);
   std::fputs(report.to_text().c_str(), stdout);
@@ -586,16 +602,9 @@ int cmd_autoscale(const Options& opts) {
 
 int cmd_campaign(const Options& opts) {
   sim::CampaignConfig config;
-  config.tasks = opt_num<int>(opts, "tasks", config.tasks);
-  config.instances = opt_num<int>(opts, "instances", config.instances);
-  config.workers_per_instance = opt_num<int>(opts, "workers", config.workers_per_instance);
-  config.receive_batch = opt_num<int>(opts, "receive-batch", config.receive_batch);
-  config.queue_shards = opt_num<int>(opts, "shards", config.queue_shards);
-  config.seed = opt_num(opts, "seed", 42u);
-  config.monitor_period = opt_num(opts, "period", 600.0);
-  config.wall_budget = opt_num(opts, "wall-budget", 300.0);
-  config.verify_determinism = opt(opts, "verify", "1") != "0";
+  parse_campaign_options(opts, config);
   const std::string out_path = opt(opts, "out", "");
+  opts.reject_unread();
 
   const sim::CampaignReport report = sim::run_million_task_campaign(config);
   std::fputs(report.to_text().c_str(), stdout);
@@ -621,29 +630,31 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   try {
-    if (command == "catalog") {
-      tools::print_catalog();
-      return 0;
-    }
-    if (command == "features") {
-      feature_matrix_table().print();
-      return 0;
-    }
-    if (command == "simulate") return cmd_simulate(parse_options(argc, argv, 2));
-    if (command == "assemble") return cmd_assemble(parse_options(argc, argv, 2));
-    if (command == "chaos") return cmd_chaos(parse_options(argc, argv, 2));
-    if (command == "shuffle") return cmd_shuffle(parse_options(argc, argv, 2));
-    if (command == "trace") return cmd_trace(parse_options(argc, argv, 2));
-    if (command == "monitor") return cmd_monitor(parse_options(argc, argv, 2));
-    if (command == "saturate") return cmd_saturate(parse_options(argc, argv, 2));
-    if (command == "campaign") return cmd_campaign(parse_options(argc, argv, 2));
-    if (command == "autoscale") return cmd_autoscale(parse_options(argc, argv, 2));
     if (command == "experiment") {
       if (argc < 3) return usage();
       if (argc > 4) return usage();
       tools::run_experiment(argv[2], argc == 4 ? argv[3] : "");
       return 0;
     }
+    const Options opts(argc, argv, 2);
+    if (command == "catalog" || command == "features") {
+      opts.reject_unread();
+      if (command == "catalog") {
+        tools::print_catalog();
+      } else {
+        feature_matrix_table().print();
+      }
+      return 0;
+    }
+    if (command == "simulate") return cmd_simulate(opts);
+    if (command == "assemble") return cmd_assemble(opts);
+    if (command == "chaos") return cmd_chaos(opts);
+    if (command == "shuffle") return cmd_shuffle(opts);
+    if (command == "trace") return cmd_trace(opts);
+    if (command == "monitor") return cmd_monitor(opts);
+    if (command == "saturate") return cmd_saturate(opts);
+    if (command == "campaign") return cmd_campaign(opts);
+    if (command == "autoscale") return cmd_autoscale(opts);
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ppcloud: %s\n", e.what());
