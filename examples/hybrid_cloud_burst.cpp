@@ -6,7 +6,6 @@
 // fleet riding through it.
 #include <cstdio>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -52,10 +51,9 @@ int main() {
 
   // Phase 1: a 2-worker cloud fleet starts alone; one worker is flaky and
   // dies after its third task (an instance failure).
-  std::atomic<int> flaky_tasks{0};
   runtime::FaultInjector faults;
-  faults.crash_when(classiccloud::sites::kAfterExecute,
-                    [&flaky_tasks](const std::string&) { return flaky_tasks.fetch_add(1) == 2; });
+  faults.arm_plan(runtime::FaultPlan{}.crash(classiccloud::sites::kAfterExecute, /*budget=*/1,
+                                             /*probability=*/1.0, /*skip_first=*/2));
   classiccloud::WorkerConfig flaky_config = config;
   flaky_config.faults = &faults;
   classiccloud::Worker steady("cloud-0", store, client.task_queue(), client.monitor_queue(),

@@ -29,8 +29,8 @@
 namespace ppc::dryad {
 
 /// Fault-injection site fired before each vertex attempt, keyed
-/// "<vertex_id>:<attempt>". Arm error_times()/crash_* to fail attempts
-/// (re-executed up to the retry budget, §2.3).
+/// "<vertex_id>:<attempt>". An error or crash FaultPlan rule there fails the
+/// attempt (re-executed up to the retry budget, §2.3).
 namespace sites {
 inline const std::string kVertexAttempt = "dryad.vertex_attempt";
 }  // namespace sites

@@ -43,9 +43,9 @@ using MapFn =
     std::function<std::string(const FileRecord& record, const std::string& contents)>;
 
 /// Fault-injection site fired on the executor thread right before each map
-/// attempt, keyed "<task_id>:<attempt>". Arm error_times() to fail attempts
-/// (they are retried per the scheduler config) or a crash to kill the slot's
-/// current attempt.
+/// attempt, keyed "<task_id>:<attempt>". An error FaultPlan rule there fails
+/// the attempt (retried per the scheduler config); a crash rule kills the
+/// slot's current attempt.
 namespace sites {
 inline const std::string kMapAttempt = "mapreduce.map_attempt";
 }  // namespace sites

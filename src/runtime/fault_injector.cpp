@@ -7,41 +7,6 @@
 
 namespace ppc::runtime {
 
-void FaultInjector::crash_once(const std::string& site) { crash_times(site, 1); }
-
-void FaultInjector::crash_times(const std::string& site, int times) {
-  PPC_REQUIRE(times >= 1, "crash_times needs a positive count");
-  std::lock_guard lock(mu_);
-  sites_[site].crash_budget += times;
-}
-
-void FaultInjector::crash_always(const std::string& site) {
-  std::lock_guard lock(mu_);
-  sites_[site].crash_always = true;
-}
-
-void FaultInjector::crash_when(const std::string& site, Predicate pred) {
-  PPC_REQUIRE(pred != nullptr, "crash_when needs a predicate");
-  std::lock_guard lock(mu_);
-  sites_[site].crash_pred = std::move(pred);
-}
-
-void FaultInjector::error_times(const std::string& site, std::string what, int times) {
-  PPC_REQUIRE(times >= 1, "error_times needs a positive count");
-  std::lock_guard lock(mu_);
-  Site& s = sites_[site];
-  s.error_budget += times;
-  s.error_what = std::move(what);
-}
-
-void FaultInjector::delay(const std::string& site, Seconds duration, int times) {
-  PPC_REQUIRE(duration >= 0.0, "delay must be non-negative");
-  std::lock_guard lock(mu_);
-  Site& s = sites_[site];
-  s.delay_duration = duration;
-  s.delay_budget = times;
-}
-
 void FaultInjector::arm_plan(const FaultPlan& plan) {
   std::lock_guard lock(mu_);
   for (const FaultRule& rule : plan.rules) {
@@ -60,33 +25,9 @@ void FaultInjector::reset() {
   sites_.clear();
 }
 
-FaultInjector::Outcome FaultInjector::evaluate_locked(Site& s, const std::string& key,
-                                                      bool service_op) {
+FaultInjector::Outcome FaultInjector::evaluate_locked(Site& s, bool service_op) {
   ++s.hits;
   Outcome out;
-
-  // Legacy imperative armings first — they predate plans and tests rely on
-  // their exact precedence (delay stacks with error/crash; error beats crash).
-  if (s.delay_budget != 0 && s.delay_duration > 0.0) {
-    out.sleep = s.delay_duration;
-    if (s.delay_budget > 0) --s.delay_budget;
-    ++s.delays;
-  }
-  if (s.error_budget > 0) {
-    --s.error_budget;
-    out.error = true;
-    out.error_what = s.error_what;
-    ++s.errors;
-  } else if (!service_op) {
-    if (s.crash_always) {
-      out.crash = true;
-    } else if (s.crash_budget > 0) {
-      --s.crash_budget;
-      out.crash = true;
-    } else if (s.crash_pred && s.crash_pred(key)) {
-      out.crash = true;
-    }
-  }
 
   // Plan rules. Each rule decides independently; within one firing, delay
   // stacks with at most one terminal action (error/crash/corrupt, first
@@ -147,7 +88,7 @@ bool FaultInjector::fire(const std::string& site, const std::string& key) {
   Outcome out;
   {
     std::lock_guard lock(mu_);
-    out = evaluate_locked(sites_[site], key, /*service_op=*/false);
+    out = evaluate_locked(sites_[site], /*service_op=*/false);
   }
   if (out.sleep > 0.0) sleep_for(out.sleep);
   if (out.error) {
@@ -157,23 +98,23 @@ bool FaultInjector::fire(const std::string& site, const std::string& key) {
   return out.crash;
 }
 
-Seconds FaultInjector::fire_revocation(const std::string& site, const std::string& key) {
+Seconds FaultInjector::fire_revocation(const std::string& site, const std::string& /*key*/) {
   Outcome out;
   {
     std::lock_guard lock(mu_);
-    out = evaluate_locked(sites_[site], key, /*service_op=*/false);
+    out = evaluate_locked(sites_[site], /*service_op=*/false);
   }
   if (out.sleep > 0.0) sleep_for(out.sleep);
   return out.revoke ? out.revoke_notice : -1.0;
 }
 
 ppc::FaultDecision FaultInjector::on_operation(const std::string& site,
-                                               const std::string& key,
+                                               const std::string& /*key*/,
                                                ppc::PayloadRef* payload) {
   Outcome out;
   {
     std::lock_guard lock(mu_);
-    out = evaluate_locked(sites_[site], key, /*service_op=*/true);
+    out = evaluate_locked(sites_[site], /*service_op=*/true);
   }
   if (out.sleep > 0.0) sleep_for(out.sleep);
   ppc::FaultDecision decision;

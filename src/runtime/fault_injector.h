@@ -5,11 +5,12 @@
 // plus per-engine `attempt_hook`s. This injector replaces all of them with
 // *named sites*: instrumented code calls `fire("classiccloud.after_upload",
 // task_id)` at the points where the paper's fault-tolerance story is
-// exercised, and tests arm crashes, delays, or thrown errors against those
-// site names. One arming API drives all four substrates, so the same
-// "crash after execute, before delete" scenario can be expressed identically
-// against the Classic Cloud worker, the azuremr worker role, the MapReduce
-// engine, and the discrete-event drivers.
+// exercised, and tests arm crashes, delays, thrown errors, corruptions or
+// spot revocations against those site names. One arming API,
+// arm_plan(FaultPlan), drives all four substrates, so the same "crash after
+// execute, before delete" scenario can be expressed identically against the
+// Classic Cloud worker, the azuremr worker role, the MapReduce engine, and
+// the discrete-event drivers.
 //
 // Two firing surfaces share the armed state:
 //
@@ -21,16 +22,14 @@
 //    corrupts payload copies (bit flip at an RNG-chosen position). Crash
 //    rules are ignored here: a storage service cannot kill its caller.
 //
-// Besides the imperative arming calls, `arm_plan(FaultPlan)` installs a
-// declarative schedule with deterministic per-site RNG streams
-// (seed ^ fnv1a64(site)) — the chaos-campaign surface.
+// A plan's rules get deterministic per-site RNG streams
+// (seed ^ fnv1a64(site)), so two runs of one plan decide alike.
 //
 // Thread-safe: workers fire concurrently; tests arm before starting them
 // (arming while firing is also safe, just racy by nature).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -43,8 +42,7 @@
 
 namespace ppc::runtime {
 
-/// Thrown by FaultInjector::fire() for sites armed with error_times() or an
-/// error-action plan rule.
+/// Thrown by FaultInjector::fire() for a site an error rule fires at.
 class InjectedFault : public ppc::Error {
  public:
   using Error::Error;
@@ -52,29 +50,7 @@ class InjectedFault : public ppc::Error {
 
 class FaultInjector : public ppc::FaultHook {
  public:
-  /// Decides per firing whether to crash; receives the site's key (task id,
-  /// input name, ...). Runs under the injector lock — keep it cheap.
-  using Predicate = std::function<bool(const std::string& key)>;
-
   // -- arming ---------------------------------------------------------
-
-  /// Crash the caller the first time the site fires, then disarm.
-  void crash_once(const std::string& site);
-
-  /// Crash the first `times` firings of the site.
-  void crash_times(const std::string& site, int times);
-
-  /// Crash every firing of the site (e.g. "all workers die mid-task").
-  void crash_always(const std::string& site);
-
-  /// Crash when `pred(key)` returns true.
-  void crash_when(const std::string& site, Predicate pred);
-
-  /// Throw InjectedFault(what) from the first `times` firings.
-  void error_times(const std::string& site, std::string what, int times);
-
-  /// Sleep `duration` real seconds on each firing; `times` < 0 = every time.
-  void delay(const std::string& site, Seconds duration, int times = -1);
 
   /// Installs every rule of a declarative plan. Each armed site gets its own
   /// deterministic RNG stream (plan.seed ^ fnv1a64(site)) for probability
@@ -138,13 +114,6 @@ class FaultInjector : public ppc::FaultHook {
   };
 
   struct Site {
-    int crash_budget = 0;
-    bool crash_always = false;
-    Predicate crash_pred;
-    int error_budget = 0;
-    std::string error_what;
-    Seconds delay_duration = 0.0;
-    int delay_budget = 0;  // < 0 = unlimited
     std::vector<ArmedRule> rules;
     ppc::Rng rng{0};  // reseeded by arm_plan
     std::int64_t hits = 0;
@@ -167,10 +136,10 @@ class FaultInjector : public ppc::FaultHook {
     Seconds revoke_notice = 0.0;
   };
 
-  /// Evaluates legacy armings + plan rules for one firing. `service_op`
+  /// Evaluates the site's plan rules for one firing. `service_op`
   /// selects the hook interpretation: corrupt rules apply, crash rules do
   /// not. Caller holds mu_.
-  Outcome evaluate_locked(Site& site, const std::string& key, bool service_op);
+  Outcome evaluate_locked(Site& site, bool service_op);
 
   std::int64_t site_stat_locked(const std::string& site,
                                 std::int64_t Site::*member) const;

@@ -1,5 +1,6 @@
 #include "runtime/fault_plan.h"
 
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -48,7 +49,8 @@ FaultPlan& FaultPlan::crash(const std::string& site, int budget, double probabil
 
 FaultPlan& FaultPlan::delay(const std::string& site, Seconds duration, int budget,
                             double probability, int skip_first) {
-  PPC_REQUIRE(duration >= 0.0, "delay must be non-negative");
+  PPC_REQUIRE(std::isfinite(duration) && duration >= 0.0,
+              "delay must be finite and non-negative");
   rules.push_back(make_rule(site, FaultAction::kDelay, probability, budget, skip_first));
   rules.back().delay = duration;
   return *this;
@@ -69,7 +71,8 @@ FaultPlan& FaultPlan::corrupt(const std::string& site, int budget, double probab
 
 FaultPlan& FaultPlan::revoke_spot(const std::string& site, int budget, double probability,
                                   Seconds notice, int skip_first) {
-  PPC_REQUIRE(notice >= 0.0, "revocation notice must be non-negative");
+  PPC_REQUIRE(std::isfinite(notice) && notice >= 0.0,
+              "revocation notice must be finite and non-negative");
   rules.push_back(
       make_rule(site, FaultAction::kRevokeSpot, probability, budget, skip_first));
   rules.back().delay = notice;

@@ -1,9 +1,8 @@
 // Scripted fault schedules for chaos campaigns.
 //
-// The original FaultInjector API is imperative — a test arms `crash_once` /
-// `error_times` / `delay` against one site at a time. A chaos campaign wants
-// the opposite: one declarative *plan*, sampled from a seed, that scripts
-// every misbehaviour of a run up front. A FaultPlan is a list of FaultRules;
+// A FaultPlan is the one way to arm a FaultInjector: a declarative schedule
+// (a chaos campaign samples one from a seed) that scripts every
+// misbehaviour of a run up front. It is a list of FaultRules;
 // each rule names a site, one of the four fault actions the paper's
 // fault-tolerance story must survive —
 //

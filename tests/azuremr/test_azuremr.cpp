@@ -275,7 +275,7 @@ TEST_F(AzureMrTest, WorkerCrashBeforeDeleteIsRecovered) {
   // message; the task resurfaces and a surviving worker redoes it. The job
   // must still produce correct output.
   runtime::FaultInjector faults;
-  faults.crash_once(sites::kAfterMap);
+  faults.arm_plan(runtime::FaultPlan{}.crash(sites::kAfterMap));
   MrWorkerConfig config;
   config.visibility_timeout = 0.2;
   config.faults = &faults;

@@ -57,7 +57,7 @@ TEST_P(FaultToleranceTest, CrashedWorkerNeverLosesTasks) {
 
   // The saboteur crashes on its first task at the parameterized site.
   runtime::FaultInjector faults;
-  faults.crash_once(crash_site);
+  faults.arm_plan(runtime::FaultPlan{}.crash(crash_site));
   WorkerConfig saboteur_config = base_config(/*visibility=*/0.3);
   saboteur_config.faults = &faults;
   Worker saboteur("saboteur", store_, client.task_queue(), client.monitor_queue(),
@@ -158,7 +158,7 @@ TEST(FaultTolerance, AllWorkersCrashThenFreshPoolFinishes) {
   client.submit(files);
 
   runtime::FaultInjector faults;
-  faults.crash_always(sites::kAfterExecute);  // crash every time
+  faults.arm_plan(runtime::FaultPlan{}.crash(sites::kAfterExecute, /*budget=*/-1));
   WorkerConfig doomed_config;
   doomed_config.bucket = "job";
   doomed_config.poll_interval = 0.001;

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "runtime/fault_injector.h"
@@ -50,25 +51,21 @@ TEST(DryadFaultTolerance, TransientInjectedErrorsAreRetried) {
 }
 
 TEST(DryadFaultTolerance, PoisonVertexExhaustsRetriesAndSkipsDependents) {
-  runtime::FaultInjector faults;
   RuntimeConfig config;
   config.num_nodes = 2;
   config.max_attempts = 3;
-  config.faults = &faults;
   config.metrics = std::make_shared<runtime::MetricsRegistry>();
   DryadRuntime runtime(config);
 
   Dag dag;
   std::atomic<bool> dependent_ran{false};
   std::atomic<bool> sibling_ran{false};
-  const int poison = dag.add_vertex("poison", 0, [] {});
+  // Every attempt of the poison vertex fails; other vertices are untouched.
+  const int poison =
+      dag.add_vertex("poison", 0, [] { throw std::runtime_error("poisoned input"); });
   const int dep = dag.add_vertex("dep", 0, [&] { dependent_ran.store(true); });
   dag.add_vertex("sibling", 1, [&] { sibling_ran.store(true); });
   dag.add_edge(poison, dep);
-  // Every attempt of the poison vertex fails; other vertices are untouched.
-  faults.crash_when(sites::kVertexAttempt, [poison](const std::string& key) {
-    return key.rfind(std::to_string(poison) + ":", 0) == 0;
-  });
 
   const auto report = runtime.run(dag);
   EXPECT_FALSE(report.succeeded);
@@ -95,7 +92,7 @@ TEST(DryadFaultTolerance, PoisonVertexExhaustsRetriesAndSkipsDependents) {
 
 TEST(DryadFaultTolerance, FaultyRunLeavesFailedAndCompletedSpans) {
   runtime::FaultInjector faults;
-  faults.error_times(sites::kVertexAttempt, "flaky vertex", 1);
+  faults.arm_plan(runtime::FaultPlan{}.error(sites::kVertexAttempt, "flaky vertex"));
   runtime::Tracer tracer;
   tracer.enable();
 

@@ -72,7 +72,7 @@ TEST_F(LocalJobRunnerTest, RetriesFailedAttempts) {
   const auto paths = write_inputs(6);
   LocalJobRunner runner(hdfs_);
   runtime::FaultInjector faults;
-  faults.error_times(sites::kMapAttempt, "injected crash", 3);
+  faults.arm_plan(runtime::FaultPlan{}.error(sites::kMapAttempt, "injected crash", /*budget=*/3));
   JobConfig config;
   config.faults = &faults;
   const auto result = runner.run(

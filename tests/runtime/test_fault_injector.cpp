@@ -18,7 +18,7 @@ TEST(FaultInjector, UnarmedSiteNeverCrashesButCountsHits) {
 
 TEST(FaultInjector, CrashOnceFiresExactlyOnce) {
   FaultInjector faults;
-  faults.crash_once("w.after_execute");
+  faults.arm_plan(FaultPlan{}.crash("w.after_execute"));
   EXPECT_TRUE(faults.fire("w.after_execute", "t1"));
   EXPECT_FALSE(faults.fire("w.after_execute", "t2"));
   EXPECT_FALSE(faults.fire("w.after_execute", "t3"));
@@ -28,7 +28,7 @@ TEST(FaultInjector, CrashOnceFiresExactlyOnce) {
 
 TEST(FaultInjector, CrashTimesSpendsItsBudget) {
   FaultInjector faults;
-  faults.crash_times("s", 2);
+  faults.arm_plan(FaultPlan{}.crash("s", /*budget=*/2));
   EXPECT_TRUE(faults.fire("s"));
   EXPECT_TRUE(faults.fire("s"));
   EXPECT_FALSE(faults.fire("s"));
@@ -37,26 +37,15 @@ TEST(FaultInjector, CrashTimesSpendsItsBudget) {
 
 TEST(FaultInjector, CrashAlwaysNeverDisarms) {
   FaultInjector faults;
-  faults.crash_always("s");
+  faults.arm_plan(FaultPlan{}.crash("s", /*budget=*/-1));
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(faults.fire("s"));
   EXPECT_EQ(faults.crashes("s"), 5);
   EXPECT_EQ(faults.total_crashes(), 5);
 }
 
-TEST(FaultInjector, CrashWhenSeesTheSiteKey) {
-  FaultInjector faults;
-  faults.crash_when("s", [](const std::string& key) { return key == "task-3"; });
-  EXPECT_FALSE(faults.fire("s", "task-1"));
-  EXPECT_FALSE(faults.fire("s", "task-2"));
-  EXPECT_TRUE(faults.fire("s", "task-3"));
-  EXPECT_FALSE(faults.fire("s", "task-4"));
-  EXPECT_TRUE(faults.fire("s", "task-3"));  // predicate stays armed
-  EXPECT_EQ(faults.crashes("s"), 2);
-}
-
 TEST(FaultInjector, ErrorTimesThrowsInjectedFaultThenDisarms) {
   FaultInjector faults;
-  faults.error_times("s", "synthetic outage", 2);
+  faults.arm_plan(FaultPlan{}.error("s", "synthetic outage", /*budget=*/2));
   EXPECT_THROW(faults.fire("s"), InjectedFault);
   try {
     faults.fire("s");
@@ -70,7 +59,7 @@ TEST(FaultInjector, ErrorTimesThrowsInjectedFaultThenDisarms) {
 
 TEST(FaultInjector, DelayBlocksTheCaller) {
   FaultInjector faults;
-  faults.delay("s", 0.03, /*times=*/1);
+  faults.arm_plan(FaultPlan{}.delay("s", 0.03, /*budget=*/1));
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_FALSE(faults.fire("s"));
   const auto first = std::chrono::steady_clock::now() - t0;
@@ -84,8 +73,7 @@ TEST(FaultInjector, DelayBlocksTheCaller) {
 
 TEST(FaultInjector, ArmingsOnDistinctSitesAreIndependent) {
   FaultInjector faults;
-  faults.crash_once("a");
-  faults.crash_once("b");
+  faults.arm_plan(FaultPlan{}.crash("a").crash("b"));
   EXPECT_TRUE(faults.fire("a"));
   EXPECT_TRUE(faults.fire("b"));
   EXPECT_EQ(faults.total_crashes(), 2);
@@ -93,7 +81,7 @@ TEST(FaultInjector, ArmingsOnDistinctSitesAreIndependent) {
 
 TEST(FaultInjector, ResetDisarmsAndZeroesEverything) {
   FaultInjector faults;
-  faults.crash_always("s");
+  faults.arm_plan(FaultPlan{}.crash("s", /*budget=*/-1));
   EXPECT_TRUE(faults.fire("s"));
   faults.reset();
   EXPECT_FALSE(faults.fire("s"));

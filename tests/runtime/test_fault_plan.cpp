@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,18 @@ TEST(FaultPlan, RevokeSpotBuilderCarriesTheNoticeWindow) {
 TEST(FaultPlan, RevokeSpotRejectsNegativeNotice) {
   FaultPlan plan;
   EXPECT_THROW(plan.revoke_spot("s", 1, 1.0, /*notice=*/-1.0), InvalidArgument);
+}
+
+TEST(FaultPlan, DelayAndRevokeSpotRejectNonFiniteDurations) {
+  // An infinite stall would reach std::this_thread::sleep_for.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FaultPlan plan;
+  EXPECT_THROW(plan.delay("s", inf), InvalidArgument);
+  EXPECT_THROW(plan.delay("s", nan), InvalidArgument);
+  EXPECT_THROW(plan.revoke_spot("s", 1, 1.0, /*notice=*/inf), InvalidArgument);
+  EXPECT_THROW(plan.revoke_spot("s", 1, 1.0, /*notice=*/nan), InvalidArgument);
+  EXPECT_TRUE(plan.rules.empty());
 }
 
 TEST(FaultPlan, FireRevocationReturnsTheNoticeWindow) {

@@ -111,7 +111,7 @@ TEST_F(TaskLifecycleTest, HandlerExceptionCountsAsFailedExecutionNotALostTask) {
 TEST_F(TaskLifecycleTest, InjectedCrashKillsWorkerWithoutDeletingTheMessage) {
   queue_->send("doomed-once");
   FaultInjector faults;
-  faults.crash_once("test.mid_task");
+  faults.arm_plan(FaultPlan{}.crash("test.mid_task"));
 
   auto handler = [](TaskContext& ctx) {
     if (ctx.crash_site("test.mid_task", ctx.message().id)) return TaskOutcome::kCrashed;

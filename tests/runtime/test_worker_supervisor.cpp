@@ -80,7 +80,7 @@ TEST_F(WorkerSupervisorTest, ProvisionsOneWorkerPerSlot) {
 
 TEST_F(WorkerSupervisorTest, ReplacesACrashedWorkerAndFinishesTheJob) {
   FaultInjector faults;
-  faults.crash_once("w.site");  // first delivery kills its worker
+  faults.arm_plan(FaultPlan{}.crash("w.site"));  // first delivery kills its worker
   std::atomic<int> completed{0};
   for (int i = 0; i < 4; ++i) queue_->send("t" + std::to_string(i));
   WorkerSupervisor supervisor(
@@ -108,7 +108,8 @@ TEST_F(WorkerSupervisorTest, ReplacesACrashedWorkerAndFinishesTheJob) {
 
 TEST_F(WorkerSupervisorTest, GivesUpASlotAfterMaxRestarts) {
   FaultInjector faults;
-  faults.crash_always("w.site");  // every incarnation dies on its first task
+  // Every incarnation dies on its first task.
+  faults.arm_plan(FaultPlan{}.crash("w.site", /*budget=*/-1));
   queue_->send("doomed");
   SupervisorConfig config = fast_config(1);
   config.max_restarts_per_slot = 2;
@@ -194,7 +195,7 @@ TEST_F(WorkerSupervisorTest, CrashMidDrainFallsThroughToRestart) {
   // indistinguishable from any crash, so the restart path (not the drain
   // meter) must absorb it and the redelivered task must still complete.
   FaultInjector faults;
-  faults.crash_once("w.site");
+  faults.arm_plan(FaultPlan{}.crash("w.site"));
   std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
   std::atomic<int> completed{0};
