@@ -15,7 +15,9 @@
 #include "cloud/elastic_fleet.h"
 #include "cloud/fleet.h"
 #include "common/error.h"
+#include "dryad/file_share.h"
 #include "dryad/partitioned_table.h"
+#include "minihdfs/mini_hdfs.h"
 #include "sim/simulator.h"
 #include "storage/block_cache.h"
 #include "storage/fs_backends.h"

@@ -13,21 +13,18 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "blobstore/blob_store.h"
 #include "cloud/autoscaler.h"
 #include "cloudq/message_queue.h"
 #include "common/stats.h"
 #include "core/exec_model.h"
 #include "core/workload.h"
-#include "dryad/file_share.h"
 #include "mapreduce/scheduler.h"
-#include "minihdfs/mini_hdfs.h"
 #include "runtime/fault_injector.h"
 #include "runtime/metrics.h"
 #include "runtime/monitor.h"
-#include "storage/block_cache.h"
-#include "storage/fs_backends.h"
+#include "storage/storage_backend.h"
 
 namespace ppc::core {
 
