@@ -84,11 +84,9 @@ AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
   spec.rerun = config.verify_determinism;
   const DesRunReport run = run_des(
       workload, core::make_deployment(type, config.instances, config.workers_per_instance), spec);
-  const core::RunResult& result = run.result;
   report.elastic = run.elastic;
-
-  report.makespan_elastic = result.makespan;
-  report.cost_elastic = result.compute_cost_hour_units;
+  report.makespan_elastic = run.result.makespan;
+  report.cost_elastic = run.result.compute_cost_hour_units;
 
   if (report.makespan_elastic > report.deadline) {
     report.failures.push_back("deadline missed: " + std::to_string(report.makespan_elastic) +

@@ -93,12 +93,8 @@ DesRunReport run_des(const core::Workload& workload, const core::Deployment& dep
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (!monitor) return report;
 
-  report.samples = monitor->samples();
-  report.degraded = monitor->degraded();
-  report.firings = monitor->firings();
-  report.monitor_json = monitor->to_json();
-  report.dashboard = monitor->dashboard();
-  report.prometheus = monitor->to_prometheus();
+  report.monitor = {monitor->samples(), monitor->degraded(), monitor->firings(),
+                    monitor->to_json(), monitor->dashboard(), monitor->to_prometheus()};
   if (spec.rerun) {
     runtime::MetricsRegistry registry;
     const auto again = make_monitor(registry, *spec.monitor);
@@ -106,7 +102,7 @@ DesRunReport run_des(const core::Workload& workload, const core::Deployment& dep
     params.monitor = again.get();
     core::ElasticRunStats elastic_stats;
     (void)run_driver(workload, deployment, spec, params, &elastic_stats);
-    report.deterministic = again->to_json() == report.monitor_json;
+    report.deterministic = again->to_json() == report.monitor.monitor_json;
   }
   return report;
 }
@@ -115,10 +111,10 @@ void MonitoredCampaign::finish(const DesRunReport& run, Seconds wall_budget) {
   completed = run.result.completed;
   queue_undeleted_end = run.result.queue_undeleted_end;
   wall_seconds = run.wall_seconds;
-  monitor_samples = run.samples;
-  alarm_fired = run.alarmed();
+  monitor_samples = run.monitor.samples;
+  alarm_fired = run.monitor.alarmed();
   deterministic = run.deterministic;
-  monitor_json = run.monitor_json;
+  monitor_json = run.monitor.monitor_json;
   if (completed != tasks) {
     failures.push_back("completed " + std::to_string(completed) + " of " +
                        std::to_string(tasks) + " tasks");

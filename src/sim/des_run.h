@@ -1,12 +1,8 @@
-// One discrete-event (DES) run, the way every DES verb runs it.
-//
-// run_des is the one place that picks the DES driver for a framework,
-// attaches a MetricsRegistry and, when asked, an alarmed Monitor on the
-// *simulation* clock, times the run, and reruns it under a fresh monitor to
-// check that the series repeats byte for byte. `ppcloud simulate`,
-// run_monitored_job (`ppcloud monitor`), run_million_task_campaign
-// (`campaign`) and both runs of run_autoscale_campaign (`autoscale`) are
-// presets over it.
+// One discrete-event (DES) run, the way every DES verb runs it: run_des
+// picks the driver, attaches a MetricsRegistry and, when asked, an alarmed
+// Monitor on the *simulation* clock, times the run, and can rerun it to
+// check the monitor series repeats byte for byte. `ppcloud simulate`,
+// `monitor`, `campaign` and both runs of `autoscale` are presets over it.
 #pragma once
 
 #include <cstddef>
@@ -47,45 +43,40 @@ core::Workload make_des_workload(const std::string& app, int files, unsigned see
 struct DesMonitor {
   Seconds period = 5.0;         // sample period, sim-seconds
   std::size_t capacity = 4096;  // samples kept per series
-  /// Alarm rules in parse_alarm grammar.
-  std::vector<std::string> alarms = default_alarm_rules();
+  std::vector<std::string> alarms = default_alarm_rules();  // parse_alarm grammar
 };
 
-struct DesRunSpec {
-  /// "classic" (Classic Cloud, EC2 or Azure by the deployment's provider),
-  /// "hadoop" or "dryad".
-  std::string framework = "classic";
-  /// SimRunParams::metrics and ::monitor are ignored: run_des attaches its
-  /// own.
-  core::SimRunParams params;
-  /// Classic only: run on an autoscaled elastic fleet.
-  std::optional<core::ElasticSimParams> elastic;
-  std::optional<DesMonitor> monitor;
-  /// Run a second time under a fresh monitor (needs `monitor`) and compare
-  /// the two series.
-  bool rerun = false;
-};
-
-/// The first run's result, registry and monitor record.
-struct DesRunReport {
-  core::RunResult result;
-  core::ElasticRunStats elastic;  // elastic runs only
-  /// What the driver published (counters, Eq 1 / Eq 2 gauges).
-  std::unique_ptr<runtime::MetricsRegistry> metrics;
-  double wall_seconds = 0.0;  // real time of the first run
-
-  // The monitor's record; empty without a monitor.
+/// What a DES run's monitor recorded.
+struct MonitorRecord {
   std::uint64_t samples = 0;
   bool degraded = false;
   std::vector<runtime::AlarmFiring> firings;
-  std::string monitor_json;  // Monitor::to_json(), deterministic
-  std::string dashboard;     // Monitor::dashboard()
-  std::string prometheus;    // Monitor::to_prometheus()
-  /// False when a rerun's monitor series differed.
-  bool deterministic = true;
+  std::string monitor_json;  // Monitor::to_json(), deterministic: CI byte-diffs it
+  std::string dashboard;     // Monitor::dashboard(), the sparkline table
+  std::string prometheus;    // Monitor::to_prometheus(), latest samples
 
   /// True once any alarm fired.
   bool alarmed() const { return degraded || !firings.empty(); }
+};
+
+struct DesRunSpec {
+  /// "classic" (EC2 or Azure by the deployment's provider), "hadoop", "dryad".
+  std::string framework = "classic";
+  core::SimRunParams params;  // run_des sets ::metrics and ::monitor
+  std::optional<core::ElasticSimParams> elastic;  // classic only: an autoscaled fleet
+  std::optional<DesMonitor> monitor;
+  bool rerun = false;  // run again under a fresh monitor and compare the series
+};
+
+/// The first run's result, what its driver published (counters, Eq 1 /
+/// Eq 2 gauges) and its monitor record (empty without a monitor).
+struct DesRunReport {
+  core::RunResult result;
+  core::ElasticRunStats elastic;  // elastic runs only
+  std::unique_ptr<runtime::MetricsRegistry> metrics;
+  double wall_seconds = 0.0;
+  MonitorRecord monitor;
+  bool deterministic = true;  // false when a rerun's monitor series differed
 };
 
 /// Runs `workload` on `deployment` as `spec` says. Throws InvalidArgument

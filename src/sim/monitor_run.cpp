@@ -29,19 +29,8 @@ MonitorRunReport run_monitored_job(const MonitorRunConfig& config) {
       make_des_workload(config.app, config.num_files, config.seed, config.skew),
       core::make_deployment(type, config.instances, config.workers_per_instance), spec);
 
-  MonitorRunReport report;
-  report.substrate = s;
-  report.framework = run.result.framework;
-  report.makespan = run.result.makespan;
-  report.tasks = run.result.tasks;
-  report.completed = run.result.completed;
-  report.samples = run.samples;
-  report.degraded = run.degraded;
-  report.firings = run.firings;
-  report.monitor_json = run.monitor_json;
-  report.dashboard = run.dashboard;
-  report.prometheus = run.prometheus;
-  return report;
+  return {run.monitor, s, run.result.framework, run.result.makespan, run.result.tasks,
+          run.result.completed};
 }
 
 std::string MonitorRunReport::to_text() const {

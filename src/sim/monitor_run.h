@@ -51,22 +51,13 @@ struct MonitorRunConfig {
   Seconds stall_duration = 0.0;
 };
 
-struct MonitorRunReport {
+/// The run's monitor record, plus what the header line shows.
+struct MonitorRunReport : MonitorRecord {
   std::string substrate;
   std::string framework;  // driver-reported name, e.g. "ClassicCloud-EC2"
   Seconds makespan = 0.0;
   int tasks = 0;
   int completed = 0;
-  std::uint64_t samples = 0;
-  bool degraded = false;
-  std::vector<runtime::AlarmFiring> firings;
-
-  /// Monitor::to_json() — deterministic; CI's byte-diff artifact.
-  std::string monitor_json;
-  /// Monitor::dashboard() — the sparkline table `ppcloud monitor` prints.
-  std::string dashboard;
-  /// Monitor::to_prometheus() — latest-sample text exposition.
-  std::string prometheus;
 
   /// Multi-line terminal summary (header + dashboard + alarm verdict).
   std::string to_text() const;
