@@ -166,10 +166,8 @@
 // spot-revocation rules on top of the sampled plan (absorbed as crashes by
 // the real-thread substrates; extra redelivery headroom is applied).
 //
-// Every verb rejects an option it does not read: `simulate --instance 4`
-// or `simulate --app blast --reads 9` exits 1 naming the option, before
-// anything runs. `simulate`, `monitor`, `campaign` and `autoscale` run
-// through sim::run_des (src/sim/des_run.h), the one DES harness.
+// Every verb rejects an option it does not read (`simulate --instance 4`,
+// or --reads with --app blast) and exits 1 naming it, before anything runs.
 //
 // Exit status: 0 on success, 1 on bad usage (an unknown verb or option),
 // a failed run (a failed chaos campaign prints the seed that reproduces it)
@@ -285,6 +283,12 @@ bool write_artifact(const std::string& path, const std::string& data, const std:
   return ok;
 }
 
+/// --substrate (default "all"), with "all" expanded to `all`.
+std::vector<std::string> substrate_list(const Options& opts, std::vector<std::string> all) {
+  const std::string substrate = opt(opts, "substrate", "all");
+  return substrate == "all" ? all : std::vector<std::string>{substrate};
+}
+
 int cmd_simulate(const Options& opts) {
   const std::string app = opt(opts, "app", "cap3");
   const unsigned seed = opt_num(opts, "seed", 42u);
@@ -376,15 +380,9 @@ int cmd_chaos(const Options& opts) {
     base.app = "histogram";
   }
 
-  const std::string substrate = opt(opts, "substrate", "all");
-  std::vector<std::string> substrates;
-  if (sim::is_shuffle_app(base.app)) {
-    substrates = {"mapreduce"};
-  } else if (substrate == "all") {
-    substrates = {"classiccloud", "azuremr", "mapreduce"};
-  } else {
-    substrates = {substrate};
-  }
+  std::vector<std::string> substrates =
+      substrate_list(opts, {"classiccloud", "azuremr", "mapreduce"});
+  if (sim::is_shuffle_app(base.app)) substrates = {"mapreduce"};
 
   const std::string trace_dir = opt(opts, "trace-dir", "");
   opts.reject_unread();
@@ -461,13 +459,8 @@ int cmd_trace(const Options& opts) {
   const std::string monitor_dir = opt(opts, "monitor-dir", "");
   if (!monitor_dir.empty()) base.monitor_period = 0.05;
 
-  const std::string substrate = opt(opts, "substrate", "all");
-  std::vector<std::string> substrates;
-  if (substrate == "all") {
-    substrates = {"classiccloud", "azuremr", "mapreduce", "dryad"};
-  } else {
-    substrates = {substrate};
-  }
+  const std::vector<std::string> substrates =
+      substrate_list(opts, {"classiccloud", "azuremr", "mapreduce", "dryad"});
   PPC_REQUIRE(out_path.empty() || substrates.size() == 1,
               "--out needs a single --substrate");
   opts.reject_unread();
@@ -512,13 +505,8 @@ int cmd_monitor(const Options& opts) {
   const std::string json_path = opt(opts, "json", "");
   const std::string prom_path = opt(opts, "prom", "");
 
-  const std::string substrate = opt(opts, "substrate", "all");
-  std::vector<std::string> substrates;
-  if (substrate == "all") {
-    substrates = {"classiccloud", "azuremr", "mapreduce", "dryad"};
-  } else {
-    substrates = {substrate};
-  }
+  const std::vector<std::string> substrates =
+      substrate_list(opts, {"classiccloud", "azuremr", "mapreduce", "dryad"});
   PPC_REQUIRE((json_path.empty() && prom_path.empty()) || substrates.size() == 1,
               "--json/--prom need a single --substrate");
   opts.reject_unread();
