@@ -31,11 +31,9 @@ std::string output_key(const SimTask& t) { return "output/t" + std::to_string(t.
 
 // Calibration constants of the DES drivers (DESIGN.md §6).
 constexpr Seconds kQueueOpLatency = 0.03;  // one queue API round trip
-// Idle Classic Cloud workers re-poll after kPollInterval; empty polls back
-// off exponentially up to kPollIntervalMax (reset on a delivery), standard
-// practice to keep SQS request charges down while tasks run elsewhere.
-constexpr Seconds kPollInterval = 1.0;
-constexpr Seconds kPollIntervalMax = 16.0;
+// Idle-worker re-poll; empty polls double it up to the cap (reset on a
+// delivery), which keeps SQS request charges down while tasks run elsewhere.
+constexpr Seconds kPollInterval = 1.0, kPollIntervalMax = 16.0;
 constexpr Seconds kAutoscaleInterval = 30.0;  // autoscaler decision + revocation-site period
 constexpr Seconds kHeartbeatInterval = 3.0;   // idle slot re-poll (TaskTracker heartbeat)
 constexpr Seconds kTaskStartupOverhead = 1.0;  // per-attempt launch (Hadoop 0.20 task JVM)

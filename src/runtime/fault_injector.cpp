@@ -25,7 +25,9 @@ void FaultInjector::reset() {
   sites_.clear();
 }
 
-FaultInjector::Outcome FaultInjector::evaluate_locked(Site& s, bool service_op) {
+FaultInjector::Outcome FaultInjector::evaluate(const std::string& site, bool service_op) {
+  std::unique_lock lock(mu_);
+  Site& s = sites_[site];
   ++s.hits;
   Outcome out;
 
@@ -81,16 +83,13 @@ FaultInjector::Outcome FaultInjector::evaluate_locked(Site& s, bool service_op) 
     }
   }
   if (out.crash) ++s.crashes;
+  lock.unlock();
+  if (out.sleep > 0.0) sleep_for(out.sleep);
   return out;
 }
 
 bool FaultInjector::fire(const std::string& site, const std::string& key) {
-  Outcome out;
-  {
-    std::lock_guard lock(mu_);
-    out = evaluate_locked(sites_[site], /*service_op=*/false);
-  }
-  if (out.sleep > 0.0) sleep_for(out.sleep);
+  const Outcome out = evaluate(site, /*service_op=*/false);
   if (out.error) {
     throw InjectedFault("injected fault at " + site +
                         (key.empty() ? "" : " (" + key + ")") + ": " + out.error_what);
@@ -99,24 +98,14 @@ bool FaultInjector::fire(const std::string& site, const std::string& key) {
 }
 
 Seconds FaultInjector::fire_revocation(const std::string& site, const std::string& /*key*/) {
-  Outcome out;
-  {
-    std::lock_guard lock(mu_);
-    out = evaluate_locked(sites_[site], /*service_op=*/false);
-  }
-  if (out.sleep > 0.0) sleep_for(out.sleep);
+  const Outcome out = evaluate(site, /*service_op=*/false);
   return out.revoke ? out.revoke_notice : -1.0;
 }
 
 ppc::FaultDecision FaultInjector::on_operation(const std::string& site,
                                                const std::string& /*key*/,
                                                ppc::PayloadRef* payload) {
-  Outcome out;
-  {
-    std::lock_guard lock(mu_);
-    out = evaluate_locked(sites_[site], /*service_op=*/true);
-  }
-  if (out.sleep > 0.0) sleep_for(out.sleep);
+  const Outcome out = evaluate(site, /*service_op=*/true);
   ppc::FaultDecision decision;
   decision.fail = out.error;
   if (out.corrupt && payload != nullptr) {

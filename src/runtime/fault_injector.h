@@ -136,10 +136,10 @@ class FaultInjector : public ppc::FaultHook {
     Seconds revoke_notice = 0.0;
   };
 
-  /// Evaluates the site's plan rules for one firing. `service_op`
-  /// selects the hook interpretation: corrupt rules apply, crash rules do
-  /// not. Caller holds mu_.
-  Outcome evaluate_locked(Site& site, bool service_op);
+  /// Evaluates the site's plan rules for one firing under the lock, then
+  /// applies any delay. `service_op` selects the hook interpretation:
+  /// corrupt rules apply, crash rules do not.
+  Outcome evaluate(const std::string& site, bool service_op);
 
   std::int64_t site_stat_locked(const std::string& site,
                                 std::int64_t Site::*member) const;

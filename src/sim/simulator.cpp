@@ -6,27 +6,13 @@
 
 namespace ppc::sim {
 
-namespace {
-
-// Heap order: the std heap algorithms keep the greatest element on top, so
-// "greater" means later.
-struct Later {
-  template <typename E>
-  bool operator()(const E& a, const E& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-}  // namespace
-
 Simulator::Simulator() : clock_(std::make_shared<ppc::ManualClock>(0.0)) {}
 
 void Simulator::at(Seconds t, EventFn fn) {
   PPC_REQUIRE(t >= now(), "cannot schedule an event in the past");
   PPC_REQUIRE(fn != nullptr, "null event function");
   heap_.push_back(Event{t, next_seq_++, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 void Simulator::after(Seconds delay, EventFn fn) {
@@ -36,7 +22,7 @@ void Simulator::after(Seconds delay, EventFn fn) {
 
 void Simulator::run() {
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    std::pop_heap(heap_.begin(), heap_.end(), later);
     Event next = std::move(heap_.back());
     heap_.pop_back();
     clock_->set(next.time);

@@ -54,6 +54,10 @@ class Simulator {
     std::uint64_t seq;  // tie-break: FIFO among same-time events
     EventFn fn;
   };
+  // The std heap algorithms keep the greatest element on top: greater = later.
+  static bool later(const Event& a, const Event& b) {
+    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  }
 
   std::shared_ptr<ppc::ManualClock> clock_;
   std::vector<Event> heap_;  // min-heap on (time, seq)
