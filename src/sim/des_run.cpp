@@ -75,7 +75,9 @@ core::Workload make_des_workload(const std::string& app, int files, unsigned see
 DesRunReport run_des(const core::Workload& workload, const core::Deployment& deployment,
                      const DesRunSpec& spec) {
   const std::string& f = spec.framework;
-  PPC_REQUIRE(f == "classic" || f == "hadoop" || f == "dryad", "unknown framework: " + f);
+  if (f != "classic" && f != "hadoop" && f != "dryad") {
+    throw ppc::InvalidArgument("unknown framework: " + f);
+  }
   PPC_REQUIRE(!spec.elastic || f == "classic", "an elastic fleet needs the classic framework");
   PPC_REQUIRE(!spec.rerun || spec.monitor, "a rerun compares monitor series: attach a monitor");
 
