@@ -15,12 +15,10 @@
 // default stall alarm watches. A fault-free run must fire no alarms.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
-#include "runtime/monitor.h"
 #include "sim/des_run.h"
 
 namespace ppc::sim {
