@@ -1355,4 +1355,21 @@ RunResult run_dryad_sim(const Workload& workload, const Deployment& deployment,
   return ds.finish(std::move(r));
 }
 
+RunResult simulate(const std::string& framework, const Workload& workload,
+                   const Deployment& deployment, const SimRunParams& params,
+                   const ElasticSimParams* elastic, ElasticRunStats* stats) {
+  if (framework != "classic" && framework != "hadoop" && framework != "dryad") {
+    throw InvalidArgument("unknown framework: " + framework);
+  }
+  PPC_REQUIRE(elastic == nullptr || framework == "classic",
+              "an elastic fleet needs the classic framework");
+  const ExecutionModel model(workload.app);
+  if (framework == "hadoop") return run_mapreduce_sim(workload, deployment, model, params);
+  if (framework == "dryad") return run_dryad_sim(workload, deployment, model, params);
+  if (elastic != nullptr) {
+    return run_elastic_classic_sim(workload, deployment, model, params, *elastic, stats);
+  }
+  return run_classic_cloud_sim(workload, deployment, model, params);
+}
+
 }  // namespace ppc::core

@@ -291,6 +291,19 @@ RunResult run_mapreduce_sim(const Workload& workload, const Deployment& deployme
 RunResult run_dryad_sim(const Workload& workload, const Deployment& deployment,
                         const ExecutionModel& model, const SimRunParams& params);
 
+/// The one DES entry point: runs `workload` on `deployment` under
+/// `framework` — "classic" (EC2 or Azure by the deployment's provider),
+/// "hadoop" or "dryad" — with the app's default ExecutionModel. With
+/// `elastic` the classic run gets an autoscaled fleet and fills `stats`
+/// (nullable). Every figure, ablation, verb, bench row and example runs
+/// through here; the four entry points above take the model explicitly and
+/// stay public for the driver tests and perfbench's DES campaign. Throws
+/// InvalidArgument on an unknown framework or an elastic fleet on
+/// hadoop/dryad.
+RunResult simulate(const std::string& framework, const Workload& workload,
+                   const Deployment& deployment, const SimRunParams& params,
+                   const ElasticSimParams* elastic = nullptr, ElasticRunStats* stats = nullptr);
+
 /// Fills t1_seconds, parallel_efficiency (Eq 1) and per_core_task_seconds
 /// (Eq 2). Called by the drivers; exposed for tests.
 void finalize_metrics(RunResult& result, const Workload& workload, const Deployment& deployment,

@@ -3,26 +3,10 @@
 #include <chrono>
 
 #include "common/error.h"
-#include "core/exec_model.h"
 
 namespace ppc::sim {
 
 namespace {
-
-core::RunResult run_driver(const core::Workload& workload, const core::Deployment& deployment,
-                           const DesRunSpec& spec, const core::SimRunParams& params,
-                           core::ElasticRunStats* elastic_stats) {
-  const core::ExecutionModel model(workload.app);
-  if (spec.framework == "hadoop") {
-    return core::run_mapreduce_sim(workload, deployment, model, params);
-  }
-  if (spec.framework == "dryad") return core::run_dryad_sim(workload, deployment, model, params);
-  if (spec.elastic) {
-    return core::run_elastic_classic_sim(workload, deployment, model, params, *spec.elastic,
-                                         elastic_stats);
-  }
-  return core::run_classic_cloud_sim(workload, deployment, model, params);
-}
 
 /// A Monitor on `registry` with the spec's alarms armed.
 std::unique_ptr<runtime::Monitor> make_monitor(runtime::MetricsRegistry& registry,
@@ -74,11 +58,6 @@ core::Workload make_des_workload(const std::string& app, int files, unsigned see
 
 DesRunReport run_des(const core::Workload& workload, const core::Deployment& deployment,
                      const DesRunSpec& spec) {
-  const std::string& f = spec.framework;
-  if (f != "classic" && f != "hadoop" && f != "dryad") {
-    throw ppc::InvalidArgument("unknown framework: " + f);
-  }
-  PPC_REQUIRE(!spec.elastic || f == "classic", "an elastic fleet needs the classic framework");
   PPC_REQUIRE(!spec.rerun || spec.monitor, "a rerun compares monitor series: attach a monitor");
 
   DesRunReport report;
@@ -90,7 +69,9 @@ DesRunReport run_des(const core::Workload& workload, const core::Deployment& dep
   params.monitor = monitor.get();
 
   const auto t0 = std::chrono::steady_clock::now();
-  report.result = run_driver(workload, deployment, spec, params, &report.elastic);
+  const core::ElasticSimParams* elastic = spec.elastic ? &*spec.elastic : nullptr;
+  report.result =
+      core::simulate(spec.framework, workload, deployment, params, elastic, &report.elastic);
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (!monitor) return report;
@@ -103,7 +84,7 @@ DesRunReport run_des(const core::Workload& workload, const core::Deployment& dep
     params.metrics = &registry;
     params.monitor = again.get();
     core::ElasticRunStats elastic_stats;
-    (void)run_driver(workload, deployment, spec, params, &elastic_stats);
+    (void)core::simulate(spec.framework, workload, deployment, params, elastic, &elastic_stats);
     report.deterministic = again->to_json() == report.monitor.monitor_json;
   }
   return report;

@@ -1,7 +1,7 @@
 // One discrete-event (DES) run, the way every DES verb runs it: run_des
-// picks the driver, attaches a MetricsRegistry and, when asked, an alarmed
-// Monitor on the *simulation* clock, times the run, and can rerun it to
-// check the monitor series repeats byte for byte. `ppcloud simulate`,
+// wraps core::simulate, attaches a MetricsRegistry and, when asked, an
+// alarmed Monitor on the *simulation* clock, times the run, and can rerun
+// it to check the monitor series repeats byte for byte. `ppcloud simulate`,
 // `monitor`, `campaign` and both runs of `autoscale` are presets over it.
 #pragma once
 
