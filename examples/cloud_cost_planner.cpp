@@ -28,14 +28,10 @@ struct PlanRow {
   RunResult result;
 };
 
-std::vector<PlanRow> plan(const Workload& workload, const ExecutionModel& model,
-                          const std::vector<Deployment>& options) {
+std::vector<PlanRow> plan(const Workload& workload, const std::vector<Deployment>& options,
+                          const SimRunParams& params) {
   std::vector<PlanRow> rows;
-  for (const auto& d : options) {
-    SimRunParams params;
-    params.seed = 7;
-    rows.push_back({d, run_classic_cloud_sim(workload, d, model, params)});
-  }
+  for (const auto& d : options) rows.push_back({d, simulate("classic", workload, d, params)});
   return rows;
 }
 
@@ -46,7 +42,8 @@ int main() {
   // within 2 hours.
   const double deadline = hours(2.0);
   const Workload workload = make_cap3_workload(1024, 458);
-  const ExecutionModel model(AppKind::kCap3);
+  SimRunParams params;  // every run of the plan uses one seed
+  params.seed = 7;
   std::printf("scenario: assemble %zu Cap3 files within %s\n\n", workload.size(),
               format_duration(deadline).c_str());
 
@@ -59,7 +56,7 @@ int main() {
       make_deployment(cloud::azure_small(), 32, 1),
       make_deployment(cloud::azure_large(), 8, 4),
   };
-  const auto rows = plan(workload, model, options);
+  const auto rows = plan(workload, options, params);
 
   Table table("Deployment options");
   table.set_header({"Deployment", "Cores", "Makespan", "Hour-unit cost $", "Meets deadline"});
@@ -87,20 +84,16 @@ int main() {
   // cost the same as 10 hours in 100 cloud compute nodes").
   std::puts("\nhorizontal scaling check (HCXL fleets):");
   for (int instances : {2, 4, 8, 16}) {
-    SimRunParams params;
-    params.seed = 7;
-    const auto r = run_classic_cloud_sim(workload, make_deployment(cloud::ec2_hcxl(), instances, 8),
-                                         model, params);
+    const auto r = simulate("classic", workload, make_deployment(cloud::ec2_hcxl(), instances, 8),
+                            params);
     std::printf("  %2d instances: %-12s amortized $%.2f\n", instances,
                 format_duration(r.makespan).c_str(), r.compute_cost_amortized);
   }
 
   // Buy vs lease (§4.3 / Walker [24]).
   const billing::OwnedClusterModel cluster;
-  SimRunParams params;
-  params.seed = 7;
-  const auto cluster_run = run_mapreduce_sim(
-      workload, make_deployment(cloud::bare_metal_cost_cluster_node(), 32, 24), model, params);
+  const auto cluster_run = simulate(
+      "hadoop", workload, make_deployment(cloud::bare_metal_cost_cluster_node(), 32, 24), params);
   const double core_hours = cluster_run.makespan * 768.0 / 3600.0;
   std::puts("\nbuy vs lease for this job:");
   for (double util : {0.8, 0.6, 0.4}) {

@@ -1,6 +1,9 @@
-// Per-figure experiment functions: each regenerates one table/figure of the
-// paper's evaluation and returns the rows/series the figure plots. The
-// `ppcloud experiment` prints these; EXPERIMENTS.md records paper-vs-measured.
+// The paper's evaluation: Tables 1-4, Figures 3-15, the §3 variability
+// study and the ablations DESIGN.md calls out. Each study returns the rows
+// its figure plots (tests/core/test_shapes.cpp checks their shape) and is
+// rendered once behind `ppcloud experiment <id>`; EXPERIMENTS.md quotes that
+// output and tests/golden/ pins it byte for byte. Every DES run goes through
+// core::simulate.
 #pragma once
 
 #include <string>
@@ -13,12 +16,12 @@
 
 namespace ppc::core {
 
-// --- Instance-type studies (Figures 3/4, 7/8, 12/13): 16 cores, EC2 ---
-//
-// Every study accepts a trailing storage backend selector. The default
+// Every figure accepts a trailing storage backend selector. The default
 // (object store) reproduces the checked-in baselines byte-for-byte; the
 // shared/parallel-FS variants re-run the same figure with the data plane
 // swapped, producing the per-backend rows of `ppcloud experiment <id> all`.
+
+// --- Instance-type figures (3/4 Cap3, 7/8 BLAST, 12/13 GTM): 16 cores, EC2 ---
 
 struct InstanceTypeRow {
   std::string label;        // "EC2-HCXL - 2x8"
@@ -29,17 +32,12 @@ struct InstanceTypeRow {
   Dollars storage_service_cost = 0.0;  // FS server-hours (object: 0)
 };
 
-/// Figures 3 & 4: Cap3, 200 files x 200 reads on 16 cores.
-std::vector<InstanceTypeRow> run_cap3_ec2_instance_study(
-    unsigned seed = 42, storage::StorageKind backend = storage::StorageKind::kObject);
-
-/// Figures 7 & 8: BLAST, 64 query files x 100 queries on 16 cores.
-std::vector<InstanceTypeRow> run_blast_ec2_instance_study(
-    unsigned seed = 42, storage::StorageKind backend = storage::StorageKind::kObject);
-
-/// Figures 12 & 13: GTM Interpolation, 264 files x 100k points on 16 cores.
-std::vector<InstanceTypeRow> run_gtm_ec2_instance_study(
-    unsigned seed = 42, storage::StorageKind backend = storage::StorageKind::kObject);
+/// The rows of instance-type figure `id` ("fig3", "fig7" or "fig12"): the
+/// figure's workload on each of the four 16-core EC2 layouts. Throws
+/// InvalidArgument for any other id.
+std::vector<InstanceTypeRow> run_instance_type_figure(
+    const std::string& id, unsigned seed = 42,
+    storage::StorageKind backend = storage::StorageKind::kObject);
 
 // --- Figure 9: BLAST on Azure, workers x threads grid, 8 cores total ---
 
@@ -52,7 +50,7 @@ struct AzureBlastRow {
 std::vector<AzureBlastRow> run_blast_azure_instance_study(
     unsigned seed = 42, storage::StorageKind backend = storage::StorageKind::kObject);
 
-// --- Scalability studies (Figures 5/6, 10/11, 14/15) ---
+// --- Scaling figures (5/6 Cap3, 10/11 BLAST, 14/15 GTM) ---
 
 struct ScalingPoint {
   std::string framework;
@@ -64,24 +62,14 @@ struct ScalingPoint {
   Seconds makespan = 0.0;
 };
 
-/// Figures 5 & 6: Cap3, replicated 458-read files across four frameworks
-/// (EC2 16xHCXL, Azure 128xSmall, Hadoop & DryadLINQ on the 32x8-core
-/// bare-metal cluster). Non-object backends also stage MapReduce/Dryad
-/// inputs through the selected backend.
-std::vector<ScalingPoint> run_cap3_scaling_study(
-    unsigned seed = 42, const std::vector<int>& file_counts = {512, 1024, 2048, 3072, 4096},
-    storage::StorageKind backend = storage::StorageKind::kObject);
-
-/// Figures 10 & 11: BLAST, the inhomogeneous 128-file set replicated 1-6x
-/// (EC2 16xHCXL, Azure 16xLarge, Hadoop on iDataplex, Dryad on HPCS).
-std::vector<ScalingPoint> run_blast_scaling_study(
-    unsigned seed = 42, const std::vector<int>& replications = {1, 2, 3, 4, 5, 6},
-    storage::StorageKind backend = storage::StorageKind::kObject);
-
-/// Figures 14 & 15: GTM Interpolation on ~64 cores per framework, sweeping
-/// the PubChem subset size (files of 100k points).
-std::vector<ScalingPoint> run_gtm_scaling_study(
-    unsigned seed = 42, const std::vector<int>& file_counts = {88, 176, 264},
+/// The points of scaling figure `id` ("fig5", "fig10" or "fig14"): each of
+/// the figure's framework setups over `sizes` — Cap3 and GTM file counts,
+/// BLAST replications of the inhomogeneous 128-file base set; empty takes
+/// the figure's own sweep. Non-object backends also stage the
+/// MapReduce/Dryad inputs through the selected backend. Throws
+/// InvalidArgument for any other id.
+std::vector<ScalingPoint> run_scaling_figure(
+    const std::string& id, unsigned seed = 42, const std::vector<int>& sizes = {},
     storage::StorageKind backend = storage::StorageKind::kObject);
 
 // --- Table 4: cost to assemble 4096 Cap3 files ---
@@ -136,5 +124,19 @@ struct VariabilityReport {
 };
 
 VariabilityReport run_sustained_variability_study(unsigned seed = 42, int samples = 28);
+
+// --- `ppcloud catalog` and `ppcloud experiment` ---
+
+/// Tables 1 and 2 plus the bare-metal baseline nodes.
+void print_catalog();
+
+/// Prints experiment `id` for `backend` (object, sharedfs, parallelfs or
+/// all; empty when none was given). A study that runs on a storage backend
+/// defaults to `object`; `all` prints its rows for every backend. With
+/// PPC_CSV_DIR=<dir> set, every instance-type and scaling series is also
+/// written to <dir>/<table title slug>.csv for plotting. Throws
+/// InvalidArgument for an unknown id or backend, or for a backend given to
+/// a study that takes none.
+void run_experiment(const std::string& id, const std::string& backend);
 
 }  // namespace ppc::core

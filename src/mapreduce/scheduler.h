@@ -15,7 +15,7 @@
 // Being a plain state machine keeps it shared between the real-thread
 // engine's one slot loop (mapreduce::detail::run_phase, every phase of
 // LocalJobRunner and ShuffleJobRunner) and the discrete-event simulation
-// driver (core::run_mapreduce_sim), so tests of this class cover both.
+// driver (core::simulate's "hadoop"), so tests of this class cover both.
 // All methods are thread-safe.
 //
 // Decisions (the exact contract; tests/mapreduce/test_scheduler_model.cpp

@@ -22,7 +22,7 @@ std::map<std::string, typename Rows::value_type> by_label(const Rows& rows) {
 class Cap3InstanceStudy : public ::testing::Test {
  protected:
   static const std::vector<InstanceTypeRow>& rows() {
-    static const auto r = run_cap3_ec2_instance_study(42);
+    static const auto r = run_instance_type_figure("fig3", 42);
     return r;
   }
 };
@@ -72,7 +72,7 @@ TEST_F(Cap3InstanceStudy, HourUnitCostsMatchCatalogRates) {
 class BlastInstanceStudy : public ::testing::Test {
  protected:
   static const std::vector<InstanceTypeRow>& rows() {
-    static const auto r = run_blast_ec2_instance_study(42);
+    static const auto r = run_instance_type_figure("fig7", 42);
     return r;
   }
 };
@@ -151,7 +151,7 @@ TEST_F(BlastAzureStudy, PureThreadsSlightlySlowerThanProcesses) {
 class GtmInstanceStudy : public ::testing::Test {
  protected:
   static const std::vector<InstanceTypeRow>& rows() {
-    static const auto r = run_gtm_ec2_instance_study(42);
+    static const auto r = run_instance_type_figure("fig12", 42);
     return r;
   }
 };
@@ -195,7 +195,7 @@ std::map<std::string, std::vector<ScalingPoint>> group_by_framework(
 class Cap3Scaling : public ::testing::Test {
  protected:
   static const std::vector<ScalingPoint>& points() {
-    static const auto p = run_cap3_scaling_study(42, {512, 1024, 2048});
+    static const auto p = run_scaling_figure("fig5", 42, {512, 1024, 2048});
     return p;
   }
 };
@@ -229,7 +229,7 @@ TEST_F(Cap3Scaling, EfficiencyImprovesOrHoldsWithScale) {
 class BlastScaling : public ::testing::Test {
  protected:
   static const std::vector<ScalingPoint>& points() {
-    static const auto p = run_blast_scaling_study(42, {1, 2, 3});
+    static const auto p = run_scaling_figure("fig10", 42, {1, 2, 3});
     return p;
   }
 };
@@ -274,7 +274,7 @@ TEST_F(BlastScaling, WindowsEnvironmentsLeadEfficiency) {
 class GtmScaling : public ::testing::Test {
  protected:
   static const std::vector<ScalingPoint>& points() {
-    static const auto p = run_gtm_scaling_study(42, {88, 176});
+    static const auto p = run_scaling_figure("fig14", 42, {88, 176});
     return p;
   }
 };

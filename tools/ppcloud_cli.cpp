@@ -3,7 +3,7 @@
 //   ppcloud catalog                      print Tables 1-2 (instance types)
 //   ppcloud features                     print Table 3 (framework features)
 //   ppcloud experiment <id> [backend]    regenerate a paper experiment or
-//                                        ablation (tools/experiments.cpp):
+//                                        ablation (src/core/experiments.cpp):
 //                                        fig3 fig5 fig7 fig9 fig10 fig12
 //                                        fig14 table4 table4-deadline
 //                                        variability ablation-visibility
@@ -190,6 +190,7 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "common/table.h"
+#include "core/experiments.h"
 #include "core/feature_matrix.h"
 #include "runtime/metrics.h"
 #include "sim/autoscale_run.h"
@@ -200,7 +201,6 @@
 #include "sim/shuffle_run.h"
 #include "sim/trace_run.h"
 #include "storage/storage_backend.h"
-#include "experiments.h"
 
 using namespace ppc;
 using namespace ppc::core;
@@ -621,14 +621,14 @@ int main(int argc, char** argv) {
     if (command == "experiment") {
       if (argc < 3) return usage();
       if (argc > 4) return usage();
-      tools::run_experiment(argv[2], argc == 4 ? argv[3] : "");
+      core::run_experiment(argv[2], argc == 4 ? argv[3] : "");
       return 0;
     }
     const Options opts(argc, argv, 2);
     if (command == "catalog" || command == "features") {
       opts.reject_unread();
       if (command == "catalog") {
-        tools::print_catalog();
+        core::print_catalog();
       } else {
         feature_matrix_table().print();
       }
