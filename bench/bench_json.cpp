@@ -8,13 +8,16 @@
 //
 // Timing discipline: every kernel sample is the MINIMUM of several runs —
 // on a shared core the minimum estimates the uncontended cost, where mean
-// and median absorb scheduler noise.
+// and median absorb scheduler noise. The 3% overhead gates compare two arms
+// instead, so they use paired_overhead: samples of at least 0.25 s per arm,
+// the arms interleaved pass by pass, the median of the paired ratios.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -36,6 +39,7 @@
 #include "common/clock.h"
 #include "common/crc32c.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/string_util.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/shuffle_job.h"
@@ -65,6 +69,57 @@ double min_seconds(int reps, Fn&& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
+}
+
+/// One pass of a benchmark's work; it keeps its services across calls.
+using Pass = std::function<void()>;
+
+/// Seconds one call of `pass` takes.
+double seconds_of(const Pass& pass) {
+  const auto t0 = std::chrono::steady_clock::now();
+  pass();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// An overhead contract as measured: what the instrumented arm costs over
+/// the plain arm running the same work.
+struct Overhead {
+  double plain_seconds = 0.0;         // median plain sample, per pass
+  double instrumented_seconds = 0.0;  // median instrumented sample, per pass
+  double ratio = 0.0;                 // median of the paired ratios
+};
+
+/// Measures `instrumented` against `plain` the way every 3% gate does. A
+/// pair of samples alternates one pass of each arm, the first arm swapping
+/// every pass, until each arm has at least 0.25 s of work; the ratio is the
+/// median over the pairs of instrumented / plain time. The passes are short
+/// (~1.5 ms), so a burst of host load lands on both arms of a pair. A
+/// best-of-N over ~60 ms windows of one arm at a time swung +-10% on a
+/// shared 4-vCPU host; this keeps the pairs within about 1%.
+Overhead paired_overhead(const Pass& plain, const Pass& instrumented) {
+  constexpr double kMinSampleSeconds = 0.25;
+  constexpr int kPairs = 9;
+  (void)seconds_of(instrumented);  // warm both arms
+  (void)seconds_of(plain);
+  SampleSet plain_s, instrumented_s, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double p = 0.0, q = 0.0;
+    int passes = 0;
+    for (; p < kMinSampleSeconds || q < kMinSampleSeconds; ++passes) {
+      if (passes % 2 == 0) {
+        p += seconds_of(plain);
+        q += seconds_of(instrumented);
+      } else {
+        q += seconds_of(instrumented);
+        p += seconds_of(plain);
+      }
+    }
+    plain_s.add(p / passes);
+    instrumented_s.add(q / passes);
+    ratios.add(q / p);
+  }
+  return {plain_s.median(), instrumented_s.median(), ratios.median()};
 }
 
 struct KernelResult {
@@ -367,33 +422,32 @@ SubstrateResult bench_azuremr() {
 
 /// Raw data-plane round trip: 1 MB blob put+get plus a queue
 /// send/receive/delete per task — the per-task substrate overhead every
-/// framework pays. `tracer` (nullable) is installed on both services, which
-/// is how the tracing-off overhead is measured.
-double data_plane_seconds(int ops, ppc::TraceHook* tracer) {
+/// framework pays — `ops` times per pass. `tracer` (nullable) is installed
+/// on both services, which is how the tracing-off overhead is measured.
+Pass data_plane_pass(int ops, ppc::TraceHook* tracer) {
   auto clock = std::make_shared<ManualClock>();
-  blobstore::BlobStore store(clock);
-  cloudq::MessageQueue queue("q", clock);
-  store.set_tracer(tracer);
-  queue.set_tracer(tracer);
-  const std::string payload(1024 * 1024, 'z');
-  return min_seconds(5, [&] {
+  auto store = std::make_shared<blobstore::BlobStore>(clock);
+  auto queue = std::make_shared<cloudq::MessageQueue>("q", clock);
+  store->set_tracer(tracer);
+  queue->set_tracer(tracer);
+  return [store, queue, ops, payload = std::string(1024 * 1024, 'z')] {
     for (int i = 0; i < ops; ++i) {
       const std::string key = "k" + std::to_string(i % 16);
-      store.put("b", key, payload);
-      auto blob = store.get("b", key);
-      queue.send("task=" + key);
-      const auto msg = queue.receive(30.0);
-      queue.delete_message(msg->receipt_handle);
+      store->put("b", key, payload);
+      auto blob = store->get("b", key);
+      queue->send("task=" + key);
+      const auto msg = queue->receive(30.0);
+      queue->delete_message(msg->receipt_handle);
       if (!blob || blob->size() != payload.size()) {
         std::fprintf(stderr, "data plane round trip corrupted\n");
       }
     }
-  });
+  };
 }
 
 SubstrateResult bench_data_plane() {
   const int kOps = 200;
-  const double secs = data_plane_seconds(kOps, nullptr);
+  const double secs = min_seconds(5, data_plane_pass(kOps, nullptr));
   return {"data_plane_1mb_roundtrip", kOps, secs, kOps / secs};
 }
 
@@ -401,12 +455,12 @@ SubstrateResult bench_data_plane() {
 /// interface. The three backends share the in-memory object map, so this
 /// measures the implementation overhead each data plane adds (contention
 /// bookkeeping, hook sites), not the simulated network — that lives in
-/// sample_get_time and is benched by the DES studies.
-double storage_backend_seconds(storage::StorageKind kind, int ops) {
-  auto clock = std::make_shared<ManualClock>();
-  const auto store = storage::make_backend(kind, clock, Rng(7));
-  const std::string payload(1024 * 1024, 's');
-  return min_seconds(5, [&] {
+/// sample_get_time and is benched by the DES studies. `ops` round trips
+/// per pass.
+Pass storage_backend_pass(storage::StorageKind kind, int ops) {
+  std::shared_ptr<storage::StorageBackend> store =
+      storage::make_backend(kind, std::make_shared<ManualClock>(), Rng(7));
+  return [store, ops, payload = std::string(1024 * 1024, 's')] {
     for (int i = 0; i < ops; ++i) {
       const std::string key = "k" + std::to_string(i % 16);
       store->put("b", key, payload);
@@ -415,12 +469,12 @@ double storage_backend_seconds(storage::StorageKind kind, int ops) {
         std::fprintf(stderr, "storage backend round trip corrupted\n");
       }
     }
-  });
+  };
 }
 
 SubstrateResult bench_storage_backend(storage::StorageKind kind) {
   const int kOps = 200;
-  const double secs = storage_backend_seconds(kind, kOps);
+  const double secs = min_seconds(5, storage_backend_pass(kind, kOps));
   return {"storage_" + std::string(storage::to_string(kind)) + "_1mb_putget", kOps, secs,
           kOps / secs};
 }
@@ -450,12 +504,6 @@ SubstrateResult bench_block_cache(bool hot) {
   return {hot ? "block_cache_hit_1mb" : "block_cache_miss_1mb", kOps, secs, kOps / secs};
 }
 
-struct TracingOverhead {
-  double plain_seconds = 0.0;
-  double traced_off_seconds = 0.0;  // disabled Tracer installed
-  double ratio = 0.0;
-};
-
 /// Registry scrape throughput: one single-lock scrape() pass over a
 /// registry shaped like a real run's (per-worker counters + busy gauges +
 /// queue gauges), reusing one ScrapeBuffer — the Monitor's per-tick read.
@@ -484,129 +532,84 @@ SubstrateResult bench_metrics_scrape() {
   return {"metrics_scrape_48c17g", kOps, secs, kOps / secs};
 }
 
-struct MonitorOverhead {
-  double plain_seconds = 0.0;      // no monitor attached
-  double monitored_seconds = 0.0;  // sampler thread scraping at 100 ms
-  double ratio = 0.0;
-};
+/// Round trips per pass of the overhead gates' data-plane loops: ~1.5 ms,
+/// short enough for paired_overhead to interleave the arms finely.
+constexpr int kOverheadOps = 4;
 
 /// The 1 MB data-plane loop with the instrumentation writes every worker
-/// makes (counter incs + busy gauge flips), run with and without a Monitor
-/// sampler thread scraping the registry at 100 ms. `monitored` adds the
-/// real contention a live monitor causes: its scrape lock vs the hot-path
-/// counter increments.
-double monitored_data_plane_seconds(int ops, bool monitored) {
-  auto clock = std::make_shared<ManualClock>();
-  blobstore::BlobStore store(clock);
-  cloudq::MessageQueue queue("q", clock);
-  runtime::MetricsRegistry registry;
+/// makes (counter incs + busy gauge flips), `ops` times per pass. When
+/// `monitored`, a Monitor sampler thread scrapes the pass's registry at
+/// 100 ms for as long as the pass lives, adding the real contention a live
+/// monitor causes: its scrape lock vs the hot-path counter increments.
+Pass monitored_data_plane_pass(int ops, bool monitored) {
+  struct Plane {
+    std::shared_ptr<ManualClock> clock = std::make_shared<ManualClock>();
+    blobstore::BlobStore store{clock};
+    cloudq::MessageQueue queue{"q", clock};
+    runtime::MetricsRegistry registry;
+    std::unique_ptr<runtime::Monitor> monitor;  // last member: stops first
+  };
+  auto plane = std::make_shared<Plane>();
   for (int w = 0; w < 8; ++w) {
-    registry.counter("w" + std::to_string(w) + ".tasks_completed");
-    registry.set_gauge("w" + std::to_string(w) + ".busy", 0.0);
+    plane->registry.counter("w" + std::to_string(w) + ".tasks_completed");
+    plane->registry.set_gauge("w" + std::to_string(w) + ".busy", 0.0);
   }
-  std::unique_ptr<runtime::Monitor> monitor;
   if (monitored) {
     runtime::MonitorConfig config;
     config.period = 0.1;
-    monitor = std::make_unique<runtime::Monitor>(registry, config);
-    monitor->start();
+    plane->monitor = std::make_unique<runtime::Monitor>(plane->registry, config);
+    plane->monitor->start();
   }
-  const std::string payload(1024 * 1024, 'm');
-  const double secs = min_seconds(5, [&] {
+  return [plane, ops, payload = std::string(1024 * 1024, 'm')] {
     for (int i = 0; i < ops; ++i) {
       const std::string key = "k" + std::to_string(i % 16);
-      registry.set_gauge("w0.busy", 1.0);
-      store.put("b", key, payload);
-      auto blob = store.get("b", key);
-      queue.send("task=" + key);
-      const auto msg = queue.receive(30.0);
-      queue.delete_message(msg->receipt_handle);
-      registry.counter("w0.tasks_completed").inc();
-      registry.set_gauge("w0.busy", 0.0);
+      plane->registry.set_gauge("w0.busy", 1.0);
+      plane->store.put("b", key, payload);
+      auto blob = plane->store.get("b", key);
+      plane->queue.send("task=" + key);
+      const auto msg = plane->queue.receive(30.0);
+      plane->queue.delete_message(msg->receipt_handle);
+      plane->registry.counter("w0.tasks_completed").inc();
+      plane->registry.set_gauge("w0.busy", 0.0);
       if (!blob || blob->size() != payload.size()) {
         std::fprintf(stderr, "monitored data plane round trip corrupted\n");
       }
     }
-  });
-  if (monitor) monitor->stop();
-  return secs;
+  };
 }
 
 /// The monitoring plane's overhead contract: a Monitor scraping the
 /// registry at 100 ms must cost the 1 MB data-plane loop < 3% over the same
-/// loop with no monitor (checked in --check mode). Interleaved paired
-/// samples so CPU-frequency drift hits both arms.
-MonitorOverhead bench_monitor_overhead() {
-  const int kOps = 200;
-  MonitorOverhead result;
-  result.plain_seconds = 1e300;
-  result.monitored_seconds = 1e300;
-  for (int round = 0; round < 3; ++round) {
-    result.plain_seconds =
-        std::min(result.plain_seconds, monitored_data_plane_seconds(kOps, false));
-    result.monitored_seconds =
-        std::min(result.monitored_seconds, monitored_data_plane_seconds(kOps, true));
-  }
-  result.ratio = result.monitored_seconds / result.plain_seconds;
-  return result;
+/// loop with no monitor (checked in --check mode).
+Overhead bench_monitor_overhead() {
+  return paired_overhead(monitored_data_plane_pass(kOverheadOps, false),
+                         monitored_data_plane_pass(kOverheadOps, true));
 }
-
-struct StorageOverhead {
-  double direct_seconds = 0.0;   // concrete BlobStore calls (the seed's path)
-  double backend_seconds = 0.0;  // same loop through StorageBackend, no cache
-  double ratio = 0.0;
-};
 
 /// The storage refactor's overhead contract: with the cache disabled, going
 /// through the StorageBackend interface must cost the data plane < 3%
-/// (checked in --check mode) over direct BlobStore calls. Interleaved
-/// paired samples, same discipline as bench_tracing_overhead.
-StorageOverhead bench_storage_overhead() {
-  const int kOps = 200;
-  const std::string payload(1024 * 1024, 'o');
-  auto direct_loop = [&] {
-    auto clock = std::make_shared<ManualClock>();
-    blobstore::BlobStore store(clock);
-    return min_seconds(5, [&] {
-      for (int i = 0; i < kOps; ++i) {
-        const std::string key = "k" + std::to_string(i % 16);
-        store.put("b", key, payload);
-        const auto blob = store.get("b", key);
-        if (!blob || blob->size() != payload.size()) {
-          std::fprintf(stderr, "direct storage round trip corrupted\n");
-        }
+/// (checked in --check mode) over direct BlobStore calls.
+Overhead bench_storage_overhead() {
+  auto store = std::make_shared<blobstore::BlobStore>(std::make_shared<ManualClock>());
+  const Pass direct = [store, payload = std::string(1024 * 1024, 'o')] {
+    for (int i = 0; i < kOverheadOps; ++i) {
+      const std::string key = "k" + std::to_string(i % 16);
+      store->put("b", key, payload);
+      const auto blob = store->get("b", key);
+      if (!blob || blob->size() != payload.size()) {
+        std::fprintf(stderr, "direct storage round trip corrupted\n");
       }
-    });
+    }
   };
-  StorageOverhead result;
-  result.direct_seconds = 1e300;
-  result.backend_seconds = 1e300;
-  for (int round = 0; round < 3; ++round) {
-    result.direct_seconds = std::min(result.direct_seconds, direct_loop());
-    result.backend_seconds =
-        std::min(result.backend_seconds,
-                 storage_backend_seconds(storage::StorageKind::kObject, kOps));
-  }
-  result.ratio = result.backend_seconds / result.direct_seconds;
-  return result;
+  return paired_overhead(direct, storage_backend_pass(storage::StorageKind::kObject, kOverheadOps));
 }
 
-/// The tentpole's overhead contract: with a Tracer attached but DISABLED,
-/// the data plane must not regress measurably (< 3%, checked in --check
-/// mode). Interleaved paired samples so CPU-frequency drift hits both arms.
-TracingOverhead bench_tracing_overhead() {
-  const int kOps = 200;
+/// The tracer's overhead contract: with a Tracer attached but DISABLED, the
+/// data plane must not regress measurably (< 3%, checked in --check mode).
+Overhead bench_tracing_overhead() {
   runtime::Tracer tracer;  // never enabled
-  TracingOverhead result;
-  result.plain_seconds = 1e300;
-  result.traced_off_seconds = 1e300;
-  for (int round = 0; round < 3; ++round) {
-    result.plain_seconds = std::min(result.plain_seconds, data_plane_seconds(kOps, nullptr));
-    result.traced_off_seconds =
-        std::min(result.traced_off_seconds, data_plane_seconds(kOps, &tracer));
-  }
-  result.ratio = result.traced_off_seconds / result.plain_seconds;
-  return result;
+  return paired_overhead(data_plane_pass(kOverheadOps, nullptr),
+                         data_plane_pass(kOverheadOps, &tracer));
 }
 
 // --------------------------------------------------------------------------
@@ -720,14 +723,12 @@ SubstrateResult bench_mapreduce_sim() {
   using namespace ppc::core;
   const int kTasks = 20000;
   const Workload workload = make_cap3_workload(kTasks, 458);
-  const ExecutionModel model(AppKind::kCap3);
   const Deployment deployment = make_deployment(cloud::ec2_hcxl(), 16, 8);
   SimRunParams params;
   params.seed = 42;
   int completed = 0;
-  const double secs = min_seconds(3, [&] {
-    completed = run_mapreduce_sim(workload, deployment, model, params).completed;
-  });
+  const double secs = min_seconds(
+      3, [&] { completed = simulate("hadoop", workload, deployment, params).completed; });
   if (completed != kTasks) std::fprintf(stderr, "mapreduce sim left tasks unfinished\n");
   return {"mapreduce_sim_20k", kTasks, secs, kTasks / secs};
 }
@@ -752,7 +753,6 @@ ElasticComparison bench_elastic_fleet() {
   using namespace ppc::core;
   const int kInstances = 8, kWorkers = 8;
   const Workload workload = make_cap3_workload(3000, 458);
-  const ExecutionModel model(AppKind::kCap3);
   const Deployment deployment =
       make_deployment(cloud::ec2_hcxl(), kInstances, kWorkers);
 
@@ -762,7 +762,7 @@ ElasticComparison bench_elastic_fleet() {
   SimRunParams params;
   params.seed = 42;
   params.receive_batch = 10;
-  const RunResult stat = run_classic_cloud_sim(workload, deployment, model, params);
+  const RunResult stat = simulate("classic", workload, deployment, params);
   result.static_makespan = stat.makespan;
   result.static_cost = stat.compute_cost_hour_units;
 
@@ -774,8 +774,7 @@ ElasticComparison bench_elastic_fleet() {
   elastic.revocation_rate = 0.5;  // small spot pool; keep the storm visible
   params.visibility_timeout = 1800.0;
   ElasticRunStats stats;
-  const RunResult el =
-      run_elastic_classic_sim(workload, deployment, model, params, elastic, &stats);
+  const RunResult el = simulate("classic", workload, deployment, params, &elastic, &stats);
   result.completed = el.completed;
   result.undeleted = el.queue_undeleted_end;
   result.revocations = stats.revocations;
@@ -807,8 +806,8 @@ std::string git_sha() {
 
 std::string to_json(const std::vector<KernelResult>& kernels,
                     const std::vector<SubstrateResult>& substrates,
-                    const TracingOverhead& tracing, const StorageOverhead& storage_overhead,
-                    const MonitorOverhead& monitor_overhead, const ShuffleBench& shuffle,
+                    const Overhead& tracing, const Overhead& storage_overhead,
+                    const Overhead& monitor_overhead, const ShuffleBench& shuffle,
                     const ElasticComparison& elastic) {
   std::ostringstream os;
   os.setf(std::ios::fixed);
@@ -845,19 +844,20 @@ std::string to_json(const std::vector<KernelResult>& kernels,
   os << "  ],\n  \"tracing_overhead\": {";
   os.precision(4);
   os << "\"plain_seconds\": " << tracing.plain_seconds
-     << ", \"traced_off_seconds\": " << tracing.traced_off_seconds << ", \"ratio\": ";
+     << ", \"traced_off_seconds\": " << tracing.instrumented_seconds << ", \"ratio\": ";
   os.precision(3);
   os << tracing.ratio;
   os << "},\n  \"storage_overhead\": {";
   os.precision(4);
-  os << "\"direct_seconds\": " << storage_overhead.direct_seconds
-     << ", \"backend_seconds\": " << storage_overhead.backend_seconds << ", \"ratio\": ";
+  os << "\"direct_seconds\": " << storage_overhead.plain_seconds
+     << ", \"backend_seconds\": " << storage_overhead.instrumented_seconds << ", \"ratio\": ";
   os.precision(3);
   os << storage_overhead.ratio;
   os << "},\n  \"monitor_overhead\": {";
   os.precision(4);
   os << "\"plain_seconds\": " << monitor_overhead.plain_seconds
-     << ", \"monitored_seconds\": " << monitor_overhead.monitored_seconds << ", \"ratio\": ";
+     << ", \"monitored_seconds\": " << monitor_overhead.instrumented_seconds
+     << ", \"ratio\": ";
   os.precision(3);
   os << monitor_overhead.ratio;
   os << "},\n  \"shuffle\": {";
@@ -953,17 +953,17 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "%-30s %8.0f bytes/s, %.3fx spill amplification\n", "shuffle_data_plane",
                shuffle.shuffle_bytes_per_second, shuffle.spill_amplification);
 
-  const TracingOverhead tracing = bench_tracing_overhead();
+  const Overhead tracing = bench_tracing_overhead();
   std::fprintf(stderr, "%-30s %8.3fx (plain %.4fs, traced-off %.4fs)\n", "tracing_off_overhead",
-               tracing.ratio, tracing.plain_seconds, tracing.traced_off_seconds);
-  const StorageOverhead storage_overhead = bench_storage_overhead();
+               tracing.ratio, tracing.plain_seconds, tracing.instrumented_seconds);
+  const Overhead storage_overhead = bench_storage_overhead();
   std::fprintf(stderr, "%-30s %8.3fx (direct %.4fs, via-backend %.4fs)\n",
                "storage_backend_overhead", storage_overhead.ratio,
-               storage_overhead.direct_seconds, storage_overhead.backend_seconds);
-  const MonitorOverhead monitor_overhead = bench_monitor_overhead();
+               storage_overhead.plain_seconds, storage_overhead.instrumented_seconds);
+  const Overhead monitor_overhead = bench_monitor_overhead();
   std::fprintf(stderr, "%-30s %8.3fx (plain %.4fs, monitored %.4fs)\n", "monitor_overhead",
                monitor_overhead.ratio, monitor_overhead.plain_seconds,
-               monitor_overhead.monitored_seconds);
+               monitor_overhead.instrumented_seconds);
 
   const ElasticComparison elastic = bench_elastic_fleet();
   std::fprintf(stderr,
