@@ -17,6 +17,9 @@
 #include "common/error.h"
 #include "dryad/file_share.h"
 #include "dryad/partitioned_table.h"
+#include "dryad/runtime.h"
+#include "mapreduce/job.h"
+#include "mapreduce/shuffle.h"
 #include "minihdfs/mini_hdfs.h"
 #include "sim/simulator.h"
 #include "storage/block_cache.h"
@@ -86,6 +89,21 @@ struct DesRun {
       return ex * params.straggler_factor;
     }
     return ex;
+  }
+
+  /// What one firing of a fault site means in simulated time. The decision
+  /// is the real engines' own (FaultInjector::decide, the same per-site
+  /// rule streams); only its interpretation differs: nothing sleeps and
+  /// nothing throws. With no injector attached nothing fires.
+  struct SiteFault {
+    bool failed = false;    // crash, error or revoke_spot: the attempt fails
+    Seconds delay = 0.0;    // delay rules: simulated seconds added to the attempt
+    Seconds notice = -1.0;  // a revoke_spot rule's notice window; < 0 = none
+  };
+  SiteFault fire_site(const std::string& site) const {
+    if (params.faults == nullptr) return {};
+    const runtime::FaultInjector::Outcome out = params.faults->decide(site);
+    return {out.crash || out.error, out.delay, out.revoke ? out.revoke_notice : -1.0};
   }
 
   /// Schedules the first monitor tick; call after the start events so the
@@ -316,7 +334,7 @@ struct ClassicSim : DesRun {
     classiccloud::TaskSpec spec{};
     const SimTask* task = nullptr;
     Seconds ex = 0.0;  // execution time
-    Seconds ul = 0.0;  // upload time
+    Seconds ul = 0.0;  // upload time, plus any injected stall before it
   };
   struct Inst {
     int live_workers = 0;
@@ -593,8 +611,7 @@ struct ClassicSim : DesRun {
     if (params.faults == nullptr) return;
     for (const int i : running_spot()) {
       // An earlier revocation in this sweep never changes another instance.
-      const Seconds notice =
-          params.faults->fire_revocation(cloud::sites::kSpotRevoke, instance(i).id);
+      const Seconds notice = fire_site(cloud::sites::kSpotRevoke).notice;
       if (notice >= 0.0) do_revoke(i, notice);
     }
   }
@@ -654,12 +671,11 @@ struct ClassicSim : DesRun {
     stats.fleet_size_series.push_back({sim.now(), fleet.active_count(), fleet.spot_running()});
     stats.peak_instances = std::max(stats.peak_instances, fleet.active_count());
     if (done) return;
-    // Parasitic like the monitor tick, except that while undeleted work and
-    // a fleet remain it stays alive, so a below-min refill can rebuild a
-    // storm-gutted fleet. No fleet and no events left = stranded: end.
-    if (sim.events_pending() > 0 || (queue.undeleted() > 0 && fleet.active_count() > 0)) {
-      sim.after(kAutoscaleInterval, [this] { autoscale_tick(); });
-    }
+    // Parasitic like the monitor tick. This tick's decision has already run,
+    // so a below-min refill of a storm-gutted fleet is pending (its boot) and
+    // keeps the chain alive. No events left means no worker will ever poll
+    // again -- every one retired or crashed, nothing booting: stranded, end.
+    if (sim.events_pending() > 0) sim.after(kAutoscaleInterval, [this] { autoscale_tick(); });
   }
 
   // -- worker lifecycle -----------------------------------------------------
@@ -833,17 +849,16 @@ struct ClassicSim : DesRun {
 
   /// Stage 3: the execution finished; upload the output (or die first).
   void upload(int w) {
+    // Reclaimed mid-execute: no upload, no delete.
+    if (host(w).hard_dead) return abandon(w);
+    // The real-thread worker's site. A failed attempt dies here (its
+    // instance survives): no upload, no delete; a delay stalls the worker
+    // before its upload lands.
+    const SiteFault f = fire_site(classiccloud::sites::kAfterExecute);
+    if (f.failed) return abandon(w);
     Worker& k = worker(w);
-    // Reclaimed mid-execute, or the worker dies (its instance survives; the
-    // real-thread worker fires the same fault site): no upload, no delete.
-    if (host(w).hard_dead ||
-        (params.worker_crash_prob > 0.0 && k.rng.bernoulli(params.worker_crash_prob)) ||
-        (params.faults != nullptr &&
-         params.faults->fire(classiccloud::sites::kAfterExecute, k.spec.task_id))) {
-      return abandon(w);
-    }
     store->begin_transfer();
-    k.ul = store->sample_put_time(k.task->output_size, k.rng);
+    k.ul = f.delay + store->sample_put_time(k.task->output_size, k.rng);
     sim.after(k.ul, [this, w] { complete(w); });
   }
 
@@ -957,6 +972,7 @@ struct MapReduceSim : SlotSim {
   std::unique_ptr<mapreduce::TaskScheduler> scheduler;
   bool finished = false;
   std::vector<bool> node_dead;
+  int live_nodes = 0;
 
   // Shuffle state (params.num_reducers > 0). Reducers pull their partition
   // from the node that ran each map task, so the map phase records the
@@ -1020,13 +1036,8 @@ struct MapReduceSim : SlotSim {
 
   void start() {
     node_dead.assign(static_cast<std::size_t>(d.instances), false);
-    if (params.failed_node >= 0 && params.node_failure_time >= 0.0) {
-      PPC_REQUIRE(params.failed_node < d.instances, "failed_node out of range");
-      sim.after(params.node_failure_time, [this] {
-        node_dead[static_cast<std::size_t>(params.failed_node)] = true;
-        hdfs.fail_node(params.failed_node);  // replicas re-replicate
-      });
-    }
+    live_nodes = d.instances;
+    if (params.faults != nullptr) sim.after(kHeartbeatInterval, [this] { node_heartbeat(); });
     // The paper's data distribution step (when staging): every node pulls
     // its share of the input, plus the shared dataset, before its slots
     // take work.
@@ -1052,6 +1063,45 @@ struct MapReduceSim : SlotSim {
     }
     sim.run();
     if (!finished) makespan = sim.now();
+  }
+
+  /// Node loss as a fault site: every kHeartbeatInterval each live node, in
+  /// ascending id, fires sites::kNodeHeartbeat, and a failed outcome kills
+  /// it. The chain ends with the job or with the last node.
+  void node_heartbeat() {
+    if (finished) return;
+    for (int node = 0; node < d.instances; ++node) {
+      if (!node_dead[static_cast<std::size_t>(node)] && fire_site(sites::kNodeHeartbeat).failed) {
+        kill_node(node);
+      }
+    }
+    if (live_nodes > 0) sim.after(kHeartbeatInterval, [this] { node_heartbeat(); });
+  }
+
+  /// The node's running attempts are lost (each fails when it would have
+  /// ended) and it takes no more work; its HDFS replicas re-replicate.
+  /// MiniHdfs keeps its last datanode: with no node left the job is
+  /// stranded anyway.
+  void kill_node(int node) {
+    node_dead[static_cast<std::size_t>(node)] = true;
+    if (--live_nodes > 0) hdfs.fail_node(node);
+  }
+
+  /// A failed attempt dies after its launch overhead (plus any injected
+  /// delay), before its body runs, as run_phase's does: the scheduler
+  /// re-queues the task, or fails the job past max_attempts.
+  void fail_at_launch(bool reduce, const mapreduce::Assignment& a, int node, int slot,
+                      Seconds delay) {
+    sim.after(kTaskStartupOverhead + delay, [this, reduce, a, node, slot] {
+      --busy_slots;
+      (reduce ? *reduce_scheduler : *scheduler).report_failed(a, sim.now());
+      maybe_finish();
+      if (reduce) {
+        reduce_request(node, slot);
+      } else {
+        request(node, slot);
+      }
+    });
   }
 
   /// The run is over when the map phase is done and — when a reduce phase
@@ -1081,16 +1131,17 @@ struct MapReduceSim : SlotSim {
       return;
     }
     ++busy_slots;
+    const SiteFault f = fire_site(mapreduce::sites::kMapAttempt);
+    if (f.failed) return fail_at_launch(/*reduce=*/false, *assignment, node, slot, f.delay);
     auto& rng = slot_rng[static_cast<std::size_t>(slot)];
     const SimTask& task = workload.tasks.at(static_cast<std::size_t>(assignment->task_id));
     const Seconds read = hdfs.sample_read_time(task.input_size, assignment->data_local, rng);
     const Seconds ex = sample_exec(task, rng);
     // HDFS write of the (small) result, local to the node.
     const Seconds write = hdfs.sample_read_time(task.output_size, /*local=*/true, rng);
-    const Seconds total = kTaskStartupOverhead + read + ex + write;
+    const Seconds total = kTaskStartupOverhead + f.delay + read + ex + write;
 
     sim.after(total, [this, node, slot, a = *assignment, ex, write] {
-      auto& rng2 = slot_rng[static_cast<std::size_t>(slot)];
       --busy_slots;
       if (node_dead[static_cast<std::size_t>(node)]) {
         // The node died while this attempt ran: the JobTracker times it out
@@ -1099,25 +1150,21 @@ struct MapReduceSim : SlotSim {
         maybe_finish();
         return;
       }
-      if (params.task_failure_prob > 0.0 && rng2.bernoulli(params.task_failure_prob)) {
-        scheduler->report_failed(a, sim.now());
+      const bool first = scheduler->report_completed(a, sim.now());
+      if (params.record_trace) {
+        const Seconds end = sim.now() - write;
+        trace.push_back({a.task_id, slot, end - ex, end, first});
+      }
+      if (first) {
+        exec_times.add(ex);
+        ++completed;
+        // Shuffle locality: the committing attempt's node serves this map
+        // task's spills to every reducer.
+        if (reduce_scheduler != nullptr) {
+          map_node[static_cast<std::size_t>(a.task_id)] = node;
+        }
       } else {
-        const bool first = scheduler->report_completed(a, sim.now());
-        if (params.record_trace) {
-          const Seconds end = sim.now() - write;
-          trace.push_back({a.task_id, slot, end - ex, end, first});
-        }
-        if (first) {
-          exec_times.add(ex);
-          ++completed;
-          // Shuffle locality: the committing attempt's node serves this map
-          // task's spills to every reducer.
-          if (reduce_scheduler != nullptr) {
-            map_node[static_cast<std::size_t>(a.task_id)] = node;
-          }
-        } else {
-          ++duplicate_executions;
-        }
+        ++duplicate_executions;
       }
       maybe_finish();
       request(node, slot);
@@ -1144,9 +1191,11 @@ struct MapReduceSim : SlotSim {
       return;
     }
     ++busy_slots;
+    const SiteFault f = fire_site(mapreduce::sites::kReduceAttempt);
+    if (f.failed) return fail_at_launch(/*reduce=*/true, *assignment, node, slot, f.delay);
     auto state = std::make_shared<ReduceAttempt>();
     state->a = *assignment;
-    sim.after(kTaskStartupOverhead,
+    sim.after(kTaskStartupOverhead + f.delay,
               [this, node, slot, state] { fetch_next(node, slot, state); });
   }
 
@@ -1246,6 +1295,8 @@ struct DryadSim : SlotSim {
   std::vector<std::deque<int>> node_queue;  // task ids per node (static!)
   std::vector<Bytes> node_bytes;            // partition bytes per node
   std::vector<int> node_busy;               // running vertices per node
+  std::vector<int> failed_attempts;         // per task id
+  bool job_failed = false;                  // a vertex ran out of attempts
 
   DryadSim(const Workload& w, const Deployment& dep, const ExecutionModel& m,
            const SimRunParams& p, ppc::Rng& rng)
@@ -1284,6 +1335,7 @@ struct DryadSim : SlotSim {
 
   void start() {
     node_busy.assign(static_cast<std::size_t>(d.instances), 0);
+    failed_attempts.assign(workload.size(), 0);
     // §2.3's "data partition and distribution programs" (when staging):
     // each node pulls exactly its partitions' bytes, plus the shared
     // dataset, before its vertices run.
@@ -1312,20 +1364,45 @@ struct DryadSim : SlotSim {
     sim.run();
   }
 
+  /// Every attempt's end, failed or not; the last one closes the run.
+  void end_attempt(int node) {
+    --busy_slots;
+    --node_busy[static_cast<std::size_t>(node)];
+    makespan = sim.now();
+  }
+
   void request(int node, int slot) override {
     auto& queue = node_queue[static_cast<std::size_t>(node)];
-    if (queue.empty()) return;  // this node is done; no stealing (static)
+    // This node is done (no stealing: static), or the job has failed.
+    if (queue.empty() || job_failed) return;
     const int task_id = queue.front();
     queue.pop_front();
     ++busy_slots;
     ++node_busy[static_cast<std::size_t>(node)];
+    const SiteFault f = fire_site(dryad::sites::kVertexAttempt);
+    if (f.failed) {
+      // As DryadRuntime: the vertex dies before its body runs and goes to
+      // the back of its own node's queue, until it runs out of attempts and
+      // fails the job.
+      sim.after(params.vertex_startup_overhead + f.delay, [this, node, slot, task_id] {
+        end_attempt(node);
+        if (++failed_attempts[static_cast<std::size_t>(task_id)] <
+            dryad::RuntimeConfig{}.max_attempts) {
+          node_queue[static_cast<std::size_t>(node)].push_back(task_id);
+        } else {
+          job_failed = true;
+        }
+        request(node, slot);
+      });
+      return;
+    }
     auto& rng = slot_rng[static_cast<std::size_t>(slot)];
     const SimTask& task = workload.tasks.at(static_cast<std::size_t>(task_id));
     (void)share.read(node, std::to_string(task_id), node);  // locality accounting
     const Seconds read = share.sample_read_time(task.input_size, /*local=*/true, rng);
     const Seconds ex = sample_exec(task, rng);
     const Seconds write = share.sample_read_time(task.output_size, /*local=*/true, rng);
-    const Seconds total = params.vertex_startup_overhead + read + ex + write;
+    const Seconds total = params.vertex_startup_overhead + f.delay + read + ex + write;
     sim.after(total, [this, node, slot, task_id, ex, write] {
       if (params.record_trace) {
         const Seconds end = sim.now() - write;
@@ -1333,9 +1410,7 @@ struct DryadSim : SlotSim {
       }
       exec_times.add(ex);
       ++completed;
-      --busy_slots;
-      --node_busy[static_cast<std::size_t>(node)];
-      if (completed == static_cast<int>(workload.size())) makespan = sim.now();
+      end_attempt(node);
       request(node, slot);
     });
   }

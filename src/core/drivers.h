@@ -28,6 +28,18 @@
 
 namespace ppc::core {
 
+namespace sites {
+/// Node loss, a fault site only the DES models: while a FaultInjector is
+/// attached, the MapReduce driver fires it for every live node, in
+/// ascending node id, at t = 3, 6, 9, ... s (the TaskTracker heartbeat,
+/// key = node id), until the job finishes or no node is alive. A crash (or
+/// error, or revoke_spot) there kills the node: its running attempts are
+/// lost, its HDFS replicas re-replicate, and it takes no more work. With N
+/// nodes and no earlier loss, node j dies at time t under
+/// `crash(kNodeHeartbeat, 1, 1.0, (t/3 - 1) * N + j)`.
+inline const std::string kNodeHeartbeat = "mapreduce.node_heartbeat";
+}  // namespace sites
+
 struct SimRunParams {
   unsigned seed = 42;
 
@@ -86,25 +98,34 @@ struct SimRunParams {
   /// Probability a task execution becomes a straggler (x straggler_factor).
   double straggler_prob = 0.0;
   double straggler_factor = 5.0;
-  /// Probability a MapReduce attempt fails and must be re-run.
-  double task_failure_prob = 0.0;
-  /// MapReduce node-failure injection: at `node_failure_time` (>= 0) node
-  /// `failed_node` dies — its running attempts are lost (re-queued by the
-  /// scheduler), its HDFS replicas re-replicate, and it takes no more work.
-  int failed_node = -1;
-  Seconds node_failure_time = -1.0;
-  /// Probability a Classic Cloud worker crashes mid-task (after execute,
-  /// before delete) — the task message must resurface and be re-done.
-  double worker_crash_prob = 0.0;
   /// Apply the §3 provider variability factor to execution times.
   bool provider_variability = true;
   /// Record per-task execution intervals into RunResult::trace.
   bool record_trace = false;
 
   // -- unified runtime hooks (borrowed, not owned; null = disabled) --
-  /// Fault injection at the same named sites the real-thread workers fire
-  /// (e.g. classiccloud::sites::kAfterExecute), so one arming drives both
-  /// execution modes.
+  /// Fault injection at the sites the real-thread engines fire, at the same
+  /// stage, so one FaultPlan means the same in both execution modes. The
+  /// drivers take each firing's decision from FaultInjector::decide (same
+  /// rule streams as fire()) and interpret it in simulated time; nothing
+  /// sleeps and no InjectedFault escapes. Sites:
+  ///  - classic and elastic: classiccloud::sites::kAfterExecute per attempt,
+  ///    after execute and before the upload; elastic also fires
+  ///    cloud::sites::kSpotRevoke per running spot instance each autoscale
+  ///    tick, where only revoke_spot rules act (drain within the notice);
+  ///  - hadoop: mapreduce::sites::kMapAttempt and kReduceAttempt at attempt
+  ///    start, as run_phase does, plus sites::kNodeHeartbeat (above);
+  ///  - dryad: dryad::sites::kVertexAttempt at vertex start.
+  /// At an attempt site crash, error and revoke_spot fail the attempt: a
+  /// Classic worker dies holding the delivery (its message resurfaces after
+  /// the visibility timeout); a MapReduce attempt fails after its start-up
+  /// overhead and re-queues up to scheduler.max_attempts; a Dryad vertex
+  /// fails after its start-up overhead and goes to the back of its node's
+  /// queue, up to dryad::RuntimeConfig{}.max_attempts, after which the job
+  /// fails (completed < tasks). A delay adds that many simulated seconds to
+  /// the attempt. Corrupt rules act on service payloads only, which no
+  /// driver fires. Decisions depend on a site's firing order alone (the
+  /// real engines' keys, "<task>:<attempt>", never enter them).
   runtime::FaultInjector* faults = nullptr;
   /// When set, each driver publishes its run metrics here (counters,
   /// "<framework>.parallel_efficiency" gauges, exec-time histogram) via

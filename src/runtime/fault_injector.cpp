@@ -26,7 +26,7 @@ void FaultInjector::reset() {
 }
 
 FaultInjector::Outcome FaultInjector::evaluate(const std::string& site, bool service_op) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   Site& s = sites_[site];
   ++s.hits;
   Outcome out;
@@ -55,7 +55,7 @@ FaultInjector::Outcome FaultInjector::evaluate(const std::string& site, bool ser
     if (ar.remaining_budget > 0) --ar.remaining_budget;
     switch (action) {
       case FaultAction::kDelay:
-        out.sleep += ar.rule.delay;
+        out.delay += ar.rule.delay;
         ++s.delays;
         break;
       case FaultAction::kError:
@@ -83,13 +83,16 @@ FaultInjector::Outcome FaultInjector::evaluate(const std::string& site, bool ser
     }
   }
   if (out.crash) ++s.crashes;
-  lock.unlock();
-  if (out.sleep > 0.0) sleep_for(out.sleep);
   return out;
 }
 
+FaultInjector::Outcome FaultInjector::decide(const std::string& site) {
+  return evaluate(site, /*service_op=*/false);
+}
+
 bool FaultInjector::fire(const std::string& site, const std::string& key) {
-  const Outcome out = evaluate(site, /*service_op=*/false);
+  const Outcome out = decide(site);
+  if (out.delay > 0.0) sleep_for(out.delay);
   if (out.error) {
     throw InjectedFault("injected fault at " + site +
                         (key.empty() ? "" : " (" + key + ")") + ": " + out.error_what);
@@ -97,15 +100,11 @@ bool FaultInjector::fire(const std::string& site, const std::string& key) {
   return out.crash;
 }
 
-Seconds FaultInjector::fire_revocation(const std::string& site, const std::string& /*key*/) {
-  const Outcome out = evaluate(site, /*service_op=*/false);
-  return out.revoke ? out.revoke_notice : -1.0;
-}
-
 ppc::FaultDecision FaultInjector::on_operation(const std::string& site,
                                                const std::string& /*key*/,
                                                ppc::PayloadRef* payload) {
   const Outcome out = evaluate(site, /*service_op=*/true);
+  if (out.delay > 0.0) sleep_for(out.delay);
   ppc::FaultDecision decision;
   decision.fail = out.error;
   if (out.corrupt && payload != nullptr) {

@@ -12,13 +12,17 @@
 // Classic Cloud worker, the azuremr worker role, the MapReduce engine, and
 // the discrete-event drivers.
 //
-// Two firing surfaces share the armed state:
+// One decision, several interpretations. decide(site) counts a firing at a
+// lifecycle site and returns what the plan says should happen — the summed
+// delay, an error, a crash, a revocation — without sleeping or throwing.
+// The discrete-event drivers call it and interpret the outcome in simulated
+// time; the real-thread surfaces apply it on the calling thread:
 //
-//  * fire(site, key) — worker-side lifecycle sites. Applies delays, throws
-//    InjectedFault for errors, returns true for crashes.
+//  * fire(site, key) — worker-side lifecycle sites. Sleeps the delay,
+//    throws InjectedFault for errors, returns true for crashes.
 //  * on_operation(site, key, payload) — the ppc::FaultHook interface the
 //    service layer (BlobStore, MessageQueue) fires on every put/get/list/
-//    send/receive/delete. Applies delays, reports errors as fail=true, and
+//    send/receive/delete. Sleeps the delay, reports errors as fail=true, and
 //    corrupts payload copies (bit flip at an RNG-chosen position). Crash
 //    rules are ignored here: a storage service cannot kill its caller.
 //
@@ -61,12 +65,35 @@ class FaultInjector : public ppc::FaultHook {
   /// Disarms every site and zeroes all counters.
   void reset();
 
+  // -- deciding -------------------------------------------------------
+
+  /// What one firing of a lifecycle site decided. Delays stack with at most
+  /// one terminal action (error, crash or revocation; the first armed rule
+  /// wins). Corruption applies to service operations only.
+  struct Outcome {
+    Seconds delay = 0.0;  // summed delay rules
+    bool error = false;
+    std::string error_what;
+    bool crash = false;  // also set by a revocation: an ignored notice is a kill
+    bool corrupt = false;
+    std::uint64_t corrupt_salt = 0;  // picks the flipped bit
+    bool revoke = false;          // a revoke_spot rule fired...
+    Seconds revoke_notice = 0.0;  // ...with this notice (0 = hard kill)
+  };
+
+  /// Counts one firing of lifecycle site `site` and decides it under the
+  /// armed plan, exactly as fire() would, but applies nothing: no sleep, no
+  /// throw. For callers that keep their own clock (the DES drivers).
+  Outcome decide(const std::string& site);
+
   // -- firing ---------------------------------------------------------
 
-  /// Called by instrumented code at a named site. Applies any armed delay,
+  /// Called by instrumented code at a named site. Sleeps any armed delay,
   /// throws InjectedFault when an error is armed, and returns true when the
   /// caller should crash (die without completing / deleting its message).
-  /// Unarmed sites return false.
+  /// A revoke_spot rule behaves as a crash here — the firing worker dies —
+  /// so chaos sites script revocation-shaped kills without an elastic
+  /// driver. Unarmed sites return false.
   bool fire(const std::string& site, const std::string& key = "");
 
   /// ppc::FaultHook — fired by BlobStore / MessageQueue operations. Never
@@ -74,13 +101,6 @@ class FaultInjector : public ppc::FaultHook {
   /// the payload copy. Crash rules do not apply to service operations.
   ppc::FaultDecision on_operation(const std::string& site, const std::string& key,
                                   ppc::PayloadRef* payload) override;
-
-  /// Fires a spot-revocation site (key = instance id). Returns the notice
-  /// window of the revoke_spot rule that fired (0 = hard kill, no notice),
-  /// or a negative value when none did. Via fire(), a revoke_spot rule
-  /// behaves as a crash — the firing worker dies — so chaos sites script
-  /// revocation-shaped kills without an elastic driver.
-  Seconds fire_revocation(const std::string& site, const std::string& key = "");
 
   // -- observability --------------------------------------------------
 
@@ -124,21 +144,9 @@ class FaultInjector : public ppc::FaultHook {
     std::int64_t revocations = 0;
   };
 
-  /// What one firing should do; computed under the lock, applied outside it.
-  struct Outcome {
-    Seconds sleep = 0.0;
-    bool error = false;
-    std::string error_what;
-    bool crash = false;
-    bool corrupt = false;
-    std::uint64_t corrupt_salt = 0;  // picks the flipped bit
-    bool revoke = false;
-    Seconds revoke_notice = 0.0;
-  };
-
-  /// Evaluates the site's plan rules for one firing under the lock, then
-  /// applies any delay. `service_op` selects the hook interpretation:
-  /// corrupt rules apply, crash rules do not.
+  /// Evaluates the site's plan rules for one firing under the lock.
+  /// `service_op` selects the hook interpretation: corrupt rules apply,
+  /// crash and revocation rules do not.
   Outcome evaluate(const std::string& site, bool service_op);
 
   std::int64_t site_stat_locked(const std::string& site,

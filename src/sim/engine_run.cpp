@@ -245,10 +245,11 @@ void configure(const EngineRunSpec& spec, mapreduce::JobConfig& jc) {
   jc.tracer = spec.tracer;
 }
 
-/// A MapReduce run's "redeliveries": the scheduler's failed attempts.
-std::int64_t failed_attempts(const std::vector<mapreduce::AttemptRecord>& attempts) {
+/// A MapReduce or Dryad run's "redeliveries": its failed attempts.
+template <typename Attempts>
+std::int64_t failed_attempts(const Attempts& attempts) {
   return std::count_if(attempts.begin(), attempts.end(),
-                       [](const mapreduce::AttemptRecord& a) { return !a.succeeded; });
+                       [](const auto& a) { return !a.succeeded; });
 }
 
 void run_mapreduce(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
@@ -297,7 +298,6 @@ void run_shuffle(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
 }
 
 void run_dryad(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
-  PPC_REQUIRE(spec.faults == nullptr, "dryad runs take no fault plan");
   dryad::FileShare share(spec.num_workers);
   const std::map<std::string, std::string> files(app.files.begin(), app.files.end());
   std::vector<std::string> names;
@@ -310,11 +310,15 @@ void run_dryad(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
   dryad::RuntimeConfig rc;
   rc.num_nodes = spec.num_workers;
   rc.slots_per_node = spec.slots_per_node;
+  rc.faults = spec.faults;
   rc.tracer = spec.tracer;
   rc.metrics = spec.metrics;
+  if (spec.faults != nullptr) spec.faults->arm_plan(*spec.plan);
   dryad::DryadRuntime rt(rc);
   const auto result = dryad_select(rt, share, table, app.fn);
   if (!result.report.succeeded) run.failures.push_back("dryad job failed");
+  disarm(spec, run);
+  run.tally.redeliveries = failed_attempts(result.report.attempts);
   run.outputs = result.outputs;
 }
 

@@ -61,7 +61,7 @@ struct EngineRunSpec {
 };
 
 /// What a fault run's injector fired and what the substrate absorbed
-/// (MapReduce counts its failed attempts in every run).
+/// (MapReduce and Dryad count their failed attempts in every run).
 struct FaultTally {
   // Injected (FaultInjector totals).
   std::int64_t crashes = 0;

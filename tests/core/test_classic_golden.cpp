@@ -123,11 +123,10 @@ std::vector<GoldenCase> static_grid() {
   }
   {
     SimRunParams p = seeded(3);
-    p.worker_crash_prob = 0.05;
-    add("s.crash.batch1", p);
+    add("s.crash.batch1", p)->faults.crash(classiccloud::sites::kAfterExecute, -1, 0.05);
     p.receive_batch = 10;
     p.seed = 4;
-    add("s.crash.batch10", p);
+    add("s.crash.batch10", p)->faults.crash(classiccloud::sites::kAfterExecute, -1, 0.05);
   }
   {
     GoldenCase* gc = add("s.fault_after_execute", seeded(5));
@@ -260,7 +259,7 @@ std::vector<GoldenCase> elastic_grid() {
     add("e.spot0", 25, e);
     e.spot_fraction = 1.0;
     GoldenCase* gc = add("e.spot1.crash", 26, e);
-    gc->params.worker_crash_prob = 0.02;
+    gc->faults.crash(classiccloud::sites::kAfterExecute, -1, 0.02);
     gc->params.receive_batch = 5;
     gc->params.visibility_timeout = 3600.0;
   }

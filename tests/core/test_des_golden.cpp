@@ -5,12 +5,12 @@
 // metrics, and the fault injector's per-site counts — compared line by line
 // with the checked-in expectation next to this file.
 //
-// The grid covers map-only and shuffle jobs, speculation on and off, the
-// drivers' own injection knobs (stragglers, attempt failures, a node
-// failure), an armed FaultPlan, staged BLAST inputs with the block cache on
-// and off, and trace recording. Neither driver fires FaultInjector sites or
-// models the block cache today; those cases pin that, so wiring either in
-// shows up here as an intended difference.
+// The grid covers map-only and shuffle jobs, speculation on and off,
+// stragglers, FaultPlans (attempt crashes at the MapReduce sites, a node
+// loss at the node-heartbeat site), staged BLAST inputs with the block cache
+// on and off, and trace recording. The Dryad cases arm only sites Dryad does
+// not fire, and neither driver models the block cache today; those cases pin
+// that, so wiring either in shows up here as an intended difference.
 //
 // After an intended behaviour change, regenerate the expectation with
 //   PPC_UPDATE_GOLDEN=1 ./ppc_tests_core --gtest_filter='DesGolden.*'
@@ -177,15 +177,15 @@ std::vector<DesCase> mapreduce_grid() {
   }
   {
     SimRunParams p = seeded(22);
-    p.task_failure_prob = 0.1;
     p.record_trace = true;
-    add("task_failure", p);
+    add("task_failure", p)->faults.crash(mapreduce::sites::kMapAttempt, -1, 0.1);
   }
   {
-    SimRunParams p = seeded(23);
-    p.failed_node = 1;
-    p.node_failure_time = 150.0;
-    add("node_failure", p)->monitor = true;
+    // Node 1 of 4 dies at 150 s: the 50th heartbeat round, so 49 rounds of
+    // 4 firings and node 0's firing pass first.
+    DesCase* dc = add("node_failure", seeded(23));
+    dc->faults.crash(sites::kNodeHeartbeat, /*budget=*/1, 1.0, /*skip_first=*/197);
+    dc->monitor = true;
   }
   {
     SimRunParams p = seeded(24);
@@ -209,12 +209,12 @@ std::vector<DesCase> mapreduce_grid() {
     add("reduce4.spill.spec_off", p);
   }
   {
+    // Node 2 of 4 dies at 399 s, the heartbeat round nearest 400 s.
     SimRunParams p = seeded(27);
     p.num_reducers = 3;
-    p.failed_node = 2;
-    p.node_failure_time = 400.0;
-    p.task_failure_prob = 0.05;
-    add("reduce3.node_failure", p);
+    DesCase* dc = add("reduce3.node_failure", p);
+    dc->faults.crash(sites::kNodeHeartbeat, /*budget=*/1, 1.0, /*skip_first=*/530)
+        .crash(mapreduce::sites::kMapAttempt, -1, 0.05);
   }
   {
     SimRunParams p = seeded(28);

@@ -7,8 +7,12 @@
 #include <ostream>
 #include <string>
 
+#include "classiccloud/worker.h"
 #include "common/error.h"
 #include "core/drivers.h"
+#include "mapreduce/job.h"
+#include "runtime/fault_injector.h"
+#include "runtime/fault_plan.h"
 
 namespace ppc::core {
 namespace {
@@ -20,18 +24,25 @@ SimRunParams quiet(unsigned seed) {
   return p;
 }
 
+/// Kills MapReduce node `node` of `nodes` at time `t`, a multiple of the
+/// 3 s node-heartbeat period (the first heartbeat is at 3 s).
+runtime::FaultPlan node_loss(int node, int nodes, Seconds t) {
+  const int skip = (static_cast<int>(t / 3.0) - 1) * nodes + node;
+  return runtime::FaultPlan{}.crash(sites::kNodeHeartbeat, /*budget=*/1, 1.0, skip);
+}
+
 // --- No task is ever lost, whatever crashes and timeouts do ---
 
 struct FaultMix {
   std::string name;
-  double worker_crash_prob;
+  double crash_prob;
   double visibility_timeout;
 };
 
 // Without this gtest prints the raw bytes of the struct, heap pointer
 // included, so the test names ctest records would change with every build.
 void PrintTo(const FaultMix& mix, std::ostream* os) {
-  *os << mix.name << " (crash " << mix.worker_crash_prob << ", visibility "
+  *os << mix.name << " (crash " << mix.crash_prob << ", visibility "
       << mix.visibility_timeout << " s)";
 }
 
@@ -43,7 +54,10 @@ TEST_P(ClassicCloudFaultSweep, AllTasksComplete) {
   const Deployment d = make_deployment(cloud::ec2_hcxl(), 2, 8);
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet(11);
-  params.worker_crash_prob = mix.worker_crash_prob;
+  runtime::FaultInjector faults;
+  faults.arm_plan(
+      runtime::FaultPlan{}.crash(classiccloud::sites::kAfterExecute, -1, mix.crash_prob));
+  params.faults = &faults;
   params.visibility_timeout = mix.visibility_timeout;
   const RunResult r = run_classic_cloud_sim(w, d, model, params);
   EXPECT_EQ(r.completed, 48) << mix.name;
@@ -67,7 +81,9 @@ TEST_P(MapReduceFailureSweep, AllTasksCompleteDespiteFailures) {
   const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet(13);
-  params.task_failure_prob = GetParam();
+  runtime::FaultInjector faults;
+  faults.arm_plan(runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, GetParam()));
+  params.faults = &faults;
   // Raise the retry budget for the hostile end of the sweep.
   params.scheduler.max_attempts = 8;
   const RunResult r = run_mapreduce_sim(w, d, model, params);
@@ -88,8 +104,9 @@ TEST(MapReduceNodeFailure, JobSurvivesLosingANode) {
   const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet(17);
-  params.failed_node = 2;
-  params.node_failure_time = 150.0;  // mid-run: attempts are in flight
+  runtime::FaultInjector faults;
+  faults.arm_plan(node_loss(2, 4, 150.0));  // mid-run: attempts are in flight
+  params.faults = &faults;
   const RunResult r = run_mapreduce_sim(w, d, model, params);
   EXPECT_EQ(r.completed, 96) << "every task must be re-run elsewhere";
   EXPECT_GT(r.scheduler_stats.failed_attempts, 0) << "the dead node's attempts were lost";
@@ -105,8 +122,9 @@ TEST(MapReduceNodeFailure, FailureAfterCompletionIsHarmless) {
   const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet(19);
-  params.failed_node = 0;
-  params.node_failure_time = 1e6;  // long after the job drains
+  runtime::FaultInjector faults;
+  faults.arm_plan(node_loss(0, 4, 999999.0));  // long after the job drains
+  params.faults = &faults;
   const RunResult r = run_mapreduce_sim(w, d, model, params);
   EXPECT_EQ(r.completed, 16);
   EXPECT_EQ(r.scheduler_stats.failed_attempts, 0);
@@ -117,8 +135,10 @@ TEST(MapReduceNodeFailure, DeadNodeRunsNothingAfterFailure) {
   const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet(23);
-  params.failed_node = 1;
-  params.node_failure_time = 120.0;
+  const Seconds fails_at = 120.0;
+  runtime::FaultInjector faults;
+  faults.arm_plan(node_loss(1, 4, fails_at));
+  params.faults = &faults;
   params.record_trace = true;
   const RunResult r = run_mapreduce_sim(w, d, model, params);
   EXPECT_EQ(r.completed, 64);
@@ -126,7 +146,7 @@ TEST(MapReduceNodeFailure, DeadNodeRunsNothingAfterFailure) {
     const int node = e.worker / d.workers_per_instance;
     if (node == 1) {
       // Anything credited to node 1 must have finished before it died.
-      EXPECT_LE(e.exec_end, params.node_failure_time + 1e-6);
+      EXPECT_LE(e.exec_end, fails_at + 1e-6);
     }
   }
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "classiccloud/worker.h"
 #include "common/error.h"
+#include "mapreduce/job.h"
+#include "runtime/fault_injector.h"
+#include "runtime/fault_plan.h"
 
 namespace ppc::core {
 namespace {
@@ -76,7 +80,9 @@ TEST(ClassicCloudDriver, WorkerCrashesDoNotLoseTasks) {
   const Deployment d = make_deployment(cloud::ec2_hcxl(), 2, 8);
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet_params();
-  params.worker_crash_prob = 0.08;
+  runtime::FaultInjector faults;
+  faults.arm_plan(runtime::FaultPlan{}.crash(classiccloud::sites::kAfterExecute, -1, 0.08));
+  params.faults = &faults;
   params.visibility_timeout = 300.0;  // crashed tasks resurface
   const RunResult r = run_classic_cloud_sim(w, d, model, params);
   EXPECT_EQ(r.completed, 24);
@@ -117,7 +123,9 @@ TEST(MapReduceDriver, TaskFailuresAreRetriedToCompletion) {
   const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet_params();
-  params.task_failure_prob = 0.15;
+  runtime::FaultInjector faults;
+  faults.arm_plan(runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, 0.15));
+  params.faults = &faults;
   const RunResult r = run_mapreduce_sim(w, d, model, params);
   EXPECT_EQ(r.completed, 48);
   EXPECT_GT(r.scheduler_stats.failed_attempts, 0);
@@ -212,8 +220,14 @@ TEST(MapReduceDriver, ShuffleDeterministicGivenSeed) {
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet_params(11);
   params.num_reducers = 6;
-  params.task_failure_prob = 0.05;  // retries included in the replay
+  // Retries included in the replay: each run arms the same plan afresh.
+  const runtime::FaultPlan plan = runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, 0.05);
+  runtime::FaultInjector faults_a, faults_b;
+  faults_a.arm_plan(plan);
+  faults_b.arm_plan(plan);
+  params.faults = &faults_a;
   const RunResult a = run_mapreduce_sim(w, d, model, params);
+  params.faults = &faults_b;
   const RunResult b = run_mapreduce_sim(w, d, model, params);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.shuffle_bytes, b.shuffle_bytes);
@@ -229,7 +243,9 @@ TEST(MapReduceDriver, ShuffleSurvivesTaskFailures) {
   const ExecutionModel model(AppKind::kCap3);
   SimRunParams params = quiet_params(13);
   params.num_reducers = 6;
-  params.task_failure_prob = 0.15;
+  runtime::FaultInjector faults;
+  faults.arm_plan(runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, 0.15));
+  params.faults = &faults;
   const RunResult r = run_mapreduce_sim(w, d, model, params);
   EXPECT_EQ(r.completed, 32);
   EXPECT_EQ(r.reduce_completed, 6);

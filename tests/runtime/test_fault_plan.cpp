@@ -214,12 +214,14 @@ TEST(FaultPlan, FireRevocationReturnsTheNoticeWindow) {
   plan.revoke_spot("fleet.revoke", /*budget=*/1, /*probability=*/1.0, /*notice=*/60.0);
   FaultInjector faults;
   faults.arm_plan(plan);
-  EXPECT_DOUBLE_EQ(faults.fire_revocation("fleet.revoke", "i-1"), 60.0);
+  const FaultInjector::Outcome first = faults.decide("fleet.revoke");
+  EXPECT_TRUE(first.revoke);
+  EXPECT_DOUBLE_EQ(first.revoke_notice, 60.0);
   EXPECT_EQ(faults.total_revocations(), 1);
   // An unhonoured revocation is a crash as far as the worker is concerned.
   EXPECT_EQ(faults.total_crashes(), 1);
   // Budget spent: the next firing revokes nothing.
-  EXPECT_LT(faults.fire_revocation("fleet.revoke", "i-2"), 0.0);
+  EXPECT_FALSE(faults.decide("fleet.revoke").revoke);
   EXPECT_EQ(faults.total_revocations(), 1);
 }
 
@@ -246,7 +248,7 @@ TEST(FaultPlan, RevokeSpotIgnoresServiceOperations) {
   const FaultDecision d = faults.on_operation("q.receive", "m", &no_payload);
   EXPECT_FALSE(d.fail);
   EXPECT_EQ(faults.total_revocations(), 0);
-  EXPECT_DOUBLE_EQ(faults.fire_revocation("q.receive", "i"), 30.0);
+  EXPECT_DOUBLE_EQ(faults.decide("q.receive").revoke_notice, 30.0);
   EXPECT_EQ(faults.total_revocations(), 1);
 }
 
