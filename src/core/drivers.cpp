@@ -38,7 +38,7 @@ constexpr Seconds kQueueOpLatency = 0.03;  // one queue API round trip
 // delivery), which keeps SQS request charges down while tasks run elsewhere.
 constexpr Seconds kPollInterval = 1.0, kPollIntervalMax = 16.0;
 constexpr Seconds kAutoscaleInterval = 30.0;  // autoscaler decision + revocation-site period
-constexpr Seconds kHeartbeatInterval = 3.0;   // idle slot re-poll (TaskTracker heartbeat)
+constexpr Seconds kHeartbeatInterval = 3.0;   // TaskTracker heartbeat: idle re-poll, node site
 constexpr Seconds kTaskStartupOverhead = 1.0;  // per-attempt launch (Hadoop 0.20 task JVM)
 // Merge + reduce throughput of one reduce slot, bytes/s of sorted partition.
 constexpr double kShuffleSortBandwidth = 200.0 * 1024 * 1024;
