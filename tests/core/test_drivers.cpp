@@ -221,7 +221,8 @@ TEST(MapReduceDriver, ShuffleDeterministicGivenSeed) {
   SimRunParams params = quiet_params(11);
   params.num_reducers = 6;
   // Retries included in the replay: each run arms the same plan afresh.
-  const runtime::FaultPlan plan = runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, 0.05);
+  const runtime::FaultPlan plan =
+      runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, 0.05);
   runtime::FaultInjector faults_a, faults_b;
   faults_a.arm_plan(plan);
   faults_b.arm_plan(plan);
