@@ -19,7 +19,6 @@
 #include "dryad/partitioned_table.h"
 #include "dryad/runtime.h"
 #include "mapreduce/job.h"
-#include "mapreduce/shuffle.h"
 #include "minihdfs/mini_hdfs.h"
 #include "sim/simulator.h"
 #include "storage/block_cache.h"
@@ -40,8 +39,7 @@ constexpr Seconds kPollInterval = 1.0, kPollIntervalMax = 16.0;
 constexpr Seconds kAutoscaleInterval = 30.0;  // autoscaler decision + revocation-site period
 constexpr Seconds kHeartbeatInterval = 3.0;   // TaskTracker heartbeat: idle re-poll, node site
 constexpr Seconds kTaskStartupOverhead = 1.0;  // per-attempt launch (Hadoop 0.20 task JVM)
-// Merge + reduce throughput of one reduce slot, bytes/s of sorted partition.
-constexpr double kShuffleSortBandwidth = 200.0 * 1024 * 1024;
+constexpr Seconds kVertexStartupOverhead = 0.3;  // per-vertex launch (Dryad)
 
 /// Recurring Monitor tick on the simulation clock. Parasitic: it reschedules
 /// only while the sim holds other pending events (events_pending() excludes
@@ -271,14 +269,6 @@ void publish_run_metrics(const RunResult& result, runtime::MetricsRegistry& metr
     metrics.counter(prefix + "cache_hits").inc(static_cast<std::int64_t>(result.cache_hits));
     metrics.counter(prefix + "cache_misses").inc(static_cast<std::int64_t>(result.cache_misses));
     metrics.set_gauge(prefix + "cache_bytes_saved", result.cache_bytes_saved);
-  }
-  if (result.reduce_tasks > 0) {
-    metrics.counter(prefix + "reduce_tasks").inc(result.reduce_tasks);
-    metrics.counter(prefix + "reduce_completed").inc(result.reduce_completed);
-    metrics.counter(prefix + "shuffle_fetches")
-        .inc(static_cast<std::int64_t>(result.shuffle_fetches));
-    metrics.counter(prefix + "shuffle_merge_spills").inc(result.shuffle_merge_spills);
-    metrics.set_gauge(prefix + "shuffle_bytes", result.shuffle_bytes);
   }
   auto& histogram = metrics.histogram(prefix + "task_exec_seconds");
   for (double x : result.exec_times.samples()) histogram.record(x);
@@ -974,18 +964,6 @@ struct MapReduceSim : SlotSim {
   std::vector<bool> node_dead;
   int live_nodes = 0;
 
-  // Shuffle state (params.num_reducers > 0). Reducers pull their partition
-  // from the node that ran each map task, so the map phase records the
-  // committing node per task.
-  std::unique_ptr<mapreduce::TaskScheduler> reduce_scheduler;
-  std::vector<int> map_node;
-  Bytes shuffle_bytes_moved = 0.0;
-  std::uint64_t shuffle_fetches = 0;
-  std::uint64_t shuffle_local_fetches = 0;
-  int inflight_fetches = 0;
-  int shuffle_merge_spills = 0;
-  int reduce_completed = 0;
-
   /// The scheduler has no pending-count accessor; the backlog is derived
   /// driver-side. Speculative twin attempts make busy_slots overshoot the
   /// distinct-task in-flight count, hence the clamp.
@@ -1012,25 +990,6 @@ struct MapReduceSim : SlotSim {
       tasks.push_back(std::move(info));
     }
     scheduler = std::make_unique<mapreduce::TaskScheduler>(std::move(tasks), p.scheduler);
-    if (p.num_reducers > 0) {
-      map_node.assign(w.tasks.size(), 0);
-      std::vector<mapreduce::TaskInfo> reduce_tasks;
-      reduce_tasks.reserve(static_cast<std::size_t>(p.num_reducers));
-      for (int r = 0; r < p.num_reducers; ++r) {
-        mapreduce::TaskInfo info;
-        info.task_id = r;
-        info.name = "part-" + std::to_string(r);
-        // Reduce input: one R-th of every map task's shuffled output.
-        Bytes partition = 0.0;
-        for (const SimTask& t : w.tasks) {
-          partition += t.input_size * p.shuffle_output_ratio / p.num_reducers;
-        }
-        info.size = partition;
-        reduce_tasks.push_back(std::move(info));
-      }
-      reduce_scheduler =
-          std::make_unique<mapreduce::TaskScheduler>(std::move(reduce_tasks), p.scheduler);
-    }
     open_stage_store(rng);
   }
 
@@ -1052,15 +1011,6 @@ struct MapReduceSim : SlotSim {
                      return backlog() > 0 ? static_cast<double>(d.total_workers() - busy_slots)
                                           : 0.0;
                    });
-    if (params.monitor != nullptr && params.num_reducers > 0) {
-      // The shuffle is the run's dominant network phase: a cumulative probe
-      // turns bytes-moved into the bytes/s rate series, and the in-flight
-      // fetch level shows reducer fan-in saturating the fabric.
-      params.monitor->add_probe("shuffle.bytes", runtime::ProbeKind::kCumulative,
-                                [this] { return static_cast<double>(shuffle_bytes_moved); });
-      params.monitor->add_probe("shuffle.inflight_fetches", runtime::ProbeKind::kLevel,
-                                [this] { return static_cast<double>(inflight_fetches); });
-    }
     sim.run();
     if (!finished) makespan = sim.now();
   }
@@ -1090,41 +1040,25 @@ struct MapReduceSim : SlotSim {
   /// A failed attempt dies after its launch overhead (plus any injected
   /// delay), before its body runs, as run_phase's does: the scheduler
   /// re-queues the task, or fails the job past max_attempts.
-  void fail_at_launch(bool reduce, const mapreduce::Assignment& a, int node, int slot,
-                      Seconds delay) {
-    sim.after(kTaskStartupOverhead + delay, [this, reduce, a, node, slot] {
+  void fail_at_launch(const mapreduce::Assignment& a, int node, int slot, Seconds delay) {
+    sim.after(kTaskStartupOverhead + delay, [this, a, node, slot] {
       --busy_slots;
-      (reduce ? *reduce_scheduler : *scheduler).report_failed(a, sim.now());
+      scheduler->report_failed(a, sim.now());
       maybe_finish();
-      if (reduce) {
-        reduce_request(node, slot);
-      } else {
-        request(node, slot);
-      }
+      request(node, slot);
     });
   }
 
-  /// The run is over when the map phase is done and — when a reduce phase
-  /// exists and the maps all succeeded — the reduce phase is done too.
+  /// The run is over once the scheduler has every task done (or failed).
   void maybe_finish() {
     if (finished || !scheduler->job_done()) return;
-    if (reduce_scheduler != nullptr && scheduler->job_succeeded() &&
-        !reduce_scheduler->job_done()) {
-      return;
-    }
     finished = true;
     makespan = sim.now();
   }
 
   void request(int node, int slot) override {
     if (node_dead[static_cast<std::size_t>(node)]) return;  // instance is gone
-    if (scheduler->job_done()) {
-      // Map phase over: slots roll into the reduce phase (if any).
-      if (reduce_scheduler != nullptr && scheduler->job_succeeded()) {
-        reduce_request(node, slot);
-      }
-      return;
-    }
+    if (scheduler->job_done()) return;
     const auto assignment = scheduler->next_task(node, sim.now());
     if (!assignment) {
       sim.after(kHeartbeatInterval, [this, node, slot] { request(node, slot); });
@@ -1132,7 +1066,7 @@ struct MapReduceSim : SlotSim {
     }
     ++busy_slots;
     const SiteFault f = fire_site(mapreduce::sites::kMapAttempt);
-    if (f.failed) return fail_at_launch(/*reduce=*/false, *assignment, node, slot, f.delay);
+    if (f.failed) return fail_at_launch(*assignment, node, slot, f.delay);
     auto& rng = slot_rng[static_cast<std::size_t>(slot)];
     const SimTask& task = workload.tasks.at(static_cast<std::size_t>(assignment->task_id));
     const Seconds read = hdfs.sample_read_time(task.input_size, assignment->data_local, rng);
@@ -1158,103 +1092,11 @@ struct MapReduceSim : SlotSim {
       if (first) {
         exec_times.add(ex);
         ++completed;
-        // Shuffle locality: the committing attempt's node serves this map
-        // task's spills to every reducer.
-        if (reduce_scheduler != nullptr) {
-          map_node[static_cast<std::size_t>(a.task_id)] = node;
-        }
       } else {
         ++duplicate_executions;
       }
       maybe_finish();
       request(node, slot);
-    });
-  }
-
-  // ------------------------------------------------------------ shuffle ---
-  // One reduce attempt: serial fetch chain over every map output (the
-  // single-threaded copier), then merge/sort (plus a disk round trip when
-  // the partition overflows the sort budget), then the part-file write.
-
-  struct ReduceAttempt {
-    mapreduce::Assignment a;
-    std::size_t next_map = 0;
-    Bytes partition_bytes = 0.0;
-  };
-
-  void reduce_request(int node, int slot) {
-    if (node_dead[static_cast<std::size_t>(node)]) return;
-    if (reduce_scheduler->job_done()) return;
-    const auto assignment = reduce_scheduler->next_task(node, sim.now());
-    if (!assignment) {
-      sim.after(kHeartbeatInterval, [this, node, slot] { reduce_request(node, slot); });
-      return;
-    }
-    ++busy_slots;
-    const SiteFault f = fire_site(mapreduce::sites::kReduceAttempt);
-    if (f.failed) return fail_at_launch(/*reduce=*/true, *assignment, node, slot, f.delay);
-    auto state = std::make_shared<ReduceAttempt>();
-    state->a = *assignment;
-    sim.after(kTaskStartupOverhead + f.delay,
-              [this, node, slot, state] { fetch_next(node, slot, state); });
-  }
-
-  void fetch_next(int node, int slot, const std::shared_ptr<ReduceAttempt>& state) {
-    if (node_dead[static_cast<std::size_t>(node)]) {
-      --busy_slots;
-      reduce_scheduler->report_failed(state->a, sim.now());
-      maybe_finish();
-      return;
-    }
-    if (state->next_map == workload.tasks.size()) {
-      merge_and_reduce(node, slot, state);
-      return;
-    }
-    auto& rng = slot_rng[static_cast<std::size_t>(slot)];
-    const SimTask& mt = workload.tasks[state->next_map];
-    const Bytes bytes =
-        mt.input_size * params.shuffle_output_ratio / static_cast<double>(params.num_reducers);
-    const bool local = map_node[state->next_map] == node;
-    const Seconds t = hdfs.sample_read_time(bytes, local, rng);
-    ++inflight_fetches;
-    sim.after(t, [this, node, slot, state, bytes, local] {
-      --inflight_fetches;
-      shuffle_bytes_moved += bytes;
-      ++shuffle_fetches;
-      if (local) ++shuffle_local_fetches;
-      state->partition_bytes += bytes;
-      ++state->next_map;
-      fetch_next(node, slot, state);
-    });
-  }
-
-  void merge_and_reduce(int node, int slot, const std::shared_ptr<ReduceAttempt>& state) {
-    auto& rng = slot_rng[static_cast<std::size_t>(slot)];
-    const Bytes pb = state->partition_bytes;
-    Seconds merge = pb / kShuffleSortBandwidth;
-    if (params.reduce_sort_budget > 0.0 && pb > params.reduce_sort_budget) {
-      // Overflow: sorted runs round-trip local disk (written once, read
-      // back by the k-way merge).
-      merge += 2.0 * hdfs.sample_read_time(pb, /*local=*/true, rng);
-      ++shuffle_merge_spills;
-    }
-    // The reduced part file is a digest of the partition, HDFS-local.
-    const Seconds write = hdfs.sample_read_time(pb * 0.1, /*local=*/true, rng);
-    sim.after(merge + write, [this, node, slot, state] {
-      --busy_slots;
-      if (node_dead[static_cast<std::size_t>(node)]) {
-        reduce_scheduler->report_failed(state->a, sim.now());
-        maybe_finish();
-        return;
-      }
-      const bool first = reduce_scheduler->report_completed(state->a, sim.now());
-      if (first) {
-        ++reduce_completed;
-      } else {
-        ++duplicate_executions;
-      }
-      maybe_finish();
-      reduce_request(node, slot);
     });
   }
 };
@@ -1272,15 +1114,6 @@ RunResult run_mapreduce_sim(const Workload& workload, const Deployment& deployme
   r.scheduler_stats = ms.scheduler->stats();
   r.local_reads = static_cast<std::uint64_t>(r.scheduler_stats.local_assignments);
   r.remote_reads = static_cast<std::uint64_t>(r.scheduler_stats.remote_assignments);
-  if (ms.reduce_scheduler != nullptr) {
-    r.reduce_tasks = params.num_reducers;
-    r.reduce_completed = ms.reduce_completed;
-    r.reduce_scheduler_stats = ms.reduce_scheduler->stats();
-    r.shuffle_bytes = ms.shuffle_bytes_moved;
-    r.shuffle_fetches = ms.shuffle_fetches;
-    r.shuffle_local_fetches = ms.shuffle_local_fetches;
-    r.shuffle_merge_spills = ms.shuffle_merge_spills;
-  }
   return ms.finish(std::move(r));
 }
 
@@ -1384,7 +1217,7 @@ struct DryadSim : SlotSim {
       // As DryadRuntime: the vertex dies before its body runs and goes to
       // the back of its own node's queue, until it runs out of attempts and
       // fails the job.
-      sim.after(params.vertex_startup_overhead + f.delay, [this, node, slot, task_id] {
+      sim.after(kVertexStartupOverhead + f.delay, [this, node, slot, task_id] {
         end_attempt(node);
         if (++failed_attempts[static_cast<std::size_t>(task_id)] <
             dryad::RuntimeConfig{}.max_attempts) {
@@ -1402,7 +1235,7 @@ struct DryadSim : SlotSim {
     const Seconds read = share.sample_read_time(task.input_size, /*local=*/true, rng);
     const Seconds ex = sample_exec(task, rng);
     const Seconds write = share.sample_read_time(task.output_size, /*local=*/true, rng);
-    const Seconds total = params.vertex_startup_overhead + f.delay + read + ex + write;
+    const Seconds total = kVertexStartupOverhead + f.delay + read + ex + write;
     sim.after(total, [this, node, slot, task_id, ex, write] {
       if (params.record_trace) {
         const Seconds end = sim.now() - write;

@@ -75,21 +75,8 @@ struct SimRunParams {
 
   // -- MapReduce --
   mapreduce::SchedulerConfig scheduler;
-  /// Reduce tasks appended after the map phase (0 = map-only — the paper's
-  /// pleasingly-parallel jobs and every checked-in baseline). With reducers,
-  /// each map task's output is hash-partitioned R ways; every reducer pulls
-  /// its partition from every mapper over the HDFS network model (local
-  /// when the reducer lands on the node that ran the map), external-sorts
-  /// it, and commits one part file — shuffle as the dominant network load.
-  int num_reducers = 0;
-  /// Map output bytes as a fraction of map input bytes (shuffle volume).
-  double shuffle_output_ratio = 1.0;
-  /// Reduce-side in-memory sort budget; a partition larger than this pays
-  /// an extra spill-and-merge pass over local disk (0 = always fits).
-  Bytes reduce_sort_budget = 64.0 * 1024 * 1024;
 
   // -- Dryad --
-  Seconds vertex_startup_overhead = 0.3;
   /// false = round-robin static partitions (the paper's layout);
   /// true = size-balanced LPT (ablation).
   bool dryad_partition_by_size = false;
@@ -113,8 +100,9 @@ struct SimRunParams {
   ///    after execute and before the upload; elastic also fires
   ///    cloud::sites::kSpotRevoke per running spot instance each autoscale
   ///    tick, where only revoke_spot rules act (drain within the notice);
-  ///  - hadoop: mapreduce::sites::kMapAttempt and kReduceAttempt at attempt
-  ///    start, as run_phase does, plus sites::kNodeHeartbeat (above);
+  ///  - hadoop: mapreduce::sites::kMapAttempt at attempt start, as
+  ///    run_phase does, plus sites::kNodeHeartbeat (above); the runs are
+  ///    map-only, so kReduceAttempt fires in the real engines alone;
   ///  - dryad: dryad::sites::kVertexAttempt at vertex start.
   /// At an attempt site crash, error and revoke_spot fail the attempt: a
   /// Classic worker dies holding the delivery (its message resurfaces after
@@ -207,15 +195,6 @@ struct RunResult {
   std::uint64_t local_reads = 0;
   std::uint64_t remote_reads = 0;
 
-  // Shuffle (MapReduce with SimRunParams::num_reducers > 0; zero otherwise).
-  Bytes shuffle_bytes = 0.0;           // bytes moved mapper → reducer
-  std::uint64_t shuffle_fetches = 0;   // one per (map, reduce) pair served
-  std::uint64_t shuffle_local_fetches = 0;  // served from the mapper's node
-  int shuffle_merge_spills = 0;        // partitions that overflowed the sort budget
-  int reduce_tasks = 0;
-  int reduce_completed = 0;
-  mapreduce::TaskScheduler::Stats reduce_scheduler_stats;
-
   // Metrics of §3, filled by finalize_metrics().
   Seconds t1_seconds = 0.0;           // best sequential time (Equation 1's T1)
   double parallel_efficiency = 0.0;   // Equation 1
@@ -304,7 +283,8 @@ RunResult run_elastic_classic_sim(const Workload& workload, const Deployment& de
                                   ElasticRunStats* stats = nullptr);
 
 /// Hadoop-analog: HDFS-resident inputs, locality-aware dynamic global-queue
-/// scheduling, speculative execution.
+/// scheduling, speculative execution. Jobs are map-only, as the paper runs
+/// them (§2.2); the real shuffle lives in mapreduce::ShuffleJobRunner.
 RunResult run_mapreduce_sim(const Workload& workload, const Deployment& deployment,
                             const ExecutionModel& model, const SimRunParams& params);
 

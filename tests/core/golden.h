@@ -83,13 +83,6 @@ inline void put_result(Canon& c, const RunResult& r) {
   put_scheduler_stats(c, "scheduler_stats", r.scheduler_stats);
   c.put("local_reads", r.local_reads);
   c.put("remote_reads", r.remote_reads);
-  c.put("shuffle_bytes", r.shuffle_bytes);
-  c.put("shuffle_fetches", r.shuffle_fetches);
-  c.put("shuffle_local_fetches", r.shuffle_local_fetches);
-  c.put("shuffle_merge_spills", r.shuffle_merge_spills);
-  c.put("reduce_tasks", r.reduce_tasks);
-  c.put("reduce_completed", r.reduce_completed);
-  put_scheduler_stats(c, "reduce_scheduler_stats", r.reduce_scheduler_stats);
   c.put("t1_seconds", r.t1_seconds);
   c.put("parallel_efficiency", r.parallel_efficiency);
   c.put("per_core_task_seconds", r.per_core_task_seconds);

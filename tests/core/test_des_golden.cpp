@@ -5,11 +5,12 @@
 // metrics, and the fault injector's per-site counts — compared line by line
 // with the checked-in expectation next to this file.
 //
-// The grid covers map-only and shuffle jobs, speculation on and off,
-// stragglers, FaultPlans (attempt crashes at the MapReduce sites, a node
-// loss at the node-heartbeat site), staged BLAST inputs with the block cache
-// on and off, and trace recording. The Dryad cases arm only sites Dryad does
-// not fire, and neither driver models the block cache today; those cases pin
+// The grid covers map-only jobs (the only kind the MapReduce driver runs),
+// speculation on and off, stragglers, FaultPlans (attempt crashes at the
+// MapReduce sites, a node loss at the node-heartbeat site), staged BLAST
+// inputs with the block cache on and off, and trace recording. The
+// reduce-attempt rule and the Dryad cases arm sites the driver does not
+// fire, and neither driver models the block cache today; those cases pin
 // that, so wiring either in shows up here as an intended difference.
 //
 // After an intended behaviour change, regenerate the expectation with
@@ -187,43 +188,6 @@ std::vector<DesCase> mapreduce_grid() {
     dc->faults.crash(sites::kNodeHeartbeat, /*budget=*/1, 1.0, /*skip_first=*/197);
     dc->monitor = true;
   }
-  {
-    SimRunParams p = seeded(24);
-    p.num_reducers = 2;
-    DesCase* dc = add("reduce2", p);
-    dc->monitor = true;
-    dc->metrics = true;
-  }
-  {
-    // A partition larger than the sort budget pays the merge spill; the
-    // speculative reduce path runs under stragglers.
-    SimRunParams p = seeded(25);
-    p.num_reducers = 4;
-    p.shuffle_output_ratio = 2.0;
-    p.reduce_sort_budget = 1.0;
-    p.straggler_prob = 0.2;
-    p.record_trace = true;
-    add("reduce4.spill", p);
-    p.scheduler.speculative_execution = false;
-    p.seed = 26;
-    add("reduce4.spill.spec_off", p);
-  }
-  {
-    // Node 2 of 4 dies at 399 s, the heartbeat round nearest 400 s.
-    SimRunParams p = seeded(27);
-    p.num_reducers = 3;
-    DesCase* dc = add("reduce3.node_failure", p);
-    dc->faults.crash(sites::kNodeHeartbeat, /*budget=*/1, 1.0, /*skip_first=*/530)
-        .crash(mapreduce::sites::kMapAttempt, -1, 0.05);
-  }
-  {
-    SimRunParams p = seeded(28);
-    p.num_reducers = 2;
-    DesCase* dc = add("reduce2.fault_plan", p);
-    dc->faults.seed = 32;
-    dc->faults.crash(mapreduce::sites::kMapAttempt, /*budget=*/1)
-        .crash(mapreduce::sites::kReduceAttempt, /*budget=*/1);
-  }
   return grid;
 }
 
@@ -244,14 +208,6 @@ std::vector<DesCase> dryad_grid() {
     dc.params = seeded(51);
     dc.params.dryad_partition_by_size = true;
     dc.params.record_trace = true;
-    dc.metrics = false;
-    grid.push_back(std::move(dc));
-  }
-  {
-    DesCase dc = grid.front();
-    dc.name = "d.vertex_overhead";
-    dc.params = seeded(52);
-    dc.params.vertex_startup_overhead = 5.0;
     dc.metrics = false;
     grid.push_back(std::move(dc));
   }

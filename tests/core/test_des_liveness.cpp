@@ -17,7 +17,6 @@
 #include "core/drivers.h"
 #include "dryad/runtime.h"
 #include "mapreduce/job.h"
-#include "mapreduce/shuffle.h"
 #include "runtime/fault_injector.h"
 #include "runtime/fault_plan.h"
 
@@ -82,7 +81,6 @@ void expect_live(const Driver& driver) {
         EXPECT_GE(r.completed, 0);
         EXPECT_LE(r.completed, r.tasks);
         EXPECT_EQ(r.exec_times.count(), static_cast<std::size_t>(r.completed));
-        EXPECT_LE(r.reduce_completed, r.reduce_tasks);
         if (action != FaultAction::kDelay) continue;
         EXPECT_GT(faults.total_delays(), 0);
         EXPECT_LT(wall, kDelay) << "a simulated delay slept on the wall clock";
@@ -119,14 +117,6 @@ TEST(DesLiveness, ElasticFinishesOrReportsTheShortfall) {
 TEST(DesLiveness, MapReduceFinishesOrReportsTheShortfall) {
   expect_live({"hadoop", make_deployment(cloud::bare_metal_cap3_node(), 4, 2), seeded(5),
                nullptr, {mapreduce::sites::kMapAttempt}, {sites::kNodeHeartbeat}});
-}
-
-TEST(DesLiveness, MapReduceWithReducersFinishesOrReportsTheShortfall) {
-  SimRunParams params = seeded(6);
-  params.num_reducers = 3;
-  expect_live({"hadoop", make_deployment(cloud::bare_metal_cap3_node(), 4, 2), params,
-               nullptr, {mapreduce::sites::kMapAttempt, mapreduce::sites::kReduceAttempt},
-               {sites::kNodeHeartbeat}});
 }
 
 TEST(DesLiveness, DryadFinishesOrReportsTheShortfall) {

@@ -152,106 +152,6 @@ TEST(MapReduceDriver, SpeculativeExecutionCutsStragglerTail) {
       << "duplicate execution of stragglers must shorten the tail";
 }
 
-TEST(MapReduceDriver, ShuffleRunsReducePhaseToCompletion) {
-  const Workload w = make_cap3_workload(32, 200);
-  const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
-  const ExecutionModel model(AppKind::kCap3);
-  SimRunParams params = quiet_params();
-  params.num_reducers = 8;
-  params.scheduler.speculative_execution = false;  // exact fetch accounting
-  const RunResult r = run_mapreduce_sim(w, d, model, params);
-  EXPECT_EQ(r.completed, 32);
-  EXPECT_EQ(r.reduce_tasks, 8);
-  EXPECT_EQ(r.reduce_completed, 8);
-  EXPECT_EQ(r.reduce_scheduler_stats.completed_tasks, 8);
-  // Every reducer pulls its slice from every map output.
-  EXPECT_EQ(r.shuffle_fetches, 32u * 8u);
-  EXPECT_LE(r.shuffle_local_fetches, r.shuffle_fetches);
-  EXPECT_GT(r.shuffle_bytes, 0.0);
-
-  // Map-only run of the same workload: shuffle fields stay zero and the
-  // makespan is strictly shorter (the reduce phase costs time).
-  SimRunParams map_only = quiet_params();
-  const RunResult m = run_mapreduce_sim(w, d, model, map_only);
-  EXPECT_EQ(m.reduce_tasks, 0);
-  EXPECT_EQ(m.shuffle_fetches, 0u);
-  EXPECT_DOUBLE_EQ(m.shuffle_bytes, 0.0);
-  EXPECT_LT(m.makespan, r.makespan);
-}
-
-TEST(MapReduceDriver, ShuffleBytesScaleWithOutputRatio) {
-  const Workload w = make_cap3_workload(24, 458);
-  const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
-  const ExecutionModel model(AppKind::kCap3);
-  SimRunParams lean = quiet_params(3);
-  lean.num_reducers = 4;
-  lean.shuffle_output_ratio = 0.5;
-  SimRunParams heavy = lean;
-  heavy.shuffle_output_ratio = 2.0;
-  const RunResult a = run_mapreduce_sim(w, d, model, lean);
-  const RunResult b = run_mapreduce_sim(w, d, model, heavy);
-  EXPECT_EQ(a.reduce_completed, 4);
-  EXPECT_EQ(b.reduce_completed, 4);
-  EXPECT_NEAR(b.shuffle_bytes / a.shuffle_bytes, 4.0, 1e-6);
-  EXPECT_GE(b.makespan, a.makespan);  // more bytes on the wire, never faster
-}
-
-TEST(MapReduceDriver, TightSortBudgetForcesMergeSpills) {
-  const Workload w = make_cap3_workload(32, 458);
-  const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
-  const ExecutionModel model(AppKind::kCap3);
-  SimRunParams roomy = quiet_params(9);
-  roomy.num_reducers = 4;
-  const RunResult in_memory = run_mapreduce_sim(w, d, model, roomy);
-  EXPECT_EQ(in_memory.shuffle_merge_spills, 0);
-
-  SimRunParams tight = roomy;
-  tight.reduce_sort_budget = 1.0;  // every partition overflows
-  const RunResult spilled = run_mapreduce_sim(w, d, model, tight);
-  EXPECT_EQ(spilled.reduce_completed, 4);
-  EXPECT_EQ(spilled.shuffle_merge_spills, 4);
-  EXPECT_GT(spilled.makespan, in_memory.makespan)
-      << "external-sort spill passes must cost simulated time";
-}
-
-TEST(MapReduceDriver, ShuffleDeterministicGivenSeed) {
-  const Workload w = make_cap3_workload(40, 200);
-  const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
-  const ExecutionModel model(AppKind::kCap3);
-  SimRunParams params = quiet_params(11);
-  params.num_reducers = 6;
-  // Retries included in the replay: each run arms the same plan afresh.
-  const runtime::FaultPlan plan =
-      runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, 0.05);
-  runtime::FaultInjector faults_a, faults_b;
-  faults_a.arm_plan(plan);
-  faults_b.arm_plan(plan);
-  params.faults = &faults_a;
-  const RunResult a = run_mapreduce_sim(w, d, model, params);
-  params.faults = &faults_b;
-  const RunResult b = run_mapreduce_sim(w, d, model, params);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_DOUBLE_EQ(a.shuffle_bytes, b.shuffle_bytes);
-  EXPECT_EQ(a.shuffle_fetches, b.shuffle_fetches);
-  EXPECT_EQ(a.shuffle_local_fetches, b.shuffle_local_fetches);
-  EXPECT_EQ(a.reduce_completed, b.reduce_completed);
-  EXPECT_EQ(a.scheduler_stats.failed_attempts, b.scheduler_stats.failed_attempts);
-}
-
-TEST(MapReduceDriver, ShuffleSurvivesTaskFailures) {
-  const Workload w = make_cap3_workload(32, 200);
-  const Deployment d = make_deployment(cloud::bare_metal_cap3_node(), 4, 8);
-  const ExecutionModel model(AppKind::kCap3);
-  SimRunParams params = quiet_params(13);
-  params.num_reducers = 6;
-  runtime::FaultInjector faults;
-  faults.arm_plan(runtime::FaultPlan{}.crash(mapreduce::sites::kMapAttempt, -1, 0.15));
-  params.faults = &faults;
-  const RunResult r = run_mapreduce_sim(w, d, model, params);
-  EXPECT_EQ(r.completed, 32);
-  EXPECT_EQ(r.reduce_completed, 6);
-}
-
 TEST(DryadDriver, CompletesAllTasks) {
   const Workload w = make_cap3_workload(64, 458);
   const Deployment d = make_deployment(cloud::bare_metal_hpcs_node(), 4, 16);
