@@ -76,14 +76,17 @@ bool JobClient::wait_for_completion(Seconds timeout, Seconds poll_interval) {
   ppc::SystemClock clock;
   while (clock.now() < timeout) {
     drain_monitor_queue();
-    bool all_done = true;
-    for (const TaskSpec& task : tasks_) {
+    // Tasks [0, confirmed_) are known done; a HEAD (billed) is spent only on
+    // the next task in line, once its completion record has arrived, and an
+    // output stays visible once seen.
+    while (confirmed_ < tasks_.size()) {
+      const TaskSpec& task = tasks_[confirmed_];
       if (!completions_.contains(task.task_id) || !store_.exists(bucket_, task.output_key)) {
-        all_done = false;
         break;
       }
+      ++confirmed_;
     }
-    if (all_done) return true;
+    if (confirmed_ == tasks_.size()) return true;
     std::this_thread::sleep_for(std::chrono::duration<double>(poll_interval));
   }
   return false;

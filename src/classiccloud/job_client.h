@@ -85,6 +85,8 @@ class JobClient {
   std::shared_ptr<cloudq::MessageQueue> monitor_queue_;
   std::vector<TaskSpec> tasks_;
   std::map<std::string, MonitorRecord> completions_;
+  /// Leading tasks with a completion record and a visible output.
+  std::size_t confirmed_ = 0;
   ppc::SystemClock clock_;
   Seconds first_submit_time_ = -1.0;
 };

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
 
@@ -61,6 +62,26 @@ TEST_F(ClassicCloudTest, SingleWorkerProcessesAllTasks) {
   EXPECT_EQ(*client.fetch_output(client.tasks()[1]), "BETA");
   EXPECT_EQ(*client.fetch_output(client.tasks()[2]), "GAMMA");
   EXPECT_EQ(client.completions().size(), 3u);
+}
+
+TEST_F(ClassicCloudTest, WaitingHeadsEachOutputAtMostOnce) {
+  // Many polls per task: the wait must not re-HEAD (a billed request) the
+  // outputs it has already seen on every poll.
+  constexpr int kTasks = 16;
+  JobClient client(store_, *queues_, "job");
+  std::vector<std::pair<std::string, std::string>> files;
+  for (int i = 0; i < kTasks; ++i) files.emplace_back("f" + std::to_string(i), "v");
+  client.submit(files);
+  TaskExecutor slow = [](const TaskSpec&, const std::string& input) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    return input;
+  };
+  WorkerPool pool(store_, client.task_queue(), client.monitor_queue(), slow, worker_config(), 2);
+  pool.start_all();
+  ASSERT_TRUE(client.wait_for_completion(20.0, /*poll_interval=*/0.001));
+  pool.stop_all();
+  pool.join_all();
+  EXPECT_LE(store_.meter().heads, static_cast<std::uint64_t>(kTasks));
 }
 
 TEST_F(ClassicCloudTest, ManyWorkersShareTheQueue) {
