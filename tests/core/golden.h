@@ -43,16 +43,6 @@ class Canon {
   std::string out_;
 };
 
-inline void put_scheduler_stats(Canon& c, const std::string& key,
-                                const mapreduce::TaskScheduler::Stats& s) {
-  c.put(key + ".local_assignments", s.local_assignments);
-  c.put(key + ".remote_assignments", s.remote_assignments);
-  c.put(key + ".speculative_assignments", s.speculative_assignments);
-  c.put(key + ".failed_attempts", s.failed_attempts);
-  c.put(key + ".wasted_attempts", s.wasted_attempts);
-  c.put(key + ".completed_tasks", s.completed_tasks);
-}
-
 inline void put_result(Canon& c, const RunResult& r) {
   c.put("framework", r.framework);
   c.put("deployment_label", r.deployment_label);
@@ -80,7 +70,13 @@ inline void put_result(Canon& c, const RunResult& r) {
   c.put("cache_hits", r.cache_hits);
   c.put("cache_misses", r.cache_misses);
   c.put("cache_bytes_saved", r.cache_bytes_saved);
-  put_scheduler_stats(c, "scheduler_stats", r.scheduler_stats);
+  const mapreduce::TaskScheduler::Stats& s = r.scheduler_stats;
+  c.put("scheduler_stats.local_assignments", s.local_assignments);
+  c.put("scheduler_stats.remote_assignments", s.remote_assignments);
+  c.put("scheduler_stats.speculative_assignments", s.speculative_assignments);
+  c.put("scheduler_stats.failed_attempts", s.failed_attempts);
+  c.put("scheduler_stats.wasted_attempts", s.wasted_attempts);
+  c.put("scheduler_stats.completed_tasks", s.completed_tasks);
   c.put("local_reads", r.local_reads);
   c.put("remote_reads", r.remote_reads);
   c.put("t1_seconds", r.t1_seconds);
