@@ -2,13 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
 namespace ppc::cloud {
 
+const char* to_string(InstanceState s) {
+  switch (s) {
+    case InstanceState::kBooting:
+      return "booting";
+    case InstanceState::kRunning:
+      return "running";
+    case InstanceState::kDraining:
+      return "draining";
+    case InstanceState::kTerminated:
+      return "terminated";
+  }
+  return "?";
+}
+
 Seconds Instance::uptime(Seconds now) const {
-  const Seconds end = running() ? now : terminate_time;
+  const Seconds end = state == InstanceState::kTerminated ? terminate_time : now;
   return std::max(0.0, end - launch_time);
 }
 
@@ -21,50 +36,91 @@ Fleet::Fleet(std::shared_ptr<const ppc::Clock> clock) : clock_(std::move(clock))
   PPC_REQUIRE(clock_ != nullptr, "Fleet requires a clock");
 }
 
-std::vector<std::string> Fleet::launch(const InstanceType& type, int count) {
-  PPC_REQUIRE(count >= 1, "launch count must be >= 1");
+std::vector<std::string> Fleet::scale_out(const InstanceType& type, int count,
+                                          bool spot_market) {
+  PPC_REQUIRE(count >= 1, "scale_out count must be >= 1");
+  const InstanceType launched = spot_market ? spot_variant(type) : type;
   std::vector<std::string> ids;
   ids.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     Instance inst;
-    inst.id = type.name + "#" + std::to_string(next_id_++);
-    inst.type = type;
+    inst.id = launched.name + "#" + std::to_string(next_id_++);
+    inst.type = launched;
     inst.launch_time = clock_->now();
     index_.emplace(inst.id, instances_.size());
-    instances_.push_back(inst);
-    ids.push_back(instances_.back().id);
+    ids.push_back(inst.id);
+    instances_.push_back(std::move(inst));
   }
+  ++scale_out_events_;
   return ids;
 }
 
-void Fleet::terminate(const std::string& id) {
+void Fleet::mark_running(const std::string& id) {
   Instance& inst = find(id);
-  if (!inst.running()) {
-    // A revocation racing a scale-in decision lands here; detect, meter,
-    // keep going — the first termination's billing stands.
+  PPC_REQUIRE(inst.state == InstanceState::kBooting,
+              "mark_running on a non-booting instance: " + id);
+  inst.state = InstanceState::kRunning;
+}
+
+void Fleet::begin_drain(const std::string& id) {
+  Instance& inst = find(id);
+  PPC_REQUIRE(inst.state == InstanceState::kRunning,
+              "begin_drain on a non-running instance: " + id);
+  inst.state = InstanceState::kDraining;
+  inst.drain_started = clock_->now();
+  ++scale_in_events_;
+}
+
+void Fleet::finish_drain(const std::string& id) {
+  Instance& inst = find(id);
+  PPC_REQUIRE(inst.state == InstanceState::kDraining,
+              "finish_drain on a non-draining instance: " + id);
+  terminate(inst);
+  total_drain_seconds_ += clock_->now() - inst.drain_started;
+  ++drains_completed_;
+}
+
+Seconds Fleet::revoke(const std::string& id, Seconds notice) {
+  Instance& inst = find(id);
+  PPC_REQUIRE(inst.type.spot, "revoke on a non-spot instance: " + id);
+  const Seconds now = clock_->now();
+  if (inst.state == InstanceState::kTerminated) return now;
+  ++revocations_;
+  inst.revoked = true;
+  if (notice <= 0.0) {
+    hard_kill(id);
+    return now;
+  }
+  if (inst.state != InstanceState::kDraining) {
+    // A revocation landing on an instance already draining for scale-in
+    // just adds the deadline; it is not a second scale-in event.
+    inst.state = InstanceState::kDraining;
+    inst.drain_started = now;
+  }
+  inst.revoke_deadline = now + notice;
+  return inst.revoke_deadline;
+}
+
+void Fleet::hard_kill(const std::string& id) {
+  Instance& inst = find(id);
+  if (inst.state == InstanceState::kTerminated) {
     ++stale_terminates_;
     return;
   }
-  inst.terminate_time = clock_->now();
+  terminate(inst);
+  ++hard_kills_;
 }
 
 void Fleet::terminate_all() {
-  const Seconds now = clock_->now();
   for (Instance& inst : instances_) {
-    if (inst.running()) inst.terminate_time = now;
+    if (inst.state != InstanceState::kTerminated) terminate(inst);
   }
 }
 
-std::size_t Fleet::running_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(instances_.begin(), instances_.end(),
-                    [](const Instance& i) { return i.running(); }));
-}
-
-std::size_t Fleet::running_spot_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(instances_.begin(), instances_.end(),
-                    [](const Instance& i) { return i.running() && i.type.spot; }));
+void Fleet::terminate(Instance& inst) {
+  inst.state = InstanceState::kTerminated;
+  inst.terminate_time = clock_->now();
+  inst.revoke_deadline = -1.0;
 }
 
 const Instance& Fleet::info(const std::string& id) const {
@@ -73,12 +129,34 @@ const Instance& Fleet::info(const std::string& id) const {
   return instances_[it->second];
 }
 
-int Fleet::total_cores() const {
-  int cores = 0;
-  for (const Instance& inst : instances_) {
-    if (inst.running()) cores += inst.type.cpu_cores;
-  }
-  return cores;
+Instance& Fleet::find(const std::string& id) {
+  return const_cast<Instance&>(std::as_const(*this).info(id));
+}
+
+Seconds Fleet::seconds_to_hour_boundary(const std::string& id, Seconds now) const {
+  const Seconds into_hour = std::fmod(info(id).uptime(now), 3600.0);
+  return into_hour == 0.0 ? 0.0 : 3600.0 - into_hour;
+}
+
+int Fleet::count_state(InstanceState s) const {
+  return static_cast<int>(std::count_if(instances_.begin(), instances_.end(),
+                                        [s](const Instance& i) { return i.state == s; }));
+}
+
+int Fleet::active_count() const {
+  return static_cast<int>(instances_.size()) - count_state(InstanceState::kTerminated);
+}
+
+int Fleet::running_count() const { return count_state(InstanceState::kRunning); }
+int Fleet::booting_count() const { return count_state(InstanceState::kBooting); }
+int Fleet::draining_count() const { return count_state(InstanceState::kDraining); }
+
+int Fleet::spot_running() const {
+  return static_cast<int>(std::count_if(
+      instances_.begin(), instances_.end(), [](const Instance& i) {
+        return i.type.spot &&
+               (i.state == InstanceState::kRunning || i.state == InstanceState::kDraining);
+      }));
 }
 
 Dollars Fleet::hourly_billed_cost(Seconds now) const {
@@ -105,12 +183,6 @@ Fleet::CostBreakdown Fleet::hourly_billed_breakdown(Seconds now) const {
     b.on_demand_equivalent += inst.billed_hours(now) * inst.type.undiscounted_rate();
   }
   return b;
-}
-
-Instance& Fleet::find(const std::string& id) {
-  const auto it = index_.find(id);
-  PPC_REQUIRE(it != index_.end(), "unknown instance: " + id);
-  return instances_[it->second];
 }
 
 }  // namespace ppc::cloud

@@ -12,7 +12,6 @@
 #include "classiccloud/task.h"
 #include "classiccloud/worker.h"
 #include "cloud/autoscaler.h"
-#include "cloud/elastic_fleet.h"
 #include "cloud/fleet.h"
 #include "common/error.h"
 #include "dryad/file_share.h"
@@ -295,7 +294,7 @@ struct ClassicSim : DesRun {
   std::unique_ptr<storage::StorageBackend> store;
   cloudq::MessageQueue queue;
   cloudq::MessageQueue monitorq;
-  cloud::ElasticFleet fleet;
+  cloud::Fleet fleet;
 
   /// The elastic control plane: autoscaling, spot revocations and storms.
   struct Control {
@@ -313,7 +312,7 @@ struct ClassicSim : DesRun {
 
   struct Worker {
     ppc::Rng rng;
-    int inst = 0;           // index into insts and fleet.elastic_instances()
+    int inst = 0;           // index into insts and fleet.instances()
     Seconds backoff = 0.0;  // empty-poll backoff, reset on a delivery
     std::deque<cloudq::Message> prefetch{};  // batched deliveries not yet handled
     std::vector<std::string> acks{};  // receipts awaiting a DeleteMessageBatch
@@ -331,7 +330,7 @@ struct ClassicSim : DesRun {
     bool hard_dead = false;  // killed without notice: what its workers held died too
   };
   std::vector<Worker> workers;  // boot order; the index is the worker id
-  std::vector<Inst> insts;      // parallel to fleet.elastic_instances()
+  std::vector<Inst> insts;      // parallel to fleet.instances()
   Worker& worker(int w) { return workers[static_cast<std::size_t>(w)]; }
   Inst& inst(int i) { return insts[static_cast<std::size_t>(i)]; }
   Inst& host(int w) { return inst(worker(w).inst); }
@@ -469,7 +468,7 @@ struct ClassicSim : DesRun {
     mon.add_probe(
         "cost.dollars_per_hour", ProbeKind::kCumulative,
         [this] {
-          return fleet.fleet().amortized_cost(sim.now()) + queue.request_cost() +
+          return fleet.amortized_cost(sim.now()) + queue.request_cost() +
                  monitorq.request_cost() + store->service_cost(sim.now());
         },
         3600.0);
@@ -527,8 +526,8 @@ struct ClassicSim : DesRun {
 
   // -- elastic control plane (ctl set) --------------------------------------
 
-  const cloud::ElasticInstance& instance(int i) const {
-    return fleet.elastic_instances()[static_cast<std::size_t>(i)];
+  const cloud::Instance& instance(int i) const {
+    return fleet.instances()[static_cast<std::size_t>(i)];
   }
 
   void launch_instances(int count, bool allow_spot) {
@@ -543,7 +542,7 @@ struct ClassicSim : DesRun {
     if (n_spot > 0) fleet.scale_out(d.type, n_spot, /*spot_market=*/true);
     ctl->launched += count;
     ctl->spot_launched += n_spot;
-    insts.resize(fleet.elastic_instances().size());
+    insts.resize(fleet.instances().size());
     for (std::size_t i = first; i < insts.size(); ++i) {
       sim.after(ep.boot_time, [this, i] { on_boot(static_cast<int>(i)); });
     }
@@ -582,7 +581,7 @@ struct ClassicSim : DesRun {
   std::vector<int> running_spot() const {
     std::vector<int> out;
     for (int i = 0; i < static_cast<int>(insts.size()); ++i) {
-      if (instance(i).spot && instance(i).state == InstanceState::kRunning) out.push_back(i);
+      if (instance(i).type.spot && instance(i).state == InstanceState::kRunning) out.push_back(i);
     }
     return out;
   }
@@ -639,7 +638,7 @@ struct ClassicSim : DesRun {
     // tail) idle workers let scale-in hand instances back before they bill
     // another hour.
     s.idle_workers = std::max(0, alive - busy);
-    s.spent = fleet.fleet().hourly_billed_cost(s.now);
+    s.spent = fleet.hourly_billed_cost(s.now);
     s.cost_per_instance_hour = d.type.cost_per_hour;
     const cloud::AutoscaleDecision dec = ctl->scaler.decide(s);
     if (dec.delta > 0) {
@@ -898,9 +897,8 @@ RunResult run_classic_sim(const Workload& workload, const Deployment& deployment
       std::string(elastic != nullptr ? "ElasticCloud-" : "ClassicCloud-") +
           (deployment.type.provider == cloud::Provider::kWindowsAzure ? "Azure" : "EC2"),
       static_cast<int>(cs.completed_count));
-  const cloud::Fleet& fleet = cs.fleet.fleet();
-  r.compute_cost_hour_units = fleet.hourly_billed_cost(cs.end_time);
-  r.compute_cost_amortized = fleet.amortized_cost(cs.end_time);
+  r.compute_cost_hour_units = cs.fleet.hourly_billed_cost(cs.end_time);
+  r.compute_cost_amortized = cs.fleet.amortized_cost(cs.end_time);
   r.queue_request_cost = cs.queue.request_cost() + cs.monitorq.request_cost();
   const auto qm = cs.queue.meter();
   const auto mm = cs.monitorq.meter();
@@ -929,8 +927,8 @@ RunResult run_classic_sim(const Workload& workload, const Deployment& deployment
     stats->hard_kills = cs.fleet.hard_kills();
     stats->drains_completed = cs.fleet.drains_completed();
     stats->total_drain_seconds = cs.fleet.total_drain_seconds();
-    stats->stale_terminates = fleet.stale_terminates();
-    const cloud::Fleet::CostBreakdown b = fleet.hourly_billed_breakdown(cs.end_time);
+    stats->stale_terminates = cs.fleet.stale_terminates();
+    const cloud::Fleet::CostBreakdown b = cs.fleet.hourly_billed_breakdown(cs.end_time);
     stats->cost_on_demand = b.on_demand;
     stats->cost_spot = b.spot;
     stats->cost_on_demand_equivalent = b.on_demand_equivalent;

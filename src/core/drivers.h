@@ -264,7 +264,7 @@ struct ElasticRunStats {
 
 /// The same Classic Cloud driver as run_classic_cloud_sim (one loop; a
 /// static fleet is the fixed-size case), here with an autoscaled
-/// ElasticFleet: scale-out on backlog, billing-boundary scale-in after a
+/// cloud::Fleet: scale-out on backlog, billing-boundary scale-in after a
 /// graceful drain, spot instances revocable via FaultPlan::revoke_spot rules
 /// at cloud::sites::kSpotRevoke and via seeded storms. The run ends once
 /// every task completed AND the queue drained (acks a hard kill destroyed

@@ -17,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "classiccloud/worker.h"
-#include "cloud/elastic_fleet.h"
+#include "cloud/fleet.h"
 #include "cloud/instance_types.h"
 #include "core/drivers.h"
 #include "runtime/fault_injector.h"
