@@ -104,7 +104,6 @@ JobResult AzureMapReduce::run(const JobSpec& spec) {
   const std::int64_t base_misses =
       sum_worker_counters(*metrics_, worker_prefix, ".cache_misses");
   const std::int64_t base_crashes = sum_worker_counters(*metrics_, worker_prefix, ".crashed");
-  const std::int64_t base_restarts = metrics_->counter_value("supervisor.restarts");
 
   // Provision the worker pool (the Azure role instances) under a supervisor:
   // a worker that dies mid-run is detected and replaced with a fresh
@@ -215,7 +214,6 @@ JobResult AzureMapReduce::run(const JobSpec& spec) {
   total.crashed =
       sum_worker_counters(*metrics_, worker_prefix, ".crashed") - base_crashes > 0;
   last_stats_ = total;
-  last_restarts_ = metrics_->counter_value("supervisor.restarts") - base_restarts;
   return result;
 }
 

@@ -41,9 +41,6 @@ class AzureMapReduce {
   /// supervisor provisioned, computed as registry deltas over the run).
   MrWorkerStats last_run_worker_stats() const { return last_stats_; }
 
-  /// Workers the supervisor replaced during the last run.
-  std::int64_t last_run_restarts() const { return last_restarts_; }
-
   /// The registry every worker role publishes to (worker-scoped counters).
   runtime::MetricsRegistry& metrics() const { return *metrics_; }
 
@@ -53,7 +50,6 @@ class AzureMapReduce {
   int num_workers_;
   MrWorkerConfig worker_config_;
   MrWorkerStats last_stats_;
-  std::int64_t last_restarts_ = 0;
   std::shared_ptr<runtime::MetricsRegistry> metrics_;
 };
 

@@ -8,6 +8,11 @@
 namespace ppc::azuremr {
 
 namespace {
+/// Backoff schedule for eventually-consistent blob reads and shuffle
+/// listings.
+const runtime::RetryPolicy kDownloadRetry =
+    runtime::RetryPolicy::exponential(40, 0.0005, 2.0, 0.05);
+
 runtime::LifecycleConfig lifecycle_config(const MrWorkerConfig& config) {
   runtime::LifecycleConfig lc;
   lc.poll_interval = config.poll_interval;
@@ -15,7 +20,7 @@ runtime::LifecycleConfig lifecycle_config(const MrWorkerConfig& config) {
   lc.receive_batch = config.receive_batch;
   lc.delete_batch = config.delete_batch;
   lc.visibility_timeout = config.visibility_timeout;
-  lc.fetch_retry = config.download_retry;
+  lc.fetch_retry = kDownloadRetry;
   lc.abandon_visibility = config.abandon_visibility;
   lc.tracer = config.tracer;
   return lc;

@@ -40,10 +40,6 @@ struct MrWorkerConfig {
   /// acks each task immediately. See LifecycleConfig::delete_batch.
   int delete_batch = 1;
   Seconds visibility_timeout = 30.0;
-  /// Backoff schedule for eventually-consistent blob reads and shuffle
-  /// listings.
-  runtime::RetryPolicy download_retry =
-      runtime::RetryPolicy::exponential(40, 0.0005, 2.0, 0.05);
   /// Visibility applied to deliveries this worker failed (prompt retry);
   /// < 0 leaves the original visibility window. See LifecycleConfig.
   Seconds abandon_visibility = -1.0;

@@ -17,7 +17,6 @@ runtime::LifecycleConfig lifecycle_config(const WorkerConfig& config) {
   lc.delete_batch = config.delete_batch;
   lc.visibility_timeout = config.visibility_timeout;
   lc.max_idle_polls = config.max_idle_polls;
-  lc.fetch_retry = config.download_retry;
   lc.abandon_visibility = config.abandon_visibility;
   lc.tracer = config.tracer;
   return lc;
@@ -39,7 +38,7 @@ Worker::Worker(std::string id, storage::StorageBackend& store,
       [this](runtime::TaskContext& ctx) { return process(ctx); }, lifecycle_config(config_),
       config_.metrics, config_.faults);
   if (config_.enable_cache) {
-    storage::BlockCacheConfig cc = config_.cache;
+    storage::BlockCacheConfig cc;
     cc.name = lifecycle_->id() + ".blockcache";
     cache_ = std::make_unique<storage::BlockCache>(cc, &lifecycle_->metrics());
     cache_->set_tracer(config_.tracer);

@@ -69,8 +69,6 @@ struct WorkerConfig {
   /// Stop after this many consecutive empty polls; <0 means run until
   /// request_stop().
   int max_idle_polls = -1;
-  /// Backoff schedule for eventually-consistent blob reads.
-  runtime::RetryPolicy download_retry = runtime::RetryPolicy::eventual_consistency();
   /// Visibility applied to deliveries this worker failed (prompt retry);
   /// < 0 leaves the original visibility window. See LifecycleConfig.
   Seconds abandon_visibility = -1.0;
@@ -86,9 +84,9 @@ struct WorkerConfig {
   /// shared-input fetches (TaskSpec::shared_keys) through it, so the BLAST
   /// NR database / GTM training matrix is downloaded once per worker
   /// instead of once per task. Counters land in the pool registry under
-  /// "<worker-id>.blockcache.*".
+  /// "<worker-id>.blockcache.*". The cache takes BlockCacheConfig's
+  /// defaults.
   bool enable_cache = false;
-  storage::BlockCacheConfig cache;
 };
 
 /// Snapshot view over the worker's counters in the MetricsRegistry.

@@ -68,22 +68,4 @@ Dollars QueueService::total_request_cost() const {
   return total;
 }
 
-RequestMeter QueueService::total_meter() const {
-  std::lock_guard lock(mu_);
-  RequestMeter total;
-  for (const auto& [_, q] : queues_) {
-    const RequestMeter m = q->meter();
-    total.sends += m.sends;
-    total.receives += m.receives;
-    total.deletes += m.deletes;
-    total.visibility_changes += m.visibility_changes;
-    total.stale_deletes += m.stale_deletes;
-    total.dlq_moves += m.dlq_moves;
-    total.messages_sent += m.messages_sent;
-    total.messages_received += m.messages_received;
-    total.messages_deleted += m.messages_deleted;
-  }
-  return total;
-}
-
 }  // namespace ppc::cloudq

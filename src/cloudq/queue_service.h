@@ -49,10 +49,6 @@ class QueueService {
   /// Sum of request costs across live queues (feeds the billing report).
   Dollars total_request_cost() const;
 
-  /// Account-wide request/message accounting, summed across live queues —
-  /// what billing uses to price the batched-vs-unbatched request delta.
-  RequestMeter total_meter() const;
-
  private:
   std::shared_ptr<const ppc::Clock> clock_;
   QueueConfig config_;

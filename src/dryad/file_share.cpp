@@ -4,8 +4,16 @@
 
 namespace ppc::dryad {
 
-FileShare::FileShare(int num_nodes, FileShareConfig config)
-    : num_nodes_(num_nodes), config_(config), shares_(static_cast<std::size_t>(num_nodes)) {
+namespace {
+/// Read timing model: local disk vs an SMB share across the network.
+constexpr Seconds kLocalReadLatency = 0.002;
+constexpr Bytes kLocalReadBandwidthPerS = 80.0 * 1024 * 1024;
+constexpr Seconds kRemoteReadLatency = 0.012;  // SMB round trips are chattier
+constexpr Bytes kRemoteReadBandwidthPerS = 25.0 * 1024 * 1024;
+}  // namespace
+
+FileShare::FileShare(int num_nodes)
+    : num_nodes_(num_nodes), shares_(static_cast<std::size_t>(num_nodes)) {
   PPC_REQUIRE(num_nodes >= 1, "FileShare needs at least one node");
 }
 
@@ -67,11 +75,9 @@ FileShareStats FileShare::stats() const {
 Seconds FileShare::sample_read_time(Bytes size, bool local, ppc::Rng& rng) const {
   PPC_REQUIRE(size >= 0.0, "size must be >= 0");
   if (local) {
-    return rng.jittered(config_.local_read_latency, 0.2) +
-           size / config_.local_read_bandwidth_per_s;
+    return rng.jittered(kLocalReadLatency, 0.2) + size / kLocalReadBandwidthPerS;
   }
-  return rng.jittered(config_.remote_read_latency, 0.2) +
-         size / config_.remote_read_bandwidth_per_s;
+  return rng.jittered(kRemoteReadLatency, 0.2) + size / kRemoteReadBandwidthPerS;
 }
 
 }  // namespace ppc::dryad

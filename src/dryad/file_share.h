@@ -22,13 +22,6 @@ namespace ppc::dryad {
 
 using NodeId = int;
 
-struct FileShareConfig {
-  Seconds local_read_latency = 0.002;
-  Bytes local_read_bandwidth_per_s = 80.0 * 1024 * 1024;
-  Seconds remote_read_latency = 0.012;  // SMB round trips are chattier
-  Bytes remote_read_bandwidth_per_s = 25.0 * 1024 * 1024;
-};
-
 struct FileShareStats {
   std::uint64_t local_reads = 0;
   std::uint64_t remote_reads = 0;
@@ -37,7 +30,7 @@ struct FileShareStats {
 
 class FileShare {
  public:
-  explicit FileShare(int num_nodes, FileShareConfig config = {});
+  explicit FileShare(int num_nodes);
 
   int num_nodes() const { return num_nodes_; }
 
@@ -61,7 +54,6 @@ class FileShare {
   void check_node(NodeId node) const;
 
   int num_nodes_;
-  FileShareConfig config_;
   mutable std::mutex mu_;
   std::vector<std::map<std::string, std::string>> shares_;
   mutable FileShareStats stats_;

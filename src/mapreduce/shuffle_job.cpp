@@ -51,7 +51,7 @@ ShuffleJobResult ShuffleJobRunner::run(const std::vector<std::string>& input_pat
     if (config.tracer != nullptr) owned_store->set_tracer(config.tracer);
     store = owned_store.get();
   }
-  const std::string& bucket = config.shuffle_bucket;
+  const std::string bucket = "shuffle";
   if (!store->bucket_exists(bucket)) store->create_bucket(bucket);
   const std::string job_prefix = "shuffle/" + config.job_name;
   const Dollars store_cost0 = store->transfer_and_request_cost();
@@ -195,8 +195,6 @@ ShuffleJobResult ShuffleJobRunner::run(const std::vector<std::string>& input_pat
                           job_prefix + "/r" + std::to_string(r) + ".a" +
                               std::to_string(a.attempt_id),
                           config.sort_memory_budget, hooks);
-    FetchOptions fopts;
-    fopts.max_attempts = config.max_fetch_attempts;
     Bytes fetched = 0.0;
     std::int64_t fetch_count = 0;
     std::vector<std::pair<std::string, std::string>> reduced;
@@ -206,7 +204,7 @@ ShuffleJobResult ShuffleJobRunner::run(const std::vector<std::string>& input_pat
         try {
           const auto out = registry.lookup(m);
           if (!out) throw MapOutputLost(m, "partition map not registered");
-          sorter.add(fetch_partition(*store, bucket, *out, m, r, hooks, fopts));
+          sorter.add(fetch_partition(*store, bucket, *out, m, r, hooks));
           for (const auto& spill : out->partitions[static_cast<std::size_t>(r)]) {
             fetched += spill.bytes;
             ++fetch_count;

@@ -86,16 +86,14 @@ struct ShuffleJobConfig : JobConfig {
   Bytes map_spill_budget = 4.0 * 1024 * 1024;
   /// Reduce-side external-sort budget (0 = pure in-memory sort).
   Bytes sort_memory_budget = 16.0 * 1024 * 1024;
-  /// get() retries per spill before the fetch declares map output lost.
-  int max_fetch_attempts = 5;
   /// Synchronous map redrives allowed per map task during the reduce phase.
   int max_map_redrives = 2;
   SchedulerConfig reduce_scheduler;
   /// Spill/fetch go through this backend when set (borrowed); when null the
-  /// runner owns a private zero-latency BlobStore bucket and installs
+  /// runner owns a private zero-latency BlobStore and installs
   /// `faults`/`tracer` on it (so blobstore.shuffle.* sites are armable).
+  /// Either way the spills live in its "shuffle" bucket.
   storage::StorageBackend* spill_store = nullptr;
-  std::string shuffle_bucket = "shuffle";
   /// Test seam: runs between the map barrier and the reduce phase.
   std::function<void(ShuffleJobControl&)> between_phases;
 };

@@ -8,12 +8,23 @@
 
 namespace ppc::minihdfs {
 
+namespace {
+/// HDFS's default replication factor.
+constexpr int kReplication = 3;
+/// Read timing model: local disk vs cluster network (Gigabit-era figures).
+constexpr Seconds kLocalReadLatency = 0.002;
+constexpr Bytes kLocalReadBandwidthPerS = 80.0 * 1024 * 1024;
+constexpr Seconds kRemoteReadLatency = 0.010;
+constexpr Bytes kRemoteReadBandwidthPerS = 30.0 * 1024 * 1024;
+}  // namespace
+
 MiniHdfs::MiniHdfs(int num_nodes, HdfsConfig config, ppc::Rng rng)
-    : num_nodes_(num_nodes), config_(config), rng_(rng) {
+    : num_nodes_(num_nodes),
+      block_size_(config.block_size),
+      replication_(std::min(kReplication, num_nodes)),
+      rng_(rng) {
   PPC_REQUIRE(num_nodes >= 1, "MiniHdfs needs at least one datanode");
-  PPC_REQUIRE(config_.block_size > 0.0, "block size must be positive");
-  PPC_REQUIRE(config_.replication >= 1, "replication must be >= 1");
-  config_.replication = std::min(config_.replication, num_nodes);
+  PPC_REQUIRE(block_size_ > 0.0, "block size must be positive");
 }
 
 std::vector<NodeId> MiniHdfs::place_replicas_locked(NodeId preferred) {
@@ -23,7 +34,7 @@ std::vector<NodeId> MiniHdfs::place_replicas_locked(NodeId preferred) {
   }
   PPC_CHECK(!alive.empty(), "no alive datanodes");
   std::vector<NodeId> replicas;
-  const int want = std::min<int>(config_.replication, static_cast<int>(alive.size()));
+  const int want = std::min<int>(replication_, static_cast<int>(alive.size()));
 
   NodeId primary;
   if (preferred >= 0 && !dead_.contains(preferred)) {
@@ -66,12 +77,12 @@ void MiniHdfs::write_impl(const std::string& path, std::string data, Bytes logic
   ++stats_.writes;
   FileEntry entry;
   const Bytes total = logical_size;
-  const int num_blocks = std::max(1, static_cast<int>(std::ceil(total / config_.block_size)));
+  const int num_blocks = std::max(1, static_cast<int>(std::ceil(total / block_size_)));
   for (int b = 0; b < num_blocks; ++b) {
     BlockInfo block;
     block.path = path;
     block.index = b;
-    block.size = std::min(config_.block_size, total - static_cast<Bytes>(b) * config_.block_size);
+    block.size = std::min(block_size_, total - static_cast<Bytes>(b) * block_size_);
     if (block.size < 0.0) block.size = 0.0;  // empty file: one zero-size block
     block.replicas = place_replicas_locked(preferred_node);
     entry.blocks.push_back(std::move(block));
@@ -189,7 +200,7 @@ void MiniHdfs::re_replicate_locked(const std::string& /*path*/, BlockInfo& block
       candidates.push_back(n);
     }
   }
-  while (block.replicas.size() < static_cast<std::size_t>(config_.replication) &&
+  while (block.replicas.size() < static_cast<std::size_t>(replication_) &&
          !candidates.empty()) {
     const std::size_t pick = rng_.index(candidates.size());
     block.replicas.push_back(candidates[pick]);
@@ -216,9 +227,9 @@ HdfsStats MiniHdfs::stats() const {
 Seconds MiniHdfs::sample_read_time(Bytes size, bool local, ppc::Rng& rng) const {
   PPC_REQUIRE(size >= 0.0, "size must be >= 0");
   if (local) {
-    return rng.jittered(config_.local_read_latency, 0.2) + size / config_.local_read_bandwidth_per_s;
+    return rng.jittered(kLocalReadLatency, 0.2) + size / kLocalReadBandwidthPerS;
   }
-  return rng.jittered(config_.remote_read_latency, 0.2) + size / config_.remote_read_bandwidth_per_s;
+  return rng.jittered(kRemoteReadLatency, 0.2) + size / kRemoteReadBandwidthPerS;
 }
 
 }  // namespace ppc::minihdfs

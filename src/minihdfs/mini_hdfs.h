@@ -32,12 +32,6 @@ using NodeId = int;
 
 struct HdfsConfig {
   Bytes block_size = 64.0 * 1024 * 1024;
-  int replication = 3;
-  /// Timing model: local disk vs cluster network (Gigabit-era figures).
-  Seconds local_read_latency = 0.002;
-  Bytes local_read_bandwidth_per_s = 80.0 * 1024 * 1024;
-  Seconds remote_read_latency = 0.010;
-  Bytes remote_read_bandwidth_per_s = 30.0 * 1024 * 1024;
 };
 
 struct BlockInfo {
@@ -56,12 +50,11 @@ struct HdfsStats {
 
 class MiniHdfs {
  public:
-  /// A cluster of `num_nodes` datanodes (>= 1). Replication is clamped to
-  /// the node count.
+  /// A cluster of `num_nodes` datanodes (>= 1). Blocks keep three replicas,
+  /// clamped to the node count.
   MiniHdfs(int num_nodes, HdfsConfig config = {}, ppc::Rng rng = ppc::Rng(0x4DF5DEAD));
 
   int num_nodes() const { return num_nodes_; }
-  const HdfsConfig& config() const { return config_; }
 
   /// Writes a file. `preferred_node` pins the primary replica (the classic
   /// HDFS "writer's node first" policy); -1 places round-robin.
@@ -123,7 +116,8 @@ class MiniHdfs {
   void re_replicate_locked(const std::string& path, BlockInfo& block);
 
   int num_nodes_;
-  HdfsConfig config_;
+  Bytes block_size_;
+  int replication_;  // replicas per block
   mutable std::mutex mu_;
   ppc::Rng rng_;
   std::map<std::string, FileEntry> files_;

@@ -143,19 +143,9 @@ std::int64_t FaultInjector::crashes(const std::string& site) const {
   return site_stat_locked(site, &Site::crashes);
 }
 
-std::int64_t FaultInjector::delays_injected(const std::string& site) const {
-  std::lock_guard lock(mu_);
-  return site_stat_locked(site, &Site::delays);
-}
-
 std::int64_t FaultInjector::errors_injected(const std::string& site) const {
   std::lock_guard lock(mu_);
   return site_stat_locked(site, &Site::errors);
-}
-
-std::int64_t FaultInjector::corruptions_injected(const std::string& site) const {
-  std::lock_guard lock(mu_);
-  return site_stat_locked(site, &Site::corruptions);
 }
 
 std::int64_t FaultInjector::revocations(const std::string& site) const {

@@ -110,9 +110,7 @@ class FaultInjector : public ppc::FaultHook {
   /// Crashes this site has triggered.
   std::int64_t crashes(const std::string& site) const;
 
-  std::int64_t delays_injected(const std::string& site) const;
   std::int64_t errors_injected(const std::string& site) const;
-  std::int64_t corruptions_injected(const std::string& site) const;
 
   /// Spot revocations this site has triggered. A revocation also counts as
   /// a crash when its notice is ignored — the kill is the crash.

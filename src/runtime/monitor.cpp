@@ -290,7 +290,7 @@ std::string Monitor::to_json() const {
       os << (i == 0 ? "" : ", ") << '[' << fmt_time(s.time) << ", "
          << fmt_value(s.value) << ']';
     }
-    const WindowStats w = entry.ts.window(config_.window);
+    const WindowStats w = entry.ts.window();
     os << "], \"window\": {\"count\": " << w.count << ", \"min\": "
        << fmt_value(w.min) << ", \"mean\": " << fmt_value(w.mean)
        << ", \"max\": " << fmt_value(w.max) << ", \"p95\": " << fmt_value(w.p95)
@@ -338,7 +338,7 @@ std::string Monitor::dashboard(std::size_t width) const {
   for (const auto& [name, _] : series_) name_width = std::max(name_width, name.size());
   for (const auto& [name, entry] : series_) {
     if (entry.ts.empty()) continue;
-    const WindowStats w = entry.ts.window(config_.window);
+    const WindowStats w = entry.ts.window();
     // Downsample the retained window onto `width` columns; each column shows
     // the max of its bucket so short spikes stay visible.
     const std::size_t n = entry.ts.size();

@@ -62,11 +62,10 @@ struct MonitorConfig {
   /// drivers schedule ticks at this spacing); start() sleeps it between
   /// ticks.
   Seconds period = 1.0;
-  /// Ring capacity per series (oldest samples evicted beyond this).
+  /// Ring capacity per series (oldest samples evicted beyond this). The
+  /// window aggregates in exports and the dashboard span every retained
+  /// sample.
   std::size_t capacity = 4096;
-  /// Trailing window (in samples) for window aggregates in exports and the
-  /// dashboard; 0 = all retained samples.
-  std::size_t window = 0;
   /// Scrape the registry's counters/gauges into series on every tick. Off,
   /// only probes feed the monitor (cheaper when per-worker counters are
   /// numerous and the probes already cover the signals of interest).

@@ -70,8 +70,6 @@ PollPolicy TaskLifecycle::poll_policy() const {
   p.min_interval = config_.poll_interval;
   p.max_interval = config_.poll_interval_max < 0.0 ? 8.0 * config_.poll_interval
                                                    : config_.poll_interval_max;
-  p.multiplier = config_.poll_multiplier;
-  p.jitter = config_.poll_jitter;
   return p;
 }
 

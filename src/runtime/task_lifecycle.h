@@ -59,16 +59,12 @@ struct LifecycleConfig {
   /// are flowing, and the floor of the idle backoff (real seconds — keep
   /// small in tests).
   Seconds poll_interval = 0.005;
-  /// Idle backoff cap: consecutive empty polls grow the sleep by
-  /// poll_multiplier up to this; the next delivery collapses it back to
+  /// Idle backoff cap: consecutive empty polls double the sleep (with
+  /// PollPolicy's default +-20% jitter, decorrelating a fleet's empty
+  /// polls) up to this; the next delivery collapses it back to
   /// poll_interval. < 0 (the default) derives 8x poll_interval; any value
   /// <= poll_interval pins the legacy fixed-interval polling.
   Seconds poll_interval_max = -1.0;
-  /// Idle backoff growth factor per consecutive empty poll.
-  double poll_multiplier = 2.0;
-  /// Jitter fraction applied to every idle sleep (see PollPolicy::jitter),
-  /// decorrelating a fleet's empty polls.
-  double poll_jitter = 0.2;
   /// Messages fetched per receive request, 1..MessageQueue::kBatchLimit
   /// (SQS ReceiveMessage MaxNumberOfMessages). The batch is processed
   /// sequentially by this worker, so visibility_timeout must cover the

@@ -19,7 +19,6 @@ WorkerSupervisor::WorkerSupervisor(WorkerFactory factory, SupervisorConfig confi
   PPC_REQUIRE(config_.max_restarts_per_slot >= 0, "max_restarts_per_slot must be >= 0");
   PPC_REQUIRE(config_.initial_backoff >= 0.0 && config_.max_backoff >= 0.0,
               "backoff must be non-negative");
-  PPC_REQUIRE(config_.backoff_multiplier >= 1.0, "backoff multiplier must be >= 1");
   PPC_REQUIRE(config_.watch_interval > 0.0, "watch interval must be positive");
   PPC_REQUIRE(config_.stall_timeout >= 0.0, "stall timeout must be >= 0");
 }
@@ -92,9 +91,14 @@ void WorkerSupervisor::drain_slot(int slot_index) {
   }
 }
 
+namespace {
+/// Restart backoff growth per consecutive restart of a slot.
+constexpr double kBackoffMultiplier = 2.0;
+}  // namespace
+
 Seconds WorkerSupervisor::backoff_for(int restart_number) const {
   Seconds b = config_.initial_backoff;
-  for (int i = 1; i < restart_number; ++i) b *= config_.backoff_multiplier;
+  for (int i = 1; i < restart_number; ++i) b *= kBackoffMultiplier;
   return std::min(b, config_.max_backoff);
 }
 

@@ -69,9 +69,8 @@ struct SupervisorConfig {
   std::string id_prefix = "w";
   /// Replacements allowed per slot before the supervisor gives the slot up.
   int max_restarts_per_slot = 3;
-  /// Backoff before restart r of a slot: initial * multiplier^(r-1), capped.
+  /// Backoff before restart r of a slot: initial * 2^(r-1), capped.
   Seconds initial_backoff = 0.02;
-  double backoff_multiplier = 2.0;
   Seconds max_backoff = 0.5;
   /// Watch-loop poll period (real seconds).
   Seconds watch_interval = 0.005;
