@@ -16,7 +16,6 @@ const runtime::RetryPolicy kDownloadRetry =
 runtime::LifecycleConfig lifecycle_config(const MrWorkerConfig& config) {
   runtime::LifecycleConfig lc;
   lc.poll_interval = config.poll_interval;
-  lc.poll_interval_max = config.poll_interval_max;
   lc.receive_batch = config.receive_batch;
   lc.delete_batch = config.delete_batch;
   lc.visibility_timeout = config.visibility_timeout;

@@ -31,8 +31,6 @@ inline const std::string kAfterReduce = "azuremr.after_reduce";
 
 struct MrWorkerConfig {
   Seconds poll_interval = 0.002;
-  /// Idle backoff cap; < 0 derives 8x poll_interval. See LifecycleConfig.
-  Seconds poll_interval_max = -1.0;
   /// Messages fetched per receive request (1..10); the batch is worked
   /// through sequentially, so visibility_timeout must cover the whole batch.
   int receive_batch = 1;

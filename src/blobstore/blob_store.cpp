@@ -1,17 +1,23 @@
 #include "blobstore/blob_store.h"
 
+#include <algorithm>
+
 #include "common/crc32c.h"
 #include "common/error.h"
 #include "common/string_util.h"
 
 namespace ppc::blobstore {
 
-BlobStore::BlobStore(std::shared_ptr<const ppc::Clock> clock, BlobStoreConfig config, ppc::Rng rng)
-    : clock_(std::move(clock)), config_(config), rng_(rng) {
+BlobStore::BlobStore(std::shared_ptr<const ppc::Clock> clock, BlobStoreConfig config, ppc::Rng rng,
+                     storage::StorageKind kind)
+    : clock_(std::move(clock)), config_(config), kind_(kind), rng_(rng) {
   PPC_REQUIRE(clock_ != nullptr, "BlobStore requires a clock");
   PPC_REQUIRE(config_.request_latency_mean >= 0.0, "latency must be >= 0");
-  PPC_REQUIRE(config_.download_bandwidth_per_s > 0.0, "download bandwidth must be positive");
-  PPC_REQUIRE(config_.upload_bandwidth_per_s > 0.0, "upload bandwidth must be positive");
+  PPC_REQUIRE(config_.read_bandwidth_per_s > 0.0, "read bandwidth must be positive");
+  PPC_REQUIRE(config_.write_bandwidth_per_s > 0.0, "write bandwidth must be positive");
+  PPC_REQUIRE(config_.pricing.num_servers >= 0, "server count must be >= 0");
+  PPC_REQUIRE(config_.pricing.num_servers == 0 || config_.client_bandwidth_per_s > 0.0,
+              "client bandwidth must be positive");
 }
 
 std::shared_ptr<BlobStore::Bucket> BlobStore::find_bucket(const std::string& bucket) const {
@@ -281,29 +287,44 @@ Bytes BlobStore::stored_bytes() const {
   return total;
 }
 
-TransferMeter BlobStore::meter() const {
+storage::TransferMeter BlobStore::meter() const {
   std::lock_guard lock(meter_mu_);
   return meter_;
 }
 
 Dollars BlobStore::transfer_and_request_cost() const {
   std::lock_guard lock(meter_mu_);
+  const storage::StoragePricing& p = config_.pricing;
   const double gb_in = to_gigabytes(meter_.bytes_in);
   const double gb_out = to_gigabytes(meter_.bytes_out);
-  return gb_in * config_.transfer_in_cost_per_gb + gb_out * config_.transfer_out_cost_per_gb +
-         static_cast<double>(meter_.requests()) / 10000.0 * config_.cost_per_10k_requests;
+  return gb_in * p.transfer_in_cost_per_gb + gb_out * p.transfer_out_cost_per_gb +
+         static_cast<double>(meter_.requests()) / 10000.0 * p.cost_per_10k_requests;
+}
+
+Seconds BlobStore::transfer_time(Bytes size, Bytes bandwidth, ppc::Rng& rng) const {
+  PPC_REQUIRE(size >= 0.0, "size must be >= 0");
+  const Seconds latency = rng.jittered(config_.request_latency_mean, config_.latency_cv);
+  const int servers = config_.pricing.num_servers;
+  if (servers == 0) return latency + size / bandwidth;
+  const int active = std::max(1, active_.load(std::memory_order_relaxed));
+  const Bytes share = static_cast<double>(servers) * bandwidth / static_cast<double>(active);
+  return latency + size / std::min(config_.client_bandwidth_per_s, share);
 }
 
 Seconds BlobStore::sample_get_time(Bytes size, ppc::Rng& rng) const {
-  PPC_REQUIRE(size >= 0.0, "size must be >= 0");
-  const Seconds latency = rng.jittered(config_.request_latency_mean, config_.latency_cv);
-  return latency + size / config_.download_bandwidth_per_s;
+  return transfer_time(size, config_.read_bandwidth_per_s, rng);
 }
 
 Seconds BlobStore::sample_put_time(Bytes size, ppc::Rng& rng) const {
-  PPC_REQUIRE(size >= 0.0, "size must be >= 0");
-  const Seconds latency = rng.jittered(config_.request_latency_mean, config_.latency_cv);
-  return latency + size / config_.upload_bandwidth_per_s;
+  return transfer_time(size, config_.write_bandwidth_per_s, rng);
+}
+
+void BlobStore::begin_transfer() {
+  if (config_.pricing.num_servers > 0) active_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void BlobStore::end_transfer() {
+  if (config_.pricing.num_servers > 0) active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 }  // namespace ppc::blobstore

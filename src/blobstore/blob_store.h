@@ -17,6 +17,14 @@
 //    operations complete immediately (the data is in memory) and the model
 //    is ignored.
 //
+// The same class is all three data planes of DESIGN.md §11: a
+// BlobStoreConfig is one row of the model table (storage::model_row), and
+// the rows differ only in their numbers. A row with no servers is the object
+// store (per-connection bandwidth, usage-priced); a row with N servers is a
+// file system whose N x per-server bandwidth is shared by the transfers
+// inside the begin_transfer()/end_transfer() bracket, capped per client by
+// its NIC, and priced as N server instances.
+//
 // Thread-safe; time comes from an injected ppc::Clock. Payloads are held as
 // shared immutable strings, so get() hands back an aliasing pointer instead
 // of copying the object, and the lock is sharded per bucket so concurrent
@@ -42,38 +50,41 @@
 
 namespace ppc::blobstore {
 
-/// Transfer accounting lives in the backend-agnostic storage layer now;
-/// re-exported here for the many call sites written against
-/// blobstore::TransferMeter.
-using storage::TransferMeter;
-
+/// One data-plane model: a row of storage::model_row's table. The defaults
+/// are the object-store row.
 struct BlobStoreConfig {
   /// Mean per-request latency (HTTP round trip to the storage service).
   Seconds request_latency_mean = 0.08;
   /// Coefficient of variation applied to the request latency.
   double latency_cv = 0.25;
-  /// Per-connection sustained throughput.
-  Bytes download_bandwidth_per_s = 20.0 * 1024 * 1024;
-  Bytes upload_bandwidth_per_s = 10.0 * 1024 * 1024;
+  /// Sustained throughput per server, or per connection when the row has
+  /// no servers (pricing.num_servers == 0).
+  Bytes read_bandwidth_per_s = 20.0 * 1024 * 1024;
+  Bytes write_bandwidth_per_s = 10.0 * 1024 * 1024;
+  /// One client NIC: caps a transfer's share of the servers' bandwidth.
+  /// Unused without servers.
+  Bytes client_bandwidth_per_s = 0.0;
   /// Mean delay before a newly put object is readable (0 = strong).
   Seconds read_after_write_lag_mean = 0.0;
   /// 2010-era pricing (S3: ~$0.14-0.15/GB-month, $0.10/GB in, $0.15/GB out,
-  /// ~$0.01 per 10k GETs).
-  Dollars storage_cost_per_gb_month = 0.14;
-  Dollars transfer_in_cost_per_gb = 0.10;
-  Dollars transfer_out_cost_per_gb = 0.15;
-  Dollars cost_per_10k_requests = 0.01;
+  /// ~$0.01 per 10k GETs). Its num_servers is the row's server count; 0
+  /// makes the row the uncontended, usage-priced object store.
+  storage::StoragePricing pricing{.storage_cost_per_gb_month = 0.14,
+                                  .transfer_in_cost_per_gb = 0.10,
+                                  .transfer_out_cost_per_gb = 0.15,
+                                  .cost_per_10k_requests = 0.01};
 };
 
 class BlobStore : public storage::StorageBackend {
  public:
+  /// `kind` labels the row in reports; the behaviour comes from `config`.
   BlobStore(std::shared_ptr<const ppc::Clock> clock, BlobStoreConfig config = {},
-            ppc::Rng rng = ppc::Rng(0xB10B));
+            ppc::Rng rng = ppc::Rng(0xB10B),
+            storage::StorageKind kind = storage::StorageKind::kObject);
 
   const BlobStoreConfig& config() const { return config_; }
 
-  /// The object-store data plane (§2.1.1's S3 / Azure Blob).
-  storage::StorageKind kind() const override { return storage::StorageKind::kObject; }
+  storage::StorageKind kind() const override { return kind_; }
 
   /// Installs a fault hook fired on every put/get/list (sites
   /// "blobstore.<bucket>.put" / ".get" / ".list"). A failing get reports
@@ -146,20 +157,13 @@ class BlobStore : public storage::StorageBackend {
   /// Total bytes currently stored (across buckets).
   Bytes stored_bytes() const override;
 
-  TransferMeter meter() const override;
+  storage::TransferMeter meter() const override;
 
   /// Request + transfer cost so far; storage cost is charged by the billing
   /// module per month of retention (see billing::CostModel).
   Dollars transfer_and_request_cost() const override;
 
-  storage::StoragePricing pricing() const override {
-    storage::StoragePricing p;
-    p.storage_cost_per_gb_month = config_.storage_cost_per_gb_month;
-    p.transfer_in_cost_per_gb = config_.transfer_in_cost_per_gb;
-    p.transfer_out_cost_per_gb = config_.transfer_out_cost_per_gb;
-    p.cost_per_10k_requests = config_.cost_per_10k_requests;
-    return p;  // no dedicated servers: S3 cost is entirely usage-based
-  }
+  storage::StoragePricing pricing() const override { return config_.pricing; }
 
   // -- timing model (used by the simulation drivers) --
 
@@ -168,6 +172,12 @@ class BlobStore : public storage::StorageBackend {
 
   /// Samples the wall time of a PUT of `size` bytes.
   Seconds sample_put_time(Bytes size, ppc::Rng& rng) const override;
+
+  /// Counts bracketed transfers on a row with servers; the object store
+  /// ignores the bracket.
+  void begin_transfer() override;
+  void end_transfer() override;
+  int active_transfers() const override { return active_.load(std::memory_order_relaxed); }
 
  private:
   struct Object {
@@ -190,6 +200,10 @@ class BlobStore : public storage::StorageBackend {
     std::map<std::string, Object> objects;
   };
 
+  /// latency + size / bandwidth, where a row with servers shares
+  /// `bandwidth` per server across the active transfers and caps each
+  /// share at the client NIC.
+  Seconds transfer_time(Bytes size, Bytes bandwidth, ppc::Rng& rng) const;
   void put_impl(const std::string& bucket, const std::string& key, std::string data,
                 Bytes logical_size, bool is_logical);
   /// get() minus the tracing bracket.
@@ -199,6 +213,8 @@ class BlobStore : public storage::StorageBackend {
 
   std::shared_ptr<const ppc::Clock> clock_;
   BlobStoreConfig config_;
+  storage::StorageKind kind_;
+  std::atomic<int> active_{0};
   std::atomic<ppc::FaultHook*> hook_{nullptr};
   std::atomic<ppc::TraceHook*> tracer_{nullptr};
 
@@ -210,7 +226,7 @@ class BlobStore : public storage::StorageBackend {
   /// Guards the meter and the visibility-lag RNG (leaf lock).
   mutable std::mutex meter_mu_;
   ppc::Rng rng_;
-  TransferMeter meter_;
+  storage::TransferMeter meter_;
 };
 
 }  // namespace ppc::blobstore

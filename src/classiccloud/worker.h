@@ -53,8 +53,6 @@ struct WorkerConfig {
   /// Tight polling interval and floor of the adaptive idle backoff (real
   /// seconds — keep small in tests).
   Seconds poll_interval = 0.005;
-  /// Idle backoff cap; < 0 derives 8x poll_interval. See LifecycleConfig.
-  Seconds poll_interval_max = -1.0;
   /// Messages fetched per receive request (1..10, SQS ReceiveMessage
   /// MaxNumberOfMessages); the batch is worked through sequentially, so
   /// visibility_timeout must cover the whole batch.

@@ -145,16 +145,15 @@ std::vector<InstanceType> azure_catalog() {
   return {azure_small(), azure_medium(), azure_large(), azure_xlarge()};
 }
 
-InstanceType spot_variant(const InstanceType& on_demand, double discount) {
+InstanceType spot_variant(const InstanceType& on_demand) {
   PPC_REQUIRE(!on_demand.spot, "already a spot variant: " + on_demand.name);
   PPC_REQUIRE(on_demand.provider != Provider::kBareMetal,
               "no spot market for bare metal: " + on_demand.name);
-  PPC_REQUIRE(discount >= 0.0 && discount < 1.0, "spot discount must be in [0, 1)");
   InstanceType t = on_demand;
   t.name += "-spot";
   t.spot = true;
   t.on_demand_cost_per_hour = on_demand.cost_per_hour;
-  t.cost_per_hour = on_demand.cost_per_hour * (1.0 - discount);
+  t.cost_per_hour = on_demand.cost_per_hour * (1.0 - kDefaultSpotDiscount);
   return t;
 }
 

@@ -100,9 +100,8 @@ const InstanceType& find_type(const std::string& name);
 inline constexpr double kDefaultSpotDiscount = 0.7;
 
 /// The spot-market variant of `on_demand`: identical hardware, name suffixed
-/// "-spot", `spot` set, billed at (1 - discount) x the on-demand rate.
-/// Throws for bare-metal types (no spot market) or discounts outside [0, 1).
-InstanceType spot_variant(const InstanceType& on_demand,
-                          double discount = kDefaultSpotDiscount);
+/// "-spot", `spot` set, billed at (1 - kDefaultSpotDiscount) x the on-demand
+/// rate. Throws for bare-metal types (no spot market).
+InstanceType spot_variant(const InstanceType& on_demand);
 
 }  // namespace ppc::cloud

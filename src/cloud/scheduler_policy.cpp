@@ -44,7 +44,7 @@ FleetPlan SchedulerPolicy::plan(const InstanceType& type) const {
   p.est_makespan = makespan_of(n);
 
   const double hours = std::max(1.0, std::ceil(p.est_makespan / 3600.0));
-  const Dollars spot_rate = type.cost_per_hour * (1.0 - request_.spot_discount);
+  const Dollars spot_rate = type.cost_per_hour * (1.0 - kDefaultSpotDiscount);
   p.est_cost = hours * (p.on_demand_instances() * type.cost_per_hour +
                         p.spot_instances * spot_rate);
   if (request_.budget >= 0.0 && p.est_cost > request_.budget) {

@@ -34,9 +34,9 @@ struct PolicyRequest {
   double efficiency = 0.85;
   /// Resource-aware filter: types with less memory per core are infeasible.
   double min_memory_per_core_gb = 0.0;
-  /// Fraction of the fleet to place on the spot market.
+  /// Fraction of the fleet to place on the spot market (billed at
+  /// kDefaultSpotDiscount).
   double spot_fraction = 0.0;
-  double spot_discount = kDefaultSpotDiscount;
   int max_instances = 256;
 };
 

@@ -65,11 +65,15 @@ TaskLifecycle::TaskLifecycle(std::string id, std::shared_ptr<cloudq::MessageQueu
   PPC_REQUIRE(config_.delete_batch >= 1, "delete_batch must be >= 1");
 }
 
+namespace {
+/// Idle backoff cap as a multiple of LifecycleConfig::poll_interval.
+constexpr double kIdleBackoffCap = 8.0;
+}  // namespace
+
 PollPolicy TaskLifecycle::poll_policy() const {
   PollPolicy p;
   p.min_interval = config_.poll_interval;
-  p.max_interval = config_.poll_interval_max < 0.0 ? 8.0 * config_.poll_interval
-                                                   : config_.poll_interval_max;
+  p.max_interval = kIdleBackoffCap * config_.poll_interval;
   return p;
 }
 

@@ -57,14 +57,11 @@ inline constexpr std::string_view kCorruptDeliveries = "corrupt_deliveries";
 struct LifecycleConfig {
   /// Tight polling interval: the sleep after an empty poll while deliveries
   /// are flowing, and the floor of the idle backoff (real seconds — keep
-  /// small in tests).
-  Seconds poll_interval = 0.005;
-  /// Idle backoff cap: consecutive empty polls double the sleep (with
+  /// small in tests). Consecutive empty polls double the sleep (with
   /// PollPolicy's default +-20% jitter, decorrelating a fleet's empty
-  /// polls) up to this; the next delivery collapses it back to
-  /// poll_interval. < 0 (the default) derives 8x poll_interval; any value
-  /// <= poll_interval pins the legacy fixed-interval polling.
-  Seconds poll_interval_max = -1.0;
+  /// polls) up to 8x this; the next delivery collapses it
+  /// back to poll_interval.
+  Seconds poll_interval = 0.005;
   /// Messages fetched per receive request, 1..MessageQueue::kBatchLimit
   /// (SQS ReceiveMessage MaxNumberOfMessages). The batch is processed
   /// sequentially by this worker, so visibility_timeout must cover the

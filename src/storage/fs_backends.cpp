@@ -6,129 +6,51 @@
 
 namespace ppc::storage {
 
-namespace {
-
-/// Maps an FS config onto the BlobStore base: same latency knobs (so the
-/// inherited semantics behave), zero per-GB/per-request fees (FS cost is
-/// the servers, charged via pricing().num_servers), and the FS's own
-/// provisioned-storage rate.
-template <typename FsConfig>
-blobstore::BlobStoreConfig base_config(const FsConfig& fs, Bytes read_bw, Bytes write_bw) {
-  blobstore::BlobStoreConfig base;
-  base.request_latency_mean = fs.request_latency_mean;
-  base.latency_cv = fs.latency_cv;
-  base.download_bandwidth_per_s = read_bw;
-  base.upload_bandwidth_per_s = write_bw;
-  base.read_after_write_lag_mean = fs.read_after_write_lag_mean;
-  base.storage_cost_per_gb_month = fs.storage_cost_per_gb_month;
-  base.transfer_in_cost_per_gb = 0.0;
-  base.transfer_out_cost_per_gb = 0.0;
-  base.cost_per_10k_requests = 0.0;
-  return base;
-}
-
-}  // namespace
-
-SharedFsBackend::SharedFsBackend(std::shared_ptr<const ppc::Clock> clock, SharedFsConfig config,
-                                 ppc::Rng rng)
-    : blobstore::BlobStore(std::move(clock),
-                           base_config(config, config.server_read_bandwidth_per_s,
-                                       config.server_write_bandwidth_per_s),
-                           rng),
-      fs_config_(config) {
-  PPC_REQUIRE(fs_config_.server_read_bandwidth_per_s > 0.0, "server read bandwidth must be > 0");
-  PPC_REQUIRE(fs_config_.server_write_bandwidth_per_s > 0.0,
-              "server write bandwidth must be > 0");
-  PPC_REQUIRE(fs_config_.client_bandwidth_per_s > 0.0, "client bandwidth must be > 0");
-}
-
-StoragePricing SharedFsBackend::pricing() const {
-  StoragePricing p;
-  p.storage_cost_per_gb_month = fs_config_.storage_cost_per_gb_month;
-  p.num_servers = 1;
-  p.server_cost_per_hour = fs_config_.server_cost_per_hour;
-  return p;
-}
-
-Seconds SharedFsBackend::sample_get_time(Bytes size, ppc::Rng& rng) const {
-  PPC_REQUIRE(size >= 0.0, "size must be >= 0");
-  const Seconds latency = rng.jittered(fs_config_.request_latency_mean, fs_config_.latency_cv);
-  const int readers = std::max(1, active_.load(std::memory_order_relaxed));
-  const Bytes share = fs_config_.server_read_bandwidth_per_s / static_cast<double>(readers);
-  const Bytes effective = std::min(fs_config_.client_bandwidth_per_s, share);
-  return latency + size / effective;
-}
-
-Seconds SharedFsBackend::sample_put_time(Bytes size, ppc::Rng& rng) const {
-  PPC_REQUIRE(size >= 0.0, "size must be >= 0");
-  const Seconds latency = rng.jittered(fs_config_.request_latency_mean, fs_config_.latency_cv);
-  const int writers = std::max(1, active_.load(std::memory_order_relaxed));
-  const Bytes share = fs_config_.server_write_bandwidth_per_s / static_cast<double>(writers);
-  const Bytes effective = std::min(fs_config_.client_bandwidth_per_s, share);
-  return latency + size / effective;
-}
-
-ParallelFsBackend::ParallelFsBackend(std::shared_ptr<const ppc::Clock> clock,
-                                     ParallelFsConfig config, ppc::Rng rng)
-    : blobstore::BlobStore(
-          std::move(clock),
-          base_config(config,
-                      static_cast<double>(config.stripe_servers) *
-                          config.per_server_read_bandwidth_per_s,
-                      static_cast<double>(config.stripe_servers) *
-                          config.per_server_write_bandwidth_per_s),
-          rng),
-      fs_config_(config) {
-  PPC_REQUIRE(fs_config_.stripe_servers > 0, "stripe_servers must be > 0");
-  PPC_REQUIRE(fs_config_.per_server_read_bandwidth_per_s > 0.0,
-              "per-server read bandwidth must be > 0");
-  PPC_REQUIRE(fs_config_.per_server_write_bandwidth_per_s > 0.0,
-              "per-server write bandwidth must be > 0");
-  PPC_REQUIRE(fs_config_.client_bandwidth_per_s > 0.0, "client bandwidth must be > 0");
-}
-
-StoragePricing ParallelFsBackend::pricing() const {
-  StoragePricing p;
-  p.storage_cost_per_gb_month = fs_config_.storage_cost_per_gb_month;
-  p.num_servers = fs_config_.stripe_servers;
-  p.server_cost_per_hour = fs_config_.server_cost_per_hour;
-  return p;
-}
-
-Seconds ParallelFsBackend::sample_get_time(Bytes size, ppc::Rng& rng) const {
-  PPC_REQUIRE(size >= 0.0, "size must be >= 0");
-  const Seconds latency = rng.jittered(fs_config_.request_latency_mean, fs_config_.latency_cv);
-  const int readers = std::max(1, active_.load(std::memory_order_relaxed));
-  const Bytes aggregate = static_cast<double>(fs_config_.stripe_servers) *
-                          fs_config_.per_server_read_bandwidth_per_s;
-  const Bytes effective =
-      std::min(fs_config_.client_bandwidth_per_s, aggregate / static_cast<double>(readers));
-  return latency + size / effective;
-}
-
-Seconds ParallelFsBackend::sample_put_time(Bytes size, ppc::Rng& rng) const {
-  PPC_REQUIRE(size >= 0.0, "size must be >= 0");
-  const Seconds latency = rng.jittered(fs_config_.request_latency_mean, fs_config_.latency_cv);
-  const int writers = std::max(1, active_.load(std::memory_order_relaxed));
-  const Bytes aggregate = static_cast<double>(fs_config_.stripe_servers) *
-                          fs_config_.per_server_write_bandwidth_per_s;
-  const Bytes effective =
-      std::min(fs_config_.client_bandwidth_per_s, aggregate / static_cast<double>(writers));
-  return latency + size / effective;
+blobstore::BlobStoreConfig model_row(StorageKind kind) {
+  constexpr Bytes kMiB = 1024.0 * 1024.0;
+  switch (kind) {
+    case StorageKind::kObject:
+      return {};
+    case StorageKind::kSharedFs:
+      return {
+          // NFS RPC over the cluster LAN — ~40x lower than an S3 HTTP round
+          // trip.
+          .request_latency_mean = 0.002,
+          .latency_cv = 0.3,
+          // The single server's link; the write side pays NFS's sync commit.
+          .read_bandwidth_per_s = 400.0 * kMiB,
+          .write_bandwidth_per_s = 250.0 * kMiB,
+          .client_bandwidth_per_s = 120.0 * kMiB,
+          // Close-to-open consistency: reads see committed writes at once.
+          .read_after_write_lag_mean = 0.0,
+          // One m1.xlarge-class file server, billed like any other node, over
+          // a provisioned EBS-style volume.
+          .pricing = {.storage_cost_per_gb_month = 0.10,
+                      .num_servers = 1,
+                      .server_cost_per_hour = 0.68},
+      };
+    case StorageKind::kParallelFs:
+      return {
+          // Client -> metadata server -> object servers pipeline setup.
+          .request_latency_mean = 0.005,
+          .latency_cv = 0.3,
+          .read_bandwidth_per_s = 250.0 * kMiB,
+          .write_bandwidth_per_s = 180.0 * kMiB,
+          // Striped clients drive more than one NIC-equivalent of bandwidth.
+          .client_bandwidth_per_s = 200.0 * kMiB,
+          // The 16 object servers the data is striped across.
+          .pricing = {.storage_cost_per_gb_month = 0.10,
+                      .num_servers = 16,
+                      .server_cost_per_hour = 0.68},
+      };
+  }
+  throw ppc::InvalidArgument("unknown StorageKind");
 }
 
 std::unique_ptr<StorageBackend> make_backend(StorageKind kind,
                                              std::shared_ptr<const ppc::Clock> clock,
-                                             ppc::Rng rng, const BackendTuning& tuning) {
-  switch (kind) {
-    case StorageKind::kObject:
-      return std::make_unique<blobstore::BlobStore>(std::move(clock), tuning.object, rng);
-    case StorageKind::kSharedFs:
-      return std::make_unique<SharedFsBackend>(std::move(clock), tuning.sharedfs, rng);
-    case StorageKind::kParallelFs:
-      return std::make_unique<ParallelFsBackend>(std::move(clock), tuning.parallelfs, rng);
-  }
-  throw ppc::InvalidArgument("unknown StorageKind");
+                                             ppc::Rng rng) {
+  return std::make_unique<blobstore::BlobStore>(std::move(clock), model_row(kind), rng, kind);
 }
 
 }  // namespace ppc::storage

@@ -1,131 +1,39 @@
-// Shared-FS and parallel-FS data planes + the backend factory.
+// The data-plane model table and the backend factory.
 //
-// Both filesystem backends derive from blobstore::BlobStore: they keep the
-// exact object semantics (bucket/key, zero-copy snapshot gets, logical
-// objects, etags, metering) and — critically — fire the identical
-// FaultHook / TraceHook sites, so a chaos plan or a Perfetto timeline is
-// backend-agnostic. What they replace is the *timing* model (an NFS-style
-// contended server link / a Lustre-style striped array, both degraded by
-// the number of concurrently bracketed transfers) and the *pricing* model
-// (dedicated file-server instances instead of per-GB/per-request fees).
+// The three data planes of DESIGN.md §11 are one class, blobstore::BlobStore,
+// configured by one of three rows. Every row keeps the exact object semantics
+// (bucket/key, zero-copy snapshot gets, logical objects, etags, metering) and
+// fires the identical FaultHook / TraceHook sites, so a chaos plan or a
+// Perfetto timeline is backend-agnostic. The rows differ only in numbers:
 //
-// Contention is tracked with an atomic in-flight counter the DES drivers
-// bracket via begin_transfer()/end_transfer(). The object store ignores the
-// bracket (S3 scales per connection); these two do not:
-//
-//  * SharedFsBackend — one server, effective per-reader bandwidth is
-//    link_bandwidth / active transfers, capped by the client NIC. Lowest
-//    latency and cheapest (a single server) but collapses at scale.
-//  * ParallelFsBackend — K object servers, aggregate bandwidth
-//    K * per-server, shared across active transfers and capped by the
-//    client NIC. Sustains scale until the stripes saturate; costs K
-//    servers.
+//  * object — S3/Azure Blob: no servers, per-connection bandwidth that does
+//    not contend, usage-priced;
+//  * sharedfs — NFS-style: one server whose link is shared by the active
+//    transfers, capped by the client NIC. Lowest latency and cheapest (a
+//    single server) but collapses at scale;
+//  * parallelfs — Lustre-style: 16 striped object servers, aggregate
+//    bandwidth 16 x per-server shared by the active transfers, capped by the
+//    client NIC. Sustains scale until the stripes saturate; costs 16 servers.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
 
 #include "blobstore/blob_store.h"
 #include "common/clock.h"
 #include "common/rng.h"
-#include "common/units.h"
 #include "storage/storage_backend.h"
 
 namespace ppc::storage {
 
-struct SharedFsConfig {
-  /// NFS RPC over the cluster LAN — ~40x lower than an S3 HTTP round trip.
-  Seconds request_latency_mean = 0.002;
-  double latency_cv = 0.3;
-  /// The single server's link; every concurrent transfer shares it.
-  Bytes server_read_bandwidth_per_s = 400.0 * 1024 * 1024;
-  /// Sync-write penalty: NFS commits to disk before acking.
-  Bytes server_write_bandwidth_per_s = 250.0 * 1024 * 1024;
-  /// One client NIC — the per-reader cap even when the link is idle.
-  Bytes client_bandwidth_per_s = 120.0 * 1024 * 1024;
-  /// Close-to-open consistency: reads see committed writes immediately.
-  Seconds read_after_write_lag_mean = 0.0;
-  /// One m1.xlarge-class file server, billed like any other node.
-  Dollars server_cost_per_hour = 0.68;
-  /// Provisioned EBS-style volume behind the server.
-  Dollars storage_cost_per_gb_month = 0.10;
-};
+/// The model row of `kind`. Tests that need other numbers (zero latency, a
+/// visibility lag) build a BlobStore from a modified copy.
+blobstore::BlobStoreConfig model_row(StorageKind kind);
 
-struct ParallelFsConfig {
-  /// Client -> metadata server -> object servers pipeline setup.
-  Seconds request_latency_mean = 0.005;
-  double latency_cv = 0.3;
-  /// Object servers the data is striped across.
-  int stripe_servers = 16;
-  Bytes per_server_read_bandwidth_per_s = 250.0 * 1024 * 1024;
-  Bytes per_server_write_bandwidth_per_s = 180.0 * 1024 * 1024;
-  /// Striped clients drive more than one NIC-equivalent of bandwidth.
-  Bytes client_bandwidth_per_s = 200.0 * 1024 * 1024;
-  Seconds read_after_write_lag_mean = 0.0;
-  Dollars server_cost_per_hour = 0.68;
-  Dollars storage_cost_per_gb_month = 0.10;
-};
-
-/// NFS-style shared file system: one contended server link.
-class SharedFsBackend : public blobstore::BlobStore {
- public:
-  explicit SharedFsBackend(std::shared_ptr<const ppc::Clock> clock, SharedFsConfig config = {},
-                           ppc::Rng rng = ppc::Rng(0x5Fa));
-
-  StorageKind kind() const override { return StorageKind::kSharedFs; }
-  const SharedFsConfig& fs_config() const { return fs_config_; }
-
-  StoragePricing pricing() const override;
-
-  Seconds sample_get_time(Bytes size, ppc::Rng& rng) const override;
-  Seconds sample_put_time(Bytes size, ppc::Rng& rng) const override;
-
-  void begin_transfer() override { active_.fetch_add(1, std::memory_order_relaxed); }
-  void end_transfer() override { active_.fetch_sub(1, std::memory_order_relaxed); }
-  int active_transfers() const override { return active_.load(std::memory_order_relaxed); }
-
- private:
-  SharedFsConfig fs_config_;
-  mutable std::atomic<int> active_{0};
-};
-
-/// Lustre-style parallel file system: K striped object servers.
-class ParallelFsBackend : public blobstore::BlobStore {
- public:
-  explicit ParallelFsBackend(std::shared_ptr<const ppc::Clock> clock,
-                             ParallelFsConfig config = {}, ppc::Rng rng = ppc::Rng(0x1757));
-
-  StorageKind kind() const override { return StorageKind::kParallelFs; }
-  const ParallelFsConfig& fs_config() const { return fs_config_; }
-
-  StoragePricing pricing() const override;
-
-  Seconds sample_get_time(Bytes size, ppc::Rng& rng) const override;
-  Seconds sample_put_time(Bytes size, ppc::Rng& rng) const override;
-
-  void begin_transfer() override { active_.fetch_add(1, std::memory_order_relaxed); }
-  void end_transfer() override { active_.fetch_sub(1, std::memory_order_relaxed); }
-  int active_transfers() const override { return active_.load(std::memory_order_relaxed); }
-
- private:
-  ParallelFsConfig fs_config_;
-  mutable std::atomic<int> active_{0};
-};
-
-/// Per-backend configuration bundle a run carries; only the selected
-/// backend's entry is used.
-struct BackendTuning {
-  blobstore::BlobStoreConfig object;
-  SharedFsConfig sharedfs;
-  ParallelFsConfig parallelfs;
-};
-
-/// Builds the selected backend. The rng seeds the backend's visibility-lag
-/// stream (drivers pass rng.split() so the object-store path draws the
-/// exact sequence it always has).
+/// Builds the backend of `kind` from its model row. The rng seeds the
+/// backend's visibility-lag stream (drivers pass rng.split() so the
+/// object-store path draws the exact sequence it always has).
 std::unique_ptr<StorageBackend> make_backend(StorageKind kind,
                                              std::shared_ptr<const ppc::Clock> clock,
-                                             ppc::Rng rng, const BackendTuning& tuning = {});
+                                             ppc::Rng rng);
 
 }  // namespace ppc::storage

@@ -4,27 +4,28 @@
 // (S3 for EC2, Azure Blob for Azure). Juve et al. ("Data Sharing Options for
 // Scientific Workflows on Amazon EC2") showed the storage-backend choice
 // dominates workflow cost and runtime, so ppcloud factors the data plane
-// behind this interface and ships three models:
+// behind this interface. One implementation, blobstore::BlobStore, models
+// all three planes as rows of one table (storage::model_row in
+// fs_backends.h):
 //
-//  * ObjectStoreBackend (blobstore::BlobStore) — S3/Azure Blob: high
-//    per-request latency, per-connection bandwidth that does not contend,
-//    per-GB transfer fees and per-request fees;
-//  * SharedFsBackend — an NFS-style shared file system: millisecond
-//    latency, a single server link whose effective per-reader bandwidth
-//    degrades as 1/N with concurrent transfers, priced as one server
-//    instance;
-//  * ParallelFsBackend — a Lustre-style parallel file system: data striped
-//    across K object servers, aggregate bandwidth K * per-server until the
-//    stripes saturate, priced as K server instances.
+//  * object — S3/Azure Blob: high per-request latency, per-connection
+//    bandwidth that does not contend, per-GB transfer fees and per-request
+//    fees;
+//  * sharedfs — an NFS-style shared file system: millisecond latency, a
+//    single server link whose effective per-reader bandwidth degrades as
+//    1/N with concurrent transfers, priced as one server instance;
+//  * parallelfs — a Lustre-style parallel file system: data striped across
+//    K object servers, aggregate bandwidth K * per-server until the stripes
+//    saturate, priced as K server instances.
 //
 // All three share the *semantic* data plane (bucket/key objects, zero-copy
 // snapshot gets, read-after-write visibility, etags and CRC32C checksums,
-// logical objects) and
-// fire the identical FaultHook / TraceHook sites ("blobstore.<bucket>.put" /
-// ".get" / ".list"), so chaos campaigns and Perfetto timelines work
-// unchanged regardless of the selected backend. What varies is the *timing*
-// model (sample_get_time / sample_put_time plus the begin_transfer /
-// end_transfer contention bracket) and the *pricing* knobs.
+// logical objects) and fire the identical FaultHook / TraceHook sites
+// ("blobstore.<bucket>.put" / ".get" / ".list"), so chaos campaigns and
+// Perfetto timelines work unchanged regardless of the selected backend.
+// What varies is the row's numbers: the *timing* model (sample_get_time /
+// sample_put_time plus the begin_transfer / end_transfer contention
+// bracket) and the *pricing*.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@ namespace ppc::storage {
 
 /// Transfer/request accounting every backend keeps. S3 bills by stored
 /// bytes, transferred bytes and request count; the shared/parallel FS
-/// backends keep the same meter so Table 4 line items stay comparable.
+/// rows keep the same meter so Table 4 line items stay comparable.
 /// HEAD-class requests (head / exists — cache validation traffic) are
 /// counted separately from real downloads so request-cost breakdowns can
 /// tell revalidation from data movement.

@@ -33,7 +33,7 @@ class FaultToleranceTest : public ::testing::TestWithParam<std::string> {
   blobstore::BlobStore store_{clock_};
   cloudq::QueueService queues_{clock_};
 
-  WorkerConfig base_config(Seconds visibility) {
+  WorkerConfig worker_config(Seconds visibility) {
     WorkerConfig config;
     config.bucket = "job";
     config.poll_interval = 0.001;
@@ -58,13 +58,13 @@ TEST_P(FaultToleranceTest, CrashedWorkerNeverLosesTasks) {
   // The saboteur crashes on its first task at the parameterized site.
   runtime::FaultInjector faults;
   faults.arm_plan(runtime::FaultPlan{}.crash(crash_site));
-  WorkerConfig saboteur_config = base_config(/*visibility=*/0.3);
+  WorkerConfig saboteur_config = worker_config(/*visibility=*/0.3);
   saboteur_config.faults = &faults;
   Worker saboteur("saboteur", store_, client.task_queue(), client.monitor_queue(),
                   echo_executor(), saboteur_config);
 
   WorkerPool rescuers(store_, client.task_queue(), client.monitor_queue(), echo_executor(),
-                      base_config(0.3), 3, "rescuer");
+                      worker_config(0.3), 3, "rescuer");
 
   // The rescuers start only once the saboteur has crashed, so they cannot
   // drain the queue before it has taken its first task.

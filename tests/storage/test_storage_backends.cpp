@@ -2,9 +2,9 @@
 // the reference object semantics (visibility lag, overwrite visibility,
 // zero-copy aliasing, etags, CRC32C checksums, metering) and fire the
 // identical fault-hook sites, so chaos plans and caches are backend-agnostic.
-// The suite runs against all three data planes via make_backend;
-// backend-specific timing, contention, and pricing behavior is covered by
-// the non-parameterized tests below it.
+// The suite runs against all three model rows via make_backend;
+// row-specific timing, contention, and pricing behavior is covered by the
+// non-parameterized tests below it.
 #include "storage/fs_backends.h"
 
 #include <gtest/gtest.h>
@@ -54,18 +54,14 @@ class StorageConformanceTest : public ::testing::TestWithParam<StorageKind> {
  protected:
   std::shared_ptr<ManualClock> clock_ = std::make_shared<ManualClock>();
 
-  std::unique_ptr<StorageBackend> make_store(const BackendTuning& tuning = {}) {
-    return make_backend(GetParam(), clock_, Rng(5), tuning);
-  }
+  std::unique_ptr<StorageBackend> make_store() { return make_backend(GetParam(), clock_, Rng(5)); }
 
-  /// Tuning with read-after-write lag enabled on whichever backend is under
-  /// test (the FS backends default to close-to-open consistency).
-  BackendTuning lagged_tuning(Seconds lag_mean) {
-    BackendTuning tuning;
-    tuning.object.read_after_write_lag_mean = lag_mean;
-    tuning.sharedfs.read_after_write_lag_mean = lag_mean;
-    tuning.parallelfs.read_after_write_lag_mean = lag_mean;
-    return tuning;
+  /// The row under test with read-after-write lag enabled (the FS rows
+  /// default to close-to-open consistency).
+  std::unique_ptr<StorageBackend> make_lagged_store(Seconds lag_mean) {
+    blobstore::BlobStoreConfig row = model_row(GetParam());
+    row.read_after_write_lag_mean = lag_mean;
+    return std::make_unique<blobstore::BlobStore>(clock_, row, Rng(5), GetParam());
   }
 };
 
@@ -98,7 +94,7 @@ TEST_P(StorageConformanceTest, PutGetRoundTripWithZeroCopyAliasing) {
 }
 
 TEST_P(StorageConformanceTest, NewKeysSufferVisibilityLagOverwritesDoNot) {
-  auto store = make_store(lagged_tuning(10.0));
+  auto store = make_lagged_store(10.0);
   store->put("b", "fresh", "v1");
   // Brand-new key: not yet readable (eventual consistency).
   EXPECT_EQ(store->get("b", "fresh"), nullptr);
@@ -154,7 +150,7 @@ TEST_P(StorageConformanceTest, ContentEtagMatchesPayloadHash) {
 }
 
 TEST_P(StorageConformanceTest, ChecksumIsCrc32cOfTheStoredBytes) {
-  auto store = make_store(lagged_tuning(10.0));
+  auto store = make_lagged_store(10.0);
   EXPECT_FALSE(store->checksum("b", "k").has_value());  // absent
   store->put("b", "k", "payload");
   // Like etag(), the checksum follows read-after-write visibility.
@@ -243,26 +239,18 @@ TEST_P(StorageConformanceTest, SampleTimesGrowWithSize) {
 
 // -- backend-specific timing, contention, and pricing --
 
-/// Deterministic tuning: zero latency and zero jitter, so sampled times
-/// reduce to size / effective_bandwidth exactly.
-BackendTuning flat_tuning() {
-  BackendTuning t;
-  t.object.request_latency_mean = 0.0;
-  t.object.latency_cv = 0.0;
-  t.sharedfs.request_latency_mean = 0.0;
-  t.sharedfs.latency_cv = 0.0;
-  t.parallelfs.request_latency_mean = 0.0;
-  t.parallelfs.latency_cv = 0.0;
-  return t;
-}
-
 class StorageTimingTest : public ::testing::Test {
  protected:
   std::shared_ptr<ManualClock> clock_ = std::make_shared<ManualClock>();
   Rng rng_{11};
 
+  /// The row of `kind` with zero latency and zero jitter, so sampled times
+  /// reduce to size / effective_bandwidth exactly.
   std::unique_ptr<StorageBackend> make_store(StorageKind kind) {
-    return make_backend(kind, clock_, Rng(5), flat_tuning());
+    blobstore::BlobStoreConfig row = model_row(kind);
+    row.request_latency_mean = 0.0;
+    row.latency_cv = 0.0;
+    return std::make_unique<blobstore::BlobStore>(clock_, row, Rng(5), kind);
   }
 
   static void set_active(StorageBackend& store, int n) {
@@ -273,35 +261,55 @@ class StorageTimingTest : public ::testing::Test {
 TEST_F(StorageTimingTest, ObjectStoreIgnoresContentionBracket) {
   auto store = make_store(StorageKind::kObject);
   const Seconds alone = store->sample_get_time(100.0_MB, rng_);
+  const Seconds put_alone = store->sample_put_time(100.0_MB, rng_);
   set_active(*store, 128);
   // S3-class semantics: per-connection bandwidth, no shared link.
   EXPECT_EQ(store->active_transfers(), 0);
   EXPECT_DOUBLE_EQ(store->sample_get_time(100.0_MB, rng_), alone);
+  EXPECT_DOUBLE_EQ(store->sample_put_time(100.0_MB, rng_), put_alone);
 }
 
 TEST_F(StorageTimingTest, SharedFsDegradesAsOneOverActiveReaders) {
   auto store = make_store(StorageKind::kSharedFs);
-  const SharedFsConfig fs;  // defaults, as used by flat_tuning()
+  const blobstore::BlobStoreConfig fs = model_row(StorageKind::kSharedFs);
   // Alone: the client NIC is the bottleneck, not the idle server link.
   EXPECT_DOUBLE_EQ(store->sample_get_time(120.0_MB, rng_),
                    120.0_MB / fs.client_bandwidth_per_s);
-  // 128 concurrent readers: the single server link collapses to 1/128th.
-  set_active(*store, 128);
+  EXPECT_DOUBLE_EQ(store->sample_put_time(120.0_MB, rng_),
+                   120.0_MB / fs.client_bandwidth_per_s);
+  // Two writers: half the 250 MB/s write link still exceeds the NIC.
+  set_active(*store, 2);
+  EXPECT_DOUBLE_EQ(store->sample_put_time(120.0_MB, rng_),
+                   120.0_MB / fs.client_bandwidth_per_s);
+  // 128 concurrent transfers: the single server link collapses to 1/128th.
+  set_active(*store, 126);
   EXPECT_EQ(store->active_transfers(), 128);
   EXPECT_DOUBLE_EQ(store->sample_get_time(120.0_MB, rng_),
-                   120.0_MB / (fs.server_read_bandwidth_per_s / 128.0));
+                   120.0_MB / (fs.read_bandwidth_per_s / 128.0));
+  EXPECT_DOUBLE_EQ(store->sample_put_time(120.0_MB, rng_),
+                   120.0_MB / (fs.write_bandwidth_per_s / 128.0));
 }
 
 TEST_F(StorageTimingTest, ParallelFsSustainsAggregateBandwidthUntilStripesSaturate) {
   auto store = make_store(StorageKind::kParallelFs);
-  const ParallelFsConfig fs;
+  const blobstore::BlobStoreConfig fs = model_row(StorageKind::kParallelFs);
   // Alone: client NIC-bound.
   EXPECT_DOUBLE_EQ(store->sample_get_time(200.0_MB, rng_),
                    200.0_MB / fs.client_bandwidth_per_s);
-  // 128 readers share K * per-server aggregate bandwidth.
-  set_active(*store, 128);
-  const Bytes aggregate = fs.stripe_servers * fs.per_server_read_bandwidth_per_s;
+  EXPECT_DOUBLE_EQ(store->sample_put_time(200.0_MB, rng_),
+                   200.0_MB / fs.client_bandwidth_per_s);
+  // Eight writers: an eighth of K * per-server write bandwidth still
+  // exceeds the NIC.
+  set_active(*store, 8);
+  EXPECT_DOUBLE_EQ(store->sample_put_time(200.0_MB, rng_),
+                   200.0_MB / fs.client_bandwidth_per_s);
+  // 128 transfers share K * per-server aggregate bandwidth.
+  set_active(*store, 120);
+  const Bytes aggregate = fs.pricing.num_servers * fs.read_bandwidth_per_s;
   EXPECT_DOUBLE_EQ(store->sample_get_time(200.0_MB, rng_), 200.0_MB / (aggregate / 128.0));
+  const Bytes write_aggregate = fs.pricing.num_servers * fs.write_bandwidth_per_s;
+  EXPECT_DOUBLE_EQ(store->sample_put_time(200.0_MB, rng_),
+                   200.0_MB / (write_aggregate / 128.0));
 }
 
 TEST_F(StorageTimingTest, BackendOrderingMatchesTheDesignedRegimes) {
@@ -347,10 +355,9 @@ TEST(StoragePricingTest, ObjectStoreBillsUsageFsBackendsBillServers) {
   EXPECT_DOUBLE_EQ(sharedfs->transfer_and_request_cost(), 0.0);
   EXPECT_EQ(sharedfs->pricing().num_servers, 1);
   EXPECT_DOUBLE_EQ(sharedfs->service_cost(3600.0), sharedfs->pricing().server_cost_per_hour);
-  EXPECT_EQ(parallelfs->pricing().num_servers, ParallelFsConfig{}.stripe_servers);
-  EXPECT_DOUBLE_EQ(
-      parallelfs->service_cost(1800.0),
-      ParallelFsConfig{}.stripe_servers * parallelfs->pricing().server_cost_per_hour * 0.5);
+  EXPECT_EQ(parallelfs->pricing().num_servers, 16);
+  EXPECT_DOUBLE_EQ(parallelfs->service_cost(1800.0),
+                   16 * parallelfs->pricing().server_cost_per_hour * 0.5);
   EXPECT_LT(sharedfs->service_cost(3600.0), parallelfs->service_cost(3600.0));
 }
 
