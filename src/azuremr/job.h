@@ -1,90 +1,52 @@
-// TwisterAzure-style MapReduce job description and client-side driver —
-// the reproduction of the paper's §8 future work ("MapReduce in the Clouds
-// for Science" [12]): a full map+reduce framework with *iterative* support,
-// built purely from cloud infrastructure services (the task queue and the
-// blob store), no master node.
+// TwisterAzure-style MapReduce job description — the reproduction of the
+// paper's §8 future work ("MapReduce in the Clouds for Science" [12]): a
+// map+reduce framework built purely from cloud infrastructure services (the
+// task queue and the blob store), no master node.
 //
-// Iterative structure (the Twister model):
-//   loop:
-//     broadcast      — loop variable (e.g. K-means centroids) in a blob;
-//     map            — per cached input chunk, with the broadcast in hand;
-//     shuffle        — map outputs partitioned by key hash into blobs;
-//     reduce         — per partition;
-//     merge          — client combines reduce outputs into the next
-//                      broadcast and tests convergence.
-//
-// Static input data is uploaded once and cached by workers across
-// iterations — the feature that makes iterative MapReduce viable on
-// high-latency cloud storage.
+// A job is one pass:
+//   map     — per input chunk, records out;
+//   shuffle — map outputs hash-partitioned by key (mapreduce::partition_of)
+//             into one blob per reducer, in the mapreduce::encode_pairs frame;
+//   reduce  — per partition, over each key's values in arrival order.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "azuremr/key_value.h"
 #include "common/units.h"
 
 namespace ppc::azuremr {
 
-/// Map: one cached input chunk + the iteration's broadcast -> records.
-using MapFn = std::function<std::vector<KeyValue>(
-    const std::string& input_name, const std::string& input_data, const std::string& broadcast)>;
+/// One map output record: (key, value).
+using KeyValue = std::pair<std::string, std::string>;
 
-/// Reduce: one key and all its values (this iteration) -> output value.
+/// Map: one input chunk -> records. The third argument is always "".
+using MapFn = std::function<std::vector<KeyValue>(
+    const std::string& input_name, const std::string& input_data, const std::string& unused)>;
+
+/// Reduce: one key and all its values -> output value.
 using ReduceFn =
     std::function<std::string(const std::string& key, const std::vector<std::string>& values)>;
 
-/// Optional combiner, applied to each map task's output per key *before*
-/// the shuffle — the classic MapReduce optimization that shrinks the data
-/// crossing the (high-latency, billed-by-the-byte) blob store. Must be
-/// associative/commutative with the reduce. Same signature as ReduceFn.
-using CombineFn = ReduceFn;
-
-/// Merge: all reduce outputs + previous broadcast -> next broadcast.
-using MergeFn = std::function<std::string(const std::map<std::string, std::string>& reduced,
-                                          const std::string& previous_broadcast)>;
-
-/// Convergence test; returning true ends the iteration loop.
-using ConvergedFn = std::function<bool(const std::string& previous_broadcast,
-                                       const std::string& next_broadcast, int iteration)>;
-
 struct JobSpec {
   std::string job_id = "mrjob";
-  /// (name, data) input chunks; uploaded once, cached by workers.
+  /// (name, data) input chunks, uploaded to the job bucket by run().
   std::vector<std::pair<std::string, std::string>> inputs;
   int num_reduce_tasks = 1;
   MapFn map;
   ReduceFn reduce;
-  /// Optional; null disables combining.
-  CombineFn combine;
-
-  // -- iterative extension (leave merge null for a single-pass job) --
-  std::string initial_broadcast;
-  MergeFn merge;
-  ConvergedFn converged;
-  int max_iterations = 1;
 
   /// Client-side wait budget per stage (real seconds).
   Seconds stage_timeout = 60.0;
 };
 
-struct IterationStats {
-  int iteration = 0;
-  int map_tasks = 0;
-  int reduce_tasks = 0;
-  Seconds elapsed = 0.0;
-};
-
 struct JobResult {
   bool succeeded = false;
-  int iterations_run = 0;
-  bool converged = false;
-  /// Final iteration's reduce outputs, key -> reduced value.
+  /// Reduce outputs, key -> reduced value.
   std::map<std::string, std::string> outputs;
-  std::string final_broadcast;
-  std::vector<IterationStats> per_iteration;
 };
 
 }  // namespace ppc::azuremr

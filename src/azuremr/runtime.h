@@ -1,8 +1,7 @@
 // Client-side driver of the azuremr framework: owns the worker pool,
-// uploads inputs, runs the iteration loop (broadcast -> map -> shuffle ->
-// reduce -> merge -> converge?), and collects results. Decentralized like
-// the original: there is no master — the "driver" is just another client of
-// the queue and blob services.
+// uploads inputs, runs the map stage then the reduce stage, and collects the
+// reduce outputs. Decentralized like the original: there is no master — the
+// "driver" is just another client of the queue and blob services.
 #pragma once
 
 #include <memory>
@@ -17,8 +16,8 @@ namespace ppc::azuremr {
 
 class AzureMapReduce {
  public:
-  /// Creates the runtime with `num_workers` worker roles (started lazily on
-  /// the first run() call and reused across jobs with the same functions).
+  /// Creates the runtime with `num_workers` worker roles (provisioned by
+  /// each run() call).
   AzureMapReduce(storage::StorageBackend& store, cloudq::QueueService& queues, int num_workers,
                  MrWorkerConfig worker_config = {});
 
@@ -32,14 +31,10 @@ class AzureMapReduce {
   AzureMapReduce(const AzureMapReduce&) = delete;
   AzureMapReduce& operator=(const AzureMapReduce&) = delete;
 
-  /// Runs the job to completion (all iterations). Each call provisions a
-  /// fresh worker pool bound to the job's map/reduce functions — the
-  /// deployment-package upload of a real Azure role.
+  /// Runs the job to completion. Each call provisions a fresh worker pool
+  /// bound to the job's map/reduce functions — the deployment-package upload
+  /// of a real Azure role.
   JobResult run(const JobSpec& spec);
-
-  /// Aggregate statistics of the last run's workers (every incarnation the
-  /// supervisor provisioned, computed as registry deltas over the run).
-  MrWorkerStats last_run_worker_stats() const { return last_stats_; }
 
   /// The registry every worker role publishes to (worker-scoped counters).
   runtime::MetricsRegistry& metrics() const { return *metrics_; }
@@ -49,7 +44,6 @@ class AzureMapReduce {
   cloudq::QueueService& queues_;
   int num_workers_;
   MrWorkerConfig worker_config_;
-  MrWorkerStats last_stats_;
   std::shared_ptr<runtime::MetricsRegistry> metrics_;
 };
 

@@ -1,16 +1,15 @@
 // The azuremr worker role: an Azure worker-role instance that polls the
 // shared task queue and executes map or reduce tasks. The poll loop
 // (receive → handle → delete-after-completion) is runtime::TaskLifecycle;
-// this adapter supplies the map/reduce handler. Inputs are cached across
-// iterations; everything else flows through blob storage. Fault tolerance
-// is inherited from the substrate: tasks are deleted only after completion,
-// so crashes redeliver; map/reduce functions must be deterministic so
-// re-execution overwrites blobs idempotently.
+// this adapter supplies the map/reduce handler. Inputs, map outputs and
+// reduce outputs all flow through blob storage. Fault tolerance is inherited
+// from the substrate: tasks are deleted only after completion, so crashes
+// redeliver; map/reduce functions must be deterministic so re-execution
+// overwrites blobs idempotently.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "azuremr/job.h"
@@ -54,37 +53,21 @@ struct MrWorkerConfig {
   runtime::Tracer* tracer = nullptr;
 };
 
-/// Snapshot view over the worker's counters in the MetricsRegistry.
-struct MrWorkerStats {
-  int map_tasks = 0;
-  int reduce_tasks = 0;
-  int cache_hits = 0;    // input served from the worker's cache
-  int cache_misses = 0;  // input downloaded from blob storage
-  bool crashed = false;  // fault injection killed this worker
-};
-
 class MrWorker {
  public:
   MrWorker(std::string id, storage::StorageBackend& store,
            std::shared_ptr<cloudq::MessageQueue> task_queue,
            std::shared_ptr<cloudq::MessageQueue> monitor_queue, MapFn map, ReduceFn reduce,
-           CombineFn combine, int num_reduce_tasks, std::string bucket,
-           MrWorkerConfig config = {});
+           int num_reduce_tasks, std::string bucket, MrWorkerConfig config = {});
 
   MrWorker(const MrWorker&) = delete;
   MrWorker& operator=(const MrWorker&) = delete;
 
   void start();
-  void request_stop();
-  void join();
-
-  MrWorkerStats stats() const;
   const std::string& id() const { return lifecycle_->id(); }
-  bool running() const { return lifecycle_->running(); }
-  bool crashed() const { return lifecycle_->crashed(); }
-  runtime::MetricsRegistry& metrics() const { return lifecycle_->metrics(); }
 
-  /// The underlying poll loop — what a runtime::WorkerSupervisor watches.
+  /// The underlying poll loop — what a runtime::WorkerSupervisor watches
+  /// and stops.
   runtime::TaskLifecycle& lifecycle() { return *lifecycle_; }
 
  private:
@@ -95,21 +78,13 @@ class MrWorker {
   /// The payload aliases the stored blob (zero-copy).
   std::shared_ptr<const std::string> must_download(runtime::TaskContext& ctx,
                                                    const std::string& key);
-  /// Input chunks are static across iterations: download once, cache. The
-  /// cache holds aliases of the stored blobs, so hits copy a pointer.
-  std::shared_ptr<const std::string> cached_input(runtime::TaskContext& ctx,
-                                                  const std::string& name);
 
   storage::StorageBackend& store_;
   std::shared_ptr<cloudq::MessageQueue> monitor_queue_;
   MapFn map_;
   ReduceFn reduce_;
-  CombineFn combine_;  // may be null
   int num_reduce_tasks_;
   const std::string bucket_;
-
-  std::mutex cache_mu_;
-  std::map<std::string, std::shared_ptr<const std::string>> input_cache_;
   std::unique_ptr<runtime::TaskLifecycle> lifecycle_;
 };
 

@@ -1,7 +1,7 @@
 // One metrics API for all four substrates.
 //
-// The seed grew a stats struct per framework (`WorkerStats`,
-// `MrWorkerStats`, scheduler stats, per-driver ad-hoc counters); this
+// The seed grew a stats struct per framework (`WorkerStats`, scheduler
+// stats, per-driver ad-hoc counters); this
 // registry replaces the storage behind them with named counters, gauges and
 // histograms plus a structured event sink. Workers scope their counters by
 // id ("<worker>.tasks_completed"), so per-worker views and fleet-wide

@@ -165,7 +165,7 @@ void run_azuremr(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
   if (chaos) {
     task_queue = cloud.queues.create_queue_with_dlq(job + "-mr-tasks", spec.max_receive_count);
     // Poison sentinel: a task with an op no worker implements.
-    task_queue->send(ppc::encode_kv({{"op", "poison"}, {"iter", "0"}, {"input", "none"}}));
+    task_queue->send(ppc::encode_kv({{"op", "poison"}, {"input", "none"}}));
     spec.faults->arm_plan(*spec.plan);
   }
 

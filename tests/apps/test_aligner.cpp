@@ -93,12 +93,8 @@ TEST_F(AlignerTest, SearchFileProcessesEveryQuery) {
 }
 
 TEST_F(AlignerTest, TabularReportFormat) {
-  Hit h;
-  h.query_id = "q1";
-  h.subject_id = "s1";
-  h.score = 55;
-  h.align_length = 40;
-  h.identity = 0.925;
+  const Hit h{.query_id = "q1", .subject_id = "s1", .score = 55, .align_length = 40,
+              .identity = 0.925};
   const std::string line = render_hits({h});
   EXPECT_EQ(line, "q1\ts1\t92.5\t40\t55\t0\t0\n");
 }

@@ -94,7 +94,7 @@ TEST(PoisonTasks, AzureMrDeadLettersPoisonTaskWhileJobCompletes) {
   // The task queue exists before the run so the poison is already waiting
   // when the worker roles come up; run() attaches the DLQ to it.
   auto task_queue = queues.create_queue("pz-mr-tasks");
-  task_queue->send(encode_kv({{"op", "poison"}, {"iter", "0"}, {"input", "none"}}));
+  task_queue->send(encode_kv({{"op", "poison"}, {"input", "none"}}));
 
   azuremr::MrWorkerConfig config;
   config.poll_interval = 0.002;

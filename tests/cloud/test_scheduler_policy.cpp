@@ -95,7 +95,9 @@ TEST(SchedulerPolicyTest, CheapestSweepsTheCatalogAndReportsWinner) {
   ASSERT_TRUE(best.feasible) << best.note;
   for (const InstanceType& type : ec2_catalog()) {
     const FleetPlan p = policy.plan(type);
-    if (p.feasible) EXPECT_LE(best.est_cost, p.est_cost) << type.name;
+    if (p.feasible) {
+      EXPECT_LE(best.est_cost, p.est_cost) << type.name;
+    }
   }
 }
 

@@ -1,6 +1,6 @@
-// Hostile-input property for the three length-prefixed frame codecs: the
-// shuffle spill records and reduce-output pairs (mapreduce/shuffle.h) and
-// the azuremr key/value records (azuremr/key_value.h).
+// Hostile-input property for the two length-prefixed frame codecs
+// (mapreduce/shuffle.h): the shuffle spill records, and the key/value pairs
+// of reduce outputs and azuremr's intermediate blobs.
 //
 // Over 1000 seeds, a valid encoding is mutated by a bit flip, a truncation,
 // an edited length digit or an inserted digit. Each mutated payload must
@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "azuremr/key_value.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "mapreduce/shuffle.h"
@@ -149,21 +148,6 @@ TEST(FrameCodecHostile, ShufflePairs) {
       },
       [](const std::string& bytes) {
         return mapreduce::encode_pairs(mapreduce::decode_pairs(bytes));
-      });
-}
-
-TEST(FrameCodecHostile, AzureKeyValueRecords) {
-  run_property<InvalidArgument>(
-      [](Rng& rng) {
-        std::vector<azuremr::KeyValue> records;
-        const int n = static_cast<int>(rng.uniform_int(1, 6));
-        for (int i = 0; i < n; ++i) {
-          records.push_back({random_bytes(rng, 12), random_bytes(rng, 12)});
-        }
-        return azuremr::encode_records(records);
-      },
-      [](const std::string& bytes) {
-        return azuremr::encode_records(azuremr::decode_records(bytes));
       });
 }
 

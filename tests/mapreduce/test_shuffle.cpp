@@ -34,12 +34,16 @@ TEST(ShuffleCodec, RecordsRoundTrip) {
 TEST(ShuffleCodec, EmptyPayloadDecodesEmpty) {
   EXPECT_TRUE(decode_records("").empty());
   EXPECT_TRUE(decode_pairs("").empty());
+  EXPECT_EQ(encode_pairs({}), "");
 }
 
 TEST(ShuffleCodec, MalformedPayloadThrows) {
   EXPECT_THROW(decode_records("garbage"), ppc::Error);
   EXPECT_THROW(decode_records("5 3 0 0\nab"), ppc::Error);  // truncated
   EXPECT_THROW(decode_pairs("2 x\nab"), ppc::Error);
+  EXPECT_THROW(decode_pairs("garbage"), ppc::Error);
+  EXPECT_THROW(decode_pairs("3 4\nab"), ppc::Error);  // truncated
+  EXPECT_THROW(decode_pairs("x y\nzz"), ppc::Error);  // non-numeric lengths
 }
 
 TEST(ShuffleCodec, RecordsRejectLengthWraparound) {
@@ -56,12 +60,21 @@ TEST(ShuffleCodec, RecordsRejectOutOfRangeNumbers) {
 }
 
 TEST(ShuffleCodec, PairsRejectLengthWraparound) {
+  // klen + vlen wraps past 2^64 back to a small offset, or 2^64 itself wraps
+  // to 0; the decoder used to accept these as records.
   EXPECT_THROW(decode_pairs("18446744073709551615 1\n1 1\nxy"), ppc::Error);
+  EXPECT_THROW(decode_pairs("18446744073709551616 0\nx"), ppc::Error);
+  // Trailing junk in a length field and a leading zero are not lengths.
+  EXPECT_THROW(decode_pairs("1x 1\nab"), ppc::Error);
+  EXPECT_THROW(decode_pairs("01 1\nab"), ppc::Error);
 }
 
 TEST(ShuffleCodec, PairsRoundTrip) {
   std::vector<std::pair<std::string, std::string>> pairs = {
       {"k1", "v1"}, {"", "v2"}, {"k3", ""}};
+  EXPECT_EQ(decode_pairs(encode_pairs(pairs)), pairs);
+  // Keys and values may hold the frame's own delimiters and NUL bytes.
+  pairs = {{"k=1;x", "line\nbreak and spaces"}, {"5 17\n", std::string("\0\x01\x02", 3)}};
   EXPECT_EQ(decode_pairs(encode_pairs(pairs)), pairs);
 }
 
@@ -75,6 +88,12 @@ TEST(ShufflePartitioner, StableAndInRange) {
     }
   }
   EXPECT_THROW(partition_of("k", 0), ppc::InvalidArgument);
+}
+
+TEST(ShufflePartitioner, SpreadsKeys) {
+  std::vector<int> counts(8, 0);
+  for (int i = 0; i < 800; ++i) ++counts[partition_of("key-" + std::to_string(i), 8)];
+  for (int c : counts) EXPECT_GT(c, 50) << "hash partitioning should not starve a reducer";
 }
 
 TEST(ShuffleRecordOrder, TotalOrderBreaksTiesByProvenance) {
