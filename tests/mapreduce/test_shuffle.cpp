@@ -78,6 +78,43 @@ TEST(ShuffleCodec, PairsRoundTrip) {
   EXPECT_EQ(decode_pairs(encode_pairs(pairs)), pairs);
 }
 
+// The key/value pair frame as azuremr uses it for its intermediate and
+// reduce-output blobs.
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+TEST(RecordCodec, RoundTrip) {
+  const Pairs records = {{"alpha", "1"}, {"beta", "value two"}, {"", ""}};
+  EXPECT_EQ(decode_pairs(encode_pairs(records)), records);
+}
+
+TEST(RecordCodec, EmptyVector) {
+  EXPECT_TRUE(decode_pairs(encode_pairs({})).empty());
+  EXPECT_EQ(encode_pairs({}), "");
+}
+
+TEST(RecordCodec, BinarySafeValues) {
+  // Keys and values may hold the frame's own delimiters and NUL bytes.
+  const Pairs records = {{"k=1;x", "line\nbreak and spaces"},
+                         {"5 17\n", std::string("\0\x01\x02", 3)}};
+  EXPECT_EQ(decode_pairs(encode_pairs(records)), records);
+}
+
+TEST(RecordCodec, RejectsCorruption) {
+  EXPECT_THROW(decode_pairs("garbage"), ppc::Error);
+  EXPECT_THROW(decode_pairs("3 4\nab"), ppc::Error);  // truncated body
+  EXPECT_THROW(decode_pairs("x y\nzz"), ppc::Error);  // non-numeric lengths
+}
+
+TEST(RecordCodec, RejectsLengthWraparound) {
+  // klen + vlen wraps past 2^64 back to a small offset, or 2^64 itself wraps
+  // to 0; the decoder used to accept these as records.
+  EXPECT_THROW(decode_pairs("18446744073709551615 1\n1 1\nxy"), ppc::Error);
+  EXPECT_THROW(decode_pairs("18446744073709551616 0\nx"), ppc::Error);
+  // Trailing junk in a length field and a leading zero are not lengths.
+  EXPECT_THROW(decode_pairs("1x 1\nab"), ppc::Error);
+  EXPECT_THROW(decode_pairs("01 1\nab"), ppc::Error);
+}
+
 TEST(ShufflePartitioner, StableAndInRange) {
   for (int parts : {1, 2, 3, 7}) {
     for (const char* key : {"a", "b", "sequence-xyz", ""}) {
