@@ -788,6 +788,28 @@ SubstrateResult bench_mapreduce_sim() {
   return {"mapreduce_sim_20k", kTasks, secs, kTasks / secs};
 }
 
+/// The Classic Cloud DES driver on a 60k-task Cap3 job with the settings of
+/// perfbench's des_campaign classic leg (receive_batch 10, 4 queue shards,
+/// 16 x 8 workers). Per task it runs the real task codec, three object-store
+/// operations and the sharded queue's send/receive/delete, so a
+/// per-operation cost in any of them shows up here. Gated at 2x like the
+/// storage rows.
+SubstrateResult bench_classic_sim() {
+  using namespace ppc::core;
+  const int kTasks = 60000;
+  const Workload workload = make_cap3_workload(kTasks, 458);
+  const Deployment deployment = make_deployment(cloud::ec2_hcxl(), 16, 8);
+  SimRunParams params;
+  params.seed = 42;
+  params.receive_batch = 10;
+  params.queue.shards = 4;
+  int completed = 0;
+  const double secs = min_seconds(
+      3, [&] { completed = simulate("classic", workload, deployment, params).completed; });
+  if (completed != kTasks) std::fprintf(stderr, "classic sim left tasks unfinished\n");
+  return {"classic_sim_60k", kTasks, secs, kTasks / secs};
+}
+
 struct ElasticComparison {
   int tasks = 0;
   int completed = 0;
@@ -1001,6 +1023,7 @@ int main(int argc, char** argv) {
   const ShuffleBench shuffle = bench_shuffle_pipeline();
   substrates.push_back(shuffle.pipeline);
   substrates.push_back(bench_mapreduce_sim());
+  substrates.push_back(bench_classic_sim());
   for (const auto& s : substrates) {
     std::fprintf(stderr, "%-30s %8.1f tasks/s (%d tasks in %.4fs)\n", s.name.c_str(),
                  s.tasks_per_second, s.tasks, s.seconds);
@@ -1094,14 +1117,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "OK:   %s at %.2fx of baseline\n", k.name.c_str(), ratio);
       }
     }
-    // Storage data-plane, shuffle and scheduler rows are gated like
+    // Storage data-plane, shuffle and DES driver rows are gated like
     // kernels: they may not regress more than 2x against the tracked
     // baseline. The pre-refactor rows (classiccloud/azuremr/data_plane) stay
     // informational — they were recorded before any gate existed and on
     // different hardware, so holding new runs to them would be meaningless.
     for (const auto& s : substrates) {
       if (s.name.rfind("storage_", 0) != 0 && s.name.rfind("block_cache_", 0) != 0 &&
-          s.name.rfind("shuffle_", 0) != 0 && s.name.rfind("mapreduce_sim", 0) != 0) {
+          s.name.rfind("shuffle_", 0) != 0 && s.name.rfind("mapreduce_sim", 0) != 0 &&
+          s.name.rfind("classic_sim", 0) != 0) {
         continue;
       }
       const auto it = baseline_secs.find(s.name);

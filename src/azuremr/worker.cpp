@@ -102,7 +102,6 @@ void MrWorker::run_map(runtime::TaskContext& ctx,
   monitor_queue_->send(
       ppc::encode_kv({{"task", "map-" + input}, {"status", "done"}, {"worker", id()}}));
   report_span.close();
-  ctx.count("map_tasks");
 }
 
 void MrWorker::run_reduce(runtime::TaskContext& ctx,
@@ -150,7 +149,6 @@ void MrWorker::run_reduce(runtime::TaskContext& ctx,
   monitor_queue_->send(
       ppc::encode_kv({{"task", "reduce-" + part}, {"status", "done"}, {"worker", id()}}));
   report_span.close();
-  ctx.count("reduce_tasks");
 }
 
 }  // namespace ppc::azuremr

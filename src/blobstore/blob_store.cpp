@@ -8,6 +8,29 @@
 
 namespace ppc::blobstore {
 
+namespace {
+
+/// The payload every logical object shares: it has no bytes to hold.
+const std::shared_ptr<const std::string>& empty_payload() {
+  static const auto kEmpty = std::make_shared<const std::string>();
+  return kEmpty;
+}
+
+std::uint64_t logical_etag(const std::string& bucket, const std::string& key, Bytes size) {
+  const std::string bytes = std::to_string(static_cast<std::uint64_t>(size));
+  std::string identity;
+  identity.reserve(8 + bucket.size() + key.size() + bytes.size() + 2);
+  identity += "logical:";
+  identity += bucket;
+  identity += '\0';
+  identity += key;
+  identity += '\0';
+  identity += bytes;
+  return ppc::fnv1a64(identity);
+}
+
+}  // namespace
+
 BlobStore::BlobStore(std::shared_ptr<const ppc::Clock> clock, BlobStoreConfig config, ppc::Rng rng,
                      storage::StorageKind kind)
     : clock_(std::move(clock)), config_(config), kind_(kind), rng_(rng) {
@@ -74,25 +97,13 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
                        "/" + key);
     }
   }
-  // Logical objects have no bytes to hash, so their etag is derived from the
-  // stable identity (bucket, key, declared size). That keeps the tag
-  // deterministic across runs and processes, which content-addressed caching
-  // depends on. Real payloads get a CRC32C that readers verify downloads
-  // against; their content-hash etag is left to the first etag() call.
-  std::optional<std::uint64_t> etag;
+  // Real payloads get a CRC32C that readers verify downloads against; their
+  // content-hash etag is left to the first etag() call. Logical objects have
+  // no bytes, so they share one empty payload and no checksum.
   std::optional<std::uint32_t> checksum;
-  if (is_logical) {
-    std::string identity = "logical:";
-    identity += bucket;
-    identity += '\0';
-    identity += key;
-    identity += '\0';
-    identity += std::to_string(static_cast<std::uint64_t>(logical_size));
-    etag = ppc::fnv1a64(identity);
-  } else {
-    checksum = ppc::crc32c(data);
-  }
-  auto payload = std::make_shared<const std::string>(std::move(data));
+  if (!is_logical) checksum = ppc::crc32c(data);
+  auto payload =
+      is_logical ? empty_payload() : std::make_shared<const std::string>(std::move(data));
   auto b = get_or_create_bucket(bucket);
   Seconds lag = 0.0;
   {
@@ -109,7 +120,6 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     Object obj;
     obj.data = std::move(payload);
     obj.logical_size = logical_size;
-    obj.etag = etag;
     obj.checksum = checksum;
     obj.visible_at = clock_->now() + lag;
     obj.is_new = true;
@@ -121,7 +131,7 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     // keep this simple and visible).
     it->second.data = std::move(payload);
     it->second.logical_size = logical_size;
-    it->second.etag = etag;
+    it->second.etag.reset();
     it->second.checksum = checksum;
     it->second.is_new = false;
     it->second.visible_at = clock_->now();
@@ -187,6 +197,14 @@ std::optional<std::uint64_t> BlobStore::etag(const std::string& bucket,
     auto it = b->objects.find(key);
     if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
     if (it->second.etag.has_value()) return it->second.etag;
+    if (!it->second.checksum.has_value()) {
+      // Logical: no bytes to hash, so the tag is derived from the stable
+      // identity (bucket, key, declared size). That keeps it deterministic
+      // across runs and processes, which content-addressed caching depends
+      // on. The identity is short, so it is hashed under the lock.
+      it->second.etag = logical_etag(bucket, key, it->second.logical_size);
+      return it->second.etag;
+    }
     data = it->second.data;
   }
   // First read of this version: hash outside the lock. Racing first readers
@@ -264,12 +282,16 @@ std::vector<std::string> BlobStore::list(const std::string& bucket, const std::s
     if (span != 0) tracer->op_end(span, /*failed=*/false);
     return keys;
   }
-  std::lock_guard lock(b->mu);
-  for (const auto& [key, _] : b->objects) {
-    if (prefix.empty() || ppc::starts_with(key, prefix)) keys.push_back(key);
+  {
+    std::lock_guard lock(b->mu);
+    for (const auto& [key, _] : b->objects) {
+      if (prefix.empty() || ppc::starts_with(key, prefix)) keys.push_back(key);
+    }
   }
+  // The index is hashed, so only the matches are sorted.
+  std::sort(keys.begin(), keys.end());
   if (span != 0) tracer->op_end(span, /*failed=*/false);
-  return keys;  // std::map iteration => already sorted
+  return keys;
 }
 
 Bytes BlobStore::stored_bytes() const {

@@ -10,8 +10,9 @@
 //    bytes and request count; these feed Table 4's storage and data-transfer
 //    line items;
 //  * per-object CRC32C checksum (integrity) stamped at put, so readers can
-//    detect a download corrupted in flight, and an ETag (identity) hashed
-//    on first read and memoized per object version;
+//    detect a download corrupted in flight, and an ETag (identity) derived
+//    on first read and memoized per object version: the content hash of a
+//    real payload, or the identity hash of a logical object;
 //  * a latency/bandwidth *timing model* the discrete-event workers sample
 //    when deciding how long a download/upload takes. In real-thread mode
 //    operations complete immediately (the data is in memory) and the model
@@ -29,6 +30,8 @@
 // shared immutable strings, so get() hands back an aliasing pointer instead
 // of copying the object, and the lock is sharded per bucket so concurrent
 // workers hitting different buckets never serialize on one global mutex.
+// Each bucket is a hash index of its keys (the DES drivers hold 100k+
+// logical objects in one bucket), so list() sorts the keys it returns.
 #pragma once
 
 #include <atomic>
@@ -39,6 +42,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -113,9 +117,11 @@ class BlobStore : public storage::StorageBackend {
   /// size. Used by the discrete-event drivers to model multi-GB datasets
   /// (e.g. Table 4's 4096 Cap3 files) without holding them in memory.
   /// Metering, visibility and head/list/remove behave exactly as for real
-  /// objects; get() on a logical object returns an empty payload. The etag
-  /// is derived from (bucket, key, size) — stable across processes — so
-  /// content-addressed caching works for logical datasets too.
+  /// objects; get() on a logical object returns an empty payload (one
+  /// shared by every logical object). The etag is fnv1a64 of
+  /// "logical:" + bucket + '\0' + key + '\0' + size — stable across
+  /// processes — so content-addressed caching works for logical datasets
+  /// too. Like a real payload's, it is derived on the first etag() call.
   void put_logical(const std::string& bucket, const std::string& key, Bytes size) override;
 
   /// Fetches the object, or null when absent / not yet visible. The result
@@ -135,7 +141,8 @@ class BlobStore : public storage::StorageBackend {
   /// to injected faults: it models the ETag the service returned with the
   /// original upload. Content caches key on it. A real payload is hashed on
   /// the first call and the value memoized for that version, so objects
-  /// nobody asks about (task outputs, shuffle spills) never pay for it.
+  /// nobody asks about (task outputs, shuffle spills) never pay for it; a
+  /// logical object's identity tag is derived and memoized the same way.
   std::optional<std::uint64_t> etag(const std::string& bucket,
                                     const std::string& key) const override;
 
@@ -149,8 +156,9 @@ class BlobStore : public storage::StorageBackend {
   /// Removes the object; returns false when absent.
   bool remove(const std::string& bucket, const std::string& key) override;
 
-  /// Keys in the bucket starting with `prefix`, sorted. Lists see all
-  /// committed objects (visibility lag applies to reads only).
+  /// Keys in the bucket starting with `prefix`, sorted (only the matches
+  /// are sorted). Lists see all committed objects (visibility lag applies
+  /// to reads only).
   std::vector<std::string> list(const std::string& bucket,
                                 const std::string& prefix = "") override;
 
@@ -183,11 +191,11 @@ class BlobStore : public storage::StorageBackend {
   struct Object {
     std::shared_ptr<const std::string> data;  // immutable payload, shared with readers
     Bytes logical_size = 0.0;                 // == data->size() for real objects
-    /// fnv1a64 of data, computed by the first etag() call and memoized for
-    /// this version (a put resets it); set at put for logical objects, from
-    /// their identity.
+    /// fnv1a64 of data (of the identity for a logical object), computed by
+    /// the first etag() call and memoized for this version (a put resets it).
     std::optional<std::uint64_t> etag;
-    std::optional<std::uint32_t> checksum;    // crc32c of data; nullopt for logical objects
+    /// crc32c of data; nullopt exactly for logical objects.
+    std::optional<std::uint32_t> checksum;
     Seconds visible_at = 0.0;
     bool is_new = true;  // false once overwritten (overwrite => visible)
   };
@@ -197,7 +205,7 @@ class BlobStore : public storage::StorageBackend {
   /// valid after the registry lock is released.
   struct Bucket {
     mutable std::mutex mu;
-    std::map<std::string, Object> objects;
+    std::unordered_map<std::string, Object> objects;
   };
 
   /// latency + size / bandwidth, where a row with servers shares

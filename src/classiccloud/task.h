@@ -3,9 +3,16 @@
 // §2.1.3: "every message in the queue describes a single task"; "a single
 // task comprises of a single input file and a single output file". The task
 // message therefore carries the blob keys of its input and output plus a
-// task id; the monitoring queue carries small status records. Both are
-// serialized with the flat key=value codec (SQS/Azure Queue messages are
-// short strings).
+// task id; the monitoring queue carries small status records. Both are flat
+// "key=value;key=value" strings (SQS/Azure Queue messages are short
+// strings), the format of ppc::encode_kv, written field by field.
+//
+// The field order is the wire contract: task messages are
+// "in=..;out=..[;shared=k1,k2,..];task=..", monitor records are
+// "secs=..;status=..;task=..;worker=..". Queue bodies are metered and
+// replayed byte for byte, so the order must not change. Values may not
+// contain '=' or ';'. decode_task accepts any field order and unknown keys,
+// and rejects exactly what a ppc::decode_kv-based decoder rejects.
 #pragma once
 
 #include <string>

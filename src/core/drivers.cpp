@@ -1,6 +1,7 @@
 #include "core/drivers.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -8,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "classiccloud/task.h"
 #include "classiccloud/worker.h"
@@ -413,11 +415,11 @@ struct ClassicSim : DesRun {
     std::vector<std::string> messages;
     messages.reserve(workload.tasks.size());
     for (const SimTask& t : workload.tasks) {
-      store->put_logical(kBucket, input_key(t), t.input_size);
       classiccloud::TaskSpec spec;
       spec.task_id = "t" + std::to_string(t.id);
       spec.input_key = input_key(t);
       spec.output_key = output_key(t);
+      store->put_logical(kBucket, spec.input_key, t.input_size);
       if (workload.shared_input_size > 0.0) spec.shared_keys = {kSharedKey};
       messages.push_back(classiccloud::encode_task(spec));
     }
@@ -425,8 +427,12 @@ struct ClassicSim : DesRun {
   }
 
   const SimTask& task_of(const classiccloud::TaskSpec& spec) const {
-    const int id = std::stoi(spec.task_id.substr(1));
-    return workload.tasks.at(static_cast<std::size_t>(id));
+    // populate() names every task "t<id>".
+    std::size_t id = 0;
+    const char* end = spec.task_id.data() + spec.task_id.size();
+    const auto [ptr, ec] = std::from_chars(spec.task_id.data() + 1, end, id);
+    PPC_CHECK(ec == std::errc() && ptr == end, "bad DES task id: " + spec.task_id);
+    return workload.tasks.at(id);
   }
 
   /// Workers the utilization probes divide by: the deployment for a static

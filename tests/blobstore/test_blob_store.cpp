@@ -212,8 +212,8 @@ TEST_F(BlobStoreTest, RejectsEmptyNames) {
   EXPECT_THROW(store.create_bucket(""), InvalidArgument);
 }
 
-// The etag of a real payload is hashed on the first etag() call and
-// memoized per object version. These tests run under TSan in CI.
+// The etag of an object is derived on the first etag() call and memoized
+// per object version. These tests run under TSan in CI.
 
 TEST(LazyEtag, EqualsTheContentHashAfterPutAndOverwrite) {
   BlobStore store(std::make_shared<ManualClock>());
@@ -229,6 +229,32 @@ TEST(LazyEtag, EqualsTheContentHashAfterPutAndOverwrite) {
   store.put("b", "k", "version-four");
   EXPECT_EQ(store.etag("b", "k"), fnv1a64("version-four"));
   EXPECT_FALSE(store.etag("b", "missing").has_value());
+}
+
+// A logical object has no bytes: its etag is the hash of its identity,
+// derived on the first etag() call. Pinned to the literal identity string so
+// content-addressed caches keep their keys across versions of this code.
+TEST(LazyEtag, LogicalEtagIsTheIdentityHash) {
+  BlobStore store(std::make_shared<ManualClock>());
+  store.put_logical("job", "input/t7", 1.0_GB);
+  const std::uint64_t want = fnv1a64(std::string("logical:job\0input/t7\0", 21) + "1073741824");
+  EXPECT_EQ(store.etag("job", "input/t7"), want);
+  EXPECT_EQ(store.etag("job", "input/t7"), want);  // memoized
+  EXPECT_FALSE(store.checksum("job", "input/t7").has_value());
+  EXPECT_EQ(*store.get("job", "input/t7"), "");
+  // An overwrite with a new size is a new identity.
+  store.put_logical("job", "input/t7", 2.0_GB);
+  EXPECT_EQ(store.etag("job", "input/t7"),
+            fnv1a64(std::string("logical:job\0input/t7\0", 21) + "2147483648"));
+  // Real bytes over a logical object take the content hash, and back again.
+  store.put("job", "input/t7", "bytes");
+  EXPECT_EQ(store.etag("job", "input/t7"), fnv1a64("bytes"));
+  store.put_logical("job", "input/t7", 1.0_GB);
+  EXPECT_EQ(store.etag("job", "input/t7"), want);
+  // A real empty payload is not logical: content hash and a checksum.
+  store.put("job", "empty", "");
+  EXPECT_EQ(store.etag("job", "empty"), fnv1a64(""));
+  EXPECT_TRUE(store.checksum("job", "empty").has_value());
 }
 
 TEST(LazyEtag, RacingFirstReadersAllGetTheSameValue) {

@@ -180,6 +180,33 @@ TEST_P(StorageConformanceTest, LogicalEtagIsStableAcrossInstancesAndSizes) {
   EXPECT_NE(*store_a->etag("b", "dataset"), *store_b->etag("b", "dataset"));
 }
 
+// Buckets are hash-indexed, so list() must sort what it returns: insert 1,000
+// keys in shuffled order under two prefixes and list each.
+TEST_P(StorageConformanceTest, ListByPrefixSorted) {
+  auto store = make_store();
+  std::vector<std::string> keys;
+  for (const std::size_t i : Rng(7).permutation(1000)) {
+    keys.push_back((i % 3 == 0 ? "output/" : "input/") + std::to_string(i));
+  }
+  for (const std::string& key : keys) {
+    if (key.size() % 2 == 0) {
+      store->put("b", key, "x");
+    } else {
+      store->put_logical("b", key, 1.0_MB);
+    }
+  }
+  const std::set<std::string> all(keys.begin(), keys.end());
+  const std::vector<std::string> listed = store->list("b");
+  EXPECT_EQ(listed, std::vector<std::string>(all.begin(), all.end()));
+  std::vector<std::string> inputs;
+  for (const std::string& key : all) {
+    if (key.starts_with("input/")) inputs.push_back(key);
+  }
+  EXPECT_EQ(store->list("b", "input/"), inputs);
+  EXPECT_EQ(store->list("b", "output/").size(), all.size() - inputs.size());
+  EXPECT_TRUE(store->list("b", "none/").empty());
+}
+
 TEST_P(StorageConformanceTest, FaultHookSitesAreIdenticalAcrossBackends) {
   auto store = make_store();
   ScriptedHook hook;
