@@ -39,6 +39,9 @@
 #include "core/workload.h"
 #include "apps/blast/db.h"
 #include "apps/blast/protein.h"
+#include "apps/cap3/assembler.h"
+#include "apps/cap3/read_simulator.h"
+#include "apps/gtm/gtm.h"
 #include "apps/gtm/matrix.h"
 #include "blobstore/blob_store.h"
 #include "classiccloud/job_client.h"
@@ -57,6 +60,7 @@
 #include "runtime/tracer.h"
 #include "storage/block_cache.h"
 #include "storage/fs_backends.h"
+#include "kernel_reference.h"
 
 namespace {
 
@@ -358,6 +362,36 @@ KernelResult bench_blast() {
       });
   (void)sink;
   return {"blast_build_search_60x20", fast * 1e9, naive * 1e9, naive / fast};
+}
+
+/// Cap3 on the repo benchmark's largest Cap3 file (93 reads, min_overlap
+/// 30): packed k-mers and hashed vote sets against the string-keyed index
+/// and std::map votes.
+KernelResult bench_cap3_assemble() {
+  Rng rng(5);
+  const auto reads = apps::parse_fasta(apps::cap3::make_cap3_input(93, rng));
+  apps::cap3::AssemblerConfig config;
+  config.min_overlap = 30;
+  volatile std::size_t sink = 0;
+  const auto [fast, naive] = min_seconds_interleaved(
+      9, [&] { sink = apps::cap3::assemble(reads, config).stats.overlaps_accepted; },
+      [&] { sink = apps::kernel_reference::assemble(reads, config).stats.overlaps_accepted; });
+  (void)sink;
+  return {"cap3_assemble_93reads", fast * 1e9, naive * 1e9, naive / fast};
+}
+
+/// GTM interpolation of the repo benchmark's largest GTM file (2800 points,
+/// D = 16, K = 256): the fused point-major E-step against the K x N one.
+KernelResult bench_gtm_interpolate() {
+  Rng rng(6);
+  const auto model = apps::kernel_reference::train_mixed_job_model(16, rng);
+  const Matrix points = apps::kernel_reference::clustered_points(2800, 16, 0.0, rng);
+  volatile double sink = 0.0;
+  const auto [fast, naive] = min_seconds_interleaved(
+      9, [&] { sink = model.interpolate(points)(0, 0); },
+      [&] { sink = apps::kernel_reference::interpolate(model, points)(0, 0); });
+  (void)sink;
+  return {"gtm_interpolate_2800x16", fast * 1e9, naive * 1e9, naive / fast};
 }
 
 /// 1 MiB of run-time random bytes for the checksum rows.
@@ -1002,6 +1036,8 @@ int main(int argc, char** argv) {
   kernels.push_back(bench_matrix_multiply());
   kernels.push_back(bench_cholesky());
   kernels.push_back(bench_blast());
+  kernels.push_back(bench_cap3_assemble());
+  kernels.push_back(bench_gtm_interpolate());
   kernels.push_back(bench_checksum_fnv1a64());
   kernels.push_back(bench_checksum_crc32c());
   for (const auto& k : kernels) {

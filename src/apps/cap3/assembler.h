@@ -15,7 +15,11 @@
 // It is a real assembler: given simulated shotgun reads at reasonable
 // coverage it reconstructs the source genome (tests assert this). It is the
 // "sequential executable" every framework in this repository executes, one
-// input FASTA file -> one output report file.
+// input FASTA file -> one output report file. K-mers of A/C/G/T bytes are
+// indexed by 2-bit packed codes (rolled with their reverse complements) and
+// shared-k-mer votes land in flat hash tables, whose distinct keys are then
+// visited in sorted order; any k-mer with another byte, or longer than 32,
+// is keyed by its bytes.
 #pragma once
 
 #include <cstddef>

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "apps/gtm/data_gen.h"
 #include "common/error.h"
-#include "common/string_util.h"
 
 namespace ppc::apps::gtm {
 
@@ -40,25 +40,6 @@ Matrix make_phi(const Matrix& latent, const Matrix& rbf_centers, double width) {
     phi(i, m) = 1.0;  // bias
   }
   return phi;
-}
-
-/// Squared distances between every center row (K x D) and point row (N x D):
-/// result is K x N.
-Matrix pairwise_sqdist(const Matrix& centers, const Matrix& points) {
-  PPC_REQUIRE(centers.cols() == points.cols(), "dimension mismatch");
-  const std::size_t k = centers.rows(), n = points.rows(), d = centers.cols();
-  Matrix dist(k, n, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t c = 0; c < d; ++c) {
-        const double diff = centers(i, c) - points(j, c);
-        s += diff * diff;
-      }
-      dist(i, j) = s;
-    }
-  }
-  return dist;
 }
 
 /// Top-2 principal directions and standard deviations of `samples`, via
@@ -120,6 +101,42 @@ Pca2 top2_principal_components(const Matrix& samples, const std::vector<double>&
   return out;
 }
 
+/// Squared distances from point `x` to the K centers, given transposed
+/// (D x K), into dist[0..K). Each sums over c in increasing order; the K
+/// sums advance side by side.
+void sq_distances(const Matrix& centers_t, const double* x, double* dist) {
+  const std::size_t d = centers_t.rows(), k = centers_t.cols();
+  const double* col = centers_t.data().data();
+  std::fill(dist, dist + k, 0.0);
+  for (std::size_t c = 0; c < d; ++c, col += k) {
+    const double xc = x[c];
+    for (std::size_t i = 0; i < k; ++i) {
+      const double diff = col[i] - xc;
+      dist[i] += diff * diff;
+    }
+  }
+}
+
+/// One point's E-step against the K centers, given transposed (D x K):
+/// writes the point's K responsibilities to `resp` and returns its
+/// log-likelihood less the constant normalization term.
+double point_responsibilities(const Matrix& centers_t, const double* x, double beta,
+                              double* resp) {
+  const std::size_t k = centers_t.cols();
+  sq_distances(centers_t, x, resp);
+  // log-sum-exp over the K mixture components for numerical stability.
+  double max_log = -1e300;
+  for (std::size_t i = 0; i < k; ++i) max_log = std::max(max_log, -0.5 * beta * resp[i]);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double w = std::exp(-0.5 * beta * resp[i] - max_log);
+    resp[i] = w;
+    sum += w;
+  }
+  for (std::size_t i = 0; i < k; ++i) resp[i] /= sum;
+  return max_log + std::log(sum);
+}
+
 struct EStep {
   Matrix responsibilities;  // K x N, columns sum to 1
   double log_likelihood = 0.0;
@@ -127,25 +144,16 @@ struct EStep {
 
 EStep e_step(const Matrix& centers, const Matrix& points, double beta) {
   const std::size_t k = centers.rows(), n = points.rows(), d = centers.cols();
-  const Matrix dist = pairwise_sqdist(centers, points);
+  const Matrix centers_t = centers.transpose();
   EStep out{Matrix(k, n), 0.0};
   const double log_norm = 0.5 * static_cast<double>(d) *
                               std::log(beta / (2.0 * std::acos(-1.0))) -
                           std::log(static_cast<double>(k));
+  std::vector<double> resp(k);
   for (std::size_t j = 0; j < n; ++j) {
-    // log-sum-exp over the K mixture components for numerical stability.
-    double max_log = -1e300;
-    for (std::size_t i = 0; i < k; ++i) {
-      max_log = std::max(max_log, -0.5 * beta * dist(i, j));
-    }
-    double sum = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double w = std::exp(-0.5 * beta * dist(i, j) - max_log);
-      out.responsibilities(i, j) = w;
-      sum += w;
-    }
-    for (std::size_t i = 0; i < k; ++i) out.responsibilities(i, j) /= sum;
-    out.log_likelihood += max_log + std::log(sum) + log_norm;
+    out.log_likelihood +=
+        point_responsibilities(centers_t, &points.data()[j * d], beta, resp.data()) + log_norm;
+    for (std::size_t i = 0; i < k; ++i) out.responsibilities(i, j) = resp[i];
   }
   return out;
 }
@@ -229,10 +237,14 @@ GtmModel GtmModel::train(const Matrix& samples, const GtmConfig& config, ppc::Rn
 
     // Update beta: inverse of the responsibility-weighted mean squared
     // reconstruction error.
-    const Matrix dist = pairwise_sqdist(model.centers_, samples);
+    const Matrix centers_t = model.centers_.transpose();
+    Matrix dist(n, k);  // point-major
+    for (std::size_t j = 0; j < n; ++j) {
+      sq_distances(centers_t, &samples.data()[j * d], &dist(j, 0));
+    }
     double err = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < n; ++j) err += e.responsibilities(i, j) * dist(i, j);
+      for (std::size_t j = 0; j < n; ++j) err += e.responsibilities(i, j) * dist(j, i);
     }
     err /= static_cast<double>(n * d);
     if (err > 1e-12) model.beta_ = 1.0 / err;
@@ -243,102 +255,21 @@ GtmModel GtmModel::train(const Matrix& samples, const GtmConfig& config, ppc::Rn
 Matrix GtmModel::interpolate(const Matrix& points) const {
   PPC_REQUIRE(points.cols() == centers_.cols(),
               "point dimensionality does not match the trained model");
-  const EStep e = e_step(centers_, points, beta_);
-  const std::size_t n = points.rows(), k = centers_.rows();
-  Matrix out(n, 2, 0.0);
+  const std::size_t n = points.rows(), k = centers_.rows(), d = centers_.cols();
+  const Matrix centers_t = centers_.transpose();
+  std::vector<double> resp(k);
+  Matrix out(n, 2);
   for (std::size_t j = 0; j < n; ++j) {
+    point_responsibilities(centers_t, &points.data()[j * d], beta_, resp.data());
+    double x = 0.0, y = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      out(j, 0) += e.responsibilities(i, j) * latent_(i, 0);
-      out(j, 1) += e.responsibilities(i, j) * latent_(i, 1);
+      x += resp[i] * latent_(i, 0);
+      y += resp[i] * latent_(i, 1);
     }
+    out(j, 0) = x;
+    out(j, 1) = y;
   }
   return out;
-}
-
-GtmModel GtmModel::from_parts(Matrix latent, Matrix centers, double beta) {
-  PPC_REQUIRE(latent.rows() == centers.rows(), "latent/centers row mismatch");
-  PPC_REQUIRE(latent.cols() == 2, "latent space must be 2-D");
-  PPC_REQUIRE(beta > 0.0, "beta must be positive");
-  GtmModel model;
-  model.latent_ = std::move(latent);
-  model.centers_ = std::move(centers);
-  model.beta_ = beta;
-  return model;
-}
-
-Matrix gtm_latent_grid(std::size_t grid) { return make_grid(grid); }
-
-Matrix gtm_rbf_design(const Matrix& latent, std::size_t rbf_grid, double rbf_width_factor) {
-  const Matrix rbf_centers = make_grid(rbf_grid);
-  const double spacing = 2.0 / static_cast<double>(rbf_grid - 1);
-  return make_phi(latent, rbf_centers, rbf_width_factor * spacing);
-}
-
-void GtmSufficientStats::accumulate(const GtmSufficientStats& other) {
-  if (n == 0) {
-    *this = other;
-    return;
-  }
-  PPC_REQUIRE(g.size() == other.g.size() && bx.rows() == other.bx.rows() &&
-                  bx.cols() == other.bx.cols(),
-              "sufficient-stat shapes differ");
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] += other.g[i];
-  for (std::size_t i = 0; i < bx.data().size(); ++i) bx.data()[i] += other.bx.data()[i];
-  err += other.err;
-  sum_sq += other.sum_sq;
-  log_likelihood += other.log_likelihood;
-  n += other.n;
-}
-
-std::string GtmSufficientStats::serialize() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << "stats " << g.size() << ' ' << bx.cols() << ' ' << n << ' ' << err << ' ' << sum_sq
-     << ' ' << log_likelihood << '\n';
-  for (double v : g) os << v << ' ';
-  os << '\n';
-  for (double v : bx.data()) os << v << ' ';
-  os << '\n';
-  return os.str();
-}
-
-GtmSufficientStats GtmSufficientStats::deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string magic;
-  std::size_t k = 0, d = 0;
-  GtmSufficientStats stats;
-  is >> magic >> k >> d >> stats.n >> stats.err >> stats.sum_sq >> stats.log_likelihood;
-  PPC_REQUIRE(magic == "stats" && k >= 1 && d >= 1, "malformed sufficient-stat text");
-  stats.g.resize(k);
-  for (double& v : stats.g) is >> v;
-  stats.bx = Matrix(k, d);
-  for (double& v : stats.bx.data()) is >> v;
-  PPC_REQUIRE(static_cast<bool>(is), "truncated sufficient-stat text");
-  return stats;
-}
-
-GtmSufficientStats gtm_estep_stats(const Matrix& centers, double beta, const Matrix& chunk) {
-  const std::size_t k = centers.rows(), d = centers.cols(), n = chunk.rows();
-  PPC_REQUIRE(chunk.cols() == d, "chunk dimensionality mismatch");
-  const EStep e = e_step(centers, chunk, beta);
-  GtmSufficientStats stats;
-  stats.g.assign(k, 0.0);
-  stats.bx = Matrix(k, d, 0.0);
-  stats.n = n;
-  stats.log_likelihood = e.log_likelihood;
-  const Matrix dist = pairwise_sqdist(centers, chunk);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double r = e.responsibilities(i, j);
-      stats.g[i] += r;
-      stats.err += r * dist(i, j);
-      for (std::size_t c = 0; c < d; ++c) stats.bx(i, c) += r * chunk(j, c);
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t c = 0; c < d; ++c) stats.sum_sq += chunk(j, c) * chunk(j, c);
-  }
-  return stats;
 }
 
 std::string GtmModel::serialize() const {
@@ -373,21 +304,7 @@ GtmModel GtmModel::deserialize(const std::string& text) {
 }
 
 std::string interpolate_csv_file(const GtmModel& model, const std::string& csv_points) {
-  // Parse CSV rows of D doubles.
-  std::vector<std::vector<double>> rows;
-  for (const auto& line : ppc::split(csv_points, '\n')) {
-    if (ppc::trim(line).empty()) continue;
-    std::vector<double> row;
-    for (const auto& cell : ppc::split(line, ',')) row.push_back(std::stod(cell));
-    rows.push_back(std::move(row));
-  }
-  PPC_REQUIRE(!rows.empty(), "empty points file");
-  Matrix points(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    PPC_REQUIRE(rows[r].size() == points.cols(), "ragged CSV row");
-    for (std::size_t c = 0; c < points.cols(); ++c) points(r, c) = rows[r][c];
-  }
-  const Matrix mapped = model.interpolate(points);
+  const Matrix mapped = model.interpolate(matrix_from_csv(csv_points));
   std::ostringstream os;
   os.precision(10);
   for (std::size_t r = 0; r < mapped.rows(); ++r) {

@@ -12,6 +12,11 @@
 // the dimension-reduction output the paper visualizes for 26M PubChem
 // compounds.
 //
+// Both run the E-step one point at a time (K squared distances, their
+// log-sum-exp normalization); interpolation then accumulates the point's
+// latent coordinates and builds no K x N matrix. Training still fills the
+// K x N responsibilities its M-step multiplies.
+//
 // The model serializes to text so the frameworks can distribute it to
 // workers exactly as they distribute the BLAST database.
 #pragma once
@@ -62,10 +67,6 @@ class GtmModel {
   std::string serialize() const;
   static GtmModel deserialize(const std::string& text);
 
-  /// Assembles a model from its parts — used by the distributed trainer,
-  /// whose M-step runs outside this class.
-  static GtmModel from_parts(Matrix latent, Matrix centers, double beta);
-
  private:
   GtmModel() = default;
 
@@ -78,38 +79,5 @@ class GtmModel {
 /// File contract for the frameworks: CSV of out-of-sample points in, CSV of
 /// 2D coordinates out.
 std::string interpolate_csv_file(const GtmModel& model, const std::string& csv_points);
-
-// --- Building blocks exposed for the distributed trainer (gtm/distributed) ---
-
-/// Regular grid x grid layout over [-1, 1]^2, row-major (K = grid^2 rows).
-Matrix gtm_latent_grid(std::size_t grid);
-
-/// RBF design matrix Phi (K x M+1): Gaussian bumps over `latent` centered
-/// on an rbf_grid x rbf_grid grid, plus a bias column.
-Matrix gtm_rbf_design(const Matrix& latent, std::size_t rbf_grid, double rbf_width_factor);
-
-/// Per-chunk sufficient statistics of one EM E-step: everything the M-step
-/// needs, additive across chunks — which is exactly what makes GTM training
-/// a MapReduce computation.
-struct GtmSufficientStats {
-  std::vector<double> g;   // K: responsibility sums
-  Matrix bx;               // K x D: responsibility-weighted data sums (R X)
-  double err = 0.0;        // weighted squared error against the E-step's centers
-  double sum_sq = 0.0;     // sum of |x|^2 — lets the M-step re-evaluate the
-                           // error against the *updated* centers:
-                           // err(Y') = sum_k (g_k |y'_k|^2 - 2 y'_k . bx_k) + sum_sq
-  double log_likelihood = 0.0;
-  std::size_t n = 0;       // points in the chunk
-
-  /// Element-wise accumulation (chunks combine associatively).
-  void accumulate(const GtmSufficientStats& other);
-
-  std::string serialize() const;
-  static GtmSufficientStats deserialize(const std::string& text);
-};
-
-/// Runs the E-step of `centers`/`beta` against `chunk` and returns the
-/// chunk's sufficient statistics.
-GtmSufficientStats gtm_estep_stats(const Matrix& centers, double beta, const Matrix& chunk);
 
 }  // namespace ppc::apps::gtm

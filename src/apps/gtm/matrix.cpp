@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <future>
-#include <sstream>
 #include <thread>
 
 #include "common/error.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 
 namespace ppc::apps::gtm {
@@ -209,18 +207,6 @@ std::vector<double> Matrix::row(std::size_t r) const {
   PPC_REQUIRE(r < rows_, "row out of range");
   return {data_.begin() + static_cast<std::ptrdiff_t>(r * cols_),
           data_.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols_)};
-}
-
-std::string Matrix::to_string(int decimals) const {
-  std::ostringstream os;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (c > 0) os << ' ';
-      os << ppc::format_fixed((*this)(r, c), decimals);
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 CholeskyFactorization::CholeskyFactorization(const Matrix& a) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace ppc::apps::gtm {
@@ -51,8 +50,6 @@ class Matrix {
   /// Row `r` as a vector copy.
   std::vector<double> row(std::size_t r) const;
 
-  std::string to_string(int decimals = 3) const;
-
  private:
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<double> data_;
@@ -66,9 +63,6 @@ class CholeskyFactorization {
   explicit CholeskyFactorization(const Matrix& a);
 
   std::size_t dim() const { return l_.rows(); }
-
-  /// The lower-triangular factor L (A = L L^T).
-  const Matrix& factor() const { return l_; }
 
   /// Solves A x = b via forward/backward substitution on the cached factor.
   std::vector<double> solve(const std::vector<double>& b) const;

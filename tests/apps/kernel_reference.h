@@ -1,5 +1,11 @@
-// Seeded inputs for the Cap3 and GTM kernels, shared by the output-pin test,
-// the equivalence tests and bench_json's kernel rows.
+// Reference Cap3 and GTM kernels and seeded inputs for them, shared by the
+// output-pin test, the equivalence tests and bench_json's kernel rows.
+//
+// The references ARE the spec: the string-keyed Cap3 (every k-mer a
+// `std::string` key, every shared-k-mer vote a `std::map` lookup) and the
+// GTM interpolation that builds the K x N distance and responsibility
+// matrices and walks them column-wise. The library's packed-k-mer assembler
+// and fused point-major E-step must reproduce them bit for bit.
 //
 // The mixed-job inputs mirror the repo benchmark's Cap3/BLAST/GTM job: Cap3
 // files from make_cap3_input, GTM models trained on 16-D clustered samples
@@ -13,11 +19,25 @@
 #include <string>
 #include <vector>
 
+#include "apps/cap3/assembler.h"
 #include "apps/cap3/fasta.h"
 #include "apps/gtm/gtm.h"
 #include "common/rng.h"
 
 namespace ppc::apps::kernel_reference {
+
+/// cap3::resolve_orientations with a string-keyed canonical k-mer index and
+/// a `std::map` of pair votes.
+std::vector<bool> resolve_orientations(const std::vector<std::string>& seqs,
+                                       const cap3::AssemblerConfig& config = {});
+
+/// cap3::assemble with the string-keyed index and `std::map` vote set, using
+/// the resolve_orientations above.
+cap3::AssemblyResult assemble(const std::vector<FastaRecord>& reads,
+                              const cap3::AssemblerConfig& config = {});
+
+/// GtmModel::interpolate through the K x N E-step.
+gtm::Matrix interpolate(const gtm::GtmModel& model, const gtm::Matrix& points);
 
 /// A shotgun read set of ~50 short reads with hostile bytes mixed in:
 /// interior lowercase runs, `N`/`X`/`-`/`*` bytes, reads truncated below

@@ -1,14 +1,17 @@
 // Randomized equivalence tests pinning the optimized kernels against naive
 // reference implementations. The references here ARE the spec: a plain
-// triple-loop matmul, a factor-per-column Cholesky, and a string-keyed
-// seed-and-extend BLAST. The optimized kernels in the library must produce
-// the same results (bitwise for integer scores, |delta| < 1e-9 for floats)
-// on randomized inputs, including shapes that exercise tile remainders and
-// the parallel row-band path.
+// triple-loop matmul, a factor-per-column Cholesky, a string-keyed
+// seed-and-extend BLAST, and (kernel_reference.h) the string-keyed Cap3 and
+// the K x N-matrix GTM interpolation. The optimized kernels in the library
+// must produce the same results (bitwise for integer scores, Cap3 reports
+// and GTM coordinates, |delta| < 1e-9 for the matrix kernels) on randomized
+// inputs, including shapes that exercise tile remainders and the parallel
+// row-band path, and on hostile Cap3 and GTM inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -16,8 +19,12 @@
 #include "apps/blast/aligner.h"
 #include "apps/blast/db.h"
 #include "apps/blast/protein.h"
+#include "apps/cap3/assembler.h"
+#include "apps/cap3/read_simulator.h"
+#include "apps/gtm/gtm.h"
 #include "apps/gtm/matrix.h"
 #include "common/rng.h"
+#include "kernel_reference.h"
 
 namespace ppc::apps {
 namespace {
@@ -311,6 +318,129 @@ TEST(KernelEquivalence, BlastIndexCountsMatchReferenceSemantics) {
     }
   }
   EXPECT_EQ(fast.indexed_kmers(), reference.size());
+}
+
+// ---------------------------------------------------------------------------
+// Cap3: string-keyed index and std::map votes vs packed k-mers and hashed
+// vote sets. GTM: the K x N E-step vs the fused point-major one.
+// ---------------------------------------------------------------------------
+
+/// Read sets for the Cap3 cases: shotgun reads from both strands, the
+/// hostile set, and the degenerate shapes.
+std::vector<std::vector<FastaRecord>> cap3_inputs(std::uint64_t seed) {
+  ppc::Rng rng(seed);
+  std::vector<std::vector<FastaRecord>> sets;
+  cap3::ReadSimConfig sim;
+  sim.genome_length = 3000;
+  sim.num_reads = 60;
+  sim.read_length_mean = 300;
+  sim.error_rate = 0.004;
+  sim.reverse_strand_prob = 0.5;
+  sets.push_back(cap3::simulate_shotgun(sim, rng).reads);
+  sets.push_back(kernel_reference::hostile_reads(rng));
+  sets.push_back({});                                                  // empty input
+  const std::string read = cap3::random_genome(120, rng);
+  sets.push_back(std::vector<FastaRecord>(6, FastaRecord{"same", read}));  // identical reads
+  sets.push_back({{"s1", read.substr(0, 7)}, {"s2", read.substr(0, 7)}, {"s3", ""}});  // < k
+  return sets;
+}
+
+void expect_same_assembly(const cap3::AssemblyResult& got, const cap3::AssemblyResult& want) {
+  EXPECT_EQ(cap3::assembly_report(got), cap3::assembly_report(want));
+  ASSERT_EQ(got.contigs.size(), want.contigs.size());
+  for (std::size_t i = 0; i < got.contigs.size(); ++i) {
+    EXPECT_EQ(got.contigs[i].read_ids, want.contigs[i].read_ids) << "contig " << i;
+  }
+  ASSERT_EQ(got.singletons.size(), want.singletons.size());
+  for (std::size_t i = 0; i < got.singletons.size(); ++i) {
+    EXPECT_EQ(got.singletons[i].id, want.singletons[i].id) << "singleton " << i;
+  }
+  EXPECT_EQ(got.stats.overlaps_considered, want.stats.overlaps_considered);
+  EXPECT_EQ(got.stats.overlaps_accepted, want.stats.overlaps_accepted);
+  EXPECT_EQ(got.stats.contained_reads, want.stats.contained_reads);
+  EXPECT_EQ(got.stats.complemented_reads, want.stats.complemented_reads);
+}
+
+TEST(KernelEquivalence, Cap3OrientationsMatchStringKeyedReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const auto& reads : cap3_inputs(seed)) {
+      std::vector<std::string> seqs;
+      for (const FastaRecord& r : reads) seqs.push_back(cap3::trim_poor_regions(r.seq));
+      for (const std::size_t k : {8u, 16u, 31u, 32u, 33u}) {
+        cap3::AssemblerConfig config;
+        config.kmer = k;
+        EXPECT_EQ(cap3::resolve_orientations(seqs, config),
+                  kernel_reference::resolve_orientations(seqs, config))
+            << "seed=" << seed << " k=" << k << " reads=" << reads.size();
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, Cap3AssemblyMatchesStringKeyedReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const auto& reads : cap3_inputs(seed)) {
+      for (const std::size_t k : {8u, 16u, 31u, 32u, 33u}) {
+        for (const bool rc : {true, false}) {
+          cap3::AssemblerConfig config;
+          config.kmer = k;
+          config.handle_reverse_complements = rc;
+          SCOPED_TRACE(testing::Message() << "seed=" << seed << " k=" << k << " rc=" << rc
+                                          << " reads=" << reads.size());
+          expect_same_assembly(cap3::assemble(reads, config),
+                               kernel_reference::assemble(reads, config));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, Cap3BenchmarkFilesMatchStringKeyedReference) {
+  ppc::Rng rng(42);
+  cap3::AssemblerConfig config;
+  config.min_overlap = 30;
+  for (const std::size_t reads : {32u, 93u}) {
+    const auto records = parse_fasta(cap3::make_cap3_input(reads, rng));
+    expect_same_assembly(cap3::assemble(records, config),
+                         kernel_reference::assemble(records, config));
+  }
+}
+
+void expect_bitwise_equal(const gtm::Matrix& got, const gtm::Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t i = 0; i < got.data().size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got.data()[i], &want.data()[i], sizeof(double)), 0)
+        << "flat index " << i << ": " << got.data()[i] << " vs " << want.data()[i];
+  }
+}
+
+TEST(KernelEquivalence, GtmInterpolateMatchesKxNReference) {
+  ppc::Rng rng(0x67A);
+  for (std::size_t d = 1; d <= 20; ++d) {
+    const gtm::GtmModel model = kernel_reference::train_small_model(d, rng);
+    for (const std::size_t n : {1u, 257u}) {
+      const gtm::Matrix points = kernel_reference::clustered_points(n, d, 0.0, rng);
+      expect_bitwise_equal(model.interpolate(points), kernel_reference::interpolate(model, points));
+    }
+  }
+}
+
+TEST(KernelEquivalence, GtmInterpolateMatchesKxNReferenceOnOutliers) {
+  // 1% of the points scaled by 1e6: every responsibility but one underflows.
+  ppc::Rng rng(0x0DD);
+  for (const std::size_t d : {1u, 3u, 16u}) {
+    const gtm::GtmModel model = kernel_reference::train_small_model(d, rng);
+    const gtm::Matrix points = kernel_reference::clustered_points(1000, d, 0.01, rng);
+    expect_bitwise_equal(model.interpolate(points), kernel_reference::interpolate(model, points));
+  }
+}
+
+TEST(KernelEquivalence, GtmInterpolateMatchesKxNReferenceOnBenchmarkModel) {
+  ppc::Rng rng(5);
+  const gtm::GtmModel model = kernel_reference::train_mixed_job_model(16, rng);
+  const gtm::Matrix points = kernel_reference::clustered_points(700, 16, 0.0, rng);
+  expect_bitwise_equal(model.interpolate(points), kernel_reference::interpolate(model, points));
 }
 
 }  // namespace
