@@ -124,6 +124,7 @@ struct KmerBuckets {
 
 KmerBuckets index_kmers(const std::vector<std::string>& seqs, const std::vector<bool>& indexed,
                         std::size_t k, bool canonical) {
+  PPC_REQUIRE(k >= 1, "kmer must be >= 1");
   PPC_REQUIRE(seqs.size() <= UINT32_MAX, "too many reads to index");
   const bool packable = k <= 32;
   const std::uint64_t mask = k >= 32 ? ~0ULL : (1ULL << (2 * k)) - 1;

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "apps/cap3/read_simulator.h"
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace ppc::apps::cap3 {
@@ -121,6 +122,11 @@ TEST_F(AssemblerTest, EmptyInput) {
   EXPECT_TRUE(result.contigs.empty());
   EXPECT_TRUE(result.singletons.empty());
   EXPECT_EQ(result.stats.input_reads, 0u);
+}
+
+TEST_F(AssemblerTest, OrientationRejectsZeroKmer) {
+  config_.kmer = 0;
+  EXPECT_THROW(resolve_orientations({"ACGTACGT", "ACGTACGT"}, config_), ppc::InvalidArgument);
 }
 
 TEST_F(AssemblerTest, AllPoorQualityReadsBecomeSingletons) {
