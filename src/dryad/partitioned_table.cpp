@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 #include "common/error.h"
-#include "common/string_util.h"
 
 namespace ppc::dryad {
 
@@ -52,56 +50,6 @@ PartitionedTable PartitionedTable::by_size(const std::vector<std::string>& files
     load[target] += sizes[i];
   }
   return PartitionedTable(num_nodes, std::move(parts));
-}
-
-std::string PartitionedTable::metadata() const {
-  // Format mirrors Dryad's partition files: a header line with the count,
-  // then "index:node:file,file,...".
-  std::ostringstream os;
-  os << "partitions " << partitions_.size() << " nodes " << num_nodes_ << "\n";
-  for (const Partition& p : partitions_) {
-    os << p.index << ':' << p.node << ':';
-    for (std::size_t i = 0; i < p.files.size(); ++i) {
-      if (i > 0) os << ',';
-      os << p.files[i];
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-PartitionedTable PartitionedTable::from_metadata(const std::string& text) {
-  const auto lines = ppc::split(text, '\n');
-  PPC_REQUIRE(!lines.empty(), "empty metadata");
-  int count = 0, num_nodes = 0;
-  {
-    std::istringstream header(lines[0]);
-    std::string word;
-    header >> word >> count >> word >> num_nodes;
-    PPC_REQUIRE(count > 0 && num_nodes > 0, "malformed metadata header");
-  }
-  std::vector<Partition> parts;
-  for (std::size_t li = 1; li < lines.size() && parts.size() < static_cast<std::size_t>(count);
-       ++li) {
-    if (ppc::trim(lines[li]).empty()) continue;
-    const auto fields = ppc::split(lines[li], ':');
-    PPC_REQUIRE(fields.size() == 3, "malformed metadata line: " + lines[li]);
-    Partition p;
-    p.index = std::stoi(fields[0]);
-    p.node = std::stoi(fields[1]);
-    if (!fields[2].empty()) {
-      for (auto& f : ppc::split(fields[2], ',')) p.files.push_back(std::move(f));
-    }
-    parts.push_back(std::move(p));
-  }
-  PPC_REQUIRE(parts.size() == static_cast<std::size_t>(count), "metadata truncated");
-  return PartitionedTable(num_nodes, std::move(parts));
-}
-
-std::size_t PartitionedTable::total_files() const {
-  std::size_t n = 0;
-  for (const Partition& p : partitions_) n += p.files.size();
-  return n;
 }
 
 void PartitionedTable::distribute(

@@ -35,15 +35,7 @@ class PartitionedTable {
   static PartitionedTable by_size(const std::vector<std::string>& files,
                                   const std::vector<Bytes>& sizes, int num_nodes);
 
-  /// Serializes the layout as the Dryad-style partition metadata file.
-  std::string metadata() const;
-
-  /// Parses a metadata file produced by metadata().
-  static PartitionedTable from_metadata(const std::string& text);
-
   const std::vector<Partition>& partitions() const { return partitions_; }
-  int num_nodes() const { return num_nodes_; }
-  std::size_t total_files() const;
 
   /// Copies each partition's files from a source map into its node's share —
   /// the "distribution program" the paper wrote. `file_data(name)` supplies

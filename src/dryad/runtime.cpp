@@ -17,11 +17,8 @@ DryadRuntime::DryadRuntime(RuntimeConfig config) : config_(std::move(config)) {
   PPC_REQUIRE(config_.max_attempts >= 1, "max_attempts must be >= 1");
 }
 
-RunReport DryadRuntime::run(const Dag& dag) {
-  // Validates acyclicity up front (throws on a cycle).
-  (void)dag.topological_order();
-
-  const std::size_t n = dag.vertex_count();
+RunReport DryadRuntime::run(const std::vector<Vertex>& vertices) {
+  const std::size_t n = vertices.size();
   RunReport report;
   if (n == 0) {
     report.succeeded = true;
@@ -30,17 +27,17 @@ RunReport DryadRuntime::run(const Dag& dag) {
 
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<int> indegree(n, 0);
   std::vector<int> attempts_used(n, 0);
   std::vector<std::deque<int>> ready(static_cast<std::size_t>(config_.num_nodes));
   std::size_t finished = 0;
   bool job_failed = false;
 
   for (std::size_t v = 0; v < n; ++v) {
-    const auto& info = dag.vertex(static_cast<int>(v));
-    PPC_REQUIRE(info.node < config_.num_nodes, "vertex pinned outside the cluster");
-    indegree[v] = static_cast<int>(dag.predecessors(static_cast<int>(v)).size());
-    if (indegree[v] == 0) ready[static_cast<std::size_t>(info.node)].push_back(static_cast<int>(v));
+    const Vertex& vertex = vertices[v];
+    PPC_REQUIRE(vertex.fn != nullptr, "vertex function must be callable");
+    PPC_REQUIRE(vertex.node >= 0 && vertex.node < config_.num_nodes,
+                "vertex pinned outside the cluster");
+    ready[static_cast<std::size_t>(vertex.node)].push_back(static_cast<int>(v));
   }
 
   ppc::SystemClock clock;
@@ -74,15 +71,15 @@ RunReport DryadRuntime::run(const Dag& dag) {
 
       lock.unlock();
       const bool tracing = tracer != nullptr && tracer->enabled();
-      const std::string& vertex_name = dag.vertex(v).name;
+      const Vertex& vertex = vertices[static_cast<std::size_t>(v)];
       runtime::Span task_span;
       if (tracing) {
         if (idle_since >= 0.0) {
           tracer->span_from(idle_since, "queue.wait", "dryad", track).close();
           idle_since = -1.0;
         }
-        runtime::Tracer::bind_thread_task(vertex_name);
-        task_span = tracer->span("task", "dryad", track, vertex_name);
+        runtime::Tracer::bind_thread_task(vertex.name);
+        task_span = tracer->span("task", "dryad", track, vertex.name);
         task_span.arg("attempt", std::to_string(attempt));
         task_span.arg("node", std::to_string(node));
       }
@@ -92,7 +89,7 @@ RunReport DryadRuntime::run(const Dag& dag) {
                                  std::to_string(v) + ":" + std::to_string(attempt))) {
           throw runtime::InjectedFault("injected crash at " + sites::kVertexAttempt);
         }
-        dag.vertex(v).fn();
+        vertex.fn();
         record.succeeded = true;
       } catch (const std::exception& e) {
         record.error = e.what();
@@ -107,21 +104,13 @@ RunReport DryadRuntime::run(const Dag& dag) {
       report.attempts.push_back(record);
       if (record.succeeded) {
         ++finished;
-        for (int s : dag.successors(v)) {
-          if (--indegree[static_cast<std::size_t>(s)] == 0) {
-            ready[static_cast<std::size_t>(dag.vertex(s).node)].push_back(s);
-          }
-        }
       } else if (attempts_used[static_cast<std::size_t>(v)] < config_.max_attempts) {
         queue.push_back(v);  // re-execution of the failed vertex, same node
       } else {
-        job_failed = true;  // dependents can never run
+        job_failed = true;  // a vertex out of retries fails the job
       }
       cv.notify_all();
-      if (finished == n || job_failed) {
-        // Let siblings drain their queues; we are done.
-        if (job_failed) break;
-      }
+      if (job_failed) break;  // every slot stops after its in-flight attempt
     }
     if (tracer != nullptr) runtime::Tracer::clear_thread();
   };
@@ -165,10 +154,11 @@ SelectResult dryad_select(
   SelectResult result;
   std::mutex outputs_mu;
 
-  Dag dag;
+  std::vector<Vertex> vertices;
+  vertices.reserve(table.partitions().size());
   runtime::Tracer* tracer = runtime.config().tracer;
   for (const Partition& p : table.partitions()) {
-    dag.add_vertex("select-part-" + std::to_string(p.index), p.node, [&, part = p] {
+    vertices.push_back({"select-part-" + std::to_string(p.index), p.node, [&, part = p] {
       // span_here: the executor slot bound its track + the vertex name as
       // thread context before invoking us.
       const bool tracing = tracer != nullptr && tracer->enabled();
@@ -192,9 +182,9 @@ SelectResult dryad_select(
         std::lock_guard lock(outputs_mu);
         result.outputs[file] = std::move(out);
       }
-    });
+    }});
   }
-  result.report = runtime.run(dag);
+  result.report = runtime.run(vertices);
   return result;
 }
 

@@ -74,23 +74,6 @@ int WorkerSupervisor::alive_workers() const {
   return n;
 }
 
-void WorkerSupervisor::drain_slot(int slot_index) {
-  std::lock_guard lock(mu_);
-  PPC_REQUIRE(started_, "supervisor not started");
-  PPC_REQUIRE(slot_index >= 0 && slot_index < static_cast<int>(slots_.size()),
-              "drain_slot: no such slot: " + std::to_string(slot_index));
-  Slot& slot = slots_[slot_index];
-  if (slot.draining || slot.gave_up) return;
-  TaskLifecycle* lc = slot.worker.lifecycle;
-  if (lc == nullptr) return;  // mid-replacement; nothing to drain
-  slot.draining = true;
-  lc->request_stop();
-  if (Tracer* tr = config_.tracer; tr != nullptr && tr->enabled()) {
-    tr->instant("worker.draining", "supervisor", "supervisor", /*task=*/{},
-                {{"worker", lc->id()}});
-  }
-}
-
 namespace {
 /// Restart backoff growth per consecutive restart of a slot.
 constexpr double kBackoffMultiplier = 2.0;
@@ -103,26 +86,8 @@ Seconds WorkerSupervisor::backoff_for(int restart_number) const {
 }
 
 void WorkerSupervisor::check_slot_locked(Slot& slot, Seconds now) {
-  if (slot.gave_up || slot.drained) return;
+  if (slot.gave_up) return;
   TaskLifecycle* lc = slot.worker.lifecycle;
-
-  if (slot.draining && lc != nullptr) {
-    if (lc->running()) return;  // still finishing its in-flight task
-    if (!lc->crashed()) {
-      // The worker honoured the drain: clean exit, slot stays empty.
-      slot.drained = true;
-      metrics_->counter("supervisor.drains").inc();
-      metrics_->emit({"supervisor.drained", {{"worker", lc->id()}}});
-      if (Tracer* tr = config_.tracer; tr != nullptr && tr->enabled()) {
-        tr->instant("worker.drained", "supervisor", "supervisor", /*task=*/{},
-                    {{"worker", lc->id()}});
-      }
-      return;
-    }
-    // Hard-killed mid-drain (revocation notice expired): this is a crash
-    // like any other — fall through to the detection/restart path.
-    slot.draining = false;
-  }
 
   if (slot.died_at < 0.0) {
     // Slot has a live worker (a retired-stall slot keeps died_at >= 0 and a

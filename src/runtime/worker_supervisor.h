@@ -24,13 +24,10 @@
 //   supervisor.restarts          crashed/stalled workers replaced
 //   supervisor.gave_up           slots abandoned after max restarts
 //   supervisor.recovery_seconds  histogram: death detected -> replacement up
-//   supervisor.drains            slots retired cleanly via drain_slot()
 //
-// Elastic scale-in drains through the same machinery: drain_slot() asks one
-// worker to finish its in-flight task and exit. A worker that honours the
-// request (exits without crashing) is metered as a drain and its slot stays
-// empty; one hard-killed mid-drain (a spot revocation whose notice expired)
-// is indistinguishable from any other crash and takes the restart path.
+// The pool has a fixed size for the whole run: nothing scales it in. Elastic
+// scale-in and spot drains are modeled by the DES elastic driver through
+// cloud::Fleet.
 #pragma once
 
 #include <atomic>
@@ -104,15 +101,8 @@ class WorkerSupervisor {
   /// Workers currently believed alive (running and not crashed).
   int alive_workers() const;
 
-  /// Starts a graceful drain of slot `slot_index`: the worker is asked to
-  /// stop (finish the in-flight task, flush, exit) and the slot is not
-  /// refilled after a clean exit. No-op on a slot already draining or given
-  /// up. A crash mid-drain re-enters the normal restart path.
-  void drain_slot(int slot_index);
-
   std::int64_t restarts() const { return metrics_->counter_value("supervisor.restarts"); }
   std::int64_t gave_up() const { return metrics_->counter_value("supervisor.gave_up"); }
-  std::int64_t drains() const { return metrics_->counter_value("supervisor.drains"); }
 
   MetricsRegistry& metrics() const { return *metrics_; }
   std::shared_ptr<MetricsRegistry> metrics_ptr() const { return metrics_; }
@@ -124,10 +114,6 @@ class WorkerSupervisor {
     int incarnation = 0;
     int restarts_done = 0;
     bool gave_up = false;
-    /// drain_slot() asked this worker to finish up and exit.
-    bool draining = false;
-    /// The drain completed cleanly; the slot stays empty.
-    bool drained = false;
     /// monotonic_now() when the current worker was found dead; < 0 = alive.
     Seconds died_at = -1.0;
     /// Earliest monotonic_now() at which the replacement may start.

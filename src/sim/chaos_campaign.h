@@ -55,8 +55,8 @@ struct ChaosConfig {
   /// site. The real-thread substrates have no drain protocol, so storm
   /// revocations land as hard kills — the campaign asserts the existing
   /// crash machinery (redelivery, idempotent re-execution, DLQ) absorbs
-  /// them byte-identically; the notice-respecting drain path is the DES
-  /// elastic driver's and the WorkerSupervisor tests' business. Storm runs
+  /// them byte-identically; the notice-respecting drain path exists only in
+  /// the DES elastic driver (cloud::Fleet). Storm runs
   /// get extra redelivery headroom (queue deliveries / task attempts).
   bool revocation_storm = false;
   /// > 0: attach a runtime::Monitor (own sampler thread, wall clock) to the

@@ -17,20 +17,24 @@ namespace ppc::sim {
 
 namespace {
 
+/// Messages per receive/delete request in the batched cells. The sweep also
+/// emits one unbatched (batch=1) reference row per shard count at the widest
+/// worker count, so the batching win is visible in the same artifact.
+constexpr int kBatch = static_cast<int>(cloudq::MessageQueue::kBatchLimit);
+constexpr unsigned kSeed = 42;
+
 double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 /// One sweep cell: pre-fill the queue, then `workers` threads drain it
 /// through the batch APIs as fast as they can.
-SaturationCell run_cell(int workers, int shards, int batch, int tasks, unsigned seed) {
+SaturationCell run_cell(int workers, int shards, int batch, int tasks) {
   PPC_REQUIRE(workers >= 1 && tasks >= 1, "cell needs workers and tasks");
-  PPC_REQUIRE(batch >= 1 && batch <= static_cast<int>(cloudq::MessageQueue::kBatchLimit),
-              "batch must be in [1, kBatchLimit]");
   auto clock = std::make_shared<SystemClock>();
   cloudq::QueueConfig qc;
   qc.shards = shards;
-  cloudq::MessageQueue queue("sat", clock, qc, ppc::Rng(seed));
+  cloudq::MessageQueue queue("sat", clock, qc, ppc::Rng(kSeed));
 
   {
     std::vector<std::string> bodies;
@@ -101,15 +105,11 @@ SaturationReport run_saturation_sweep(const SaturationConfig& config) {
   SaturationReport report;
   for (const int shards : config.shards) {
     for (const int workers : config.workers) {
-      report.cells.push_back(
-          run_cell(workers, shards, config.batch, config.tasks, config.seed));
+      report.cells.push_back(run_cell(workers, shards, kBatch, config.tasks));
     }
-    if (config.batch > 1) {
-      // Unbatched reference at the widest worker count: same traffic, one
-      // message per request — the row the batching win is measured against.
-      report.cells.push_back(
-          run_cell(config.workers.back(), shards, 1, config.tasks, config.seed));
-    }
+    // Unbatched reference at the widest worker count: same traffic, one
+    // message per request — the row the batching win is measured against.
+    report.cells.push_back(run_cell(config.workers.back(), shards, 1, config.tasks));
   }
   for (const auto& cell : report.cells) {
     report.peak_tasks_per_second = std::max(report.peak_tasks_per_second, cell.tasks_per_second);
@@ -141,8 +141,8 @@ std::string SaturationReport::to_json(const std::string& git_sha,
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os << "{\n  \"meta\": {\"git_sha\": \"" << git_sha
-     << "\", \"tasks_per_cell\": " << config.tasks << ", \"batch\": " << config.batch
-     << ", \"seed\": " << config.seed << "},\n  \"cells\": [\n";
+     << "\", \"tasks_per_cell\": " << config.tasks << ", \"batch\": " << kBatch
+     << ", \"seed\": " << kSeed << "},\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
     os.precision(6);

@@ -36,11 +36,6 @@ struct SaturationConfig {
   int tasks = 20000;
   std::vector<int> workers = {1, 2, 4, 8};
   std::vector<int> shards = {1, 4, 8};
-  /// Messages per receive/delete request (1..10). The sweep also emits one
-  /// unbatched (batch=1) reference row per shard count at the widest worker
-  /// count, so the batching win is visible in the same artifact.
-  int batch = 10;
-  unsigned seed = 42;
 };
 
 struct SaturationCell {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 
@@ -15,45 +17,27 @@ TEST(DryadRuntime, RunsAllVertices) {
   config.num_nodes = 2;
   config.slots_per_node = 2;
   DryadRuntime runtime(config);
-  Dag dag;
+  std::vector<Vertex> vertices;
   std::atomic<int> ran{0};
   for (int i = 0; i < 10; ++i) {
-    dag.add_vertex("v" + std::to_string(i), i % 2, [&ran] { ran.fetch_add(1); });
+    vertices.push_back({"v" + std::to_string(i), i % 2, [&ran] { ran.fetch_add(1); }});
   }
-  const auto report = runtime.run(dag);
+  const auto report = runtime.run(vertices);
   EXPECT_TRUE(report.succeeded);
   EXPECT_EQ(ran.load(), 10);
   EXPECT_EQ(report.attempts.size(), 10u);
-}
-
-TEST(DryadRuntime, HonorsDependencies) {
-  RuntimeConfig config;
-  config.num_nodes = 2;
-  config.slots_per_node = 2;
-  DryadRuntime runtime(config);
-  Dag dag;
-  std::atomic<bool> upstream_done{false};
-  std::atomic<bool> order_ok{true};
-  const int up = dag.add_vertex("up", 0, [&] { upstream_done.store(true); });
-  const int down = dag.add_vertex("down", 1, [&] {
-    if (!upstream_done.load()) order_ok.store(false);
-  });
-  dag.add_edge(up, down);
-  const auto report = runtime.run(dag);
-  EXPECT_TRUE(report.succeeded);
-  EXPECT_TRUE(order_ok.load());
 }
 
 TEST(DryadRuntime, VerticesRunOnTheirPinnedNode) {
   RuntimeConfig config;
   config.num_nodes = 3;
   DryadRuntime runtime(config);
-  Dag dag;
-  for (int i = 0; i < 9; ++i) dag.add_vertex("v", i % 3, [] {});
-  const auto report = runtime.run(dag);
+  std::vector<Vertex> vertices;
+  for (int i = 0; i < 9; ++i) vertices.push_back({"v", i % 3, [] {}});
+  const auto report = runtime.run(vertices);
   EXPECT_TRUE(report.succeeded);
   for (const auto& attempt : report.attempts) {
-    EXPECT_EQ(attempt.node, dag.vertex(attempt.vertex_id).node);
+    EXPECT_EQ(attempt.node, vertices[static_cast<std::size_t>(attempt.vertex_id)].node);
   }
 }
 
@@ -62,45 +46,77 @@ TEST(DryadRuntime, RetriesFailedVertices) {
   config.num_nodes = 1;
   config.max_attempts = 3;
   DryadRuntime runtime(config);
-  Dag dag;
   std::atomic<int> tries{0};
-  dag.add_vertex("flaky", 0, [&] {
-    if (tries.fetch_add(1) < 2) throw std::runtime_error("transient");
-  });
-  const auto report = runtime.run(dag);
+  const std::vector<Vertex> vertices = {{"flaky", 0, [&] {
+                                           if (tries.fetch_add(1) < 2) {
+                                             throw std::runtime_error("transient");
+                                           }
+                                         }}};
+  const auto report = runtime.run(vertices);
   EXPECT_TRUE(report.succeeded);
   EXPECT_EQ(tries.load(), 3);
   EXPECT_EQ(report.attempts.size(), 3u);
 }
 
-TEST(DryadRuntime, ExhaustedRetriesFailJobAndSkipDependents) {
+TEST(DryadRuntime, RetryGoesToTheBackOfItsNodeQueue) {
+  // One node, one slot: a failed vertex re-runs only after every vertex
+  // queued behind it on its node.
+  RuntimeConfig config;
+  config.num_nodes = 1;
+  config.slots_per_node = 1;
+  DryadRuntime runtime(config);
+  bool a_failed = false;
+  const std::vector<Vertex> vertices = {{"a", 0, [&] {
+                                           if (!a_failed) {
+                                             a_failed = true;
+                                             throw std::runtime_error("once");
+                                           }
+                                         }},
+                                        {"b", 0, [] {}},
+                                        {"c", 0, [] {}}};
+  const auto report = runtime.run(vertices);
+  EXPECT_TRUE(report.succeeded);
+  std::vector<std::string> order;
+  for (const auto& attempt : report.attempts) {
+    order.push_back(vertices[static_cast<std::size_t>(attempt.vertex_id)].name);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "a"}));
+  EXPECT_FALSE(report.attempts[0].succeeded);
+  EXPECT_EQ(report.attempts[3].attempt, 1);
+  EXPECT_TRUE(report.attempts[3].succeeded);
+}
+
+TEST(DryadRuntime, ExhaustedRetriesFailJob) {
   RuntimeConfig config;
   config.num_nodes = 1;
   config.max_attempts = 2;
   DryadRuntime runtime(config);
-  Dag dag;
-  std::atomic<bool> dependent_ran{false};
-  const int bad = dag.add_vertex("bad", 0, [] { throw std::runtime_error("always"); });
-  const int dep = dag.add_vertex("dep", 0, [&] { dependent_ran.store(true); });
-  dag.add_edge(bad, dep);
-  const auto report = runtime.run(dag);
+  const std::vector<Vertex> vertices = {
+      {"bad", 0, [] { throw std::runtime_error("always"); }}};
+  const auto report = runtime.run(vertices);
   EXPECT_FALSE(report.succeeded);
-  EXPECT_FALSE(dependent_ran.load());
+  ASSERT_EQ(report.attempts.size(), 2u);
+  for (const auto& attempt : report.attempts) {
+    EXPECT_FALSE(attempt.succeeded);
+    EXPECT_EQ(attempt.error, "always");
+  }
 }
 
 TEST(DryadRuntime, EmptyDagSucceeds) {
+  // An empty vertex list runs nothing and succeeds.
   DryadRuntime runtime({});
-  Dag dag;
-  EXPECT_TRUE(runtime.run(dag).succeeded);
+  EXPECT_TRUE(runtime.run({}).succeeded);
 }
 
 TEST(DryadRuntime, RejectsVertexOutsideCluster) {
+  // A vertex pinned outside the cluster, or with no function, is rejected
+  // before anything runs.
   RuntimeConfig config;
   config.num_nodes = 2;
   DryadRuntime runtime(config);
-  Dag dag;
-  dag.add_vertex("v", 5, [] {});
-  EXPECT_THROW(runtime.run(dag), ppc::InvalidArgument);
+  EXPECT_THROW(runtime.run({{"v", 5, [] {}}}), ppc::InvalidArgument);
+  EXPECT_THROW(runtime.run({{"v", -1, [] {}}}), ppc::InvalidArgument);
+  EXPECT_THROW(runtime.run({{"v", 0, nullptr}}), ppc::InvalidArgument);
 }
 
 TEST(DryadSelect, AppliesFunctionPerFileAndWritesOutputs) {

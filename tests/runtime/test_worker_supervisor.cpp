@@ -161,67 +161,6 @@ TEST_F(WorkerSupervisorTest, RetiresAStalledWorker) {
   EXPECT_EQ(queue_->undeleted(), 0u);
 }
 
-TEST_F(WorkerSupervisorTest, DrainSlotRetiresWorkerCleanlyWithoutRestart) {
-  std::atomic<int> completed{0};
-  for (int i = 0; i < 4; ++i) queue_->send("t" + std::to_string(i));
-  WorkerSupervisor supervisor(lifecycle_factory([&](TaskContext&) {
-                                completed.fetch_add(1);
-                                return TaskOutcome::kCompleted;
-                              }),
-                              fast_config(2));
-  supervisor.start();
-  EXPECT_TRUE(wait_until([&] { return completed.load() == 4; }));
-
-  // Elastic scale-in: ask slot 0 to finish up and exit. A clean exit is
-  // metered as a drain, not a crash — the slot stays empty.
-  supervisor.drain_slot(0);
-  EXPECT_TRUE(wait_until([&] { return supervisor.drains() == 1; }));
-  EXPECT_EQ(supervisor.alive_workers(), 1);
-  EXPECT_EQ(supervisor.restarts(), 0);
-
-  // The surviving worker still drains the queue; the drained slot is never
-  // refilled and a second drain of it is a no-op.
-  queue_->send("after-drain");
-  EXPECT_TRUE(wait_until([&] { return completed.load() == 5; }));
-  supervisor.drain_slot(0);
-  supervisor.stop();
-  EXPECT_EQ(supervisor.drains(), 1);
-  EXPECT_EQ(supervisor.restarts(), 0);
-  EXPECT_EQ(queue_->undeleted(), 0u);
-}
-
-TEST_F(WorkerSupervisorTest, CrashMidDrainFallsThroughToRestart) {
-  // A spot revocation whose notice expires mid-drain hard-kills the worker:
-  // indistinguishable from any crash, so the restart path (not the drain
-  // meter) must absorb it and the redelivered task must still complete.
-  FaultInjector faults;
-  faults.arm_plan(FaultPlan{}.crash("w.site"));
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> completed{0};
-  queue_->send("t0");
-  WorkerSupervisor supervisor(
-      lifecycle_factory(
-          [&](TaskContext& ctx) {
-            entered.store(true);
-            while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            if (ctx.crash_site("w.site")) return TaskOutcome::kCrashed;
-            completed.fetch_add(1);
-            return TaskOutcome::kCompleted;
-          },
-          &faults),
-      fast_config(1));
-  supervisor.start();
-  ASSERT_TRUE(wait_until([&] { return entered.load(); }));
-  supervisor.drain_slot(0);  // drain requested while the task is in flight...
-  release.store(true);       // ...and the hard kill lands before the exit
-  EXPECT_TRUE(wait_until([&] { return supervisor.restarts() >= 1; }));
-  EXPECT_TRUE(wait_until([&] { return completed.load() == 1 && queue_->undeleted() == 0; }));
-  supervisor.stop();
-  EXPECT_EQ(supervisor.drains(), 0);
-  EXPECT_EQ(supervisor.gave_up(), 0);
-}
-
 TEST_F(WorkerSupervisorTest, StopIsIdempotentAndStartableOnlyOnce) {
   WorkerSupervisor supervisor(lifecycle_factory([](TaskContext&) {
                                 return TaskOutcome::kCompleted;

@@ -16,7 +16,6 @@ TEST(SaturationSweep, SmallGridDrainsEveryCellAndBatches) {
   config.tasks = 2000;
   config.workers = {1, 2};
   config.shards = {1, 2};
-  config.batch = 10;
   const SaturationReport report = run_saturation_sweep(config);
 
   // 2x2 batched grid plus one unbatched reference row per shard count.

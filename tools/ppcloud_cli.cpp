@@ -111,14 +111,6 @@
 //                                        seconds (classiccloud/azuremr)
 //     --json PATH                        write Monitor JSON (single substr.)
 //     --prom PATH                        write Prometheus text exposition
-//   ppcloud saturate [options]           real-thread queue saturation sweep:
-//                                        tasks/s vs workers vs shards through
-//                                        the batch APIs, plus an unbatched
-//                                        reference row per shard count:
-//     --tasks N                          messages per grid cell (def. 20000)
-//     --batch B                          messages per request, 1-10 (def. 10)
-//     --seed S                           RNG seed (default 42)
-//     --out FILE                         write the sweep JSON artifact
 //   ppcloud campaign [options]           end-to-end Cap3 campaign through the
 //                                        Classic Cloud DES driver with batched
 //                                        receives/acks and a sim-clock
@@ -530,23 +522,6 @@ int cmd_monitor(const Options& opts) {
   return all_ok ? 0 : 1;
 }
 
-int cmd_saturate(const Options& opts) {
-  sim::SaturationConfig config;
-  config.tasks = opt_num<int>(opts, "tasks", config.tasks);
-  config.batch = opt_num<int>(opts, "batch", config.batch);
-  config.seed = opt_num(opts, "seed", 42u);
-  const std::string out_path = opt(opts, "out", "");
-  opts.reject_unread();
-
-  const sim::SaturationReport report = sim::run_saturation_sweep(config);
-  std::fputs(report.to_text().c_str(), stdout);
-  if (!out_path.empty() &&
-      !write_artifact(out_path, report.to_json("unknown", config), "sweep artifact")) {
-    return 1;
-  }
-  return 0;
-}
-
 /// The nine options `campaign` and `autoscale` share.
 template <typename Config>
 void parse_campaign_options(const Options& opts, Config& config) {
@@ -606,7 +581,7 @@ int cmd_campaign(const Options& opts) {
 int usage() {
   std::fputs(
       "usage: ppcloud <catalog|features|assemble|simulate|experiment|chaos|shuffle|trace|"
-      "monitor|saturate|campaign|autoscale> [options]\n"
+      "monitor|campaign|autoscale> [options]\n"
       "see the header comment of tools/ppcloud_cli.cpp or README.md for details\n",
       stderr);
   return 1;
@@ -640,7 +615,6 @@ int main(int argc, char** argv) {
     if (command == "shuffle") return cmd_shuffle(opts);
     if (command == "trace") return cmd_trace(opts);
     if (command == "monitor") return cmd_monitor(opts);
-    if (command == "saturate") return cmd_saturate(opts);
     if (command == "campaign") return cmd_campaign(opts);
     if (command == "autoscale") return cmd_autoscale(opts);
     return usage();
