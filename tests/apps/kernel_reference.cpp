@@ -448,6 +448,69 @@ std::vector<FastaRecord> hostile_reads(ppc::Rng& rng) {
 
 namespace {
 
+/// Bytes a protein FASTA may carry that the BLAST alphabet lacks.
+constexpr char kOddResidues[] = {'B', 'Z', 'X', 'U', '*', '\x80', '\xC3', '\xFF'};
+
+/// Sprinkles lowercase runs and odd residues into `s`.
+void roughen(std::string& s, ppc::Rng& rng) {
+  if (!s.empty() && rng.bernoulli(0.3)) {
+    const std::size_t at = rng.index(s.size());
+    const std::size_t len = 1 + rng.index(20);
+    for (std::size_t i = at; i < s.size() && i < at + len; ++i) {
+      s[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(s[i])));
+    }
+  }
+  if (!s.empty() && rng.bernoulli(0.4)) {
+    const std::size_t count = 1 + rng.index(6);
+    for (std::size_t i = 0; i < count; ++i) {
+      s[rng.index(s.size())] = kOddResidues[rng.index(sizeof kOddResidues)];
+    }
+  }
+}
+
+}  // namespace
+
+blast::SequenceDb hostile_blast_db(ppc::Rng& rng) {
+  blast::DbGenConfig config;
+  config.num_sequences = 60;
+  std::vector<FastaRecord> records = blast::SequenceDb::generate(config, rng).records();
+  std::string odd = blast::random_protein(240, rng);
+  roughen(odd, rng);
+  for (std::size_t i = 0; i < odd.size(); i += 17) odd[i] = kOddResidues[i % sizeof kOddResidues];
+  records.push_back({"rep-W", std::string(300, 'W')});
+  records.push_back({"rep-L", blast::random_protein(30, rng) + std::string(200, 'L')});
+  records.push_back({"odd", odd});
+  records.push_back({"one", "M"});
+  records.push_back({"empty", ""});
+  return blast::SequenceDb(std::move(records));
+}
+
+std::vector<FastaRecord> hostile_queries(const blast::SequenceDb& db, ppc::Rng& rng) {
+  std::vector<FastaRecord> out;
+  for (std::size_t i = 0; i < 36; ++i) {
+    FastaRecord q;
+    q.id = "hq-" + std::to_string(i);
+    q.seq = rng.bernoulli(0.6)
+                ? blast::plant_query(db, rng.index(db.size() - 1), 40 + rng.index(120),
+                                     0.05, rng)
+                : blast::random_protein(40 + rng.index(120), rng);
+    roughen(q.seq, rng);
+    if (rng.bernoulli(0.1)) q.seq.resize(rng.index(6));
+    out.push_back(std::move(q));
+  }
+  out.push_back({"rep-W", std::string(80, 'W')});
+  out.push_back({"rep-w", std::string(40, 'w')});
+  out.push_back({"rep-L", std::string(150, 'L')});
+  out.push_back({"rep-X", std::string(50, 'X')});
+  out.push_back({"W-island", blast::random_protein(20, rng) + std::string(12, 'W') +
+                                 blast::random_protein(20, rng)});
+  out.push_back({"empty", ""});
+  out.push_back({"one", "W"});
+  return out;
+}
+
+namespace {
+
 gtm::GtmModel train(std::size_t points, std::size_t dims, std::size_t latent,
                     std::size_t rbf, std::size_t iterations, ppc::Rng& rng) {
   gtm::ClusterDataConfig data;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/blast/db.h"
 #include "apps/cap3/assembler.h"
 #include "apps/cap3/fasta.h"
 #include "apps/gtm/gtm.h"
@@ -43,6 +44,18 @@ gtm::Matrix interpolate(const gtm::GtmModel& model, const gtm::Matrix& points);
 /// interior lowercase runs, `N`/`X`/`-`/`*` bytes, reads truncated below
 /// any k (some empty), and exact duplicates.
 std::vector<FastaRecord> hostile_reads(ppc::Rng& rng);
+
+/// A BLAST database of 60 generated sequences plus hostile records: long
+/// single-residue repeats (`W` x 300, `L` x 200) whose k-mers have huge
+/// posting lists at every k, a record carrying lowercase, `B`/`Z`/`X`/`U`/`*`
+/// and bytes >= 0x80, a 1-residue record and an empty one.
+blast::SequenceDb hostile_blast_db(ppc::Rng& rng);
+
+/// ~40 BLAST queries over `db` with hostile bytes mixed in: interior
+/// lowercase runs, `B`/`Z`/`X`/`U`/`*` and bytes >= 0x80, queries truncated
+/// below any k (some empty), and single-residue repeats that seed against
+/// the repeat records' posting lists.
+std::vector<FastaRecord> hostile_queries(const blast::SequenceDb& db, ppc::Rng& rng);
 
 /// A GTM model with a `grid` x `grid` latent grid over [-1, 1]^2, centers
 /// drawn uniformly from [-1, 1]^dims and the given beta, built through

@@ -297,6 +297,23 @@ TEST(KernelEquivalence, BlastSearchMatchesStringKeyedReference) {
   }
 }
 
+TEST(KernelEquivalence, BlastHostileQueriesMatchStringKeyedReference) {
+  // Lowercase, ambiguity codes, high bytes, queries shorter than k and
+  // single-residue repeats, against a DB with repeat and odd records.
+  for (const std::size_t k : {2u, 3u, 5u}) {
+    ppc::Rng rng(k);
+    const auto db = kernel_reference::hostile_blast_db(rng);
+    blast::AlignerConfig config;
+    config.k = k;
+    const blast::BlastIndex fast(db, config);
+    const NaiveBlast naive(db, config);
+    for (const auto& query : kernel_reference::hostile_queries(db, rng)) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " query " + query.id);
+      expect_same_hits(fast.search(query), naive.search(query));
+    }
+  }
+}
+
 TEST(KernelEquivalence, BlastIndexCountsMatchReferenceSemantics) {
   // Distinct packed codes == distinct k-mer substrings over standard
   // residues: the integer recoding loses nothing.

@@ -1,16 +1,19 @@
-// Output pins for the Cap3 and GTM file contracts: the fnv1a64 digest of
-// assemble_fasta_file / interpolate_csv_file output over seeded inputs,
-// compared with digests recorded from the string-keyed Cap3 index and the
-// K x N-matrix GTM E-step. A kernel rewrite must keep every byte, so these
-// literals never change with one. No input goes through the GTM EM, whose
-// matrix products a build may contract to FMA differently per optimization
-// level and CPU, so the digests do not depend on the build type.
+// Output pins for the BLAST, Cap3 and GTM file contracts: the fnv1a64 digest
+// of search_file / assemble_fasta_file / interpolate_csv_file output over
+// seeded inputs, compared with digests recorded from the hash-map BLAST
+// index, the string-keyed Cap3 index and the K x N-matrix GTM E-step. A
+// kernel rewrite must keep every byte, so these literals never change with
+// one. No input goes through the GTM EM, whose matrix products a build may
+// contract to FMA differently per optimization level and CPU, so the
+// digests do not depend on the build type.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "apps/blast/aligner.h"
+#include "apps/blast/db.h"
 #include "apps/cap3/assembler.h"
 #include "apps/cap3/read_simulator.h"
 #include "apps/gtm/data_gen.h"
@@ -24,6 +27,66 @@ std::string hex(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
   return buf;
+}
+
+/// A query file of `count` queries of `length` residues, 70% planted
+/// homologs (5% mutated) of database entries: the benchmark job's shape.
+std::string blast_query_file(const blast::SequenceDb& db, std::size_t count,
+                             std::size_t length, ppc::Rng& rng) {
+  std::vector<FastaRecord> queries(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    queries[i].id = "query-" + std::to_string(i);
+    queries[i].seq = rng.bernoulli(0.7)
+                         ? blast::plant_query(db, rng.index(db.size()), length, 0.05, rng)
+                         : blast::random_protein(length, rng);
+  }
+  return write_fasta(queries);
+}
+
+TEST(KernelOutputPin, BlastMixedJobFiles) {
+  // The benchmark job's BLAST files: a 1000-sequence DB, k = 3, files of
+  // 12-48 queries of 120 residues.
+  ppc::Rng rng(11);
+  blast::DbGenConfig db_config;
+  db_config.num_sequences = 1000;
+  const auto db = blast::SequenceDb::generate(db_config, rng);
+  const blast::BlastIndex index(db);
+  std::string out;
+  for (const std::size_t queries : {12u, 24u, 36u, 48u}) {
+    out += index.search_file(blast_query_file(db, queries, 120, rng));
+  }
+  EXPECT_EQ(hex(ppc::fnv1a64(out)), "0x2165a0bfd4e68328");
+}
+
+TEST(KernelOutputPin, BlastRefetchFiles) {
+  // The DB-refetch job's shape at a test-sized DB: k = 4, two queries a file.
+  ppc::Rng rng(12);
+  blast::DbGenConfig db_config;
+  db_config.num_sequences = 1500;
+  const auto db = blast::SequenceDb::generate(db_config, rng);
+  blast::AlignerConfig config;
+  config.k = 4;
+  const blast::BlastIndex index(db, config);
+  std::string out;
+  for (int file = 0; file < 24; ++file) out += index.search_file(blast_query_file(db, 2, 120, rng));
+  EXPECT_EQ(hex(ppc::fnv1a64(out)), "0xc2a562cc4de32aba");
+}
+
+TEST(KernelOutputPin, BlastHostileFiles) {
+  // One digest per k, 4 seeds each, against a DB with repeat and odd records.
+  const std::pair<std::size_t, const char*> pins[] = {{2, "0x728301714ba16da8"}, {5, "0x6a75e7c6c6893256"}};
+  for (const auto& [k, want] : pins) {
+    std::string out;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      ppc::Rng rng(seed);
+      const auto db = kernel_reference::hostile_blast_db(rng);
+      blast::AlignerConfig config;
+      config.k = k;
+      const blast::BlastIndex index(db, config);
+      out += index.search_file(write_fasta(kernel_reference::hostile_queries(db, rng)));
+    }
+    EXPECT_EQ(hex(ppc::fnv1a64(out)), want) << "k=" << k;
+  }
 }
 
 TEST(KernelOutputPin, Cap3MixedJobFiles) {
