@@ -1,7 +1,9 @@
 #include "apps/blast/aligner.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <unordered_map>
 
 #include "apps/blast/protein.h"
 #include "common/error.h"
@@ -11,36 +13,52 @@ namespace ppc::apps::blast {
 
 namespace {
 
-constexpr unsigned kBitsPerResidue = 5;
+using KmerCode = std::uint32_t;
 
-/// Walks `seq` emitting the packed code of every k-mer whose residues are
-/// all standard, as fn(position, code). Rolling: one table lookup, one
-/// shift-or and one mask per position instead of a substring + hash.
+/// 20^k: the number of k-mer codes.
+KmerCode kmer_space(std::size_t k) {
+  KmerCode n = 1;
+  for (std::size_t i = 0; i < k; ++i) n *= kAlphabetSize;
+  return n;
+}
+
+std::vector<std::uint8_t> encode(const std::string& seq) {
+  std::vector<std::uint8_t> codes(seq.size());
+  for (std::size_t i = 0; i < seq.size(); ++i) codes[i] = residue_code(seq[i]);
+  return codes;
+}
+
+/// Walks `n` residue codes emitting the base-20 code of every k-mer whose
+/// residues are all standard, as fn(position, code). Rolling: the residue
+/// leaving the window is subtracted (`top` = 20^(k-1)) before the shift.
 template <typename Fn>
-void for_each_kmer(const std::string& seq, std::size_t k, Fn&& fn) {
-  if (seq.size() < k) return;
-  const std::uint32_t mask = (std::uint32_t{1} << (kBitsPerResidue * k)) - 1;
-  std::uint32_t code = 0;
-  std::size_t run = 0;  // consecutive standard residues ending here
-  for (std::size_t p = 0; p < seq.size(); ++p) {
-    const int idx = amino_index(seq[p]);
-    if (idx < 0) {
+void for_each_kmer(const std::uint8_t* seq, std::size_t n, std::size_t k, KmerCode top, Fn&& fn) {
+  KmerCode code = 0;
+  std::size_t run = 0;  // consecutive standard residues ending here, at most k
+  for (std::size_t p = 0; p < n; ++p) {
+    const KmerCode c = seq[p];
+    if (c == kUnknownResidue) {
       run = 0;
       code = 0;
       continue;
     }
-    code = ((code << kBitsPerResidue) | static_cast<std::uint32_t>(idx)) & mask;
-    if (++run >= k) fn(p + 1 - k, code);
+    if (run == k) {
+      code -= seq[p - k] * top;
+    } else {
+      ++run;
+    }
+    code = code * kAlphabetSize + c;
+    if (run == k) fn(p + 1 - k, code);
   }
 }
 
 /// BLOSUM62 self-scores of every query position (b(c,c); -4 for ambiguity
 /// codes), prefix-summed so a k-mer's self-score is one subtraction —
 /// computed once per query instead of once per position per posting walk.
-std::vector<int> self_score_prefix(const std::string& seq) {
+std::vector<int> self_score_prefix(const std::vector<std::uint8_t>& seq) {
   std::vector<int> prefix(seq.size() + 1, 0);
   for (std::size_t i = 0; i < seq.size(); ++i) {
-    prefix[i + 1] = prefix[i] + blosum62(seq[i], seq[i]);
+    prefix[i + 1] = prefix[i] + kBlosum62Codes[seq[i]][seq[i]];
   }
   return prefix;
 }
@@ -49,15 +67,42 @@ std::vector<int> self_score_prefix(const std::string& seq) {
 
 BlastIndex::BlastIndex(const SequenceDb& db, AlignerConfig config)
     : db_(db), config_(config) {
-  PPC_REQUIRE(config_.k >= 2 && config_.k <= 6, "k must be in [2, 6]");
+  PPC_REQUIRE(config_.k >= 2 && config_.k <= 5, "k must be in [2, 5]");
   PPC_REQUIRE(db_.size() >= 1, "database is empty");
-  index_.reserve(db_.total_residues());
-  for (std::size_t s = 0; s < db_.size(); ++s) {
-    const std::string& seq = db_.record(s).seq;
-    for_each_kmer(seq, config_.k, [&](std::size_t p, KmerCode code) {
-      index_[code].push_back({static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(p)});
-    });
+  PPC_REQUIRE(db_.total_residues() <= UINT32_MAX, "database exceeds 2^32 residues");
+  residues_.reserve(db_.total_residues());
+  seq_start_.reserve(db_.size() + 1);
+  seq_start_.push_back(0);
+  for (const FastaRecord& record : db_.records()) {
+    for (const char c : record.seq) residues_.push_back(residue_code(c));
+    seq_start_.push_back(static_cast<std::uint32_t>(residues_.size()));
   }
+
+  // Two passes over the same k-mers: count per code, then place, so each
+  // code's postings keep database order.
+  const std::size_t k = config_.k;
+  const KmerCode space = kmer_space(k);
+  const auto each_posting = [&](auto&& fn) {
+    for (std::uint32_t s = 0; s < db_.size(); ++s) {
+      const std::uint32_t begin = seq_start_[s];
+      for_each_kmer(residues_.data() + begin, seq_start_[s + 1] - begin, k, space / kAlphabetSize,
+                    [&](std::size_t p, KmerCode code) { fn(s, p, code); });
+    }
+  };
+  offsets_.assign(space + 1, 0);
+  each_posting([&](std::uint32_t, std::size_t, KmerCode code) { ++offsets_[code + 1]; });
+  for (KmerCode c = 0; c < space; ++c) offsets_[c + 1] += offsets_[c];
+  postings_.resize(offsets_.back());
+  std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  each_posting([&](std::uint32_t s, std::size_t p, KmerCode code) {
+    postings_[next[code]++] = {s, static_cast<std::uint32_t>(p)};
+  });
+}
+
+std::size_t BlastIndex::indexed_kmers() const {
+  std::size_t n = 0;
+  for (std::size_t c = 0; c + 1 < offsets_.size(); ++c) n += offsets_[c + 1] > offsets_[c];
+  return n;
 }
 
 std::vector<Hit> BlastIndex::search(const FastaRecord& query) const {
@@ -72,35 +117,41 @@ std::vector<Hit> BlastIndex::search(const FastaRecord& query) const {
   best_per_subject.reserve(64);
 
   const std::string& q = query.seq;
-  if (q.size() < config_.k) return {};
+  const std::size_t k = config_.k;
+  if (q.size() < k) return {};
 
-  const std::vector<int> self_prefix = self_score_prefix(q);
+  const std::vector<std::uint8_t> qcodes = encode(q);
+  const std::vector<int> self_prefix = self_score_prefix(qcodes);
+  const std::uint8_t* qc = qcodes.data();
+  const int seed_threshold = config_.seed_threshold;
+  const int x_drop = config_.x_drop;
+  const int score_cutoff = config_.score_cutoff;
 
-  for_each_kmer(q, config_.k, [&](std::size_t qp, KmerCode code) {
-    if (self_prefix[qp + config_.k] - self_prefix[qp] < config_.seed_threshold) return;
-    const auto it = index_.find(code);
-    if (it == index_.end()) return;
+  for_each_kmer(qc, qcodes.size(), k, kmer_space(k) / kAlphabetSize,
+                [&](std::size_t qp, KmerCode code) {
+    // Seed score: the k-mer matches exactly, so it is the self-score.
+    const int seed_score = self_prefix[qp + k] - self_prefix[qp];
+    if (seed_score < seed_threshold) return;
 
-    for (const Posting& posting : it->second) {
-      const std::string& s = db_.record(posting.seq).seq;
+    for (std::uint32_t at = offsets_[code]; at < offsets_[code + 1]; ++at) {
+      const Posting posting = postings_[at];
+      const std::uint8_t* sc = residues_.data() + seq_start_[posting.seq];
+      const std::size_t slen = seq_start_[posting.seq + 1] - seq_start_[posting.seq];
       const std::size_t sp = posting.pos;
 
-      // Seed score: the k-mer matches exactly, so it is the self-score.
-      int score = self_prefix[qp + config_.k] - self_prefix[qp];
-
       // Extend right with X-drop.
-      int best_score = score;
-      std::size_t best_right = config_.k;  // residues covered from seed start
+      int best_score = seed_score;
+      std::size_t best_right = k;  // residues covered from seed start
       {
-        int run = score;
-        std::size_t i = config_.k;
-        while (qp + i < q.size() && sp + i < s.size()) {
-          run += blosum62(q[qp + i], s[sp + i]);
+        int run = seed_score;
+        const std::size_t limit = std::min(qcodes.size() - qp, slen - sp);
+        for (std::size_t i = k; i < limit;) {
+          run += kBlosum62Codes[qc[qp + i]][sc[sp + i]];
           ++i;
           if (run > best_score) {
             best_score = run;
             best_right = i;
-          } else if (run < best_score - config_.x_drop) {
+          } else if (run < best_score - x_drop) {
             break;
           }
         }
@@ -111,27 +162,29 @@ std::vector<Hit> BlastIndex::search(const FastaRecord& query) const {
       {
         int run = best_score;
         int local_best = best_score;
-        std::size_t i = 0;
-        while (qp > i && sp > i) {
+        const std::size_t limit = std::min(qp, sp);
+        for (std::size_t i = 0; i < limit;) {
           ++i;
-          run += blosum62(q[qp - i], s[sp - i]);
+          run += kBlosum62Codes[qc[qp - i]][sc[sp - i]];
           if (run > local_best) {
             local_best = run;
             best_left = i;
-          } else if (run < local_best - config_.x_drop) {
+          } else if (run < local_best - x_drop) {
             break;
           }
         }
         best_score = local_best;
       }
 
-      if (best_score < config_.score_cutoff) continue;
+      if (best_score < score_cutoff) continue;
       const std::size_t align_len = best_left + best_right;
       const std::size_t qstart = qp - best_left;
       const std::size_t sstart = sp - best_left;
 
       Best& cur = best_per_subject[posting.seq];
       if (best_score > cur.score) {
+        // Identity compares raw bytes, so an `X` against an `X` counts.
+        const std::string& s = db_.record(posting.seq).seq;
         std::size_t identical = 0;
         for (std::size_t i = 0; i < align_len; ++i) {
           if (q[qstart + i] == s[sstart + i]) ++identical;

@@ -13,9 +13,8 @@
 //    meets the cutoff, ranked by score.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/blast/db.h"
@@ -47,9 +46,10 @@ struct Hit {
 class BlastIndex {
  public:
   /// Builds the k-mer index over the database (the expensive, shared step —
-  /// the analog of formatdb/makeblastdb). K-mers are packed into integer
-  /// codes (5 bits per residue), so the index hashes machine words instead
-  /// of allocating a substring per database position. K-mers containing a
+  /// the analog of formatdb/makeblastdb). Each database sequence is encoded
+  /// once as residue codes, and the postings of every k-mer sit in one flat
+  /// array, indexed by a dense offsets table over the base-20 k-mer code
+  /// (20^k + 1 entries: 640 KB at k = 4, hence k <= 5). K-mers containing a
   /// non-standard residue are unindexable and skipped — seeding requires
   /// exact residues; extension still scores ambiguity codes as mismatches.
   BlastIndex(const SequenceDb& db, AlignerConfig config = {});
@@ -64,7 +64,8 @@ class BlastIndex {
   /// the worker-facing entry point (file in, file out).
   std::string search_file(const std::string& query_fasta) const;
 
-  std::size_t indexed_kmers() const { return index_.size(); }
+  /// Distinct k-mers with at least one posting.
+  std::size_t indexed_kmers() const;
 
  private:
   struct Posting {
@@ -72,13 +73,16 @@ class BlastIndex {
     std::uint32_t pos = 0;
   };
 
-  /// Packed k-mer: 5 bits per residue, most recent residue in the low bits
-  /// (k <= 6 fits in 30 bits).
-  using KmerCode = std::uint32_t;
-
   SequenceDb db_;
   AlignerConfig config_;
-  std::unordered_map<KmerCode, std::vector<Posting>> index_;
+  /// Every database sequence as residue codes, back to back: sequence s is
+  /// residues_[seq_start_[s] .. seq_start_[s + 1]).
+  std::vector<std::uint8_t> residues_;
+  std::vector<std::uint32_t> seq_start_;
+  /// The postings of k-mer code c, in database order (sequence, then
+  /// position), are postings_[offsets_[c] .. offsets_[c + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<Posting> postings_;
 };
 
 /// Renders hits in BLAST -outfmt 6 style (tab separated).

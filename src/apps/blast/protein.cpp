@@ -1,6 +1,6 @@
 #include "apps/blast/protein.h"
 
-#include <array>
+#include <cstddef>
 
 namespace ppc::apps::blast {
 
@@ -40,18 +40,33 @@ constexpr std::array<int, 128> make_index_table() {
 }
 
 constexpr auto kIndexTable = make_index_table();
+
+constexpr ScoreTable make_score_table() {
+  ScoreTable table{};
+  for (auto& row : table) row.fill(-4);
+  for (int i = 0; i < kAlphabetSize; ++i) {
+    for (int j = 0; j < kAlphabetSize; ++j) {
+      table[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+          static_cast<std::int8_t>(kBlosum62[i][j]);
+    }
+  }
+  return table;
+}
 }  // namespace
+
+const ScoreTable kBlosum62Codes = make_score_table();
 
 int amino_index(char aa) {
   const auto u = static_cast<unsigned char>(aa);
   return u < 128 ? kIndexTable[u] : -1;
 }
 
-int blosum62(char a, char b) {
-  const int ia = amino_index(a), ib = amino_index(b);
-  if (ia < 0 || ib < 0) return -4;
-  return kBlosum62[ia][ib];
+std::uint8_t residue_code(char aa) {
+  const int idx = amino_index(aa);
+  return static_cast<std::uint8_t>(idx < 0 ? kUnknownResidue : idx);
 }
+
+int blosum62(char a, char b) { return kBlosum62Codes[residue_code(a)][residue_code(b)]; }
 
 bool is_valid_protein(const std::string& seq) {
   for (char c : seq) {

@@ -112,6 +112,21 @@ TEST_F(AlignerTest, RejectsBadConfig) {
   EXPECT_THROW(BlastIndex(db, bad), ppc::InvalidArgument);
 }
 
+TEST_F(AlignerTest, KIsBoundedByTheDenseOffsetsTable) {
+  // 20^k + 1 offsets: 12.8 MB at k = 5, 256 MB at k = 6.
+  const auto db = make_db(3);
+  for (const std::size_t k : {0u, 1u, 6u, 7u}) {
+    AlignerConfig config;
+    config.k = k;
+    EXPECT_THROW(BlastIndex(db, config), ppc::InvalidArgument) << "k=" << k;
+  }
+  for (const std::size_t k : {2u, 3u, 4u, 5u}) {
+    AlignerConfig config;
+    config.k = k;
+    EXPECT_NO_THROW(BlastIndex(db, config)) << "k=" << k;
+  }
+}
+
 TEST_F(AlignerTest, XDropLimitsExtensionThroughJunk) {
   // A query sharing only a short island with a subject must not extend the
   // alignment across the dissimilar flanks.
