@@ -6,9 +6,10 @@
 //
 // A CRC detects every single-bit error and every burst of up to 32 bits,
 // which a byte-serial hash does not guarantee, and x86-64 computes it in
-// hardware (SSE4.2 `crc32`) at several GB/s.
+// hardware (SSE4.2 `crc32`, three streams at once) at over 10 GB/s.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -21,6 +22,10 @@ namespace ppc {
 std::uint32_t crc32c(std::string_view data);
 
 namespace detail {
+
+/// The hardware path interleaves three streams over consecutive blocks of
+/// this many bytes; buffers of 3 * kCrc32cBlock bytes and up take it.
+inline constexpr std::size_t kCrc32cBlock = 4096;
 
 /// The portable slice-by-8 path, exposed so tests can check the hardware
 /// path against it.

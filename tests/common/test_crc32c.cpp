@@ -1,5 +1,6 @@
 // CRC32C: RFC 3720 known answers, and the dispatched (hardware, where the
-// CPU has SSE4.2) path against the portable slice-by-8 table path.
+// CPU has SSE4.2, three interleaved streams) path against the portable
+// slice-by-8 table path.
 #include "common/crc32c.h"
 
 #include <gtest/gtest.h>
@@ -57,6 +58,30 @@ TEST(Crc32c, DispatchedPathMatchesPortableOnRandomLongBuffers) {
     ASSERT_EQ(crc32c(view), detail::crc32c_portable(view))
         << "offset " << offset << " length " << len;
   }
+}
+
+TEST(Crc32c, DispatchedPathMatchesPortableAtTheStreamSeams) {
+  // Lengths at every multiple of the three-block stride up to four strides,
+  // +-0..8 bytes, at offsets 0..7: the joins, the stride loop's exit and
+  // the single-stream tail.
+  constexpr std::size_t kStride = 3 * detail::kCrc32cBlock;
+  Rng rng(0x5EA115);
+  const std::string buf = random_bytes(4 * kStride + 16, rng);
+  for (std::size_t stride = 1; stride <= 4; ++stride) {
+    for (std::size_t len = stride * kStride - 8; len <= stride * kStride + 8; ++len) {
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        const std::string_view view(buf.data() + offset, len);
+        ASSERT_EQ(crc32c(view), detail::crc32c_portable(view))
+            << "offset " << offset << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, DispatchedPathMatchesPortableOnA4MiBBuffer) {
+  Rng rng(0x4B1B);
+  const std::string buf = random_bytes(4u << 20, rng);
+  EXPECT_EQ(crc32c(buf), detail::crc32c_portable(buf));
 }
 
 TEST(Crc32c, DetectsEverySingleBitFlipInABlock) {
