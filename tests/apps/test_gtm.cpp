@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "apps/gtm/data_gen.h"
 #include "common/error.h"
+#include "common/string_util.h"
 
 namespace ppc::apps::gtm {
 namespace {
@@ -56,6 +62,77 @@ TEST(DataGen, CsvRoundTrip) {
 TEST(DataGen, RejectsEmptyCsv) {
   EXPECT_THROW(matrix_from_csv(""), ppc::InvalidArgument);
   EXPECT_THROW(matrix_from_csv("1,2\n3\n"), ppc::InvalidArgument);
+}
+
+TEST(DataGen, CsvRejectsWhatItCannotReadWhole) {
+  // Each cell must parse whole as a decimal number (or one of the four
+  // non-finite spellings matrix_to_csv writes): no trailing garbage, hex,
+  // '+' sign, other NaN/infinity spellings, empty cells or overflow.
+  for (const char* cell : {"2x", "abc", "", "1 5", "0x1p3", "0x10", "+1", "1e999", "-1e999",
+                           "NaN", "NAN", "Inf", "INF", "infinity", "-infinity", "nan(1)", "--1",
+                           "1,", ".", "-", "e5", "1e", "\x80"}) {
+    SCOPED_TRACE(std::string("cell '") + cell + "'");
+    EXPECT_THROW(matrix_from_csv(std::string("1,2\n3,") + cell + "\n"), ppc::InvalidArgument);
+  }
+}
+
+TEST(DataGen, CsvErrorsNameTheLine) {
+  const auto message = [](const std::string& csv) {
+    try {
+      matrix_from_csv(csv);
+    } catch (const ppc::InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  // Blank lines count: the bad cell is on physical line 4.
+  EXPECT_NE(message("1,2\n\n3,4\n5,2x\n").find("line 4"), std::string::npos);
+  EXPECT_NE(message("1,2\n3,4\n5\n").find("line 3"), std::string::npos);
+  EXPECT_NE(message("1,2\n3,4,5\n").find("line 2"), std::string::npos);
+}
+
+TEST(DataGen, CsvAcceptsTrimmedCellsAndNonFiniteSpellings) {
+  const Matrix m = matrix_from_csv(" 1.5 ,\t-2\r\n\n  \r\n.25,1e-3\r\nnan,-nan\ninf,-inf");
+  ASSERT_EQ(m.rows(), 4u);
+  ASSERT_EQ(m.cols(), 2u);
+  EXPECT_EQ(m(0, 0), 1.5);
+  EXPECT_EQ(m(0, 1), -2.0);
+  EXPECT_EQ(m(1, 0), 0.25);
+  EXPECT_EQ(m(1, 1), 1e-3);
+  EXPECT_TRUE(std::isnan(m(2, 0)));
+  EXPECT_FALSE(std::signbit(m(2, 0)));
+  EXPECT_TRUE(std::isnan(m(2, 1)));
+  EXPECT_TRUE(std::signbit(m(2, 1)));
+  EXPECT_EQ(m(3, 0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(m(3, 1), -std::numeric_limits<double>::infinity());
+}
+
+TEST(DataGen, CsvReadsWhatItWritesBitForBit) {
+  // Every value matrix_to_csv writes, over many magnitudes and the four
+  // non-finite values, reads back as strtod reads the written cell.
+  ppc::Rng rng(5);
+  Matrix m(400, 7);
+  for (auto& v : m.data()) v = rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform_int(-300, 300));
+  m(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  m(0, 1) = -std::numeric_limits<double>::quiet_NaN();
+  m(0, 2) = std::numeric_limits<double>::infinity();
+  m(0, 3) = -std::numeric_limits<double>::infinity();
+  m(0, 4) = 0.0;
+  m(0, 5) = -0.0;
+  const std::string csv = matrix_to_csv(m);
+  const Matrix back = matrix_from_csv(csv);
+  ASSERT_EQ(back.rows(), m.rows());
+  ASSERT_EQ(back.cols(), m.cols());
+  std::size_t i = 0;
+  for (const auto& line : ppc::split(csv, '\n')) {
+    if (line.empty()) continue;
+    for (const auto& cell : ppc::split(line, ',')) {
+      const double want = std::strtod(cell.c_str(), nullptr);
+      ASSERT_EQ(std::memcmp(&back.data()[i], &want, sizeof want), 0) << "cell " << cell;
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, back.data().size());
 }
 
 TEST(GtmTrain, LogLikelihoodIsNonDecreasing) {
