@@ -30,9 +30,10 @@ std::vector<std::uint8_t> encode(const std::string& seq) {
 
 /// Walks `n` residue codes emitting the base-20 code of every k-mer whose
 /// residues are all standard, as fn(position, code). Rolling: the residue
-/// leaving the window is subtracted (`top` = 20^(k-1)) before the shift.
+/// leaving the window is subtracted before the shift.
 template <typename Fn>
-void for_each_kmer(const std::uint8_t* seq, std::size_t n, std::size_t k, KmerCode top, Fn&& fn) {
+void for_each_kmer(const std::uint8_t* seq, std::size_t n, std::size_t k, Fn&& fn) {
+  const KmerCode top = kmer_space(k - 1);  // weight of the leaving residue
   KmerCode code = 0;
   std::size_t run = 0;  // consecutive standard residues ending here, at most k
   for (std::size_t p = 0; p < n; ++p) {
@@ -85,7 +86,7 @@ BlastIndex::BlastIndex(const SequenceDb& db, AlignerConfig config)
   const auto each_posting = [&](auto&& fn) {
     for (std::uint32_t s = 0; s < db_.size(); ++s) {
       const std::uint32_t begin = seq_start_[s];
-      for_each_kmer(residues_.data() + begin, seq_start_[s + 1] - begin, k, space / kAlphabetSize,
+      for_each_kmer(residues_.data() + begin, seq_start_[s + 1] - begin, k,
                     [&](std::size_t p, KmerCode code) { fn(s, p, code); });
     }
   };
@@ -127,8 +128,7 @@ std::vector<Hit> BlastIndex::search(const FastaRecord& query) const {
   const int x_drop = config_.x_drop;
   const int score_cutoff = config_.score_cutoff;
 
-  for_each_kmer(qc, qcodes.size(), k, kmer_space(k) / kAlphabetSize,
-                [&](std::size_t qp, KmerCode code) {
+  for_each_kmer(qc, qcodes.size(), k, [&](std::size_t qp, KmerCode code) {
     // Seed score: the k-mer matches exactly, so it is the self-score.
     const int seed_score = self_prefix[qp + k] - self_prefix[qp];
     if (seed_score < seed_threshold) return;
