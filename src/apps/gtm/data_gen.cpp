@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/error.h"
+#include "common/string_util.h"
 
 namespace ppc::apps::gtm {
 
@@ -48,16 +49,6 @@ std::string matrix_to_csv(const Matrix& m) {
 
 namespace {
 
-bool is_ascii_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
-}
-
-std::string_view trim_ascii(std::string_view s) {
-  while (!s.empty() && is_ascii_space(s.front())) s.remove_prefix(1);
-  while (!s.empty() && is_ascii_space(s.back())) s.remove_suffix(1);
-  return s;
-}
-
 /// One trimmed cell as matrix_to_csv writes it: a decimal number that
 /// from_chars reads whole, or nan / -nan / inf / -inf. Hex, a '+' sign and
 /// other NaN or infinity spellings are rejected, as is a value out of range.
@@ -88,7 +79,7 @@ void for_each_row(std::string_view csv, Fn&& fn) {
     const std::string_view line = csv.substr(0, nl);
     csv.remove_prefix(nl == std::string_view::npos ? csv.size() : nl + 1);
     ++line_no;
-    if (!trim_ascii(line).empty()) fn(line_no, line);
+    if (!ppc::trim(line).empty()) fn(line_no, line);
   }
 }
 
@@ -112,7 +103,7 @@ Matrix matrix_from_csv(const std::string& csv) {
     std::size_t c = 0;
     while (true) {
       const std::size_t comma = line.find(',');
-      const std::string_view cell = trim_ascii(line.substr(0, comma));
+      const std::string_view cell = ppc::trim(line.substr(0, comma));
       PPC_REQUIRE(c < cols, on_line(line_no) + "ragged CSV row (more than " +
                                 std::to_string(cols) + " cells)");
       const bool parsed = parse_cell(cell, *out++);
