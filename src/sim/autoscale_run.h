@@ -19,12 +19,12 @@
 //   * fits the wall-clock budget.
 //
 // The per-tick fleet-size series is exported as CSV — the fleet-size-vs-time
-// artifact the elasticity-smoke CI job uploads.
+// artifact the elasticity-smoke CI job uploads. Both runs are run_des
+// RunReports; the verb's preset is campaign_spec() plus the caller's
+// ElasticSimParams (spot fraction, revocation rate and notice).
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/units.h"
 #include "core/drivers.h"
@@ -32,54 +32,41 @@
 
 namespace ppc::sim {
 
+/// What the campaign takes besides the workload, the reference fleet and
+/// the DesRunSpec.
 struct AutoscaleCampaignConfig {
-  /// Cap3 files; one task each. The headline run is 1,000,000.
-  int tasks = 100000;
-  /// Reference static fleet (EC2 HCXL instances) the deadline defaults are
-  /// derived from; the SchedulerPolicy may size the actual comparator
-  /// smaller.
-  int instances = 32;
-  int workers_per_instance = 8;
-  int receive_batch = 10;
-  int queue_shards = 8;
-  unsigned seed = 42;
-
   /// Wall deadline in sim-seconds; < 0 derives 1.25x the reference static
   /// fleet's estimated makespan (slack for ramp-up and storm recovery).
   Seconds deadline = -1.0;
   /// Spend cap handed to the Autoscaler; < 0 = uncapped.
   Dollars budget = -1.0;
-  double spot_fraction = 0.5;
-  /// Seeded revocation storms: `storms` of them, evenly spread over the
-  /// static makespan estimate, each revoking every running spot instance
-  /// with probability `revocation_rate` on `revocation_notice` seconds of
-  /// notice.
+  /// Seeded revocation storms, evenly spread over the static makespan
+  /// estimate (each revokes every running spot instance with the elastic
+  /// params' revocation_rate on revocation_notice seconds of notice).
   int storms = 2;
-  double revocation_rate = 0.2;
-  Seconds revocation_notice = 90.0;
-
-  Seconds monitor_period = 600.0;
   /// Real-seconds budget for the elastic run (excluding the rerun).
   Seconds wall_budget = 300.0;
-  bool verify_determinism = true;
 };
 
-/// The verdict, task counts and monitor series of the elastic run come
-/// from MonitoredCampaign.
-struct AutoscaleReport : MonitoredCampaign {
+/// The campaign verdict: the elastic run, whose `failures` say why it did
+/// not pass, and the static on-demand comparator it was judged against.
+struct AutoscaleVerdict {
   Seconds deadline = 0.0;
-  int static_instances = 0;  // the SchedulerPolicy's comparator fleet
-  Seconds makespan_static = 0.0;
-  Seconds makespan_elastic = 0.0;
-  Dollars cost_static = 0.0;   // hour units, all on-demand
-  Dollars cost_elastic = 0.0;  // hour units, blended
-  core::ElasticRunStats elastic;
-
-  std::string to_text() const;
-  /// "t,active,spot\n..." — the fleet-size-vs-time CI artifact.
-  std::string fleet_series_csv() const;
+  int static_instances = 0;   // the SchedulerPolicy's comparator fleet
+  core::RunResult comparator;  // the static run; cost in hour units
+  RunReport elastic;
 };
 
-AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config);
+/// Sizes the comparator for `workload` on at most `reference.instances` of
+/// its type, runs it, then runs the elastic fleet (up to the full reference
+/// fleet, spot share and storms per `spec.elastic`, defaults when unset)
+/// monitored and rerun per `spec`, and appends every failed gate.
+AutoscaleVerdict run_autoscale_campaign(const core::Workload& workload,
+                                        const core::Deployment& reference, DesRunSpec spec,
+                                        const AutoscaleCampaignConfig& config);
+
+std::string autoscale_text(const AutoscaleVerdict& verdict);
+/// "t,active,spot\n..." — the fleet-size-vs-time CI artifact.
+std::string fleet_series_csv(const RunReport& report);
 
 }  // namespace ppc::sim

@@ -1,7 +1,7 @@
 #include "sim/chaos_campaign.h"
 
 #include <map>
-#include <memory>
+#include <utility>
 
 #include "azuremr/worker.h"
 #include "classiccloud/worker.h"
@@ -9,11 +9,8 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "mapreduce/job.h"
-#include "runtime/fault_injector.h"
-#include "runtime/metrics.h"
-#include "runtime/tracer.h"
+#include "runtime/fault_plan.h"
 #include "sim/app_job.h"
-#include "sim/engine_run.h"
 
 namespace ppc::sim {
 
@@ -25,7 +22,7 @@ using Outputs = std::map<std::string, std::string>;
 /// absorb) plus seed-sampled extras. Sites that would break the *client*
 /// rather than a worker — send/put errors, corruption that could land on
 /// the driver's own final reads — are deliberately not armed.
-runtime::FaultPlan make_plan(const ChaosConfig& cfg) {
+runtime::FaultPlan make_plan(const std::string& substrate, const ChaosConfig& cfg) {
   using runtime::FaultAction;
   runtime::FaultPlan plan;
   plan.seed = cfg.seed;
@@ -34,9 +31,9 @@ runtime::FaultPlan make_plan(const ChaosConfig& cfg) {
     FaultAction action;
   };
   std::vector<MenuItem> menu;
-  if (cfg.substrate == "classiccloud" || cfg.substrate == "azuremr") {
+  if (substrate == "classiccloud" || substrate == "azuremr") {
     // The queue and bucket names the engine runner gives job "chaos".
-    const bool cc = cfg.substrate == "classiccloud";
+    const bool cc = substrate == "classiccloud";
     const std::string queue = cc ? "cloudq.chaos-cc-tasks" : "cloudq.chaos-az-mr-tasks";
     const std::string qrecv = queue + ".receive";
     const std::string qdel = queue + ".delete";
@@ -59,7 +56,7 @@ runtime::FaultPlan make_plan(const ChaosConfig& cfg) {
       menu.push_back({blist, FaultAction::kError});
       menu.push_back({azuremr::sites::kAfterReduce, FaultAction::kCrash});
     }
-  } else if (cfg.substrate == "mapreduce" && is_shuffle_app(cfg.app)) {
+  } else if (substrate == "mapreduce" && is_shuffle_app(cfg.app)) {
     // Full-pipeline chaos: faults land on every shuffle stage. The crash in
     // the kMapRegister window leaves durable-but-unregistered spills (the
     // map-output-loss shape), the fetch/spill errors burn attempts on both
@@ -77,7 +74,7 @@ runtime::FaultPlan make_plan(const ChaosConfig& cfg) {
     menu = {{site::kFetch, FaultAction::kDelay},       {site::kFetch, FaultAction::kError},
             {site::kSpill, FaultAction::kError},       {site::kMapAttempt, FaultAction::kCrash},
             {site::kReduceAttempt, FaultAction::kCrash}, {bget, FaultAction::kCorrupt}};
-  } else if (cfg.substrate == "mapreduce") {
+  } else if (substrate == "mapreduce") {
     const std::string site = mapreduce::sites::kMapAttempt;
     plan.crash(site);
     plan.delay(site, 0.005, 3);
@@ -86,10 +83,10 @@ runtime::FaultPlan make_plan(const ChaosConfig& cfg) {
             {site, FaultAction::kError},
             {site, FaultAction::kCrash}};
   } else {
-    throw ppc::InvalidArgument("unknown chaos substrate: " + cfg.substrate);
+    throw ppc::InvalidArgument("unknown chaos substrate: " + substrate);
   }
 
-  ppc::Rng rng(cfg.seed ^ ppc::fnv1a64(cfg.substrate));
+  ppc::Rng rng(cfg.seed ^ ppc::fnv1a64(substrate));
   const int extras = static_cast<int>(rng.uniform_int(2, 4));
   for (int i = 0; i < extras; ++i) {
     const MenuItem& item = menu[rng.index(menu.size())];
@@ -118,8 +115,8 @@ runtime::FaultPlan make_plan(const ChaosConfig& cfg) {
   // on or off.
   if (cfg.revocation_storm) {
     const std::string storm_site =
-        cfg.substrate == "classiccloud" ? classiccloud::sites::kAfterReceive
-        : cfg.substrate == "azuremr"    ? azuremr::sites::kAfterMap
+        substrate == "classiccloud" ? classiccloud::sites::kAfterReceive
+        : substrate == "azuremr"    ? azuremr::sites::kAfterMap
                                         : mapreduce::sites::kMapAttempt;
     // The budget (2 kills) bounds the storm; the per-firing probability only
     // spreads the kills across workers. On a 4-task job a 0.5 coin can miss
@@ -146,26 +143,10 @@ void compare_outputs(const Outputs& baseline, const Outputs& chaos,
 
 }  // namespace
 
-ChaosReport run_chaos_campaign(const ChaosConfig& config) {
-  ChaosReport report;
-  report.seed = config.seed;
-  report.substrate = config.substrate;
-  report.app = config.app;
-
-  // Unknown apps throw here; a shuffle app off mapreduce throws in the
-  // engine runner.
-  const bool shuffle = is_shuffle_app(config.app);
-  const AppJob job = shuffle ? make_shuffle_app(config.app, config.num_files)
-                             : make_app_job(config.app, config.num_files);
-  const runtime::FaultPlan plan = make_plan(config);
-  report.plan_summary = plan.summary();
-
+EngineRunSpec chaos_spec(const std::string& substrate, const ChaosConfig& config) {
   EngineRunSpec spec;
-  spec.substrate = config.substrate;
-  spec.job = shuffle ? "chaos-" + config.app : "chaos";
-  spec.storage = config.storage;
-  spec.enable_cache = config.enable_cache;
-  spec.num_workers = config.num_workers;
+  spec.substrate = substrate;
+  spec.job = is_shuffle_app(config.app) ? "chaos-" + config.app : "chaos";
   spec.slots_per_node = 2;
   // Redrive headroom: every guaranteed fault can land on one unlucky task
   // without failing the job, and only the always-failing poison sentinel
@@ -177,34 +158,36 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
   // runs, so the shuffle's spill/fetch fault sites sit on the hot path.
   spec.map_spill_budget = 2.0 * 1024;
   spec.sort_memory_budget = 4.0 * 1024;
+  return spec;
+}
 
-  const EngineRun baseline = run_engine(spec, job);
+RunReport run_chaos_campaign(const EngineRunSpec& spec, const ChaosConfig& config) {
+  // Unknown apps throw here, unknown substrates in make_plan; a shuffle app
+  // off mapreduce throws in the engine runner.
+  const bool shuffle = is_shuffle_app(config.app);
+  const AppJob job = shuffle ? make_shuffle_app(config.app, config.num_files)
+                             : make_app_job(config.app, config.num_files);
+  runtime::FaultPlan plan = make_plan(spec.substrate, config);
+
+  EngineRunSpec baseline_spec = spec;
+  baseline_spec.monitor_period = 0.0;  // only the chaos run is watched
+  RunReport baseline = run_engine(baseline_spec, job);
   if (!baseline.succeeded) {
     // A broken baseline means the campaign cannot judge anything.
-    for (const auto& f : baseline.failures) report.failures.push_back("baseline: " + f);
-    return report;
+    for (std::string& f : baseline.failures) f = "baseline: " + f;
+    return baseline;
   }
 
   // The chaos run is traced: its Chrome JSON is the campaign's failure
   // artifact — every injected fault, redelivery, DLQ parking, and supervisor
   // reap shows up as span data.
-  runtime::FaultInjector faults;
-  runtime::Tracer tracer;
-  tracer.enable();
-  spec.faults = &faults;
-  spec.plan = &plan;
-  spec.tracer = &tracer;
-  spec.metrics = std::make_shared<runtime::MetricsRegistry>();
-  spec.monitor_period = config.monitor_period;
-  const EngineRun chaos = run_engine(spec, job);
-  static_cast<FaultTally&>(report) = chaos.tally;
-  report.monitor_json = chaos.monitor_json;
-  report.metrics_json = spec.metrics->to_json();
-  report.trace_json = tracer.to_chrome_json();
-  report.trace_spans = tracer.completed_spans();
+  EngineRunSpec faulted = spec;
+  faulted.trace = true;
+  faulted.plan = std::move(plan);
+  RunReport report = run_engine(faulted, job);
   std::vector<std::string>& failures = report.failures;
-  for (const auto& f : chaos.failures) failures.push_back("chaos: " + f);
-  compare_outputs(baseline.outputs, chaos.outputs, failures);
+  for (std::string& f : failures) f = "chaos: " + f;
+  compare_outputs(baseline.outputs, report.outputs, failures);
 
   // Coverage: the plan must actually have exercised every fault action the
   // substrate can absorb, or the campaign proves nothing.
@@ -214,7 +197,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
   if (config.revocation_storm && report.spot_revocations < 1) {
     failures.push_back("revocation storm revoked nothing");
   }
-  const bool queue_substrate = config.substrate != "mapreduce";
+  const bool queue_substrate = spec.substrate != "mapreduce";
   // Shuffle runs arm corruption on the shuffle bucket's gets (checksum
   // detection is under test); queue substrates arm it on deliveries/blobs.
   if ((queue_substrate || shuffle) && report.corruptions < 1) {
@@ -234,35 +217,52 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
     if (report.dlq_entries < 1) failures.push_back("dead-letter queue stayed empty");
   }
 
-  report.passed = failures.empty();
+  report.succeeded = failures.empty();
   return report;
 }
 
-std::string ChaosReport::to_text() const {
-  std::string out = "chaos campaign: substrate=" + substrate + " app=" + app +
-                    " seed=" + std::to_string(seed) + " -> " + (passed ? "PASS" : "FAIL") +
-                    "\n";
+std::string chaos_text(const RunReport& r, const EngineRunSpec& spec,
+                       const ChaosConfig& config) {
+  std::string out = "chaos campaign: substrate=" + spec.substrate + " app=" + config.app +
+                    " seed=" + std::to_string(config.seed) + " -> " +
+                    (r.succeeded ? "PASS" : "FAIL") + "\n";
   out += "  plan:\n";
-  for (const std::string& rule : ppc::split(plan_summary, '\n')) {
+  for (const std::string& rule : ppc::split(make_plan(spec.substrate, config).summary(), '\n')) {
     if (!rule.empty()) out += "    " + rule + "\n";
   }
-  out += "  injected: crashes=" + std::to_string(crashes) +
-         " delays=" + std::to_string(delays) + " errors=" + std::to_string(errors) +
-         " corruptions=" + std::to_string(corruptions) +
-         " spot_revocations=" + std::to_string(spot_revocations) + "\n";
-  out += "  absorbed: redeliveries=" + std::to_string(redeliveries) +
-         " deletes_failed=" + std::to_string(deletes_failed) +
-         " stale_deletes=" + std::to_string(stale_deletes) +
-         " corrupt_deliveries=" + std::to_string(corrupt_deliveries) + "\n";
-  out += "  recovered: dlq_entries=" + std::to_string(dlq_entries) +
-         " poison_tasks=" + std::to_string(poison_tasks) +
-         " restarts=" + std::to_string(supervisor_restarts) +
-         " recovery_p50=" + ppc::format_fixed(recovery_p50, 3) +
-         "s recovery_max=" + ppc::format_fixed(recovery_max, 3) + "s\n";
-  for (const auto& failure : failures) {
-    out += "  FAIL: " + failure + "\n";
-  }
+  out += "  injected: crashes=" + std::to_string(r.crashes) +
+         " delays=" + std::to_string(r.delays) + " errors=" + std::to_string(r.errors) +
+         " corruptions=" + std::to_string(r.corruptions) +
+         " spot_revocations=" + std::to_string(r.spot_revocations) + "\n";
+  out += "  absorbed: redeliveries=" + std::to_string(r.redeliveries) +
+         " deletes_failed=" + std::to_string(r.deletes_failed) +
+         " stale_deletes=" + std::to_string(r.stale_deletes) +
+         " corrupt_deliveries=" + std::to_string(r.corrupt_deliveries) + "\n";
+  out += "  recovered: dlq_entries=" + std::to_string(r.dlq_entries) +
+         " poison_tasks=" + std::to_string(r.poison_tasks) +
+         " restarts=" + std::to_string(r.supervisor_restarts) +
+         " recovery_p50=" + ppc::format_fixed(r.recovery_p50, 3) +
+         "s recovery_max=" + ppc::format_fixed(r.recovery_max, 3) + "s\n";
+  for (const auto& failure : r.failures) out += "  FAIL: " + failure + "\n";
   return out;
+}
+
+std::string chaos_reproduce_line(const RunReport& report, const EngineRunSpec& spec,
+                                 const ChaosConfig& config) {
+  if (report.succeeded) return "";
+  const EngineRunSpec defaults;
+  std::string line = "reproduce with: ppcloud chaos --seed " + std::to_string(config.seed) +
+                     " --substrate " + spec.substrate + " --app " + config.app;
+  if (spec.storage != defaults.storage) line += " --storage " + spec.storage;
+  if (spec.enable_cache) line += " --cache 1";
+  if (config.num_files != ChaosConfig{}.num_files) {
+    line += " --files " + std::to_string(config.num_files);
+  }
+  if (spec.num_workers != defaults.num_workers) {
+    line += " --workers " + std::to_string(spec.num_workers);
+  }
+  if (config.revocation_storm) line += " --revocation-storm 1";
+  return line + "\n";
 }
 
 }  // namespace ppc::sim

@@ -13,94 +13,68 @@
 // corruptions, dead-lettered poison tasks, and supervisor restarts with
 // time-to-recovery percentiles.
 //
-// Campaigns are reproducible: every fault decision derives from
-// ChaosConfig::seed, so a failing run reported by CI replays exactly with
-// `ppcloud chaos --seed N --substrate X`.
+// A campaign is three things over run_engine's RunReport: chaos_spec(), the
+// preset that sizes the runs; run_chaos_campaign(), which appends the
+// comparison and coverage checks to the chaos run's failures; and the
+// renderers. Campaigns are reproducible: every fault decision derives from
+// ChaosConfig::seed, so a failing run replays exactly with the command
+// chaos_reproduce_line() prints.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/units.h"
 #include "sim/engine_run.h"
 
 namespace ppc::sim {
 
+/// What a campaign takes besides its EngineRunSpec.
 struct ChaosConfig {
   /// Drives the sampled FaultPlan (and nothing else — the job corpus is
   /// fixed so every seed chases the same baseline).
   std::uint64_t seed = 42;
-  /// "classiccloud", "azuremr", or "mapreduce".
-  std::string substrate = "classiccloud";
   /// "cap3", "blast", or "gtm" — or a full-pipeline shuffle workload
   /// ("histogram", "dedup"), which runs on the mapreduce substrate only and
   /// chases faults through partition → spill → fetch → external sort →
   /// reduce (outputs compared as the canonical key → reduced-value map, so
   /// a lost group fails the campaign).
   std::string app = "cap3";
-  /// Storage backend behind the blob-backed substrates ("object",
-  /// "sharedfs", "parallelfs"). FaultHook sites are shared across backends,
-  /// so one plan chases the same faults whichever data plane is selected.
-  std::string storage = "object";
-  /// classiccloud: per-worker content-addressed block cache for the job's
-  /// shared files. A corrupted shared download must never be cached — the
-  /// cache's checksum validation is itself under test here.
-  bool enable_cache = false;
   int num_files = 4;
-  int num_workers = 3;
   /// Arm a correlated spot-revocation storm on top of the sampled plan:
   /// revoke_spot rules (budget 2, p=0.9) at the substrate's worker lifecycle
   /// site. The real-thread substrates have no drain protocol, so storm
   /// revocations land as hard kills — the campaign asserts the existing
   /// crash machinery (redelivery, idempotent re-execution, DLQ) absorbs
   /// them byte-identically; the notice-respecting drain path exists only in
-  /// the DES elastic driver (cloud::Fleet). Storm runs
-  /// get extra redelivery headroom (queue deliveries / task attempts).
+  /// the DES elastic driver (cloud::Fleet). Storm runs get extra redelivery
+  /// headroom (queue deliveries / task attempts).
   bool revocation_storm = false;
-  /// > 0: attach a runtime::Monitor (own sampler thread, wall clock) to the
-  /// chaos run's registry at this period. Every worker-scoped counter
-  /// becomes a rate series and every gauge (per-worker busy, DLQ depth) a
-  /// level series; the dump lands in ChaosReport::monitor_json — the
-  /// artifact `ppcloud chaos --monitor-dir` writes.
-  Seconds monitor_period = 0.0;
 };
 
-/// The injected and absorbed counts are the chaos run's FaultTally.
-struct ChaosReport : FaultTally {
-  bool passed = false;
-  std::uint64_t seed = 0;
-  std::string substrate;
-  std::string app;
-  /// One line per armed rule (FaultPlan::summary()).
-  std::string plan_summary;
-  /// Human-readable reasons when !passed; empty otherwise.
-  std::vector<std::string> failures;
+/// The chaos preset for `substrate` ("classiccloud", "azuremr", or
+/// "mapreduce"): the job name the plan's sites are named after, two slots
+/// per node, redrive headroom, and tight spill / sort budgets. The caller
+/// sets the rest (storage, cache, workers, a monitor).
+EngineRunSpec chaos_spec(const std::string& substrate, const ChaosConfig& config);
 
-  /// Full MetricsRegistry::to_json() snapshot of the chaos run — the
-  /// artifact CI archives.
-  std::string metrics_json;
-
-  /// Monitor::to_json() time-series dump of the chaos run; empty unless
-  /// ChaosConfig::monitor_period > 0.
-  std::string monitor_json;
-
-  /// Chrome trace_event JSON of the chaos run (Tracer::to_chrome_json()):
-  /// the per-task causal chain under fault injection. On a failing seed,
-  /// `ppcloud chaos` writes this next to the reproducing-seed message so the
-  /// timeline that led to the failure ships with the bug report.
-  std::string trace_json;
-  std::size_t trace_spans = 0;
-
-  /// Multi-line campaign summary for terminals/logs.
-  std::string to_text() const;
-};
-
-/// Runs one campaign: fault-free baseline, then the seeded chaos run, then
-/// the byte-identical comparison plus the injected-fault coverage checks.
-/// Campaign failures land in the report (`passed` / `failures`); only
+/// Runs one campaign: a fault-free baseline, then the traced chaos run under
+/// the seeded plan (a guaranteed floor of one rule per fault action the
+/// substrate can absorb, seed-sampled extras, the storm), then the
+/// byte-identical comparison and the injected-fault coverage checks.
+/// Returns the chaos run's report with every campaign failure in `failures`
+/// (a failed baseline's report returns before the chaos run); only
 /// configuration errors (unknown substrate/app) throw.
-ChaosReport run_chaos_campaign(const ChaosConfig& config);
+RunReport run_chaos_campaign(const EngineRunSpec& spec, const ChaosConfig& config);
+
+/// Multi-line campaign summary: verdict, plan, injected / absorbed /
+/// recovered tallies, failures.
+std::string chaos_text(const RunReport& report, const EngineRunSpec& spec,
+                       const ChaosConfig& config);
+
+/// "reproduce with: ppcloud chaos ..." naming the seed, substrate and app and
+/// every option the campaign changed from the verb's defaults; empty when
+/// it passed.
+std::string chaos_reproduce_line(const RunReport& report, const EngineRunSpec& spec,
+                                 const ChaosConfig& config);
 
 }  // namespace ppc::sim

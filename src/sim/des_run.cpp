@@ -1,6 +1,7 @@
 #include "sim/des_run.h"
 
 #include <chrono>
+#include <memory>
 
 #include "common/error.h"
 
@@ -56,12 +57,12 @@ core::Workload make_des_workload(const std::string& app, int files, unsigned see
   return w;
 }
 
-DesRunReport run_des(const core::Workload& workload, const core::Deployment& deployment,
-                     const DesRunSpec& spec) {
+RunReport run_des(const core::Workload& workload, const core::Deployment& deployment,
+                  const DesRunSpec& spec) {
   PPC_REQUIRE(!spec.rerun || spec.monitor, "a rerun compares monitor series: attach a monitor");
 
-  DesRunReport report;
-  report.metrics = std::make_unique<runtime::MetricsRegistry>();
+  RunReport report;
+  report.metrics = std::make_shared<runtime::MetricsRegistry>();
   std::unique_ptr<runtime::Monitor> monitor;
   if (spec.monitor) monitor = make_monitor(*report.metrics, *spec.monitor);
   core::SimRunParams params = spec.params;
@@ -74,10 +75,15 @@ DesRunReport run_des(const core::Workload& workload, const core::Deployment& dep
       core::simulate(spec.framework, workload, deployment, params, elastic, &report.elastic);
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const core::RunResult& r = report.result;
+  if (r.completed != r.tasks) {
+    report.failures.push_back("completed " + std::to_string(r.completed) + " of " +
+                              std::to_string(r.tasks) + " tasks");
+  }
+  report.succeeded = report.failures.empty();
   if (!monitor) return report;
 
-  report.monitor = {monitor->samples(), monitor->degraded(), monitor->firings(),
-                    monitor->to_json(), monitor->dashboard(), monitor->to_prometheus()};
+  report.record(*monitor);
   if (spec.rerun) {
     runtime::MetricsRegistry registry;
     const auto again = make_monitor(registry, *spec.monitor);
@@ -85,34 +91,9 @@ DesRunReport run_des(const core::Workload& workload, const core::Deployment& dep
     params.monitor = again.get();
     core::ElasticRunStats elastic_stats;
     (void)core::simulate(spec.framework, workload, deployment, params, elastic, &elastic_stats);
-    report.deterministic = again->to_json() == report.monitor.monitor_json;
+    report.deterministic = again->to_json() == report.monitor_json;
   }
   return report;
-}
-
-void MonitoredCampaign::finish(const DesRunReport& run, Seconds wall_budget) {
-  completed = run.result.completed;
-  queue_undeleted_end = run.result.queue_undeleted_end;
-  wall_seconds = run.wall_seconds;
-  monitor_samples = run.monitor.samples;
-  alarm_fired = run.monitor.alarmed();
-  deterministic = run.deterministic;
-  monitor_json = run.monitor.monitor_json;
-  if (completed != tasks) {
-    failures.push_back("completed " + std::to_string(completed) + " of " +
-                       std::to_string(tasks) + " tasks");
-  }
-  if (queue_undeleted_end != 0) {
-    failures.push_back("task queue did not drain: " + std::to_string(queue_undeleted_end) +
-                       " undeleted messages");
-  }
-  if (alarm_fired) failures.push_back("monitor alarm fired");
-  if (!deterministic) failures.push_back("monitor time-series differed across reruns");
-  if (wall_seconds > wall_budget) {
-    failures.push_back("wall budget exceeded: " + std::to_string(wall_seconds) + "s > " +
-                       std::to_string(wall_budget) + "s");
-  }
-  passed = failures.empty();
 }
 
 }  // namespace ppc::sim

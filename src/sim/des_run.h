@@ -1,13 +1,12 @@
 // One discrete-event (DES) run, the way every DES verb runs it: run_des
 // wraps core::simulate, attaches a MetricsRegistry and, when asked, an
 // alarmed Monitor on the *simulation* clock, times the run, and can rerun
-// it to check the monitor series repeats byte for byte. `ppcloud simulate`,
-// `monitor`, `campaign` and both runs of `autoscale` are presets over it.
+// it to check the monitor series repeats byte for byte. It returns the same
+// RunReport as the real-thread runner. `ppcloud simulate`, `monitor`,
+// `campaign` and both runs of `autoscale` are presets over it.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,8 +14,7 @@
 #include "common/units.h"
 #include "core/drivers.h"
 #include "core/workload.h"
-#include "runtime/metrics.h"
-#include "runtime/monitor.h"
+#include "sim/run_report.h"
 
 namespace ppc::sim {
 
@@ -46,19 +44,6 @@ struct DesMonitor {
   std::vector<std::string> alarms = default_alarm_rules();  // parse_alarm grammar
 };
 
-/// What a DES run's monitor recorded.
-struct MonitorRecord {
-  std::uint64_t samples = 0;
-  bool degraded = false;
-  std::vector<runtime::AlarmFiring> firings;
-  std::string monitor_json;  // Monitor::to_json(), deterministic: CI byte-diffs it
-  std::string dashboard;     // Monitor::dashboard(), the sparkline table
-  std::string prometheus;    // Monitor::to_prometheus(), latest samples
-
-  /// True once any alarm fired.
-  bool alarmed() const { return degraded || !firings.empty(); }
-};
-
 struct DesRunSpec {
   /// "classic" (EC2 or Azure by the deployment's provider), "hadoop", "dryad".
   std::string framework = "classic";
@@ -68,42 +53,11 @@ struct DesRunSpec {
   bool rerun = false;  // run again under a fresh monitor and compare the series
 };
 
-/// The first run's result, what its driver published (counters, Eq 1 /
-/// Eq 2 gauges) and its monitor record (empty without a monitor).
-struct DesRunReport {
-  core::RunResult result;
-  core::ElasticRunStats elastic;  // elastic runs only
-  std::unique_ptr<runtime::MetricsRegistry> metrics;
-  double wall_seconds = 0.0;
-  MonitorRecord monitor;
-  bool deterministic = true;  // false when a rerun's monitor series differed
-};
-
-/// Runs `workload` on `deployment` as `spec` says. Throws InvalidArgument
-/// on an unknown framework or alarm rule.
-DesRunReport run_des(const core::Workload& workload, const core::Deployment& deployment,
-                     const DesRunSpec& spec);
-
-/// Samples per series a campaign's monitor keeps.
-inline constexpr std::size_t kCampaignMonitorCapacity = 8192;
-
-/// What the DES campaigns (`ppcloud campaign`, `autoscale`) share.
-struct MonitoredCampaign {
-  bool passed = false;
-  std::vector<std::string> failures;  // reasons when !passed
-  int tasks = 0;
-  int completed = 0;
-  std::uint64_t queue_undeleted_end = 0;  // 0 = task queue fully drained
-  double wall_seconds = 0.0;              // first run, real time
-  std::uint64_t monitor_samples = 0;
-  bool alarm_fired = false;
-  bool deterministic = true;  // monitor series byte-identical across reruns
-  std::string monitor_json;  // first run; the artifact CI byte-diffs
-
-  /// Takes the counts and monitor record of the campaign's monitored `run`,
-  /// appends the shared checks (tasks, drain, alarm, rerun, wall budget) to
-  /// `failures`, then sets `passed`.
-  void finish(const DesRunReport& run, Seconds wall_budget);
-};
+/// Runs `workload` on `deployment` as `spec` says. The report holds the
+/// first run's result, what its driver published and its monitor record; it
+/// succeeds when every task completed. Throws InvalidArgument on an unknown
+/// framework or alarm rule.
+RunReport run_des(const core::Workload& workload, const core::Deployment& deployment,
+                  const DesRunSpec& spec);
 
 }  // namespace ppc::sim

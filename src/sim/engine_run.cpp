@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -18,6 +19,7 @@
 #include "dryad/runtime.h"
 #include "mapreduce/job.h"
 #include "minihdfs/mini_hdfs.h"
+#include "runtime/fault_injector.h"
 #include "runtime/monitor.h"
 #include "runtime/worker_supervisor.h"
 #include "storage/fs_backends.h"
@@ -34,6 +36,15 @@ constexpr Seconds kDlqTimeout = 20.0;
 /// resolve quickly. Fault-free runs keep the workers' default.
 constexpr Seconds kFaultVisibilityTimeout = 1.5;
 
+/// The spec plus what the harness owns for the run: the injector `plan` is
+/// armed on (null for a fault-free run), the tracer (null unless `trace`)
+/// and the registry every layer publishes into.
+struct Harness : EngineRunSpec {
+  runtime::FaultInjector* faults = nullptr;
+  runtime::Tracer* tracer = nullptr;
+  std::shared_ptr<runtime::MetricsRegistry> metrics;
+};
+
 bool wait_until(const std::function<bool()>& pred, Seconds timeout) {
   ppc::SystemClock clock;
   while (clock.now() < timeout) {
@@ -45,22 +56,21 @@ bool wait_until(const std::function<bool()>& pred, Seconds timeout) {
 
 /// Snapshots the injector's totals into the tally, then disarms it so the
 /// harness's own reads of the outputs run fault-free.
-void disarm(const EngineRunSpec& spec, EngineRun& run) {
+void disarm(const Harness& spec, RunReport& run) {
   if (spec.faults == nullptr) return;
-  run.tally.crashes = spec.faults->total_crashes();
-  run.tally.delays = spec.faults->total_delays();
-  run.tally.errors = spec.faults->total_errors();
-  run.tally.corruptions = spec.faults->total_corruptions();
-  run.tally.spot_revocations = spec.faults->total_revocations();
+  run.crashes = spec.faults->total_crashes();
+  run.delays = spec.faults->total_delays();
+  run.errors = spec.faults->total_errors();
+  run.corruptions = spec.faults->total_corruptions();
+  run.spot_revocations = spec.faults->total_revocations();
   spec.faults->reset();
 }
 
 /// Folds a queue substrate's lifecycle counters, supervisor recovery
 /// metrics and task-queue meter into the tally.
-void tally_queue_run(const EngineRunSpec& spec, const cloudq::MessageQueue& task_queue,
-                     EngineRun& run) {
+void tally_queue_run(const Harness& spec, const cloudq::MessageQueue& task_queue,
+                     RunReport& t) {
   const runtime::MetricsRegistry& m = *spec.metrics;
-  FaultTally& t = run.tally;
   t.redeliveries = m.sum_counters(".redeliveries");
   t.deletes_failed = m.sum_counters(".deletes_failed");
   t.corrupt_deliveries = m.sum_counters(".corrupt_deliveries");
@@ -83,7 +93,7 @@ struct CloudServices {
   std::unique_ptr<storage::StorageBackend> store;
   cloudq::QueueService queues{clock};
 
-  explicit CloudServices(const EngineRunSpec& spec)
+  explicit CloudServices(const Harness& spec)
       : store(storage::make_backend(storage::parse_storage_kind(spec.storage), clock,
                                     ppc::Rng(0x5EED))) {
     store->set_tracer(spec.tracer);
@@ -93,7 +103,7 @@ struct CloudServices {
   }
 };
 
-void run_classiccloud(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
+void run_classiccloud(const Harness& spec, const AppJob& app, RunReport& run) {
   const bool chaos = spec.faults != nullptr;
   CloudServices cloud(spec);
   const std::string job = spec.job + "-cc";
@@ -157,7 +167,7 @@ void run_classiccloud(const EngineRunSpec& spec, const AppJob& app, EngineRun& r
   if (chaos) tally_queue_run(spec, *task_queue, run);
 }
 
-void run_azuremr(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
+void run_azuremr(const Harness& spec, const AppJob& app, RunReport& run) {
   const bool chaos = spec.faults != nullptr;
   CloudServices cloud(spec);
   const std::string job = spec.job + "-az";
@@ -225,7 +235,7 @@ void run_azuremr(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
 
 /// Stages the inputs under /in/ on a MiniHdfs of the spec's nodes, then
 /// arms the fault plan; returns the input paths.
-std::vector<std::string> stage(const EngineRunSpec& spec, minihdfs::MiniHdfs& hdfs,
+std::vector<std::string> stage(const Harness& spec, minihdfs::MiniHdfs& hdfs,
                                const std::vector<std::pair<std::string, std::string>>& files) {
   std::vector<std::string> paths;
   for (const auto& [name, data] : files) {
@@ -236,7 +246,7 @@ std::vector<std::string> stage(const EngineRunSpec& spec, minihdfs::MiniHdfs& hd
   return paths;
 }
 
-void configure(const EngineRunSpec& spec, mapreduce::JobConfig& jc) {
+void configure(const Harness& spec, mapreduce::JobConfig& jc) {
   jc.num_nodes = spec.num_workers;
   jc.slots_per_node = spec.slots_per_node;
   jc.scheduler.max_attempts = spec.max_attempts;
@@ -252,7 +262,7 @@ std::int64_t failed_attempts(const Attempts& attempts) {
                        [](const auto& a) { return !a.succeeded; });
 }
 
-void run_mapreduce(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
+void run_mapreduce(const Harness& spec, const AppJob& app, RunReport& run) {
   minihdfs::MiniHdfs hdfs(spec.num_workers);
   const std::vector<std::string> paths = stage(spec, hdfs, app.files);
   mapreduce::JobConfig jc;
@@ -266,14 +276,14 @@ void run_mapreduce(const EngineRunSpec& spec, const AppJob& app, EngineRun& run)
       jc);
   if (!result.succeeded) run.failures.push_back("mapreduce job failed");
   disarm(spec, run);
-  run.tally.redeliveries = failed_attempts(result.attempts);
+  run.redeliveries = failed_attempts(result.attempts);
   for (const auto& [name, out_path] : result.outputs) {
     run.outputs[name] = hdfs.read(out_path).value_or("");
   }
 }
 
 /// Full pipeline: partition → spill → fetch → external sort → reduce.
-void run_shuffle(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
+void run_shuffle(const Harness& spec, const AppJob& app, RunReport& run) {
   minihdfs::MiniHdfs hdfs(spec.num_workers);
   const std::vector<std::string> paths = stage(spec, hdfs, app.files);
   mapreduce::ShuffleJobConfig jc;
@@ -287,17 +297,16 @@ void run_shuffle(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
   const auto result = runner.run(paths, app.map, app.reduce, jc);
   if (!result.succeeded) run.failures.push_back("mapreduce shuffle job failed");
   disarm(spec, run);
-  run.tally.redeliveries =
+  run.redeliveries =
       failed_attempts(result.map_attempts) + failed_attempts(result.reduce_attempts);
-  run.tally.corrupt_deliveries = result.shuffle.corrupt_fetches;
-  run.elapsed = result.elapsed;
+  run.corrupt_deliveries = result.shuffle.corrupt_fetches;
   run.shuffle = result.shuffle;
   run.map_stats = result.map_stats;
   run.reduce_stats = result.reduce_stats;
   run.outputs = mapreduce::canonical_reduced_output(result, hdfs);
 }
 
-void run_dryad(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
+void run_dryad(const Harness& spec, const AppJob& app, RunReport& run) {
   dryad::FileShare share(spec.num_workers);
   const std::map<std::string, std::string> files(app.files.begin(), app.files.end());
   std::vector<std::string> names;
@@ -318,13 +327,13 @@ void run_dryad(const EngineRunSpec& spec, const AppJob& app, EngineRun& run) {
   const auto result = dryad_select(rt, share, table, app.fn);
   if (!result.report.succeeded) run.failures.push_back("dryad job failed");
   disarm(spec, run);
-  run.tally.redeliveries = failed_attempts(result.report.attempts);
+  run.redeliveries = failed_attempts(result.report.attempts);
   run.outputs = result.outputs;
 }
 
 }  // namespace
 
-EngineRun run_engine(EngineRunSpec spec, const AppJob& app) {
+RunReport run_engine(const EngineRunSpec& spec, const AppJob& app) {
   const std::string& s = spec.substrate;
   const bool shuffle = app.map != nullptr;
   const auto body = shuffle              ? (s == "mapreduce" ? run_shuffle : nullptr)
@@ -337,17 +346,31 @@ EngineRun run_engine(EngineRunSpec spec, const AppJob& app) {
     throw ppc::InvalidArgument(shuffle ? "shuffle jobs run on the mapreduce substrate only"
                                        : "unknown substrate: " + s);
   }
-  if (spec.metrics == nullptr) spec.metrics = std::make_shared<runtime::MetricsRegistry>();
+  RunReport run;
+  run.metrics = std::make_shared<runtime::MetricsRegistry>();
+  runtime::FaultInjector faults;
+  runtime::Tracer tracer;
+  if (spec.trace) tracer.enable();
+  const Harness harness{spec, spec.plan ? &faults : nullptr, spec.trace ? &tracer : nullptr,
+                        run.metrics};
   std::optional<runtime::Monitor> monitor;
   if (spec.monitor_period > 0.0) {
-    monitor.emplace(*spec.metrics, runtime::MonitorConfig{.period = spec.monitor_period});
+    monitor.emplace(*run.metrics, runtime::MonitorConfig{.period = spec.monitor_period});
     monitor->start();
   }
-  EngineRun run;
-  body(spec, app, run);
+  const auto t0 = std::chrono::steady_clock::now();
+  body(harness, app, run);
+  run.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (monitor) {
     monitor->stop();
-    run.monitor_json = monitor->to_json();
+    run.record(*monitor);
+  }
+  if (spec.trace) {
+    tracer.disable();
+    run.chrome_json = tracer.to_chrome_json();
+    run.spans = tracer.completed_spans();
+    run.summary_table = tracer.summary_table();
+    run.load = tracer.load_report();
   }
   if (!shuffle && run.outputs.size() != app.files.size()) {
     run.failures.push_back(s + " produced " + std::to_string(run.outputs.size()) + " of " +

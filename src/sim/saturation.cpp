@@ -6,11 +6,9 @@
 #include <thread>
 #include <vector>
 
-#include "cloud/instance_types.h"
 #include "cloudq/message_queue.h"
 #include "common/clock.h"
 #include "common/error.h"
-#include "core/workload.h"
 #include "billing/cost_model.h"
 
 namespace ppc::sim {
@@ -162,64 +160,58 @@ std::string SaturationReport::to_json(const std::string& git_sha,
   return os.str();
 }
 
-CampaignReport run_million_task_campaign(const CampaignConfig& config) {
-  PPC_REQUIRE(config.tasks >= 1, "campaign needs tasks");
-  PPC_REQUIRE(config.instances >= 1 && config.workers_per_instance >= 1,
-              "campaign needs a deployment");
-
-  const core::Workload workload = core::make_cap3_workload(config.tasks, 458);
-  const core::Deployment deployment =
-      core::make_deployment(cloud::ec2_hcxl(), config.instances, config.workers_per_instance);
-
-  CampaignReport report;
-  report.tasks = config.tasks;
-
+DesRunSpec campaign_spec() {
   DesRunSpec spec;
-  spec.params.seed = config.seed;
-  spec.params.receive_batch = config.receive_batch;
-  spec.params.queue.shards = config.queue_shards;
-  spec.monitor = DesMonitor{.period = config.monitor_period, .capacity = kCampaignMonitorCapacity};
-  spec.rerun = config.verify_determinism;
-  const DesRunReport run = run_des(workload, deployment, spec);
-  const core::RunResult& result = run.result;
-
-  report.makespan = result.makespan;
-  report.sim_tasks_per_second =
-      result.makespan > 0.0 ? result.completed / result.makespan : 0.0;
-  report.api_requests = result.queue_api_requests;
-  report.unbatched_requests = result.queue_unbatched_requests;
-  report.batch_occupancy = result.queue_batch_occupancy;
-  const auto savings =
-      billing::queue_batching_savings(result.queue_api_requests, result.queue_unbatched_requests);
-  report.queue_cost = savings.cost;
-  report.queue_cost_unbatched = savings.unbatched_cost;
-
-  report.finish(run, config.wall_budget);
-  return report;
+  spec.params.seed = 42;
+  spec.params.receive_batch = 10;
+  spec.params.queue.shards = 8;
+  spec.monitor = DesMonitor{.period = 600.0, .capacity = 8192};
+  spec.rerun = true;
+  return spec;
 }
 
-std::string CampaignReport::to_text() const {
+void check_campaign(RunReport& report, Seconds wall_budget) {
+  std::vector<std::string>& failures = report.failures;
+  if (report.result.queue_undeleted_end != 0) {
+    failures.push_back("task queue did not drain: " +
+                       std::to_string(report.result.queue_undeleted_end) + " undeleted messages");
+  }
+  if (report.alarmed()) failures.push_back("monitor alarm fired");
+  if (!report.deterministic) failures.push_back("monitor time-series differed across reruns");
+  if (report.wall_seconds > wall_budget) {
+    failures.push_back("wall budget exceeded: " + std::to_string(report.wall_seconds) + "s > " +
+                       std::to_string(wall_budget) + "s");
+  }
+  report.succeeded = failures.empty();
+}
+
+std::string campaign_text(const RunReport& report) {
+  const core::RunResult& r = report.result;
+  const auto savings =
+      billing::queue_batching_savings(r.queue_api_requests, r.queue_unbatched_requests);
   std::ostringstream os;
   char line[256];
   std::snprintf(line, sizeof(line),
                 "=== campaign: %d Cap3 tasks — %d completed, makespan %.0f sim-s "
                 "(%.1f tasks/sim-s), wall %.1fs ===\n",
-                tasks, completed, makespan, sim_tasks_per_second, wall_seconds);
+                r.tasks, r.completed, r.makespan, r.makespan > 0.0 ? r.completed / r.makespan : 0.0,
+                report.wall_seconds);
   os << line;
   std::snprintf(line, sizeof(line),
                 "queue: %llu API requests (%llu unbatched equivalent, occupancy %.2f), "
                 "$%.2f vs $%.2f unbatched, %llu undeleted at end\n",
-                static_cast<unsigned long long>(api_requests),
-                static_cast<unsigned long long>(unbatched_requests), batch_occupancy, queue_cost,
-                queue_cost_unbatched, static_cast<unsigned long long>(queue_undeleted_end));
+                static_cast<unsigned long long>(r.queue_api_requests),
+                static_cast<unsigned long long>(r.queue_unbatched_requests),
+                r.queue_batch_occupancy, savings.cost, savings.unbatched_cost,
+                static_cast<unsigned long long>(r.queue_undeleted_end));
   os << line;
   std::snprintf(line, sizeof(line), "monitor: %llu samples, alarms %s, rerun %s\n",
-                static_cast<unsigned long long>(monitor_samples),
-                alarm_fired ? "FIRED" : "quiet",
-                deterministic ? "byte-identical" : "DIVERGED");
+                static_cast<unsigned long long>(report.samples),
+                report.alarmed() ? "FIRED" : "quiet",
+                report.deterministic ? "byte-identical" : "DIVERGED");
   os << line;
-  os << (passed ? "verdict: PASS\n" : "verdict: FAIL\n");
-  for (const auto& f : failures) os << "  - " << f << "\n";
+  os << (report.succeeded ? "verdict: PASS\n" : "verdict: FAIL\n");
+  for (const auto& f : report.failures) os << "  - " << f << "\n";
   return os.str();
 }
 

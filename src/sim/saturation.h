@@ -9,13 +9,14 @@
 //    scaling where a single lock convoys, and the batch APIs dividing the
 //    request bill by ~10.
 //
-//  * run_million_task_campaign — an end-to-end Cap3 job of configurable
-//    size (default one million tasks) through the Classic Cloud DES driver
-//    with batched receives/acks and a runtime::Monitor ticking on the
-//    simulation clock. The campaign passes when every task completes, the
-//    task queue drains to zero undeleted messages, no alarm fires, the run
-//    fits the wall-clock budget, and (when verify_determinism is set) a
-//    second run produces a byte-identical monitor time-series.
+//  * the million-task campaign (`ppcloud campaign`) — run_des of an
+//    end-to-end Cap3 job of configurable size (default one million tasks)
+//    through the Classic Cloud DES driver under campaign_spec(): batched
+//    receives/acks and a runtime::Monitor ticking on the simulation clock.
+//    check_campaign() passes it when every task completes, the task queue
+//    drains to zero undeleted messages, no alarm fires, the run fits the
+//    wall-clock budget, and (when the spec reruns) a second run produces a
+//    byte-identical monitor time-series.
 //
 // Both are deterministic in sim/RNG terms; only the wall-clock seconds vary
 // with the host.
@@ -65,40 +66,22 @@ struct SaturationReport {
 
 SaturationReport run_saturation_sweep(const SaturationConfig& config);
 
-struct CampaignConfig {
-  /// Cap3 files; one task each. The headline run is 1,000,000.
-  int tasks = 1000000;
-  int instances = 32;
-  int workers_per_instance = 8;
-  /// SimRunParams::receive_batch — 10 keeps the queue bill at ~3 requests
-  /// per 10 tasks instead of 3 per task.
-  int receive_batch = 10;
-  /// Queue lock stripes (QueueConfig::shards).
-  int queue_shards = 8;
-  unsigned seed = 42;
-  /// Monitor sample period in sim-seconds.
-  Seconds monitor_period = 600.0;
-  /// Real-seconds budget for the DES run itself (per run, excluding the
-  /// determinism re-run). Exceeding it fails the campaign.
-  Seconds wall_budget = 300.0;
-  /// Run twice and require byte-identical Monitor::to_json() output.
-  bool verify_determinism = true;
-};
+/// The campaign preset, shared with `autoscale`: seed 42, receive batches of
+/// 10 (~3 queue requests per 10 tasks instead of 3 per task) over 8 queue
+/// lock stripes, a monitor sampling every 600 sim-s (8192 samples kept per
+/// series), and a determinism rerun. The caller picks the workload and the
+/// deployment (the verb's default: one million Cap3 files on 32 x 8
+/// EC2-HCXL).
+DesRunSpec campaign_spec();
 
-/// The verdict, task counts and monitor series come from MonitoredCampaign.
-struct CampaignReport : MonitoredCampaign {
-  Seconds makespan = 0.0;  // sim-seconds
-  double sim_tasks_per_second = 0.0;
+/// The checks the DES campaigns (`ppcloud campaign`, `autoscale`) share,
+/// over their monitored, rerun run: the task queue drained, no alarm fired,
+/// the rerun repeated the monitor series, the run fit `wall_budget`.
+/// Appends what failed to `report.failures` and resets `succeeded`.
+void check_campaign(RunReport& report, Seconds wall_budget);
 
-  std::uint64_t api_requests = 0;
-  std::uint64_t unbatched_requests = 0;
-  double batch_occupancy = 0.0;
-  Dollars queue_cost = 0.0;
-  Dollars queue_cost_unbatched = 0.0;
-
-  std::string to_text() const;
-};
-
-CampaignReport run_million_task_campaign(const CampaignConfig& config);
+/// Tasks, makespan, the queue bill against its unbatched equivalent, the
+/// monitor verdict and the failures of a campaign run.
+std::string campaign_text(const RunReport& report);
 
 }  // namespace ppc::sim

@@ -1,6 +1,6 @@
 // Cross-mode agreement: one FaultPlan means the same to a real-thread engine
-// (sim::run_engine) as to its DES driver (core::simulate). Each side gets
-// its own FaultInjector armed with the same plan, and a 1-node x 1-slot Cap3
+// (sim::run_engine) as to its DES driver (core::simulate). Each side arms
+// the same plan on its own FaultInjector, and a 1-node x 1-slot Cap3
 // job runs in both modes. The scheduler is the same state machine in both,
 // one slot serialises the attempts, and a plan's decisions depend only on
 // each site's firing order, so both sides must fire the attempt site as
@@ -8,11 +8,10 @@
 //
 // One node also keeps speculation out of both: the scheduler only twins a
 // task on a node other than the one running it (the DES side turns it off
-// explicitly). run_engine resets its injector before returning, so the real
-// side's site firings are read from the engine's attempt counter: both
-// engines fire their attempt site once per attempt, before its body.
+// explicitly). run_engine owns its injector, so the real side's site
+// firings are read from the engine's attempt counter in the run's registry:
+// both engines fire their attempt site once per attempt, before its body.
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "mapreduce/job.h"
 #include "runtime/fault_injector.h"
 #include "runtime/fault_plan.h"
-#include "runtime/metrics.h"
 #include "sim/app_job.h"
 #include "sim/engine_run.h"
 
@@ -51,20 +49,17 @@ constexpr int kMaxAttempts = 6;  // EngineRunSpec's default per-task budget
 
 Side run_real(const std::string& substrate, int files, const runtime::FaultPlan& plan,
               const std::string& attempts_counter) {
-  runtime::FaultInjector faults;
   sim::EngineRunSpec spec;
   spec.substrate = substrate;
   spec.num_workers = 1;
   spec.slots_per_node = 1;
   spec.max_attempts = kMaxAttempts;
-  spec.metrics = std::make_shared<runtime::MetricsRegistry>();
-  spec.faults = &faults;
-  spec.plan = &plan;
-  const sim::EngineRun run = sim::run_engine(spec, sim::make_app_job("cap3", files));
+  spec.plan = plan;
+  const sim::RunReport run = sim::run_engine(spec, sim::make_app_job("cap3", files));
   Side s;
-  s.hits = spec.metrics->counter_value(attempts_counter);
-  s.crashes_and_errors = run.tally.crashes + run.tally.errors;
-  s.failed_attempts = run.tally.redeliveries;
+  s.hits = run.metrics->counter_value(attempts_counter);
+  s.crashes_and_errors = run.crashes + run.errors;
+  s.failed_attempts = run.redeliveries;
   s.completed = static_cast<int>(run.outputs.size());
   s.succeeded = run.succeeded;
   return s;

@@ -1,25 +1,27 @@
-// End-to-end coverage of run_monitored_job: determinism (byte-identical
-// monitor JSON across reruns of one config), queue-drain shape, the seeded
-// stall alarm, and alarm silence on fault-free runs — the same assertions
-// the CI monitor-smoke job makes from the CLI.
+// End-to-end coverage of `ppcloud monitor`'s runs (run_des under the
+// des_model preset with a DesMonitor): determinism (byte-identical monitor
+// JSON across reruns of one spec), queue-drain shape, the seeded stall
+// alarm, and alarm silence on fault-free runs — the same assertions the CI
+// monitor-smoke job makes from the CLI.
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
+#include "sim/des_run.h"
 #include "sim/monitor_run.h"
 
 namespace ppc::sim {
 namespace {
 
-MonitorRunConfig small_config(const std::string& substrate) {
-  MonitorRunConfig config;
-  config.substrate = substrate;
-  config.num_files = 12;
-  config.instances = 2;
-  config.workers_per_instance = 2;
-  config.period = 5.0;
-  return config;
+/// `ppcloud monitor --substrate S --files F` on `instances` x `workers`,
+/// default skew, seed and period; `spec` carries stalls and alarms.
+RunReport monitored(const std::string& substrate, DesRunSpec spec = {}, int files = 12,
+                    int instances = 2, int workers = 2) {
+  const auto [framework, type] = des_model(substrate);
+  spec.framework = framework;
+  if (!spec.monitor) spec.monitor.emplace();
+  return run_des(make_des_workload("cap3", files, spec.params.seed, 2.0),
+                 core::make_deployment(*type, instances, workers), spec);
 }
 
 // Extracts the last recorded value of `series` from Monitor::to_json()
@@ -37,8 +39,8 @@ double last_point_value(const std::string& json, const std::string& series) {
 
 TEST(MonitorRun, JsonIsByteIdenticalAcrossReruns) {
   for (const char* substrate : {"classiccloud", "azuremr", "mapreduce", "dryad"}) {
-    const MonitorRunReport a = run_monitored_job(small_config(substrate));
-    const MonitorRunReport b = run_monitored_job(small_config(substrate));
+    const RunReport a = monitored(substrate);
+    const RunReport b = monitored(substrate);
     EXPECT_EQ(a.monitor_json, b.monitor_json) << substrate;
     EXPECT_EQ(a.dashboard, b.dashboard) << substrate;
     EXPECT_FALSE(a.monitor_json.empty()) << substrate;
@@ -47,8 +49,8 @@ TEST(MonitorRun, JsonIsByteIdenticalAcrossReruns) {
 
 TEST(MonitorRun, QueueDepthSeriesIsNonEmptyAndDrainsToZero) {
   for (const char* substrate : {"classiccloud", "azuremr", "mapreduce", "dryad"}) {
-    const MonitorRunReport report = run_monitored_job(small_config(substrate));
-    EXPECT_EQ(report.completed, report.tasks) << substrate;
+    const RunReport report = monitored(substrate);
+    EXPECT_EQ(report.result.completed, report.result.tasks) << substrate;
     EXPECT_GT(report.samples, 0u) << substrate;
     // The final monitor tick rides the drained simulation: pending work is 0.
     EXPECT_EQ(last_point_value(report.monitor_json, "queue.tasks.depth"), 0.0)
@@ -58,46 +60,43 @@ TEST(MonitorRun, QueueDepthSeriesIsNonEmptyAndDrainsToZero) {
 
 TEST(MonitorRun, FaultFreeRunFiresNoAlarms) {
   for (const char* substrate : {"classiccloud", "azuremr", "mapreduce", "dryad"}) {
-    const MonitorRunReport report = run_monitored_job(small_config(substrate));
+    const RunReport report = monitored(substrate);
     EXPECT_FALSE(report.degraded) << substrate;
     EXPECT_TRUE(report.firings.empty()) << substrate;
   }
 }
 
 TEST(MonitorRun, SeededStallFiresTheStallAlarm) {
-  MonitorRunConfig config;  // default fleet: 2 instances x 4 workers
-  config.substrate = "classiccloud";
-  config.num_files = 16;
-  config.period = 5.0;
-  config.stall_worker = 0;
-  config.stall_at = 100.0;
-  config.stall_duration = 120.0;  // > the 45s default sustain
-  const MonitorRunReport report = run_monitored_job(config);
+  DesRunSpec spec;  // default fleet: 2 instances x 4 workers
+  spec.params.stall_worker = 0;
+  spec.params.stall_at = 100.0;
+  spec.params.stall_duration = 120.0;  // > the 45s default sustain
+  const RunReport report = monitored("classiccloud", spec, 16, 2, 4);
   EXPECT_TRUE(report.degraded);
   ASSERT_FALSE(report.firings.empty());
   EXPECT_EQ(report.firings[0].alarm, "stall");
   EXPECT_EQ(report.firings[0].series, "workers.idle_with_backlog");
   EXPECT_GE(report.firings[0].held, 45.0);
   // The stalled worker recovers; the job still finishes.
-  EXPECT_EQ(report.completed, report.tasks);
+  EXPECT_TRUE(report.succeeded);
 }
 
 TEST(MonitorRun, StallRunIsAlsoDeterministic) {
-  MonitorRunConfig config = small_config("classiccloud");
-  config.stall_worker = 1;
-  config.stall_at = 50.0;
-  config.stall_duration = 100.0;
-  const MonitorRunReport a = run_monitored_job(config);
-  const MonitorRunReport b = run_monitored_job(config);
+  DesRunSpec spec;
+  spec.params.stall_worker = 1;
+  spec.params.stall_at = 50.0;
+  spec.params.stall_duration = 100.0;
+  const RunReport a = monitored("classiccloud", spec);
+  const RunReport b = monitored("classiccloud", spec);
   EXPECT_EQ(a.monitor_json, b.monitor_json);
   EXPECT_EQ(a.firings.size(), b.firings.size());
 }
 
 TEST(MonitorRun, CustomAlarmRulesReplaceDefaults) {
-  MonitorRunConfig config = small_config("classiccloud");
+  DesRunSpec spec;
   // A rule every run trips immediately: there is a backlog from t=0.
-  config.alarms = {"backlog: queue.tasks.depth > 0.5 for 0s"};
-  const MonitorRunReport report = run_monitored_job(config);
+  spec.monitor = DesMonitor{.alarms = {"backlog: queue.tasks.depth > 0.5 for 0s"}};
+  const RunReport report = monitored("classiccloud", spec);
   EXPECT_TRUE(report.degraded);
   ASSERT_FALSE(report.firings.empty());
   EXPECT_EQ(report.firings[0].alarm, "backlog");
@@ -107,11 +106,6 @@ TEST(MonitorRun, DefaultAlarmRulesQuoteTheStallRule) {
   const auto rules = default_alarm_rules();
   ASSERT_FALSE(rules.empty());
   EXPECT_EQ(rules[0], "stall: workers.idle_with_backlog > 0.5 for 45s");
-}
-
-TEST(MonitorRun, UnknownSubstrateThrows) {
-  MonitorRunConfig config = small_config("slurm");
-  EXPECT_THROW(run_monitored_job(config), ppc::InvalidArgument);
 }
 
 }  // namespace

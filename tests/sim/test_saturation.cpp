@@ -8,6 +8,9 @@
 
 #include <string>
 
+#include "billing/cost_model.h"
+#include "cloud/instance_types.h"
+
 namespace ppc::sim {
 namespace {
 
@@ -43,52 +46,46 @@ TEST(SaturationSweep, SmallGridDrainsEveryCellAndBatches) {
   EXPECT_NE(json.find("\"w1_s1_b10\""), std::string::npos);
 }
 
-TEST(SaturationCampaign, SmallCampaignPassesEveryGate) {
-  CampaignConfig config;
-  config.tasks = 2000;
-  config.instances = 4;
-  config.workers_per_instance = 4;
-  config.receive_batch = 10;
-  config.queue_shards = 4;
-  config.monitor_period = 120.0;
-  config.wall_budget = 120.0;
-  config.verify_determinism = true;
-  const CampaignReport report = run_million_task_campaign(config);
+/// `ppcloud campaign --tasks T --instances I --workers W --receive-batch B
+/// --shards S --period 120 --wall-budget 120 --verify V`.
+RunReport campaign(int tasks, int instances, int workers, int batch, int shards, bool verify) {
+  DesRunSpec spec = campaign_spec();
+  spec.params.receive_batch = batch;
+  spec.params.queue.shards = shards;
+  spec.monitor->period = 120.0;
+  spec.rerun = verify;
+  RunReport report = run_des(make_des_workload("cap3", tasks, 42),
+                             core::make_deployment(cloud::ec2_hcxl(), instances, workers), spec);
+  check_campaign(report, 120.0);
+  return report;
+}
 
-  EXPECT_TRUE(report.passed) << report.to_text();
-  EXPECT_EQ(report.completed, 2000);
-  EXPECT_EQ(report.queue_undeleted_end, 0u);
-  EXPECT_FALSE(report.alarm_fired);
+TEST(SaturationCampaign, SmallCampaignPassesEveryGate) {
+  const RunReport report = campaign(2000, 4, 4, 10, 4, true);
+  const core::RunResult& r = report.result;
+
+  EXPECT_TRUE(report.succeeded) << campaign_text(report);
+  EXPECT_EQ(r.completed, 2000);
+  EXPECT_EQ(r.queue_undeleted_end, 0u);
+  EXPECT_FALSE(report.alarmed());
   EXPECT_TRUE(report.deterministic);
-  EXPECT_GT(report.monitor_samples, 0u);
+  EXPECT_GT(report.samples, 0u);
   EXPECT_FALSE(report.monitor_json.empty());
   // Batched receives/acks must beat the one-message-per-request bill.
-  EXPECT_LT(report.api_requests, report.unbatched_requests);
-  EXPECT_LT(report.queue_cost, report.queue_cost_unbatched);
-  EXPECT_GT(report.batch_occupancy, 2.0);
+  EXPECT_LT(r.queue_api_requests, r.queue_unbatched_requests);
+  const auto savings =
+      billing::queue_batching_savings(r.queue_api_requests, r.queue_unbatched_requests);
+  EXPECT_LT(savings.cost, savings.unbatched_cost);
+  EXPECT_GT(r.queue_batch_occupancy, 2.0);
 }
 
 TEST(SaturationCampaign, UnbatchedCampaignStillPassesButCostsMore) {
-  CampaignConfig batched;
-  batched.tasks = 800;
-  batched.instances = 2;
-  batched.workers_per_instance = 4;
-  batched.receive_batch = 10;
-  batched.queue_shards = 4;
-  batched.monitor_period = 120.0;
-  batched.wall_budget = 120.0;
-  batched.verify_determinism = false;
-
-  CampaignConfig unbatched = batched;
-  unbatched.receive_batch = 1;
-  unbatched.queue_shards = 1;
-
-  const CampaignReport fast = run_million_task_campaign(batched);
-  const CampaignReport legacy = run_million_task_campaign(unbatched);
-  EXPECT_TRUE(fast.passed) << fast.to_text();
-  EXPECT_TRUE(legacy.passed) << legacy.to_text();
-  EXPECT_EQ(fast.completed, legacy.completed);
-  EXPECT_LT(fast.api_requests, legacy.api_requests)
+  const RunReport fast = campaign(800, 2, 4, 10, 4, false);
+  const RunReport legacy = campaign(800, 2, 4, 1, 1, false);
+  EXPECT_TRUE(fast.succeeded) << campaign_text(fast);
+  EXPECT_TRUE(legacy.succeeded) << campaign_text(legacy);
+  EXPECT_EQ(fast.result.completed, legacy.result.completed);
+  EXPECT_LT(fast.result.queue_api_requests, legacy.result.queue_api_requests)
       << "batching must cut billable requests on identical work";
 }
 

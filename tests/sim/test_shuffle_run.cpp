@@ -1,7 +1,7 @@
-// Shuffle run harness + chaos shuffle campaigns (satellite 2): the
-// histogram/dedup workloads through `run_shuffle_job`, then full chaos
-// campaigns on the mapreduce substrate for seeds 1–3 — crash/corrupt faults
-// at spill/fetch/register sites must leave the canonical reduced output
+// Shuffle run harness + chaos shuffle campaigns: the histogram/dedup
+// workloads through `run_shuffle_job`, then full chaos campaigns on the
+// mapreduce substrate for seeds 1–3 — crash/corrupt faults at
+// spill/fetch/register sites must leave the canonical reduced output
 // byte-identical to the fault-free baseline, with zero lost groups.
 #include "sim/shuffle_run.h"
 
@@ -9,100 +9,127 @@
 
 #include <string>
 
+#include "common/error.h"
+#include "mapreduce/job.h"
 #include "sim/chaos_campaign.h"
 
 namespace ppc::sim {
 namespace {
 
+/// What `ppcloud shuffle --app A --seed S` runs: 6 files on 3 nodes x 2
+/// slots, 3 reducers.
+EngineRunSpec shuffle_spec(const std::string& app, std::uint64_t seed) {
+  EngineRunSpec spec;
+  spec.substrate = "mapreduce";
+  spec.job = app + "-" + std::to_string(seed);
+  spec.slots_per_node = 2;
+  return spec;
+}
+
+RunReport shuffle(const std::string& app, std::uint64_t seed, bool verify = false) {
+  return run_shuffle_job(shuffle_spec(app, seed), make_shuffle_app(app, 6, seed), verify);
+}
+
 TEST(ShuffleRun, HistogramProducesGroupedHits) {
-  ShuffleRunConfig config;
-  config.app = "histogram";
-  config.seed = 1;
-  const auto report = run_shuffle_job(config);
+  const auto report = shuffle("histogram", 1);
   ASSERT_TRUE(report.succeeded);
-  EXPECT_EQ(report.app, "histogram");
-  EXPECT_EQ(report.maps, config.num_files);
-  EXPECT_EQ(report.reducers, config.num_reducers);
-  EXPECT_GT(report.groups, 0u);
-  EXPECT_FALSE(report.canonical.empty());
+  EXPECT_GT(report.outputs.size(), 0u);
   EXPECT_GT(report.shuffle.fetches, 0);
-  EXPECT_FALSE(report.to_text().empty());
+  const std::string text = shuffle_text(report, shuffle_spec("histogram", 1), "histogram", 1, 6,
+                                        false);
+  EXPECT_NE(text.find("shuffle app=histogram seed=1 maps=6 reducers=3 OK"), std::string::npos)
+      << text;
 }
 
 TEST(ShuffleRun, DedupCollapsesDuplicateSequences) {
-  ShuffleRunConfig config;
-  config.app = "dedup";
-  config.seed = 2;
-  const auto report = run_shuffle_job(config);
+  const auto report = shuffle("dedup", 2);
   ASSERT_TRUE(report.succeeded);
   // The read pool is smaller than the read count, so dedup must collapse:
-  // fewer groups than total reads (num_files * 8).
-  EXPECT_GT(report.groups, 0u);
-  EXPECT_LT(report.groups, static_cast<std::size_t>(config.num_files) * 8);
+  // fewer groups than total reads (6 files * 8).
+  EXPECT_GT(report.outputs.size(), 0u);
+  EXPECT_LT(report.outputs.size(), 6u * 8);
 }
 
 TEST(ShuffleRun, SameSeedSameBytesAcrossHarnessRuns) {
-  ShuffleRunConfig config;
-  config.app = "histogram";
-  config.seed = 7;
-  const auto a = run_shuffle_job(config);
-  const auto b = run_shuffle_job(config);
+  const auto a = shuffle("histogram", 7);
+  const auto b = shuffle("histogram", 7);
   ASSERT_TRUE(a.succeeded);
   ASSERT_TRUE(b.succeeded);
-  EXPECT_EQ(a.canonical, b.canonical);
+  EXPECT_EQ(mapreduce::encode_canonical(a.outputs), mapreduce::encode_canonical(b.outputs));
   // Different corpus seed, different bytes (sanity that the seed matters).
-  config.seed = 8;
-  const auto c = run_shuffle_job(config);
+  const auto c = shuffle("histogram", 8);
   ASSERT_TRUE(c.succeeded);
-  EXPECT_NE(a.canonical, c.canonical);
+  EXPECT_NE(mapreduce::encode_canonical(a.outputs), mapreduce::encode_canonical(c.outputs));
 }
 
 TEST(ShuffleRun, VerifyDeterminismReRunsOnAlternateClusterShape) {
-  ShuffleRunConfig config;
-  config.app = "dedup";
-  config.seed = 3;
-  config.verify_determinism = true;
-  const auto report = run_shuffle_job(config);
-  ASSERT_TRUE(report.succeeded);
-  EXPECT_TRUE(report.determinism_verified);
-  EXPECT_TRUE(report.determinism_ok);
+  const auto report = shuffle("dedup", 3, /*verify=*/true);
+  ASSERT_TRUE(report.succeeded) << report.failures.front();
+  const std::string text = shuffle_text(report, shuffle_spec("dedup", 3), "dedup", 3, 6, true);
+  EXPECT_NE(text.find("determinism: byte-identical across cluster shapes"), std::string::npos)
+      << text;
 }
 
 TEST(ShuffleRun, TraceCapturesShuffleTimeline) {
-  ShuffleRunConfig config;
-  config.app = "histogram";
-  config.seed = 4;
-  config.trace = true;
-  const auto report = run_shuffle_job(config);
+  EngineRunSpec spec = shuffle_spec("histogram", 4);
+  spec.trace = true;
+  const auto report = run_shuffle_job(spec, make_shuffle_app("histogram", 6, 4), false);
   ASSERT_TRUE(report.succeeded);
-  EXPECT_GT(report.trace_spans, 0u);
-  EXPECT_NE(report.trace_json.find("shuffle.fetch"), std::string::npos);
-  EXPECT_NE(report.trace_json.find("shuffle.merge"), std::string::npos);
+  EXPECT_GT(report.spans, 0u);
+  EXPECT_NE(report.chrome_json.find("shuffle.fetch"), std::string::npos);
+  EXPECT_NE(report.chrome_json.find("shuffle.merge"), std::string::npos);
 }
 
 TEST(ShuffleRun, UnknownAppThrows) {
-  ShuffleRunConfig config;
-  config.app = "wordcount";
-  EXPECT_THROW(run_shuffle_job(config), ppc::InvalidArgument);
+  EXPECT_THROW(shuffle("wordcount", 1), ppc::InvalidArgument);
+}
+
+TEST(ShuffleRun, FailedJobSaysWhyInReportAndText) {
+  EngineRunSpec spec = shuffle_spec("histogram", 1);
+  spec.plan.emplace().error(mapreduce::sites::kMapAttempt, "injected", /*budget=*/-1);
+  const RunReport report = run_shuffle_job(spec, make_shuffle_app("histogram", 6, 1), true);
+  ASSERT_FALSE(report.succeeded);
+  ASSERT_FALSE(report.failures.empty());
+  EXPECT_EQ(report.failures.front(), "mapreduce shuffle job failed");
+  const std::string text = shuffle_text(report, spec, "histogram", 1, 6, true);
+  EXPECT_NE(text.find(" FAILED\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  FAIL: mapreduce shuffle job failed\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("determinism:"), std::string::npos) << text;
+}
+
+TEST(ShuffleRun, ReproduceLineNamesEveryNonDefaultOption) {
+  RunReport report;  // synthetic: a failed run, nothing else recorded
+  report.failures = {"determinism: MISMATCH across cluster shapes"};
+  EngineRunSpec spec = shuffle_spec("dedup", 9);
+  spec.num_workers = 5;
+  spec.slots_per_node = 3;
+  spec.num_reducers = 4;
+  EXPECT_EQ(shuffle_reproduce_line(report, spec, "dedup", 9, 10, true),
+            "reproduce with: ppcloud shuffle --app dedup --seed 9 --files 10 --nodes 5 "
+            "--slots 3 --reducers 4 --verify 1\n");
+  // Defaults are not named, and a run that succeeded prints nothing.
+  EXPECT_EQ(shuffle_reproduce_line(report, shuffle_spec("histogram", 2), "histogram", 2, 6, true),
+            "reproduce with: ppcloud shuffle --app histogram --seed 2 --verify 1\n");
+  report.succeeded = true;
+  EXPECT_EQ(shuffle_reproduce_line(report, spec, "dedup", 9, 10, true), "");
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 2 — chaos shuffle campaigns, seeds 1..3.
+// Chaos shuffle campaigns, seeds 1..3.
 
-ChaosConfig shuffle_chaos(std::uint64_t seed, const std::string& app) {
+RunReport shuffle_chaos(std::uint64_t seed, const std::string& app,
+                        const std::string& substrate = "mapreduce") {
   ChaosConfig config;
   config.seed = seed;
-  config.substrate = "mapreduce";
   config.app = app;
-  config.num_files = 4;
-  config.num_workers = 3;
-  return config;
+  return run_chaos_campaign(chaos_spec(substrate, config), config);
 }
 
 TEST(ChaosShuffle, HistogramSeedsOneToThreeAreByteIdentical) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const auto report = run_chaos_campaign(shuffle_chaos(seed, "histogram"));
-    EXPECT_TRUE(report.passed) << "seed " << seed << ":\n" << report.to_text();
+    const auto report = shuffle_chaos(seed, "histogram");
+    EXPECT_TRUE(report.succeeded)
+        << "seed " << seed << ": " << ::testing::PrintToString(report.failures);
     // The campaign must actually have chased faults through the shuffle,
     // not passed vacuously.
     EXPECT_GT(report.crashes + report.delays + report.errors + report.corruptions, 0)
@@ -112,15 +139,13 @@ TEST(ChaosShuffle, HistogramSeedsOneToThreeAreByteIdentical) {
 }
 
 TEST(ChaosShuffle, DedupCampaignSurvivesFaults) {
-  const auto report = run_chaos_campaign(shuffle_chaos(2, "dedup"));
-  EXPECT_TRUE(report.passed) << report.to_text();
+  const auto report = shuffle_chaos(2, "dedup");
+  EXPECT_TRUE(report.succeeded) << ::testing::PrintToString(report.failures);
   EXPECT_GT(report.redeliveries + report.corrupt_deliveries + report.crashes, 0);
 }
 
 TEST(ChaosShuffle, ShuffleAppRequiresMapReduceSubstrate) {
-  auto config = shuffle_chaos(1, "histogram");
-  config.substrate = "classiccloud";
-  EXPECT_THROW(run_chaos_campaign(config), ppc::InvalidArgument);
+  EXPECT_THROW(shuffle_chaos(1, "histogram", "classiccloud"), ppc::InvalidArgument);
 }
 
 }  // namespace

@@ -7,23 +7,30 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
-#include "common/error.h"
+#include "sim/engine_run.h"
 
 namespace ppc::sim {
 namespace {
 
+/// `ppcloud trace --files 6 --workers 2 --skew S` on `substrate`.
+RunReport traced_run(const std::string& substrate, double skew) {
+  EngineRunSpec spec;
+  spec.substrate = substrate;
+  spec.job = "trace";
+  spec.num_workers = 2;
+  spec.trace = true;
+  return run_engine(spec, make_app_job("cap3", 6, skew));
+}
+
 class TraceRun : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TraceRun, ProducesTraceSummaryAndLoadReport) {
-  TraceRunConfig config;
-  config.substrate = GetParam();
-  config.num_files = 6;
-  config.num_workers = 2;
-  config.skew = 2.0;
-  const TraceRunReport report = run_traced_job(config);
-  EXPECT_TRUE(report.succeeded) << report.to_text();
-  EXPECT_EQ(report.files_processed, 6u);
+  const RunReport report = traced_run(GetParam(), 2.0);
+  const std::string text = trace_text(report, GetParam(), "cap3");
+  EXPECT_TRUE(report.succeeded) << text;
+  EXPECT_EQ(report.outputs.size(), 6u);
   EXPECT_GT(report.spans, 0u);
 
   // Chrome trace_event shape: an event array plus track-naming metadata.
@@ -40,8 +47,8 @@ TEST_P(TraceRun, ProducesTraceSummaryAndLoadReport) {
   EXPECT_GE(tasks, 1);
 
   EXPECT_FALSE(report.summary_table.empty());
-  EXPECT_NE(report.to_text().find(GetParam()), std::string::npos);
-  EXPECT_NE(report.to_text().find("OK"), std::string::npos);
+  EXPECT_NE(text.find(GetParam()), std::string::npos);
+  EXPECT_NE(text.find("OK"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Substrates, TraceRun,
@@ -50,24 +57,14 @@ INSTANTIATE_TEST_SUITE_P(Substrates, TraceRun,
                            return info.param;
                          });
 
-TEST(TraceRunConfigTest, UnknownSubstrateThrows) {
-  TraceRunConfig config;
-  config.substrate = "telepathy";
-  EXPECT_THROW(run_traced_job(config), ppc::InvalidArgument);
-}
-
 TEST(TraceRunComparison, TableCoversEveryReport) {
-  std::vector<TraceRunReport> reports;
-  for (const std::string substrate : {"mapreduce", "dryad"}) {
-    TraceRunConfig config;
-    config.substrate = substrate;
-    config.num_files = 6;
-    config.num_workers = 2;
-    config.skew = 3.0;
-    reports.push_back(run_traced_job(config));
-    ASSERT_TRUE(reports.back().succeeded) << reports.back().to_text();
+  const std::vector<std::string> substrates = {"mapreduce", "dryad"};
+  std::vector<RunReport> reports;
+  for (const std::string& substrate : substrates) {
+    reports.push_back(traced_run(substrate, 3.0));
+    ASSERT_TRUE(reports.back().succeeded) << trace_text(reports.back(), substrate, "cap3");
   }
-  const std::string table = imbalance_comparison(reports);
+  const std::string table = imbalance_comparison(substrates, reports);
   EXPECT_NE(table.find("mapreduce"), std::string::npos);
   EXPECT_NE(table.find("dryad"), std::string::npos);
   EXPECT_NE(table.find("imbalance"), std::string::npos);

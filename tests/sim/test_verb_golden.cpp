@@ -1,7 +1,9 @@
 // Golden oracle for the reports the `ppcloud` verbs print: chaos, shuffle,
-// trace, monitor, campaign and autoscale. Each case's text is compared line
-// by line with a checked-in file under golden/, so a refactor of the
-// harnesses behind the verbs shows up as the first field it moved.
+// trace, monitor, campaign and autoscale. Each case fills the harness spec
+// the way the verb's preset does (run_engine or run_des), adds the verb's
+// checks and renders the RunReport with the verb's renderer; the text is
+// compared line by line with a checked-in file under golden/, so a refactor
+// of the harnesses behind the verbs shows up as the first field it moved.
 //
 // The real-thread verbs race real threads, so a few fields move from run to
 // run even when nothing is wrong. Those fields, and only those, are masked
@@ -25,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/instance_types.h"
 #include "sim/autoscale_run.h"
 #include "sim/chaos_campaign.h"
 #include "sim/monitor_run.h"
@@ -57,10 +60,11 @@ std::string mask_all(std::string text, const std::vector<std::string>& keys) {
   return text;
 }
 
-std::string chaos_text(const ChaosConfig& config) {
-  std::string text = run_chaos_campaign(config).to_text();
-  if (config.substrate == "mapreduce") return text;
-  if (config.substrate == "azuremr") text = mask(text, "restarts=");
+std::string masked_chaos_text(const std::string& substrate, const ChaosConfig& config) {
+  const EngineRunSpec spec = chaos_spec(substrate, config);
+  std::string text = chaos_text(run_chaos_campaign(spec, config), spec, config);
+  if (substrate == "mapreduce") return text;
+  if (substrate == "azuremr") text = mask(text, "restarts=");
   return mask_all(text, {"redeliveries=", "recovery_p50=", "recovery_max="});
 }
 
@@ -74,9 +78,8 @@ TEST_P(VerbGoldenChaos, ReportText) {
   const auto& [substrate, seed] = GetParam();
   ChaosConfig config;
   config.seed = seed;
-  config.substrate = substrate;
   expect_golden("chaos_" + substrate + "_seed" + std::to_string(seed) + ".txt",
-                chaos_text(config));
+                masked_chaos_text(substrate, config));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -92,10 +95,9 @@ class VerbGoldenChaosShuffle : public ::testing::TestWithParam<std::uint64_t> {}
 TEST_P(VerbGoldenChaosShuffle, ReportText) {
   ChaosConfig config;  // what `ppcloud chaos --shuffle 1` runs
   config.seed = GetParam();
-  config.substrate = "mapreduce";
   config.app = "histogram";
   expect_golden("chaos_shuffle_seed" + std::to_string(GetParam()) + ".txt",
-                chaos_text(config));
+                masked_chaos_text("mapreduce", config));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerbGoldenChaosShuffle, ::testing::Values(1u, 2u, 3u));
@@ -105,9 +107,8 @@ class VerbGoldenChaosStorm : public ::testing::TestWithParam<std::string> {};
 TEST_P(VerbGoldenChaosStorm, ReportText) {
   ChaosConfig config;
   config.seed = 1;
-  config.substrate = GetParam();
   config.revocation_storm = true;
-  expect_golden("chaos_" + GetParam() + "_storm.txt", chaos_text(config));
+  expect_golden("chaos_" + GetParam() + "_storm.txt", masked_chaos_text(GetParam(), config));
 }
 
 INSTANTIATE_TEST_SUITE_P(Substrates, VerbGoldenChaosStorm,
@@ -124,12 +125,13 @@ class VerbGoldenShuffle
 
 TEST_P(VerbGoldenShuffle, ReportText) {
   const auto& [app, seed] = GetParam();
-  ShuffleRunConfig config;
-  config.app = app;
-  config.seed = seed;
-  config.verify_determinism = true;
+  EngineRunSpec spec;  // what `ppcloud shuffle --app A --seed S --verify 1` runs
+  spec.substrate = "mapreduce";
+  spec.job = app + "-" + std::to_string(seed);
+  spec.slots_per_node = 2;
+  const RunReport report = run_shuffle_job(spec, make_shuffle_app(app, 6, seed), true);
   expect_golden("shuffle_" + app + "_seed" + std::to_string(seed) + ".txt",
-                mask_all(run_shuffle_job(config).to_text(),
+                mask_all(shuffle_text(report, spec, app, seed, 6, true),
                          {"spec=", "shuffle_storage=", "elapsed="}));
 }
 
@@ -150,14 +152,14 @@ INSTANTIATE_TEST_SUITE_P(
 class VerbGoldenTrace : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(VerbGoldenTrace, TasksAndStates) {
-  TraceRunConfig config;
-  config.substrate = GetParam();
-  config.num_files = 6;
-  config.num_workers = 2;
-  config.skew = 2.0;
-  const TraceRunReport report = run_traced_job(config);
+  EngineRunSpec spec;  // what `ppcloud trace` runs, at 6 files x 2 workers
+  spec.substrate = GetParam();
+  spec.job = "trace";
+  spec.num_workers = 2;
+  spec.trace = true;
+  const RunReport report = run_engine(spec, make_app_job("cap3", 6, 2.0));
   std::string text = "succeeded=" + std::string(report.succeeded ? "true" : "false") +
-                     " files_processed=" + std::to_string(report.files_processed) + "\n";
+                     " files_processed=" + std::to_string(report.outputs.size()) + "\n";
   std::istringstream table(report.summary_table);
   std::string line;
   std::getline(table, line);  // header
@@ -180,16 +182,23 @@ INSTANTIATE_TEST_SUITE_P(Substrates, VerbGoldenTrace,
 // ---------------------------------------------------------------------------
 // monitor, campaign, autoscale: DES runs, deterministic but for wall time.
 
+/// What `ppcloud monitor --substrate S --files F --instances I --workers 2`
+/// renders, followed by its --json artifact; `spec` carries the seed, stall
+/// and monitor.
+std::string monitor_golden(const std::string& substrate, int files, int instances,
+                           int workers, DesRunSpec spec) {
+  const auto [framework, type] = des_model(substrate);
+  spec.framework = framework;
+  spec.monitor.emplace();
+  const RunReport report = run_des(make_des_workload("cap3", files, spec.params.seed, 2.0),
+                                   core::make_deployment(*type, instances, workers), spec);
+  return monitor_text(report, substrate) + report.monitor_json;
+}
+
 class VerbGoldenMonitor : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(VerbGoldenMonitor, ReportAndJson) {
-  MonitorRunConfig config;
-  config.substrate = GetParam();
-  config.num_files = 12;
-  config.instances = 2;
-  config.workers_per_instance = 2;
-  const MonitorRunReport report = run_monitored_job(config);
-  expect_golden("monitor_" + GetParam() + ".txt", report.to_text() + report.monitor_json);
+  expect_golden("monitor_" + GetParam() + ".txt", monitor_golden(GetParam(), 12, 2, 2, {}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Substrates, VerbGoldenMonitor,
@@ -199,33 +208,30 @@ INSTANTIATE_TEST_SUITE_P(Substrates, VerbGoldenMonitor,
                          });
 
 TEST(VerbGolden, MonitorStallRun) {
-  MonitorRunConfig config;  // what the smoke.monitor.stall entry runs
-  config.substrate = "classiccloud";
-  config.num_files = 16;
-  config.stall_worker = 0;
-  config.stall_at = 100.0;
-  config.stall_duration = 120.0;
-  const MonitorRunReport report = run_monitored_job(config);
-  expect_golden("monitor_stall.txt", report.to_text() + report.monitor_json);
+  DesRunSpec spec;  // what the smoke.monitor.stall entry runs
+  spec.params.stall_worker = 0;
+  spec.params.stall_at = 100.0;
+  spec.params.stall_duration = 120.0;
+  expect_golden("monitor_stall.txt", monitor_golden("classiccloud", 16, 2, 4, spec));
 }
 
 TEST(VerbGolden, Campaign) {
-  CampaignConfig config;
-  config.tasks = 2000;
-  config.instances = 4;
-  config.workers_per_instance = 4;
-  config.monitor_period = 120.0;
-  const CampaignReport report = run_million_task_campaign(config);
-  expect_golden("campaign.txt", mask(report.to_text(), "wall ") + report.monitor_json);
+  DesRunSpec spec = campaign_spec();
+  spec.monitor->period = 120.0;
+  RunReport report = run_des(make_des_workload("cap3", 2000, 42),
+                             core::make_deployment(cloud::ec2_hcxl(), 4, 4), spec);
+  check_campaign(report, 300.0);
+  expect_golden("campaign.txt", mask(campaign_text(report), "wall ") + report.monitor_json);
 }
 
 TEST(VerbGolden, Autoscale) {
-  AutoscaleCampaignConfig config;
-  config.tasks = 3000;
-  config.instances = 8;
-  config.revocation_rate = 0.5;
-  const AutoscaleReport report = run_autoscale_campaign(config);
-  expect_golden("autoscale.txt", mask(report.to_text(), "wall ") + report.monitor_json);
+  DesRunSpec spec = campaign_spec();
+  spec.elastic.emplace().revocation_rate = 0.5;
+  const AutoscaleVerdict verdict =
+      run_autoscale_campaign(make_des_workload("cap3", 3000, 42),
+                             core::make_deployment(cloud::ec2_hcxl(), 8, 8), spec, {});
+  expect_golden("autoscale.txt",
+                mask(autoscale_text(verdict), "wall ") + verdict.elastic.monitor_json);
 }
 
 }  // namespace

@@ -162,8 +162,9 @@
 // or --reads with --app blast) and exits 1 naming it, before anything runs.
 //
 // Exit status: 0 on success, 1 on bad usage (an unknown verb or option),
-// a failed run (a failed chaos campaign prints the seed that reproduces it)
-// or a requested artifact (--out, --json, --prom, --fleet-csv, --trace-dir,
+// a failed run (a failed chaos campaign or shuffle run prints the command
+// that reproduces it, every non-default option included) or a requested
+// artifact (--out, --json, --prom, --fleet-csv, --trace-dir,
 // --monitor-dir) that could not be written.
 #include <charconv>
 #include <cmath>
@@ -175,6 +176,7 @@
 #include <string>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/cap3/assembler.h"
@@ -187,7 +189,6 @@
 #include "runtime/metrics.h"
 #include "sim/autoscale_run.h"
 #include "sim/chaos_campaign.h"
-#include "sim/des_run.h"
 #include "sim/monitor_run.h"
 #include "sim/saturation.h"
 #include "sim/shuffle_run.h"
@@ -304,7 +305,7 @@ int cmd_simulate(const Options& opts) {
   spec.params.enable_block_cache = opt(opts, "cache", "0") != "0";
   spec.params.stage_inputs = spec.params.storage != storage::StorageKind::kObject;
   opts.reject_unread();
-  const sim::DesRunReport run = sim::run_des(workload, d, spec);
+  const sim::RunReport run = sim::run_des(workload, d, spec);
 
   // Eq 1 / Eq 2 come from the registry every framework publishes into,
   // not from the per-substrate result struct.
@@ -341,7 +342,7 @@ int cmd_simulate(const Options& opts) {
                    Table::num(r.cache_bytes_saved / (1024.0 * 1024.0), 1) + " MB"});
   }
   table.print();
-  return r.completed == r.tasks ? 0 : 1;
+  return run.succeeded ? 0 : 1;
 }
 
 int cmd_assemble(const Options& opts) {
@@ -354,54 +355,53 @@ int cmd_assemble(const Options& opts) {
 }
 
 int cmd_chaos(const Options& opts) {
-  sim::ChaosConfig base;
-  base.seed = opt_num<std::uint64_t>(opts, "seed", 42);
-  base.app = opt(opts, "app", "cap3");
-  base.num_files = opt_num<int>(opts, "files", 4);
-  base.num_workers = opt_num<int>(opts, "workers", 3);
-  base.storage = opt(opts, "storage", "object");
-  base.enable_cache = opt(opts, "cache", "0") != "0";
-  base.revocation_storm = opt(opts, "revocation-storm", "0") != "0";
+  sim::ChaosConfig config;
+  config.seed = opt_num<std::uint64_t>(opts, "seed", 42);
+  config.app = opt(opts, "app", "cap3");
+  config.num_files = opt_num<int>(opts, "files", 4);
+  config.revocation_storm = opt(opts, "revocation-storm", "0") != "0";
+  const int workers = opt_num<int>(opts, "workers", 3);
+  const std::string storage = opt(opts, "storage", "object");
+  const bool cache = opt(opts, "cache", "0") != "0";
   const bool print_json = opt(opts, "json", "0") != "0";
   const std::string monitor_dir = opt(opts, "monitor-dir", "");
-  if (!monitor_dir.empty()) base.monitor_period = 0.05;
 
   // --shuffle 1: chase faults through the full shuffle pipeline instead of
   // the map-only corpus. Shuffle apps only exist on the mapreduce substrate.
-  if (opt(opts, "shuffle", "0") != "0" && !sim::is_shuffle_app(base.app)) {
-    base.app = "histogram";
+  if (opt(opts, "shuffle", "0") != "0" && !sim::is_shuffle_app(config.app)) {
+    config.app = "histogram";
   }
 
   std::vector<std::string> substrates =
       substrate_list(opts, {"classiccloud", "azuremr", "mapreduce"});
-  if (sim::is_shuffle_app(base.app)) substrates = {"mapreduce"};
+  if (sim::is_shuffle_app(config.app)) substrates = {"mapreduce"};
 
   const std::string trace_dir = opt(opts, "trace-dir", "");
   opts.reject_unread();
 
   bool all_ok = true;
   for (const std::string& s : substrates) {
-    sim::ChaosConfig config = base;
-    config.substrate = s;
-    const sim::ChaosReport report = sim::run_chaos_campaign(config);
-    std::fputs(report.to_text().c_str(), stdout);
-    if (print_json) std::printf("%s\n", report.metrics_json.c_str());
+    sim::EngineRunSpec spec = sim::chaos_spec(s, config);
+    spec.storage = storage;
+    spec.enable_cache = cache;
+    spec.num_workers = workers;
+    if (!monitor_dir.empty()) spec.monitor_period = 0.05;
+    const sim::RunReport report = sim::run_chaos_campaign(spec, config);
+    std::fputs(sim::chaos_text(report, spec, config).c_str(), stdout);
+    if (print_json) std::printf("%s\n", report.metrics->to_json().c_str());
     if (!monitor_dir.empty() && !report.monitor_json.empty() &&
         !write_artifact(monitor_dir + "/chaos-monitor-" + s + ".json", report.monitor_json,
                         "chaos-run monitor series")) {
       all_ok = false;
     }
-    if (!report.passed) {
+    if (!report.succeeded) {
       all_ok = false;
-      std::printf("reproduce with: ppcloud chaos --seed %llu --substrate %s --app %s%s\n",
-                  static_cast<unsigned long long>(report.seed), s.c_str(),
-                  base.app.c_str(),
-                  base.revocation_storm ? " --revocation-storm 1" : "");
-      if (!trace_dir.empty() && !report.trace_json.empty()) {
+      std::fputs(sim::chaos_reproduce_line(report, spec, config).c_str(), stdout);
+      if (!trace_dir.empty() && !report.chrome_json.empty()) {
         write_artifact(trace_dir + "/chaos-trace-" + s + "-seed" +
-                           std::to_string(report.seed) + ".json",
-                       report.trace_json,
-                       "chaos-run trace (" + std::to_string(report.trace_spans) + " spans)");
+                           std::to_string(config.seed) + ".json",
+                       report.chrome_json,
+                       "chaos-run trace (" + std::to_string(report.spans) + " spans)");
       }
     }
   }
@@ -409,47 +409,49 @@ int cmd_chaos(const Options& opts) {
 }
 
 int cmd_shuffle(const Options& opts) {
-  sim::ShuffleRunConfig config;
-  config.app = opt(opts, "app", "histogram");
-  config.seed = opt_num<std::uint64_t>(opts, "seed", 1);
-  config.num_files = opt_num<int>(opts, "files", 6);
-  config.num_nodes = opt_num<int>(opts, "nodes", 3);
-  config.slots_per_node = opt_num<int>(opts, "slots", 2);
-  config.num_reducers = opt_num<int>(opts, "reducers", 3);
-  config.verify_determinism = opt(opts, "verify", "0") != "0";
+  const std::string app = opt(opts, "app", "histogram");
+  const auto seed = opt_num<std::uint64_t>(opts, "seed", 1);
+  const int files = opt_num<int>(opts, "files", 6);
+  sim::EngineRunSpec spec;
+  spec.substrate = "mapreduce";
+  spec.job = app + "-" + std::to_string(seed);
+  spec.num_workers = opt_num<int>(opts, "nodes", 3);
+  spec.slots_per_node = opt_num<int>(opts, "slots", 2);
+  spec.num_reducers = opt_num<int>(opts, "reducers", 3);
+  const bool verify = opt(opts, "verify", "0") != "0";
   const std::string trace_dir = opt(opts, "trace-dir", "");
-  config.trace = !trace_dir.empty();
+  spec.trace = !trace_dir.empty();
   opts.reject_unread();
 
-  const sim::ShuffleRunReport report = sim::run_shuffle_job(config);
-  std::fputs(report.to_text().c_str(), stdout);
+  const sim::RunReport report =
+      sim::run_shuffle_job(spec, sim::make_shuffle_app(app, files, seed), verify);
+  std::fputs(sim::shuffle_text(report, spec, app, seed, files, verify).c_str(), stdout);
   bool ok = report.succeeded;
-  if (!trace_dir.empty() && !report.trace_json.empty() &&
-      !write_artifact(trace_dir + "/shuffle-trace-" + config.app + "-seed" +
-                          std::to_string(config.seed) + ".json",
-                      report.trace_json,
-                      "shuffle trace (" + std::to_string(report.trace_spans) + " spans)")) {
+  if (spec.trace &&
+      !write_artifact(trace_dir + "/shuffle-trace-" + app + "-seed" + std::to_string(seed) +
+                          ".json",
+                      report.chrome_json,
+                      "shuffle trace (" + std::to_string(report.spans) + " spans)")) {
     ok = false;
   }
-  if (report.determinism_verified && !report.determinism_ok) {
-    std::printf("reproduce with: ppcloud shuffle --app %s --seed %llu --verify 1\n",
-                config.app.c_str(), static_cast<unsigned long long>(config.seed));
-    ok = false;
-  }
+  std::fputs(sim::shuffle_reproduce_line(report, spec, app, seed, files, verify).c_str(),
+             stdout);
   return ok ? 0 : 1;
 }
 
 int cmd_trace(const Options& opts) {
-  sim::TraceRunConfig base;
-  base.app = opt(opts, "app", "cap3");
-  base.num_files = opt_num<int>(opts, "files", 12);
-  base.num_workers = opt_num<int>(opts, "workers", 4);
-  base.skew = opt_num(opts, "skew", 3.0);
-  base.storage = opt(opts, "storage", "object");
-  base.enable_cache = opt(opts, "cache", "0") != "0";
+  const std::string app = opt(opts, "app", "cap3");
+  const int files = opt_num<int>(opts, "files", 12);
+  const double skew = opt_num(opts, "skew", 3.0);
+  sim::EngineRunSpec spec;
+  spec.job = "trace";
+  spec.num_workers = opt_num<int>(opts, "workers", 4);
+  spec.storage = opt(opts, "storage", "object");
+  spec.enable_cache = opt(opts, "cache", "0") != "0";
+  spec.trace = true;
   const std::string out_path = opt(opts, "out", "");
   const std::string monitor_dir = opt(opts, "monitor-dir", "");
-  if (!monitor_dir.empty()) base.monitor_period = 0.05;
+  if (!monitor_dir.empty()) spec.monitor_period = 0.05;
 
   const std::vector<std::string> substrates =
       substrate_list(opts, {"classiccloud", "azuremr", "mapreduce", "dryad"});
@@ -457,13 +459,13 @@ int cmd_trace(const Options& opts) {
               "--out needs a single --substrate");
   opts.reject_unread();
 
+  const sim::AppJob job = sim::make_app_job(app, files, skew);
   bool all_ok = true;
-  std::vector<sim::TraceRunReport> reports;
+  std::vector<sim::RunReport> reports;
   for (const std::string& s : substrates) {
-    sim::TraceRunConfig config = base;
-    config.substrate = s;
-    sim::TraceRunReport report = sim::run_traced_job(config);
-    std::fputs(report.to_text().c_str(), stdout);
+    spec.substrate = s;
+    sim::RunReport report = sim::run_engine(spec, job);
+    std::fputs(sim::trace_text(report, s, app).c_str(), stdout);
     if (!report.succeeded) all_ok = false;
     if (!monitor_dir.empty() && !report.monitor_json.empty() &&
         !write_artifact(monitor_dir + "/trace-monitor-" + s + ".json", report.monitor_json,
@@ -477,23 +479,25 @@ int cmd_trace(const Options& opts) {
     }
     reports.push_back(std::move(report));
   }
-  if (reports.size() > 1) std::fputs(sim::imbalance_comparison(reports).c_str(), stdout);
+  if (reports.size() > 1) {
+    std::fputs(sim::imbalance_comparison(substrates, reports).c_str(), stdout);
+  }
   return all_ok ? 0 : 1;
 }
 
 int cmd_monitor(const Options& opts) {
-  sim::MonitorRunConfig base;
-  base.app = opt(opts, "app", "cap3");
-  base.num_files = opt_num<int>(opts, "files", 32);
-  base.instances = opt_num<int>(opts, "instances", 2);
-  base.workers_per_instance = opt_num<int>(opts, "workers", 4);
-  base.skew = opt_num(opts, "skew", 2.0);
-  base.seed = opt_num(opts, "seed", 42u);
-  base.period = opt_num(opts, "period", 5.0);
-  base.stall_worker = opt_num<int>(opts, "stall-worker", -1);
-  base.stall_at = opt_num(opts, "stall-at", -1.0);
-  base.stall_duration = opt_num(opts, "stall-duration", 0.0);
-  if (const std::string* alarm = opts.find("alarm")) base.alarms = {*alarm};
+  const std::string app = opt(opts, "app", "cap3");
+  const int files = opt_num<int>(opts, "files", 32);
+  const int instances = opt_num<int>(opts, "instances", 2);
+  const int workers = opt_num<int>(opts, "workers", 4);
+  const double skew = opt_num(opts, "skew", 2.0);
+  sim::DesRunSpec spec;
+  spec.params.seed = opt_num(opts, "seed", 42u);
+  spec.monitor = sim::DesMonitor{.period = opt_num(opts, "period", 5.0)};
+  spec.params.stall_worker = opt_num<int>(opts, "stall-worker", -1);
+  spec.params.stall_at = opt_num(opts, "stall-at", -1.0);
+  spec.params.stall_duration = opt_num(opts, "stall-duration", 0.0);
+  if (const std::string* alarm = opts.find("alarm")) spec.monitor->alarms = {*alarm};
   const std::string json_path = opt(opts, "json", "");
   const std::string prom_path = opt(opts, "prom", "");
 
@@ -505,11 +509,13 @@ int cmd_monitor(const Options& opts) {
 
   bool all_ok = true;
   for (const std::string& s : substrates) {
-    sim::MonitorRunConfig config = base;
-    config.substrate = s;
-    const sim::MonitorRunReport report = sim::run_monitored_job(config);
-    std::fputs(report.to_text().c_str(), stdout);
-    if (report.completed != report.tasks) all_ok = false;
+    const auto [framework, type] = sim::des_model(s);
+    spec.framework = framework;
+    const sim::RunReport report =
+        sim::run_des(sim::make_des_workload(app, files, spec.params.seed, skew),
+                     make_deployment(*type, instances, workers), spec);
+    std::fputs(sim::monitor_text(report, s).c_str(), stdout);
+    if (!report.succeeded) all_ok = false;
     if (!json_path.empty() &&
         !write_artifact(json_path, report.monitor_json, "monitor series")) {
       all_ok = false;
@@ -522,60 +528,72 @@ int cmd_monitor(const Options& opts) {
   return all_ok ? 0 : 1;
 }
 
-/// The nine options `campaign` and `autoscale` share.
-template <typename Config>
-void parse_campaign_options(const Options& opts, Config& config) {
-  config.tasks = opt_num<int>(opts, "tasks", config.tasks);
-  config.instances = opt_num<int>(opts, "instances", config.instances);
-  config.workers_per_instance = opt_num<int>(opts, "workers", config.workers_per_instance);
-  config.receive_batch = opt_num<int>(opts, "receive-batch", config.receive_batch);
-  config.queue_shards = opt_num<int>(opts, "shards", config.queue_shards);
-  config.seed = opt_num(opts, "seed", config.seed);
-  config.monitor_period = opt_num(opts, "period", config.monitor_period);
-  config.wall_budget = opt_num(opts, "wall-budget", config.wall_budget);
-  config.verify_determinism = opt(opts, "verify", "1") != "0";
+/// The nine options `campaign` and `autoscale` share, read after each verb's
+/// own: the campaign_spec() fields go into `spec` and the wall budget into
+/// `wall_budget`; once no option is left unread, returns the Cap3 workload
+/// and the (reference) EC2-HCXL deployment.
+std::pair<Workload, Deployment> parse_campaign_options(const Options& opts, int default_tasks,
+                                                       sim::DesRunSpec& spec,
+                                                       Seconds& wall_budget) {
+  const int tasks = opt_num<int>(opts, "tasks", default_tasks);
+  const int instances = opt_num<int>(opts, "instances", 32);
+  const int workers = opt_num<int>(opts, "workers", 8);
+  spec.params.receive_batch = opt_num<int>(opts, "receive-batch", spec.params.receive_batch);
+  spec.params.queue.shards = opt_num<int>(opts, "shards", spec.params.queue.shards);
+  spec.params.seed = opt_num(opts, "seed", spec.params.seed);
+  spec.monitor->period = opt_num(opts, "period", spec.monitor->period);
+  wall_budget = opt_num(opts, "wall-budget", wall_budget);
+  spec.rerun = opt(opts, "verify", "1") != "0";
+  opts.reject_unread();
+  return {sim::make_des_workload("cap3", tasks, spec.params.seed),
+          make_deployment(cloud::ec2_hcxl(), instances, workers)};
 }
 
 int cmd_autoscale(const Options& opts) {
+  sim::DesRunSpec spec = sim::campaign_spec();
+  ElasticSimParams& elastic = spec.elastic.emplace();
   sim::AutoscaleCampaignConfig config;
-  parse_campaign_options(opts, config);
   config.deadline = opt_num(opts, "deadline", config.deadline);
   config.budget = opt_num(opts, "budget", config.budget);
-  config.spot_fraction = opt_num(opts, "spot-fraction", config.spot_fraction);
+  elastic.spot_fraction = opt_num(opts, "spot-fraction", elastic.spot_fraction);
   config.storms = opt_num<int>(opts, "storms", config.storms);
-  config.revocation_rate = opt_num(opts, "revocation-rate", config.revocation_rate);
-  config.revocation_notice = opt_num(opts, "revocation-notice", config.revocation_notice);
+  elastic.revocation_rate = opt_num(opts, "revocation-rate", elastic.revocation_rate);
+  elastic.revocation_notice = opt_num(opts, "revocation-notice", elastic.revocation_notice);
   const bool check = opt(opts, "check", "1") != "0";
   const std::string out_path = opt(opts, "out", "");
   const std::string csv_path = opt(opts, "fleet-csv", "");
-  opts.reject_unread();
+  const auto [workload, reference] =
+      parse_campaign_options(opts, 100000, spec, config.wall_budget);
 
-  const sim::AutoscaleReport report = sim::run_autoscale_campaign(config);
-  std::fputs(report.to_text().c_str(), stdout);
+  const sim::AutoscaleVerdict verdict =
+      sim::run_autoscale_campaign(workload, reference, spec, config);
+  const sim::RunReport& report = verdict.elastic;
+  std::fputs(sim::autoscale_text(verdict).c_str(), stdout);
   if (!out_path.empty() &&
       !write_artifact(out_path, report.monitor_json, "autoscale monitor series")) {
     return 1;
   }
   if (!csv_path.empty() &&
-      !write_artifact(csv_path, report.fleet_series_csv(), "fleet size series")) {
+      !write_artifact(csv_path, sim::fleet_series_csv(report), "fleet size series")) {
     return 1;
   }
-  return (report.passed || !check) ? 0 : 1;
+  return (report.succeeded || !check) ? 0 : 1;
 }
 
 int cmd_campaign(const Options& opts) {
-  sim::CampaignConfig config;
-  parse_campaign_options(opts, config);
+  sim::DesRunSpec spec = sim::campaign_spec();
+  Seconds wall_budget = 300.0;
   const std::string out_path = opt(opts, "out", "");
-  opts.reject_unread();
+  const auto [workload, deployment] = parse_campaign_options(opts, 1000000, spec, wall_budget);
 
-  const sim::CampaignReport report = sim::run_million_task_campaign(config);
-  std::fputs(report.to_text().c_str(), stdout);
+  sim::RunReport report = sim::run_des(workload, deployment, spec);
+  sim::check_campaign(report, wall_budget);
+  std::fputs(sim::campaign_text(report).c_str(), stdout);
   if (!out_path.empty() &&
       !write_artifact(out_path, report.monitor_json, "campaign monitor series")) {
     return 1;
   }
-  return report.passed ? 0 : 1;
+  return report.succeeded ? 0 : 1;
 }
 
 int usage() {
