@@ -115,27 +115,16 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     }
   }
   std::lock_guard lock(b->mu);
-  auto it = b->objects.find(key);
-  if (it == b->objects.end()) {
-    Object obj;
-    obj.data = std::move(payload);
-    obj.logical_size = logical_size;
-    obj.checksum = checksum;
-    obj.visible_at = clock_->now() + lag;
-    obj.is_new = true;
-    b->objects.emplace(key, std::move(obj));
-  } else {
-    // Overwrite of an existing key: immediately visible (S3 gave
-    // read-after-write anomalies on new objects; overwrites were
-    // eventually consistent too, but our framework never overwrites, so we
-    // keep this simple and visible).
-    it->second.data = std::move(payload);
-    it->second.logical_size = logical_size;
-    it->second.etag.reset();
-    it->second.checksum = checksum;
-    it->second.is_new = false;
-    it->second.visible_at = clock_->now();
-  }
+  auto [obj, inserted] = b->objects.try_emplace(key);
+  obj->data = std::move(payload);
+  obj->logical_size = logical_size;
+  obj->etag.reset();
+  obj->checksum = checksum;
+  // Only a brand-new key suffers the read-after-write lag. An overwrite is
+  // immediately visible (S3 gave read-after-write anomalies on new objects;
+  // overwrites were eventually consistent too, but our framework never
+  // overwrites, so we keep this simple and visible).
+  obj->visible_at = clock_->now() + (inserted ? lag : 0.0);
   if (span != 0) tracer->op_end(span, /*failed=*/false);
 }
 
@@ -163,11 +152,11 @@ std::shared_ptr<const std::string> BlobStore::get_impl(const std::string& bucket
   Bytes size = 0.0;
   {
     std::lock_guard lock(b->mu);
-    auto it = b->objects.find(key);
-    if (it == b->objects.end()) return nullptr;
-    if (it->second.visible_at > clock_->now()) return nullptr;  // not yet visible
-    data = it->second.data;
-    size = it->second.logical_size;
+    const Object* obj = b->objects.find(key);
+    if (obj == nullptr) return nullptr;
+    if (obj->visible_at > clock_->now()) return nullptr;  // not yet visible
+    data = obj->data;
+    size = obj->logical_size;
   }
   {
     std::lock_guard lock(meter_mu_);
@@ -194,18 +183,18 @@ std::optional<std::uint64_t> BlobStore::etag(const std::string& bucket,
   std::shared_ptr<const std::string> data;
   {
     std::lock_guard lock(b->mu);
-    auto it = b->objects.find(key);
-    if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
-    if (it->second.etag.has_value()) return it->second.etag;
-    if (!it->second.checksum.has_value()) {
+    Object* obj = b->objects.find(key);
+    if (obj == nullptr || obj->visible_at > clock_->now()) return std::nullopt;
+    if (obj->etag.has_value()) return obj->etag;
+    if (!obj->checksum.has_value()) {
       // Logical: no bytes to hash, so the tag is derived from the stable
       // identity (bucket, key, declared size). That keeps it deterministic
       // across runs and processes, which content-addressed caching depends
       // on. The identity is short, so it is hashed under the lock.
-      it->second.etag = logical_etag(bucket, key, it->second.logical_size);
-      return it->second.etag;
+      obj->etag = logical_etag(bucket, key, obj->logical_size);
+      return obj->etag;
     }
-    data = it->second.data;
+    data = obj->data;
   }
   // First read of this version: hash outside the lock. Racing first readers
   // all compute the same value; holding `data` keeps the version's address
@@ -213,8 +202,8 @@ std::optional<std::uint64_t> BlobStore::etag(const std::string& bucket,
   // no overwrite replaced the version in the meantime.
   const std::uint64_t tag = ppc::fnv1a64(*data);
   std::lock_guard lock(b->mu);
-  auto it = b->objects.find(key);
-  if (it != b->objects.end() && it->second.data == data) it->second.etag = tag;
+  Object* obj = b->objects.find(key);
+  if (obj != nullptr && obj->data == data) obj->etag = tag;
   return tag;
 }
 
@@ -223,9 +212,9 @@ std::optional<std::uint32_t> BlobStore::checksum(const std::string& bucket,
   auto b = find_bucket(bucket);
   if (b == nullptr) return std::nullopt;
   std::lock_guard lock(b->mu);
-  auto it = b->objects.find(key);
-  if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
-  return it->second.checksum;
+  const Object* obj = b->objects.find(key);
+  if (obj == nullptr || obj->visible_at > clock_->now()) return std::nullopt;
+  return obj->checksum;
 }
 
 std::optional<Bytes> BlobStore::head(const std::string& bucket, const std::string& key) {
@@ -238,9 +227,9 @@ std::optional<Bytes> BlobStore::head(const std::string& bucket, const std::strin
   auto b = find_bucket(bucket);
   if (b == nullptr) return std::nullopt;
   std::lock_guard lock(b->mu);
-  auto it = b->objects.find(key);
-  if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
-  return it->second.logical_size;
+  const Object* obj = b->objects.find(key);
+  if (obj == nullptr || obj->visible_at > clock_->now()) return std::nullopt;
+  return obj->logical_size;
 }
 
 bool BlobStore::exists(const std::string& bucket, const std::string& key) {
@@ -255,7 +244,7 @@ bool BlobStore::remove(const std::string& bucket, const std::string& key) {
   auto b = find_bucket(bucket);
   if (b == nullptr) return false;
   std::lock_guard lock(b->mu);
-  return b->objects.erase(key) > 0;
+  return b->objects.erase(key);
 }
 
 std::vector<std::string> BlobStore::list(const std::string& bucket, const std::string& prefix) {
@@ -284,11 +273,11 @@ std::vector<std::string> BlobStore::list(const std::string& bucket, const std::s
   }
   {
     std::lock_guard lock(b->mu);
-    for (const auto& [key, _] : b->objects) {
-      if (prefix.empty() || ppc::starts_with(key, prefix)) keys.push_back(key);
+    for (const auto& e : b->objects) {
+      if (prefix.empty() || ppc::starts_with(e.key, prefix)) keys.push_back(e.key);
     }
   }
-  // The index is hashed, so only the matches are sorted.
+  // The index is unordered, so only the matches are sorted.
   std::sort(keys.begin(), keys.end());
   if (span != 0) tracer->op_end(span, /*failed=*/false);
   return keys;
@@ -304,7 +293,7 @@ Bytes BlobStore::stored_bytes() const {
   Bytes total = 0.0;
   for (const auto& b : all) {
     std::lock_guard lock(b->mu);
-    for (const auto& [_, obj] : b->objects) total += obj.logical_size;
+    for (const auto& e : b->objects) total += e.value.logical_size;
   }
   return total;
 }

@@ -30,8 +30,9 @@
 // shared immutable strings, so get() hands back an aliasing pointer instead
 // of copying the object, and the lock is sharded per bucket so concurrent
 // workers hitting different buckets never serialize on one global mutex.
-// Each bucket is a hash index of its keys (the DES drivers hold 100k+
-// logical objects in one bucket), so list() sorts the keys it returns.
+// Each bucket keeps its objects in a flat ppc::KeyIndex (the DES drivers
+// hold 100k+ logical objects in one bucket); the index is unordered, so
+// list() sorts the keys it returns.
 #pragma once
 
 #include <atomic>
@@ -42,11 +43,11 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/fault_hook.h"
+#include "common/key_index.h"
 #include "common/rng.h"
 #include "common/trace_hook.h"
 #include "common/units.h"
@@ -197,7 +198,6 @@ class BlobStore : public storage::StorageBackend {
     /// crc32c of data; nullopt exactly for logical objects.
     std::optional<std::uint32_t> checksum;
     Seconds visible_at = 0.0;
-    bool is_new = true;  // false once overwritten (overwrite => visible)
   };
 
   /// One lock per bucket: workers on different buckets (jobs) proceed in
@@ -205,7 +205,7 @@ class BlobStore : public storage::StorageBackend {
   /// valid after the registry lock is released.
   struct Bucket {
     mutable std::mutex mu;
-    std::unordered_map<std::string, Object> objects;
+    ppc::KeyIndex<Object> objects;
   };
 
   /// latency + size / bandwidth, where a row with servers shares

@@ -1,5 +1,7 @@
 #include "dryad/file_share.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace ppc::dryad {
@@ -26,45 +28,44 @@ void FileShare::write(NodeId owner, const std::string& name, std::string data) {
   PPC_REQUIRE(!name.empty(), "file name must be non-empty");
   std::lock_guard lock(mu_);
   ++stats_.writes;
-  shares_[static_cast<std::size_t>(owner)][name] = std::move(data);
+  *shares_[static_cast<std::size_t>(owner)].try_emplace(name).first = std::move(data);
 }
 
 std::optional<std::string> FileShare::read(NodeId owner, const std::string& name, NodeId reader) {
   check_node(owner);
   check_node(reader);
   std::lock_guard lock(mu_);
-  const auto& share = shares_[static_cast<std::size_t>(owner)];
-  const auto it = share.find(name);
-  if (it == share.end()) return std::nullopt;
+  const std::string* data = shares_[static_cast<std::size_t>(owner)].find(name);
+  if (data == nullptr) return std::nullopt;
   if (owner == reader) {
     ++stats_.local_reads;
   } else {
     ++stats_.remote_reads;
   }
-  return it->second;
+  return *data;
 }
 
 bool FileShare::exists(NodeId owner, const std::string& name) const {
   check_node(owner);
   std::lock_guard lock(mu_);
-  return shares_[static_cast<std::size_t>(owner)].contains(name);
+  return shares_[static_cast<std::size_t>(owner)].find(name) != nullptr;
 }
 
 std::vector<std::string> FileShare::list(NodeId owner) const {
   check_node(owner);
   std::lock_guard lock(mu_);
   std::vector<std::string> names;
-  for (const auto& [name, _] : shares_[static_cast<std::size_t>(owner)]) names.push_back(name);
+  for (const auto& e : shares_[static_cast<std::size_t>(owner)]) names.push_back(e.key);
+  std::sort(names.begin(), names.end());
   return names;
 }
 
 std::optional<Bytes> FileShare::file_size(NodeId owner, const std::string& name) const {
   check_node(owner);
   std::lock_guard lock(mu_);
-  const auto& share = shares_[static_cast<std::size_t>(owner)];
-  const auto it = share.find(name);
-  if (it == share.end()) return std::nullopt;
-  return static_cast<Bytes>(it->second.size());
+  const std::string* data = shares_[static_cast<std::size_t>(owner)].find(name);
+  if (data == nullptr) return std::nullopt;
+  return static_cast<Bytes>(data->size());
 }
 
 FileShareStats FileShare::stats() const {

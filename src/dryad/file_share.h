@@ -5,16 +5,19 @@
 // Windows shared directories". FileShare models exactly that: every node
 // owns a directory of named files; any node may read any directory (that is
 // what a Windows share is), and reads are classified local/remote for the
-// timing model and the locality tests.
+// timing model and the locality tests. Each share is a flat ppc::KeyIndex
+// of its file names (the Dryad DES driver puts one partition file per task
+// on the shares and reads it back per vertex); the index is unordered, so
+// list() sorts the names it returns.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/key_index.h"
 #include "common/rng.h"
 #include "common/units.h"
 
@@ -42,6 +45,7 @@ class FileShare {
   std::optional<std::string> read(NodeId owner, const std::string& name, NodeId reader);
 
   bool exists(NodeId owner, const std::string& name) const;
+  /// The names in node `owner`'s share, sorted.
   std::vector<std::string> list(NodeId owner) const;
   std::optional<Bytes> file_size(NodeId owner, const std::string& name) const;
 
@@ -55,7 +59,7 @@ class FileShare {
 
   int num_nodes_;
   mutable std::mutex mu_;
-  std::vector<std::map<std::string, std::string>> shares_;
+  std::vector<ppc::KeyIndex<std::string>> shares_;
   mutable FileShareStats stats_;
 };
 

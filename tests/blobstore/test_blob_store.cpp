@@ -205,6 +205,43 @@ TEST_F(BlobStoreTest, StoredBytesTracksRemovals) {
   EXPECT_DOUBLE_EQ(store.stored_bytes(), 10.0);
 }
 
+TEST_F(BlobStoreTest, ListIsSortedAfterOverwritesAndRemovals) {
+  auto store = make_store();
+  for (const char* key : {"input/t7", "output/t3", "input/t10", "input/t2", "output/t1"}) {
+    store.put_logical("b", key, 1.0);
+  }
+  store.put("b", "input/t2", "overwritten");
+  store.remove("b", "output/t1");  // the newest key
+  store.remove("b", "input/t7");   // the oldest key
+  store.put_logical("b", "input/t7", 2.0);
+  store.put_logical("b", "input/t0", 3.0);
+  EXPECT_EQ(store.list("b"), (std::vector<std::string>{"input/t0", "input/t10", "input/t2",
+                                                       "input/t7", "output/t3"}));
+  EXPECT_EQ(store.list("b", "input/t1"), (std::vector<std::string>{"input/t10"}));
+  EXPECT_EQ(*store.get("b", "input/t2"), "overwritten");
+}
+
+TEST_F(BlobStoreTest, StoredBytesIsIdenticalAcrossIdenticalRuns) {
+  // Fractional logical sizes make the sum depend on the order it is taken
+  // in, so two runs of one sequence must visit the objects in one order.
+  const auto run = [this] {
+    auto store = make_store();
+    Rng rng(17);
+    for (int i = 0; i < 3000; ++i) {
+      const std::string key = "input/t" + std::to_string(rng.uniform_int(0, 999));
+      if (rng.uniform() < 0.2) {
+        store.remove(i % 2 == 0 ? "a" : "b", key);
+      } else {
+        store.put_logical(i % 2 == 0 ? "a" : "b", key, rng.uniform(0.0, 1e6) / 3.0);
+      }
+    }
+    return store.stored_bytes();
+  };
+  const Bytes first = run();
+  EXPECT_GT(first, 0.0);
+  EXPECT_EQ(first, run());
+}
+
 TEST_F(BlobStoreTest, RejectsEmptyNames) {
   auto store = make_store();
   EXPECT_THROW(store.put("", "k", "v"), InvalidArgument);

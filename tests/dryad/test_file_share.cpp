@@ -58,6 +58,17 @@ TEST(FileShare, ListIsSortedPerNode) {
   EXPECT_TRUE(share.list(1).empty());
 }
 
+TEST(FileShare, ListIsSortedAfterOverwrites) {
+  FileShare share(2);
+  for (const char* name : {"9", "10", "2", "1"}) share.write(1, name, "x");
+  share.write(1, "2", "longer");
+  share.write(1, "0", "y");
+  EXPECT_EQ(share.list(1), (std::vector<std::string>{"0", "1", "10", "2", "9"}));
+  EXPECT_EQ(*share.read(1, "2", 1), "longer");
+  EXPECT_EQ(*share.file_size(1, "2"), 6.0);
+  EXPECT_EQ(share.stats().writes, 6u);
+}
+
 TEST(FileShare, TimingLocalBeatsRemote) {
   FileShare share(2);
   Rng rng(1);
