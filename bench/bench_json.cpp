@@ -8,7 +8,9 @@
 // row regresses more than 2x, when a baseline row is missing from the
 // output, or when a gated row has no baseline entry. A speedup is measured
 // against a reference in the same binary on the same host, so the kernel
-// gates do not depend on the hardware the baseline was recorded on.
+// gates do not depend on the hardware the baseline was recorded on. The
+// object store's bucket index is gated the same way, against the
+// std::unordered_map bucket it replaced.
 //
 // Timing discipline: every kernel sample is the MINIMUM of several runs —
 // on a shared core the minimum estimates the uncontended cost, where mean
@@ -19,6 +21,7 @@
 // at least 0.25 s per arm, the arms interleaved pass by pass, the median of
 // the paired ratios.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -27,8 +30,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <shared_mutex>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,6 +56,8 @@
 #include "azuremr/runtime.h"
 #include "common/clock.h"
 #include "common/crc32c.h"
+#include "common/error.h"
+#include "common/fault_hook.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -424,6 +433,169 @@ KernelResult bench_checksum_crc32c() {
                               [&] { sink = sink + ppc::detail::crc32c_portable(buf); });
   (void)sink;
   return {"checksum_crc32c_1mb", fast * 1e9, naive * 1e9, naive / fast};
+}
+
+// --------------------------------------------------------------------------
+// Object-store index
+// --------------------------------------------------------------------------
+
+/// The object store's put_logical / get / etag path on the node-based
+/// std::unordered_map bucket it had before its ppc::KeyIndex: the same
+/// registry, meter and bucket locks, hook loads and per-object record, so
+/// the row's speedup is what the flat index buys.
+class UnorderedMapBlobStore {
+ public:
+  explicit UnorderedMapBlobStore(std::shared_ptr<const Clock> clock) : clock_(std::move(clock)) {}
+
+  void put_logical(const std::string& bucket, const std::string& key, Bytes size) {
+    PPC_REQUIRE(!bucket.empty() && !key.empty(), "bucket and key must be non-empty");
+    (void)hook_.load();
+    auto b = get_or_create_bucket(bucket);
+    {
+      std::lock_guard lock(meter_mu_);
+      ++puts_;
+      bytes_in_ += size;
+    }
+    std::lock_guard lock(b->mu);
+    auto it = b->objects.find(key);
+    if (it == b->objects.end()) {
+      Object obj;
+      obj.data = empty_;
+      obj.logical_size = size;
+      obj.visible_at = clock_->now();
+      obj.is_new = true;
+      b->objects.emplace(key, std::move(obj));
+    } else {
+      it->second.data = empty_;
+      it->second.logical_size = size;
+      it->second.etag.reset();
+      it->second.checksum.reset();
+      it->second.is_new = false;
+      it->second.visible_at = clock_->now();
+    }
+  }
+
+  std::shared_ptr<const std::string> get(const std::string& bucket, const std::string& key) {
+    {
+      std::lock_guard lock(meter_mu_);
+      ++gets_;
+    }
+    auto b = find_bucket(bucket);
+    if (b == nullptr) return nullptr;
+    std::shared_ptr<const std::string> data;
+    Bytes size = 0.0;
+    {
+      std::lock_guard lock(b->mu);
+      auto it = b->objects.find(key);
+      if (it == b->objects.end() || it->second.visible_at > clock_->now()) return nullptr;
+      data = it->second.data;
+      size = it->second.logical_size;
+    }
+    {
+      std::lock_guard lock(meter_mu_);
+      bytes_out_ += size;
+    }
+    (void)hook_.load();
+    return data;
+  }
+
+  /// Logical objects only, as the row stores nothing else.
+  std::optional<std::uint64_t> etag(const std::string& bucket, const std::string& key) const {
+    auto b = find_bucket(bucket);
+    if (b == nullptr) return std::nullopt;
+    std::lock_guard lock(b->mu);
+    auto it = b->objects.find(key);
+    if (it == b->objects.end() || it->second.visible_at > clock_->now()) return std::nullopt;
+    if (!it->second.etag.has_value()) {
+      const std::string bytes =
+          std::to_string(static_cast<std::uint64_t>(it->second.logical_size));
+      std::string identity;
+      identity.reserve(8 + bucket.size() + key.size() + bytes.size() + 2);
+      identity += "logical:";
+      identity += bucket;
+      identity += '\0';
+      identity += key;
+      identity += '\0';
+      identity += bytes;
+      it->second.etag = ppc::fnv1a64(identity);
+    }
+    return it->second.etag;
+  }
+
+ private:
+  struct Object {
+    std::shared_ptr<const std::string> data;
+    Bytes logical_size = 0.0;
+    std::optional<std::uint64_t> etag;
+    std::optional<std::uint32_t> checksum;
+    Seconds visible_at = 0.0;
+    bool is_new = true;
+  };
+  struct Bucket {
+    mutable std::mutex mu;
+    std::unordered_map<std::string, Object> objects;
+  };
+
+  std::shared_ptr<Bucket> find_bucket(const std::string& bucket) const {
+    std::shared_lock lock(registry_mu_);
+    auto it = buckets_.find(bucket);
+    return it == buckets_.end() ? nullptr : it->second;
+  }
+
+  std::shared_ptr<Bucket> get_or_create_bucket(const std::string& bucket) {
+    if (auto existing = find_bucket(bucket)) return existing;
+    std::unique_lock lock(registry_mu_);
+    return buckets_.try_emplace(bucket, std::make_shared<Bucket>()).first->second;
+  }
+
+  std::shared_ptr<const Clock> clock_;
+  std::shared_ptr<const std::string> empty_ = std::make_shared<const std::string>();
+  std::atomic<FaultHook*> hook_{nullptr};
+  mutable std::shared_mutex registry_mu_;
+  std::map<std::string, std::shared_ptr<Bucket>> buckets_;
+  std::mutex meter_mu_;
+  std::uint64_t puts_ = 0, gets_ = 0;
+  Bytes bytes_in_ = 0.0, bytes_out_ = 0.0;
+};
+
+/// One Classic Cloud DES job's traffic on one bucket, on a fresh store
+/// (its teardown included): populate puts every input, then each task gets
+/// its input, asks its etag and puts its output, over the DES key shapes
+/// `input/t<id>` and `output/t<id>` (120k objects). Returns a digest of the
+/// etags, so both arms can be checked to agree.
+template <typename Store>
+std::uint64_t logical_objects_pass(const std::vector<std::string>& inputs,
+                                   const std::vector<std::string>& outputs) {
+  Store store(std::make_shared<ManualClock>());
+  std::uint64_t digest = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    store.put_logical("job", inputs[i], 1000.0 + static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (store.get("job", inputs[i]) == nullptr) return 0;
+    digest = digest * 31 + store.etag("job", inputs[i]).value_or(0);
+    store.put_logical("job", outputs[i], 10.0 + static_cast<double>(i));
+  }
+  return digest;
+}
+
+/// The flat-index store against UnorderedMapBlobStore on the same keys,
+/// interleaved like the kernel rows.
+KernelResult bench_blobstore_logical() {
+  constexpr int kTasks = 60000;
+  std::vector<std::string> inputs, outputs;
+  for (int i = 0; i < kTasks; ++i) {
+    inputs.push_back("input/t" + std::to_string(i));
+    outputs.push_back("output/t" + std::to_string(i));
+  }
+  std::uint64_t fast_digest = 0, naive_digest = 0;
+  const auto [fast, naive] = min_seconds_interleaved(
+      9, [&] { fast_digest = logical_objects_pass<blobstore::BlobStore>(inputs, outputs); },
+      [&] { naive_digest = logical_objects_pass<UnorderedMapBlobStore>(inputs, outputs); });
+  if (fast_digest == 0 || fast_digest != naive_digest) {
+    std::fprintf(stderr, "blobstore_logical_120k: the two stores disagree\n");
+  }
+  return {"blobstore_logical_120k", fast * 1e9, naive * 1e9, naive / fast};
 }
 
 // --------------------------------------------------------------------------
@@ -1040,6 +1212,7 @@ int main(int argc, char** argv) {
   kernels.push_back(bench_gtm_interpolate());
   kernels.push_back(bench_checksum_fnv1a64());
   kernels.push_back(bench_checksum_crc32c());
+  kernels.push_back(bench_blobstore_logical());
   for (const auto& k : kernels) {
     std::fprintf(stderr, "%-30s %12.0f ns/op  (naive %12.0f, %.2fx)\n", k.name.c_str(),
                  k.ns_per_op, k.naive_ns_per_op, k.speedup);
