@@ -135,12 +135,14 @@ void WorkerSupervisor::check_slot_locked(Slot& slot, Seconds now) {
   ++slot.restarts_done;
   ++slot.incarnation;
   const std::string new_id = slot.base_id + "#" + std::to_string(slot.incarnation);
+  // Counted before the factory starts the replacement, so whoever sees the
+  // replacement's work also sees the restart.
+  metrics_->counter("supervisor.restarts").inc();
   // A crashed worker's lifecycle thread has exited; dropping the owner here
   // (overwritten below) joins it. Retired (stalled) workers were moved out
   // already.
   slot.worker = factory_(new_id, slot.incarnation);
   PPC_REQUIRE(slot.worker.lifecycle != nullptr, "factory must supply a lifecycle");
-  metrics_->counter("supervisor.restarts").inc();
   metrics_->histogram("supervisor.recovery_seconds").record(now - slot.died_at);
   metrics_->emit({"supervisor.restarted", {{"worker", new_id}}});
   if (Tracer* tr = config_.tracer; tr != nullptr && tr->enabled()) {
